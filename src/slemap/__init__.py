@@ -77,14 +77,6 @@ from .similarity import SimilarityComputer, SimilarityMatrix, build_similarity_m
 from .sle import SleConfig, SleModel, fit_sle, joint_objective
 from .synth import GeneratorSpec, generate_arrays, generate_synthetic, parse_generator_spec
 from .text import Document, NormalizationConfig, Statement, normalize
-from .transforms import (
-    TransformKind,
-    TransformWeights,
-    TransformationVector,
-    best_transformation_vector,
-    edit_distance,
-    enumerate_transformation_vectors,
-    statement_similarity,
-)
+from .transforms import TransformKind, TransformWeights, edit_distance, statement_similarity
 
 __version__ = "0.1.0"

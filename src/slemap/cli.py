@@ -17,13 +17,11 @@ import numpy as np
 from . import errors
 from .config import PipelineConfig, load_config
 from .dataset import load_dataset
-from .evaluation import compare_methods, run_methods
+from .evaluation import compare_methods, normalize_corpus, run_methods, similarity_computer
 from .laplacian import build_laplacian, solve_eigenmap
 from .lsi import build_tfidf, lsi_embed
 from .model_io import load_model, predict_model, save_model, train_model
-from .similarity import SimilarityComputer
 from .synth import GeneratorSpec, generate_synthetic, parse_generator_spec
-from .text import normalize
 
 _DATA_ERRORS = (errors.SchemaError, errors.ParseError, errors.EmptyDocument,
                 errors.InvalidSpec, errors.KTooLarge, errors.FoldTooSmall,
@@ -63,11 +61,7 @@ def _load(args):
 def _cmd_similarity(args) -> int:
     cfg = _resolved_config(args)
     dataset = _load(args)
-    ncfg = cfg.normalization()
-    docs = [normalize(t, ncfg, doc_id=i) for i, t in zip(dataset.ids, dataset.texts)]
-    comp = SimilarityComputer(cfg.transform_weights(), cfg.load_dictionary(),
-                              max_tokens=cfg.max_tokens)
-    sim = comp.matrix(docs)
+    sim = similarity_computer(cfg).matrix(normalize_corpus(dataset.ids, dataset.texts, cfg))
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + list(sim.ids))
@@ -80,13 +74,10 @@ def _cmd_similarity(args) -> int:
 def _cmd_embed(args) -> int:
     cfg = _resolved_config(args)
     dataset = _load(args)
-    ncfg = cfg.normalization()
-    docs = [normalize(t, ncfg, doc_id=i) for i, t in zip(dataset.ids, dataset.texts)]
+    docs = normalize_corpus(dataset.ids, dataset.texts, cfg)
     if args.method == "le":
-        comp = SimilarityComputer(cfg.transform_weights(), cfg.load_dictionary(),
-                                  max_tokens=cfg.max_tokens)
-        emb = solve_eigenmap(build_laplacian(comp.matrix(docs)), cfg.dims)
-        vectors = emb.vectors
+        lap = build_laplacian(similarity_computer(cfg).matrix(docs))
+        vectors = solve_eigenmap(lap, cfg.dims).vectors
     else:
         vectors = lsi_embed(build_tfidf(docs), cfg.dims).vectors
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:

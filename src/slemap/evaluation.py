@@ -8,22 +8,25 @@ joint-embed flag deliberately grants LSI that advantage); their embeddings
 are estimated by similarity-weighted nearest neighbors.  A classifier whose
 training AUC lands under the retrain threshold is refit with a fresh
 parameter seed, up to a bounded number of attempts.
+
+``fit`` and ``score`` are the one implementation of the four methods: a CV
+fold and ``model_io.train_model``/``predict_model`` both go through them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import PipelineConfig
 from .dataset import Dataset
-from .errors import FoldTooSmall
+from .errors import FoldTooSmall, SchemaError
 from .estimator import estimate_batch
-from .laplacian import build_laplacian, solve_eigenmap
+from .laplacian import Laplacian, build_laplacian, solve_eigenmap
 from .logistic import LabeledFeatures, LearnerParams, predict_proba, train
-from .lsi import build_tfidf, fit_lsi, project_lsi, vectorize
+from .lsi import TermDocumentMatrix, build_tfidf, fit_lsi, vectorize
 from .metrics import (best_mcc_threshold, compute_auc, compute_mcc, confusion_at,
                       likelihood_ratios, sensitivity_specificity)
 from .similarity import SimilarityComputer, SimilarityMatrix
@@ -136,16 +139,112 @@ class PreparedDataset:
     similarity: SimilarityMatrix | None
 
 
+def normalize_corpus(ids: list[str], texts: list[str],
+                     config: PipelineConfig) -> list[Document]:
+    ncfg = config.normalization()
+    return [normalize(t, ncfg, doc_id=i) for i, t in zip(ids, texts)]
+
+
+def similarity_computer(config: PipelineConfig) -> SimilarityComputer:
+    return SimilarityComputer(config.transform_weights(), config.load_dictionary(),
+                              max_tokens=config.max_tokens)
+
+
 def prepare_dataset(dataset: Dataset, config: PipelineConfig,
                     need_similarity: bool) -> PreparedDataset:
-    ncfg = config.normalization()
-    docs = [normalize(t, ncfg, doc_id=i) for i, t in zip(dataset.ids, dataset.texts)]
-    sim = None
-    if need_similarity:
-        comp = SimilarityComputer(config.transform_weights(), config.load_dictionary(),
-                                  max_tokens=config.max_tokens)
-        sim = comp.matrix(docs)
+    docs = normalize_corpus(dataset.ids, dataset.texts, config)
+    sim = similarity_computer(config).matrix(docs) if need_similarity else None
     return PreparedDataset(dataset=dataset, docs=docs, similarity=sim)
+
+
+@dataclass
+class TrainedModel:
+    method: str
+    config: PipelineConfig
+    params: LearnerParams
+    numeric_mean: np.ndarray
+    numeric_std: np.ndarray
+    feature_scale: float = 1.0
+    xe_train: np.ndarray | None = None
+    train_ids: list[str] = field(default_factory=list)
+    train_texts: list[str] = field(default_factory=list)
+    lam: float | None = None
+    objective_trace: list[float] = field(default_factory=list)
+    lsi_vocabulary: tuple[str, ...] = ()
+    lsi_idf: np.ndarray | None = None
+    lsi_components: np.ndarray | None = None
+    degenerate: bool = False
+    train_scores: np.ndarray | None = None   # prediction-path scores, saved
+    fit_scores: np.ndarray | None = None     # in-sample scores behind train_auc
+    train_auc: float = 0.0
+    attempts: int = 1
+
+    @property
+    def n_numeric(self) -> int:
+        return self.numeric_mean.shape[0]
+
+
+@dataclass
+class Split:
+    """Records to fit on and records to score, as row indices into one dataset.
+
+    Documents, similarities and the training spectrum are made on first use
+    and kept, so every method fitted on a split shares them.  Cross-validation
+    supplies the documents and the fold's blocks of the corpus matrix.  A split
+    without them builds the training matrix with one SimilarityComputer and
+    scores test documents by ``rows`` against the model's training documents.
+    """
+
+    dataset: Dataset
+    train: np.ndarray
+    test: np.ndarray
+    docs: list[Document] | None = None
+    sim_train: np.ndarray | None = None
+    sim_test: np.ndarray | None = None
+    joint_lsi: bool = False           # LSI factorizes the test documents too
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def documents(self, config: PipelineConfig, rows) -> list[Document]:
+        if self.docs is None:
+            self.docs = normalize_corpus(self.dataset.ids, self.dataset.texts, config)
+        return [self.docs[i] for i in rows]
+
+    def _computer(self, config: PipelineConfig) -> SimilarityComputer:
+        if "computer" not in self._cache:
+            self._cache["computer"] = similarity_computer(config)
+        return self._cache["computer"]
+
+    def train_similarity(self, config: PipelineConfig) -> np.ndarray:
+        if self.sim_train is None:
+            self.sim_train = self._computer(config).matrix(
+                self.documents(config, self.train)).values
+        return self.sim_train
+
+    def test_similarity(self, model: TrainedModel) -> np.ndarray:
+        if self.sim_test is None:
+            cfg = model.config
+            corpus = normalize_corpus(model.train_ids, model.train_texts, cfg)
+            self.sim_test = self._computer(cfg).rows(self.documents(cfg, self.test), corpus)
+        return self.sim_test
+
+    def spectrum(self, config: PipelineConfig) -> tuple[Laplacian, np.ndarray, float]:
+        """Laplacian, eigenmap and feature scale of the training similarities."""
+        key = ("spectrum", config.dims)
+        if key not in self._cache:
+            lap = build_laplacian(self.train_similarity(config))
+            # puts the D-orthonormal eigenvector columns on the same element
+            # scale as standardized numeric features
+            self._cache[key] = (lap, solve_eigenmap(lap, config.dims).vectors,
+                                math.sqrt(float(lap.degrees.sum())))
+        return self._cache[key]
+
+    def joint_lsi_rows(self, config: PipelineConfig) -> np.ndarray:
+        """LSI embedding of every document in the dataset, test records included."""
+        key = ("lsi", config.dims)
+        if key not in self._cache:
+            docs = self.documents(config, range(self.dataset.m))
+            self._cache[key] = fit_lsi(build_tfidf(docs), config.dims).doc_embedding
+        return self._cache[key]
 
 
 def _derived_seed(seed: int, fold: int, attempt: int, method: str) -> int:
@@ -153,34 +252,92 @@ def _derived_seed(seed: int, fold: int, attempt: int, method: str) -> int:
             + METHODS.index(method)) & 0x7FFFFFFF
 
 
-def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = train.mean(axis=0) if train.size else np.zeros(train.shape[1])
-    std = train.std(axis=0) if train.size else np.ones(train.shape[1])
+def fit(method: str, split: Split, config: PipelineConfig, fold: int = 0) -> TrainedModel:
+    """Fit one method on the split's training records, with the retrain rule.
+
+    Attempt k seeds the classifier with ``_derived_seed(config.seed, fold, k,
+    method)``.  An attempt whose in-sample training AUC lands under
+    ``config.retrain_auc`` is refit with the next seed, up to
+    ``config.max_retrains`` attempts; the last attempt is kept.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    ds, rows = split.dataset, split.train
+    x = ds.numeric[rows]
+    mean = x.mean(axis=0) if x.size else np.zeros(ds.n_numeric)
+    std = x.std(axis=0) if x.size else np.ones(ds.n_numeric)
     std = np.where(std > 0, std, 1.0)
-    return (train - mean) / std, (test - mean) / std
+    num, y = (x - mean) / std, ds.labels[rows]
+    model = TrainedModel(method=method, config=config, params=None,  # type: ignore[arg-type]
+                         numeric_mean=mean, numeric_std=std,
+                         train_ids=[ds.ids[i] for i in rows],
+                         train_texts=[ds.texts[i] for i in rows])
 
+    text = np.zeros((len(rows), 0))
+    if method in ("le", "sle"):
+        lap, text, model.feature_scale = split.spectrum(config)
+        model.xe_train = text
+    elif method == "lsi" and split.joint_lsi:
+        text = split.joint_lsi_rows(config)[rows]
+    elif method == "lsi":
+        tdm = build_tfidf(split.documents(config, rows))
+        lsi = fit_lsi(tdm, config.dims)
+        text = lsi.doc_embedding
+        model.lsi_vocabulary, model.lsi_idf = tdm.vocabulary, tdm.idf
+        model.lsi_components = lsi.components
+    features = np.hstack([num, text * model.feature_scale])
 
-def _fit_classifier(x_train, y_train, x_test, l2, seed):
-    data = LabeledFeatures(x_train, y_train, slice(x_train.shape[1], x_train.shape[1]))
-    rng = np.random.default_rng(seed)
-    params = train(data, l2, init=LearnerParams.random_init(x_train.shape[1], l2, rng))
-    return predict_proba(params, x_train), predict_proba(params, x_test)
-
-
-def _with_retrain(config: PipelineConfig, seed: int, fold: int, method: str, y_train,
-                  fit_fn) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-    """Apply the low-training-AUC retrain rule around one fold fit."""
-    train_scores = test_scores = None
-    train_auc = -1.0
-    zero_rho = 0
-    attempt = 0
     for attempt in range(config.max_retrains):
-        train_scores, test_scores, zero_rho = fit_fn(
-            _derived_seed(seed, fold, attempt, method))
-        train_auc = compute_auc(train_scores, y_train)
-        if train_auc >= config.retrain_auc:
+        seed = _derived_seed(config.seed, fold, attempt, method)
+        if method == "sle":
+            scfg = SleConfig(
+                dims=config.dims, lam=config.lam, lambda_ratio=config.lambda_ratio,
+                l2=config.l2, max_outer_iters=config.max_outer_iters,
+                inner_theta_steps=config.inner_theta_steps,
+                inner_embedding_steps=config.inner_embedding_steps,
+                tol=config.sle_tol, seed=seed)
+            fitted = fit_sle(num, split.train_similarity(config), y, scfg,
+                             lap=lap, xe0=text, feature_scale=model.feature_scale)
+            model.params, model.xe_train = fitted.params, fitted.embedding.vectors
+            model.lam, model.degenerate = fitted.lam, fitted.degenerate
+            model.objective_trace = list(fitted.objective_trace)
+            features = np.hstack([num, model.xe_train * model.feature_scale])
+        else:
+            data = LabeledFeatures(features, y, slice(num.shape[1], features.shape[1]))
+            init = LearnerParams.random_init(features.shape[1], config.l2,
+                                             np.random.default_rng(seed))
+            model.params = train(data, config.l2, init=init)
+        model.fit_scores = predict_proba(model.params, features)
+        model.train_auc = compute_auc(model.fit_scores, y)
+        model.attempts = attempt + 1
+        if model.train_auc >= config.retrain_auc:
             break
-    return train_scores, test_scores, train_auc, attempt + 1, zero_rho
+    return model
+
+
+def score(model: TrainedModel, split: Split) -> tuple[np.ndarray, int]:
+    """Out-of-sample scores of the split's test records.
+
+    Also returns how many test documents had no similar training document;
+    their estimated embedding is the zero vector.
+    """
+    ds, rows, cfg = split.dataset, split.test, model.config
+    if ds.n_numeric != model.n_numeric:
+        raise SchemaError(
+            f"expected {model.n_numeric} numeric features, got {ds.n_numeric}")
+    num = (ds.numeric[rows] - model.numeric_mean) / model.numeric_std
+    text, zero_rho = np.zeros((len(rows), 0)), 0
+    if model.method in ("le", "sle"):
+        text, zero_rho = estimate_batch(split.test_similarity(model), model.xe_train,
+                                        cfg.knn_k, cfg.knn_weighted)
+    elif model.method == "lsi" and split.joint_lsi:
+        text = split.joint_lsi_rows(cfg)[rows]
+    elif model.method == "lsi":
+        vocab = model.lsi_vocabulary
+        tdm = TermDocumentMatrix(vocab, np.zeros((0, len(vocab))), "tfidf", model.lsi_idf)
+        text = vectorize(split.documents(cfg, rows), tdm) @ model.lsi_components.T
+    x = np.hstack([num, text * model.feature_scale])
+    return predict_proba(model.params, x), zero_rho
 
 
 def _fold_metrics(fold: int, scores_train, y_train, scores_test, y_test,
@@ -222,91 +379,29 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     folds = stratified_folds(labels, n_folds, seed)
     all_idx = np.arange(dataset.m)
     echo = config.echo()
+    fit_config = replace(config, seed=seed)
     per_method: dict[str, list[FoldMetrics]] = {m: [] for m in methods}
     per_method_preds: dict[str, list[tuple[int, str, int, float]]] = {m: [] for m in methods}
 
     for fold_no, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, test_idx)
-        y_train = labels[train_idx]
-        y_test = labels[test_idx]
-        num_train, num_test = _standardize(dataset.numeric[train_idx],
-                                           dataset.numeric[test_idx])
-
-        lap = xe0 = None
-        scale = 1.0
-        sim_train = sim_cross = None
+        split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
+                      joint_lsi=config.lsi_joint)
         if needs_sim:
             s = prepared.similarity.values
-            sim_train = s[np.ix_(train_idx, train_idx)]
-            sim_cross = s[np.ix_(test_idx, train_idx)]
-            lap = build_laplacian(sim_train)
-            xe0 = solve_eigenmap(lap, config.dims).vectors
-            # puts the D-orthonormal eigenvector columns on the same element
-            # scale as standardized numeric features
-            scale = math.sqrt(float(lap.degrees.sum()))
-
+            split.sim_train = s[np.ix_(train_idx, train_idx)]
+            split.sim_test = s[np.ix_(test_idx, train_idx)]
         for method in methods:
-            if method == "numeric":
-                def fit_numeric(s_):
-                    tr, te = _fit_classifier(num_train, y_train, num_test, config.l2, s_)
-                    return tr, te, 0
-                fit_fn = fit_numeric
-            elif method == "le":
-                def fit_le(s_):
-                    xe_test, zero_rho = estimate_batch(
-                        sim_cross, xe0, config.knn_k, config.knn_weighted)
-                    tr, te = _fit_classifier(
-                        np.hstack([num_train, xe0 * scale]), y_train,
-                        np.hstack([num_test, xe_test * scale]), config.l2, s_)
-                    return tr, te, zero_rho
-                fit_fn = fit_le
-            elif method == "sle":
-                def fit_sle_fold(s_):
-                    scfg = SleConfig(
-                        dims=config.dims, lam=config.lam, lambda_ratio=config.lambda_ratio,
-                        l2=config.l2, max_outer_iters=config.max_outer_iters,
-                        inner_theta_steps=config.inner_theta_steps,
-                        inner_embedding_steps=config.inner_embedding_steps,
-                        tol=config.sle_tol, seed=s_)
-                    model = fit_sle(num_train, sim_train, y_train, scfg,
-                                    lap=lap, xe0=xe0, feature_scale=scale)
-                    xe_test, zero_rho = estimate_batch(
-                        sim_cross, model.embedding.vectors, config.knn_k, config.knn_weighted)
-                    tr = predict_proba(model.params,
-                                       np.hstack([num_train, model.embedding.vectors * scale]))
-                    te = predict_proba(model.params,
-                                       np.hstack([num_test, xe_test * scale]))
-                    return tr, te, zero_rho
-                fit_fn = fit_sle_fold
-            else:  # lsi
-                def fit_lsi_fold(s_):
-                    train_docs = [prepared.docs[i] for i in train_idx]
-                    test_docs = [prepared.docs[i] for i in test_idx]
-                    if config.lsi_joint:
-                        tdm = build_tfidf(prepared.docs)
-                        model = fit_lsi(tdm, config.dims)
-                        emb_train = model.doc_embedding[train_idx]
-                        emb_test = model.doc_embedding[test_idx]
-                    else:
-                        tdm = build_tfidf(train_docs)
-                        model = fit_lsi(tdm, config.dims)
-                        emb_train = model.doc_embedding
-                        emb_test = project_lsi(model, vectorize(test_docs, tdm))
-                    tr, te = _fit_classifier(
-                        np.hstack([num_train, emb_train]), y_train,
-                        np.hstack([num_test, emb_test]), config.l2, s_)
-                    return tr, te, 0
-                fit_fn = fit_lsi_fold
-
-            tr_scores, te_scores, train_auc, attempts, zero_rho = _with_retrain(
-                config, seed, fold_no, method, y_train, fit_fn)
+            model = fit(method, split, fit_config, fold_no)
+            te_scores, zero_rho = score(model, split)
             per_method[method].append(
-                _fold_metrics(fold_no, tr_scores, y_train, te_scores, y_test,
-                              train_auc, attempts, zero_rho))
+                _fold_metrics(fold_no, model.fit_scores, labels[train_idx], te_scores,
+                              labels[test_idx], model.train_auc, model.attempts, zero_rho))
             if collect_predictions:
                 per_method_preds[method].extend(
                     (fold_no, dataset.ids[i], int(labels[i]), float(s))
                     for i, s in zip(test_idx, te_scores))
+        del split   # frees the fold's matrices before the next fold slices its own
 
     return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=seed,
                           predictions=per_method_preds[m] if collect_predictions else None)

@@ -13,169 +13,60 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import PipelineConfig
 from .dataset import Dataset
-from .errors import SchemaError
-from .estimator import estimate_batch
-from .evaluation import METHODS, _derived_seed
-from .laplacian import build_laplacian, solve_eigenmap
-from .logistic import LabeledFeatures, LearnerParams, predict_proba, train
-from .lsi import TermDocumentMatrix, build_tfidf, fit_lsi, vectorize
-from .metrics import compute_auc
-from .similarity import SimilarityComputer
-from .sle import SleConfig, fit_sle
-from .text import normalize
+from .evaluation import Split, TrainedModel, fit, score
+from .logistic import LearnerParams
 
-
-@dataclass
-class TrainedModel:
-    method: str
-    config: PipelineConfig
-    params: LearnerParams
-    numeric_mean: np.ndarray
-    numeric_std: np.ndarray
-    feature_scale: float = 1.0
-    xe_train: np.ndarray | None = None
-    train_ids: list[str] = field(default_factory=list)
-    train_texts: list[str] = field(default_factory=list)
-    lam: float | None = None
-    objective_trace: list[float] = field(default_factory=list)
-    lsi_vocabulary: tuple[str, ...] = ()
-    lsi_idf: np.ndarray | None = None
-    lsi_components: np.ndarray | None = None
-    degenerate: bool = False
-    train_scores: np.ndarray | None = None
-    train_auc: float = 0.0
-    attempts: int = 1
-
-    @property
-    def n_numeric(self) -> int:
-        return self.numeric_mean.shape[0]
-
-
-def _standardize_with(stats_mean, stats_std, numeric):
-    return (numeric - stats_mean) / stats_std
+# perfbench/tracing.py wraps these names here; evaluation.fit/score make the calls
+from .estimator import estimate_batch  # noqa: F401
+from .laplacian import build_laplacian, solve_eigenmap  # noqa: F401
+from .logistic import train  # noqa: F401
+from .lsi import build_tfidf, fit_lsi  # noqa: F401
+from .sle import fit_sle  # noqa: F401
+from .text import normalize  # noqa: F401
 
 
 def train_model(dataset: Dataset, method: str, config: PipelineConfig) -> TrainedModel:
-    """Fit one method on a full dataset, with the low-AUC retrain rule."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    mean = dataset.numeric.mean(axis=0) if dataset.numeric.size else np.zeros(dataset.n_numeric)
-    std = dataset.numeric.std(axis=0) if dataset.numeric.size else np.ones(dataset.n_numeric)
-    std = np.where(std > 0, std, 1.0)
-    num_std = _standardize_with(mean, std, dataset.numeric)
-    y = dataset.labels
+    """Fit one method on a full dataset, as CV fold 0 with its retrain rule.
 
-    model = TrainedModel(method=method, config=config, params=None,  # type: ignore[arg-type]
-                         numeric_mean=mean, numeric_std=std,
-                         train_ids=list(dataset.ids), train_texts=list(dataset.texts))
-
-    ncfg = config.normalization()
-    docs = [normalize(t, ncfg, doc_id=i) for i, t in zip(dataset.ids, dataset.texts)]
-
-    prep = {}
-    if method in ("le", "sle"):
-        comp = SimilarityComputer(config.transform_weights(), config.load_dictionary(),
-                                  max_tokens=config.max_tokens)
-        sim = comp.matrix(docs)
-        lap = build_laplacian(sim)
-        prep = {"sim": sim, "lap": lap,
-                "xe0": solve_eigenmap(lap, config.dims).vectors,
-                "scale": math.sqrt(float(lap.degrees.sum()))}
-    elif method == "lsi":
-        prep = {"tdm": build_tfidf(docs)}
-
-    for attempt in range(config.max_retrains):
-        seed = _derived_seed(config.seed, 0, attempt, method)
-        rng = np.random.default_rng(seed)
-        if method == "numeric":
-            x = num_std
-            data = LabeledFeatures(x, y, slice(x.shape[1], x.shape[1]))
-            model.params = train(data, config.l2,
-                                 init=LearnerParams.random_init(x.shape[1], config.l2, rng))
-        elif method == "le":
-            model.xe_train = prep["xe0"]
-            model.feature_scale = prep["scale"]
-            x = np.hstack([num_std, model.xe_train * model.feature_scale])
-            data = LabeledFeatures(x, y, slice(num_std.shape[1], x.shape[1]))
-            model.params = train(data, config.l2,
-                                 init=LearnerParams.random_init(x.shape[1], config.l2, rng))
-        elif method == "sle":
-            scfg = SleConfig(dims=config.dims, lam=config.lam,
-                             lambda_ratio=config.lambda_ratio, l2=config.l2,
-                             max_outer_iters=config.max_outer_iters,
-                             inner_theta_steps=config.inner_theta_steps,
-                             inner_embedding_steps=config.inner_embedding_steps,
-                             tol=config.sle_tol, seed=seed)
-            fitted = fit_sle(num_std, prep["sim"], y, scfg, lap=prep["lap"],
-                             xe0=prep["xe0"], feature_scale=prep["scale"])
-            model.params = fitted.params
-            model.xe_train = fitted.embedding.vectors
-            model.feature_scale = fitted.feature_scale
-            model.lam = fitted.lam
-            model.objective_trace = list(fitted.objective_trace)
-            model.degenerate = fitted.degenerate
-        else:  # lsi
-            lsi = fit_lsi(prep["tdm"], config.dims)
-            model.lsi_vocabulary = prep["tdm"].vocabulary
-            model.lsi_idf = prep["tdm"].idf
-            model.lsi_components = lsi.components
-            x = np.hstack([num_std, lsi.doc_embedding])
-            data = LabeledFeatures(x, y, slice(num_std.shape[1], x.shape[1]))
-            model.params = train(data, config.l2,
-                                 init=LearnerParams.random_init(x.shape[1], config.l2, rng))
-        model.train_scores = predict_model(model, dataset)
-        model.train_auc = compute_auc(model.train_scores, y)
-        model.attempts = attempt + 1
-        if model.train_auc >= config.retrain_auc:
-            break
+    ``train_scores`` are then the training records' prediction-path scores,
+    made with the similarity computer that built the training matrix.
+    """
+    everything = np.arange(dataset.m)
+    split = Split(dataset, train=everything, test=everything)
+    model = fit(method, split, config)
+    model.train_scores = score(model, split)[0]
     return model
 
 
 def predict_model(model: TrainedModel, dataset: Dataset) -> np.ndarray:
     """Scores for new records through the out-of-sample path."""
-    if dataset.n_numeric != model.n_numeric:
-        raise SchemaError(
-            f"expected {model.n_numeric} numeric features, got {dataset.n_numeric}")
-    num_std = _standardize_with(model.numeric_mean, model.numeric_std, dataset.numeric)
-    cfg = model.config
-    if model.method == "numeric":
-        return predict_proba(model.params, num_std)
-    ncfg = cfg.normalization()
-    docs = [normalize(t, ncfg, doc_id=i) for i, t in zip(dataset.ids, dataset.texts)]
-    if model.method in ("le", "sle"):
-        comp = SimilarityComputer(cfg.transform_weights(), cfg.load_dictionary(),
-                                  max_tokens=cfg.max_tokens)
-        train_docs = [normalize(t, ncfg, doc_id=i)
-                      for i, t in zip(model.train_ids, model.train_texts)]
-        sims = comp.rows(docs, train_docs)
-        xe_est, _ = estimate_batch(sims, model.xe_train, cfg.knn_k, cfg.knn_weighted)
-        x = np.hstack([num_std, xe_est * model.feature_scale])
-        return predict_proba(model.params, x)
-    tdm = TermDocumentMatrix(model.lsi_vocabulary, np.zeros((0, len(model.lsi_vocabulary))),
-                             "tfidf", model.lsi_idf)
-    rows = vectorize(docs, tdm)
-    x = np.hstack([num_std, rows @ model.lsi_components.T])
-    return predict_proba(model.params, x)
+    return score(model, Split(dataset, train=np.arange(0), test=np.arange(dataset.m)))[0]
 
 
 # ---- persistence -------------------------------------------------------
 
 
-def _write_matrix_csv(path: Path, header: list[str], ids, matrix: np.ndarray) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(matrix.shape[0]):
-            row_id = [ids[i]] if ids is not None else []
-            writer.writerow(row_id + [repr(float(v)) for v in matrix[i]])
+        writer.writerows(rows)
+
+
+def _read_csv(path: Path) -> list[list[str]]:
+    """The rows of a CSV file, without its header."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _reprs(values) -> list[str]:
+    return [repr(float(v)) for v in values]
 
 
 def save_model(model: TrainedModel, model_dir: str | Path) -> None:
@@ -184,12 +75,12 @@ def save_model(model: TrainedModel, model_dir: str | Path) -> None:
     meta = {
         "method": model.method,
         "params": {
-            "weights": [repr(float(w)) for w in model.params.weights],
+            "weights": _reprs(model.params.weights),
             "bias": repr(float(model.params.bias)),
             "l2": repr(float(model.params.l2)),
         },
-        "numeric_mean": [repr(float(v)) for v in model.numeric_mean],
-        "numeric_std": [repr(float(v)) for v in model.numeric_std],
+        "numeric_mean": _reprs(model.numeric_mean),
+        "numeric_std": _reprs(model.numeric_std),
         "feature_scale": repr(float(model.feature_scale)),
         "lambda": None if model.lam is None else repr(float(model.lam)),
         "degenerate": model.degenerate,
@@ -201,40 +92,28 @@ def save_model(model: TrainedModel, model_dir: str | Path) -> None:
     (d / "config.txt").write_text(model.config.echo(), encoding="utf-8")
     if model.method in ("le", "sle"):
         dims = model.xe_train.shape[1]
-        _write_matrix_csv(d / "xe_train.csv", ["id"] + [f"e{j + 1}" for j in range(dims)],
-                          model.train_ids, model.xe_train)
-        with (d / "train_corpus.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "text"])
-            for i, t in zip(model.train_ids, model.train_texts):
-                writer.writerow([i, t])
+        _write_csv(d / "xe_train.csv", ["id"] + [f"e{j + 1}" for j in range(dims)],
+                   ([i] + _reprs(row) for i, row in zip(model.train_ids, model.xe_train)))
+        _write_csv(d / "train_corpus.csv", ["id", "text"],
+                   zip(model.train_ids, model.train_texts))
     if model.method == "sle":
-        with (d / "objective_trace.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "joint_objective"])
-            for i, v in enumerate(model.objective_trace):
-                writer.writerow([i, repr(float(v))])
+        _write_csv(d / "objective_trace.csv", ["iteration", "joint_objective"],
+                   enumerate(_reprs(model.objective_trace)))
     if model.method == "lsi":
-        with (d / "lsi_vocabulary.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["token", "idf"])
-            for tok, idf in zip(model.lsi_vocabulary, model.lsi_idf):
-                writer.writerow([tok, repr(float(idf))])
-        _write_matrix_csv(d / "lsi_components.csv",
-                          [f"v{j + 1}" for j in range(model.lsi_components.shape[1])],
-                          None, model.lsi_components)
+        _write_csv(d / "lsi_vocabulary.csv", ["token", "idf"],
+                   zip(model.lsi_vocabulary, _reprs(model.lsi_idf)))
+        _write_csv(d / "lsi_components.csv",
+                   [f"v{j + 1}" for j in range(model.lsi_components.shape[1])],
+                   (_reprs(row) for row in model.lsi_components))
     if model.train_scores is not None:
-        with (d / "train_scores.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "score"])
-            for i, s in zip(model.train_ids, model.train_scores):
-                writer.writerow([i, repr(float(s))])
+        _write_csv(d / "train_scores.csv", ["id", "score"],
+                   zip(model.train_ids, _reprs(model.train_scores)))
 
 
 def load_model(model_dir: str | Path) -> TrainedModel:
     d = Path(model_dir)
     meta = json.loads((d / "model.json").read_text(encoding="utf-8"))
-    config = PipelineConfig.from_mapping(_parse_echo(d / "config.txt"), source=str(d / "config.txt"))
+    config = PipelineConfig.load(d / "config.txt")
     params = LearnerParams(
         weights=np.array([float(w) for w in meta["params"]["weights"]]),
         bias=float(meta["params"]["bias"]),
@@ -251,61 +130,22 @@ def load_model(model_dir: str | Path) -> TrainedModel:
         attempts=int(meta["attempts"]),
     )
     if model.method in ("le", "sle"):
-        ids, xe = _read_matrix_csv(d / "xe_train.csv", id_column=True)
-        model.xe_train = xe
-        with (d / "train_corpus.csv").open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            corpus = {row[0]: row[1] for row in reader}
-        model.train_ids = ids
-        model.train_texts = [corpus[i] for i in ids]
+        rows = _read_csv(d / "xe_train.csv")
+        model.train_ids = [r[0] for r in rows]
+        model.xe_train = np.array([[float(v) for v in r[1:]] for r in rows])
+        corpus = {r[0]: r[1] for r in _read_csv(d / "train_corpus.csv")}
+        model.train_texts = [corpus[i] for i in model.train_ids]
     if model.method == "sle" and (d / "objective_trace.csv").exists():
-        with (d / "objective_trace.csv").open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            model.objective_trace = [float(row[1]) for row in reader]
+        model.objective_trace = [float(r[1]) for r in _read_csv(d / "objective_trace.csv")]
     if model.method == "lsi":
-        with (d / "lsi_vocabulary.csv").open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            vocab, idf = [], []
-            for row in reader:
-                vocab.append(row[0])
-                idf.append(float(row[1]))
-        model.lsi_vocabulary = tuple(vocab)
-        model.lsi_idf = np.array(idf)
-        _, model.lsi_components = _read_matrix_csv(d / "lsi_components.csv", id_column=False)
+        vocab = _read_csv(d / "lsi_vocabulary.csv")
+        model.lsi_vocabulary = tuple(r[0] for r in vocab)
+        model.lsi_idf = np.array([float(r[1]) for r in vocab])
+        model.lsi_components = np.array(
+            [[float(v) for v in r] for r in _read_csv(d / "lsi_components.csv")])
     if (d / "train_scores.csv").exists():
-        with (d / "train_scores.csv").open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows = list(reader)
+        rows = _read_csv(d / "train_scores.csv")
         model.train_scores = np.array([float(r[1]) for r in rows])
         if not model.train_ids:
             model.train_ids = [r[0] for r in rows]
     return model
-
-
-def _read_matrix_csv(path: Path, id_column: bool) -> tuple[list[str], np.ndarray]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        ids, rows = [], []
-        for row in reader:
-            if id_column:
-                ids.append(row[0])
-                rows.append([float(v) for v in row[1:]])
-            else:
-                rows.append([float(v) for v in row])
-    return ids, np.array(rows)
-
-
-def _parse_echo(path: Path) -> dict[str, str]:
-    values = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, val = (part.strip() for part in line.split("=", 1))
-        values[key] = val
-    return values

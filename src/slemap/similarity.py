@@ -35,17 +35,28 @@ class SimilarityMatrix:
 
 
 def _doc_key(doc: Document) -> tuple:
-    # Similarity only sees the statement multiset, so a sorted token-tuple
-    # key lets duplicate documents share one computation.
+    # Similarity only sees the statement multiset, so the sorted token tuples
+    # serve both as the dedupe key and as the canonical statement order.
     return tuple(sorted(st.tokens for st in doc.statements))
+
+
+def _dedupe(docs: list[Document]) -> tuple[list[tuple], np.ndarray]:
+    """Distinct document keys in first-seen order, and each document's index
+    into them."""
+    index: dict[tuple, int] = {}
+    inverse = np.array([index.setdefault(_doc_key(d), len(index)) for d in docs],
+                       dtype=np.intp)
+    return list(index), inverse
 
 
 class SimilarityComputer:
     """Caches statement- and document-level similarities across many pairs.
 
     All methods are pure functions of the inputs; the caches only memoize.
-    Results are identical whether pairs are evaluated one at a time or in
-    bulk, in any order.
+    Documents are paired in a canonical order (statements sorted by tokens,
+    the shorter document first, equal-length documents ordered by key), so
+    results are identical whether pairs are evaluated one at a time or in
+    bulk, in any order, and do not depend on statement order.
     """
 
     def __init__(self, weights: TransformWeights | None = None,
@@ -58,31 +69,35 @@ class SimilarityComputer:
         self._doc_cache: dict[tuple, float] = {}
 
     def statement_similarity(self, a: Statement, b: Statement) -> float:
-        ka, kb = a.tokens, b.tokens
+        return self._token_similarity(a.tokens, b.tokens)
+
+    def _token_similarity(self, ka: tuple, kb: tuple) -> float:
         key = (ka, kb) if ka <= kb else (kb, ka)
         val = self._stmt_cache.get(key)
         if val is None:
-            val = statement_similarity(a, b, self.weights, self.dictionary, self.max_tokens)
+            val = statement_similarity(Statement(key[0]), Statement(key[1]), self.weights,
+                                       self.dictionary, self.max_tokens)
             self._stmt_cache[key] = val
         return val
 
     def document_similarity(self, d1: Document, d2: Document) -> float:
-        if d1.is_sentinel or d2.is_sentinel:
-            return 0.0
-        k1, k2 = _doc_key(d1), _doc_key(d2)
+        return self._key_similarity(_doc_key(d1), _doc_key(d2))
+
+    def _key_similarity(self, k1: tuple, k2: tuple) -> float:
+        if not k1 or not k2:
+            return 0.0   # sentinel documents have no statements
         key = (k1, k2) if k1 <= k2 else (k2, k1)
         val = self._doc_cache.get(key)
         if val is None:
-            val = self._document_similarity_uncached(d1, d2)
+            val = self._pairing(*key)
             self._doc_cache[key] = val
         return val
 
-    def _document_similarity_uncached(self, d1: Document, d2: Document) -> float:
-        s1, s2 = d1.statements, d2.statements
+    def _pairing(self, s1: tuple, s2: tuple) -> float:
         if len(s1) > len(s2):
             s1, s2 = s2, s1
         r1, r2 = len(s1), len(s2)
-        sims = [[self.statement_similarity(x, y) for y in s2] for x in s1]
+        sims = [[self._token_similarity(x, y) for y in s2] for x in s1]
         if r1 == 1:
             best = max(sims[0])
         else:
@@ -105,22 +120,12 @@ class SimilarityComputer:
         m = len(corpus)
         if m < 2:
             raise ValueError("need at least 2 documents")
-        keys = [_doc_key(d) for d in corpus]
-        uniq_index: dict[tuple, int] = {}
-        reps: list[Document] = []
-        inverse = np.empty(m, dtype=np.intp)
-        for i, key in enumerate(keys):
-            u = uniq_index.get(key)
-            if u is None:
-                u = len(reps)
-                uniq_index[key] = u
-                reps.append(corpus[i])
-            inverse[i] = u
-        n_u = len(reps)
+        keys, inverse = _dedupe(corpus)
+        n_u = len(keys)
         su = np.eye(n_u)
         for i in range(n_u):
             for j in range(i + 1, n_u):
-                su[i, j] = su[j, i] = self.document_similarity(reps[i], reps[j])
+                su[i, j] = su[j, i] = self._key_similarity(keys[i], keys[j])
         values = su[np.ix_(inverse, inverse)]
         # Distinct empty documents share a dedupe key but are not similar:
         # sentinels score 0 against everything except themselves.
@@ -133,27 +138,12 @@ class SimilarityComputer:
 
     def rows(self, new_docs: list[Document], corpus: list[Document]) -> np.ndarray:
         """Similarities of each new document against every corpus document."""
-        keys = [_doc_key(d) for d in corpus]
-        uniq_index: dict[tuple, int] = {}
-        reps = []
-        inverse = np.empty(len(corpus), dtype=np.intp)
-        for i, key in enumerate(keys):
-            u = uniq_index.get(key)
-            if u is None:
-                u = len(reps)
-                uniq_index[key] = u
-                reps.append(corpus[i])
-            inverse[i] = u
-        out = np.empty((len(new_docs), len(corpus)))
-        row_cache: dict[tuple, np.ndarray] = {}
-        for r, nd in enumerate(new_docs):
-            nk = _doc_key(nd)
-            row_u = row_cache.get(nk)
-            if row_u is None:
-                row_u = np.array([self.document_similarity(nd, rep) for rep in reps])
-                row_cache[nk] = row_u
-            out[r] = row_u[inverse]
-        return out
+        keys, inverse = _dedupe(corpus)
+        new_keys, new_inverse = _dedupe(new_docs)
+        su = np.empty((len(new_keys), len(keys)))
+        for r, nk in enumerate(new_keys):
+            su[r] = [self._key_similarity(nk, k) for k in keys]
+        return su[np.ix_(new_inverse, inverse)]
 
 
 def document_similarity(d1: Document, d2: Document,

@@ -35,37 +35,6 @@ N_KINDS = 9
 
 
 @dataclass(frozen=True)
-class TransformationVector:
-    """Counts of each transformation kind used by one graph."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != N_KINDS or any(c < 0 for c in self.counts):
-            raise ValueError("counts must be 9 non-negative integers")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[TransformKind, int]) -> "TransformationVector":
-        counts = [0] * N_KINDS
-        for kind, n in mapping.items():
-            counts[kind] = n
-        return cls(tuple(counts))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def __getitem__(self, kind: TransformKind) -> int:
-        return self.counts[kind]
-
-    def score(self, weights: "TransformWeights") -> float:
-        return _score(self.counts, weights.values)
-
-    def as_dict(self) -> dict[str, int]:
-        return {TransformKind(u).name: c for u, c in enumerate(self.counts) if c}
-
-
-@dataclass(frozen=True)
 class TransformWeights:
     """Per-kind similarity weights in [0, 1]; Equal is pinned at 1."""
 
@@ -156,20 +125,6 @@ def pair_kinds(x: str, y: str, dct: TransformationDictionary) -> list[TransformK
     return kinds
 
 
-def span_kinds(single: str, span: tuple[str, ...], dct: TransformationDictionary) -> list[TransformKind]:
-    """Kinds relating one token to a run of >= 2 adjacent tokens on the other side."""
-    kinds = []
-    if len(span) >= 2:
-        if len(single) == len(span) and all(t for t in span) and \
-                single == "".join(t[0] for t in span):
-            kinds.append(TransformKind.ACRONYM)
-        elif dct.acronyms.get(single) == span:
-            kinds.append(TransformKind.ACRONYM)
-        if single == "".join(span):
-            kinds.append(TransformKind.CONCATENATION)
-    return kinds
-
-
 def _spans_for_token(single: str, other: tuple[str, ...],
                      dct: TransformationDictionary) -> list[tuple[int, int, TransformKind]]:
     """(start, length, kind) runs of ``other`` that ``single`` can absorb."""
@@ -227,70 +182,8 @@ def _check_caps(a: Statement, b: Statement, max_tokens: int) -> None:
                 f"statement has {len(st.tokens)} tokens, cap is {max_tokens}")
 
 
-def enumerate_transformation_vectors(a: Statement, b: Statement,
-                                     dct: TransformationDictionary | None = None,
-                                     max_tokens: int = DEFAULT_MAX_TOKENS) -> set[TransformationVector]:
-    """All complete, consistent transformation vectors relating a and b.
-
-    Dynamic program over (next a-token index, used-b-token bitmask); used
-    a-tokens always form a prefix because moves consume a-tokens starting at
-    the first unused index.
-    """
-    dct = dct or empty_dictionary()
-    _check_caps(a, b, max_tokens)
-    table = _MoveTable(a.tokens, b.tokens, dct)
-    p, q = table.p, table.q
-    memo: dict[tuple[int, int], frozenset] = {}
-
-    def completions(i: int, mask: int) -> frozenset:
-        key = (i, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if i == p:
-            leftover = q - bin(mask).count("1")
-            counts = [0] * N_KINDS
-            counts[TransformKind.MISSING] = leftover
-            result = frozenset({tuple(counts)})
-            memo[key] = result
-            return result
-        out = set()
-        for c in completions(i + 1, mask):  # a_i goes missing
-            t = list(c)
-            t[TransformKind.MISSING] += 1
-            out.add(tuple(t))
-        for j in range(q):
-            if mask & (1 << j):
-                continue
-            for kind in table.pairs[i][j]:
-                for c in completions(i + 1, mask | (1 << j)):
-                    t = list(c)
-                    t[kind] += 1
-                    out.add(tuple(t))
-        for j0, s, kind in table.a_spans[i]:
-            span_mask = ((1 << s) - 1) << j0
-            if mask & span_mask:
-                continue
-            for c in completions(i + 1, mask | span_mask):
-                t = list(c)
-                t[kind] += 1
-                out.add(tuple(t))
-        for s, j, kind in table.b_spans[i]:
-            if mask & (1 << j):
-                continue
-            for c in completions(i + s, mask | (1 << j)):
-                t = list(c)
-                t[kind] += 1
-                out.add(tuple(t))
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    return {TransformationVector(c) for c in completions(0, 0)}
-
-
 # Pruning pad: keeps branch-and-bound exact against exhaustive enumeration
-# despite float rounding in the bound itself.
+# (the test oracle) despite float rounding in the bound itself.
 _BOUND_PAD = 1e-12
 
 
@@ -300,13 +193,13 @@ def statement_similarity(a: Statement, b: Statement,
                          max_tokens: int = DEFAULT_MAX_TOKENS) -> float:
     """Best weighted-count ratio over all complete consistent graphs.
 
-    Branch-and-bound over the same move space as
-    :func:`enumerate_transformation_vectors`.  The bound assumes every
-    remaining token can be matched at weight 1 (or parked as Missing when
-    that scores higher), so no graph that could beat the incumbent is ever
-    pruned; leaf scores are evaluated canonically from integer counts, which
-    makes the result exactly symmetric and exactly equal to the enumeration
-    maximum.
+    Branch-and-bound over the moves of ``_MoveTable`` plus Missing.  The
+    bound assumes every remaining token can be matched at weight 1 (or parked
+    as Missing when that scores higher), so no graph that could beat the
+    incumbent is ever pruned; leaf scores are evaluated canonically from
+    integer counts, which makes the result exactly symmetric and exactly
+    equal to the maximum over an exhaustive enumeration of the graphs
+    (``tests/oracles.py``).
     """
     weights = weights or TransformWeights.default()
     dct = dct or empty_dictionary()
@@ -321,7 +214,7 @@ def statement_similarity(a: Statement, b: Statement,
     best = -1.0
 
     # Per-pair/per-span moves reduced to the single best-weight kind: only the
-    # maximum matters here, unlike in enumeration.
+    # maximum matters.
     def best_kind(kinds):
         return max(kinds, key=lambda k: (wvals[k], -int(k))) if kinds else None
 
@@ -403,18 +296,3 @@ def statement_similarity(a: Statement, b: Statement,
     search(0, 0, 0)
     return best
 
-
-def best_transformation_vector(a: Statement, b: Statement,
-                               weights: TransformWeights | None = None,
-                               dct: TransformationDictionary | None = None,
-                               max_tokens: int = DEFAULT_MAX_TOKENS) -> TransformationVector:
-    """Deterministic witness for the maximizing graph (diagnostics).
-
-    Among score-maximal vectors, prefers fewer Missing transforms, then the
-    lexicographically smallest count vector in kind order.
-    """
-    weights = weights or TransformWeights.default()
-    vectors = enumerate_transformation_vectors(a, b, dct, max_tokens)
-    best_score = max(v.score(weights) for v in vectors)
-    winners = [v for v in vectors if v.score(weights) == best_score]
-    return min(winners, key=lambda v: (v[TransformKind.MISSING], v.counts))

@@ -43,6 +43,16 @@ class OracleRules:
         self.max_edit = max_edit
         self.min_len = min_len
 
+    @classmethod
+    def from_dictionary(cls, dct) -> "OracleRules":
+        """The same tables as a production TransformationDictionary."""
+        groups: dict[int, list[str]] = {}
+        for tok, gids in dct.synonym_group.items():
+            for gid in gids:
+                groups.setdefault(gid, []).append(tok)
+        return cls(groups.values(), dct.acronyms, dct.abbreviations,
+                   dct.max_edit_distance, dct.min_token_length)
+
     def one_to_one(self, x: str, y: str) -> list[TransformKind]:
         if x == y:
             return [EQ]
@@ -118,19 +128,35 @@ def oracle_vectors(a_tokens, b_tokens, rules: OracleRules) -> set[tuple[int, ...
     return results
 
 
+def vector_score(counts, weight_values) -> float:
+    num = 0.0
+    total = 0
+    for u in range(N_KINDS):
+        if counts[u]:
+            num += weight_values[u] * counts[u]
+            total += counts[u]
+    return num / total
+
+
 def oracle_statement_similarity(a_tokens, b_tokens, weight_values, rules: OracleRules) -> float:
-    best = -1.0
-    for counts in oracle_vectors(a_tokens, b_tokens, rules):
-        num = 0.0
-        total = 0
-        for u in range(N_KINDS):
-            if counts[u]:
-                num += weight_values[u] * counts[u]
-                total += counts[u]
-        val = num / total
-        if val > best:
-            best = val
-    return best
+    return max(vector_score(c, weight_values) for c in oracle_vectors(a_tokens, b_tokens, rules))
+
+
+def oracle_best_vector(a_tokens, b_tokens, weight_values, rules: OracleRules) -> tuple[int, ...]:
+    """A deterministic maximizing count vector: among the best-scoring ones,
+    the fewest Missing transforms, then the lexicographically smallest."""
+    vectors = oracle_vectors(a_tokens, b_tokens, rules)
+    best = max(vector_score(c, weight_values) for c in vectors)
+    return min((c for c in vectors if vector_score(c, weight_values) == best),
+               key=lambda c: (c[MISS], c))
+
+
+def canonical_statements(d1, d2) -> tuple[tuple, tuple]:
+    """Statement tokens of two documents in the order production pairs them:
+    each document's statements sorted, the shorter document first, and
+    documents of equal length ordered by their sorted statements."""
+    k1, k2 = (tuple(sorted(st.tokens for st in d.statements)) for d in (d1, d2))
+    return (k1, k2) if (len(k1), k1) <= (len(k2), k2) else (k2, k1)
 
 
 def oracle_document_similarity(stmt_sims: list[list[float]], r1: int, r2: int) -> float:

@@ -39,7 +39,12 @@ from slemap.synth import GeneratorSpec, generate_arrays
 from slemap.text import Statement
 from slemap.transforms import TransformWeights, statement_similarity
 
-from oracles import OracleRules, oracle_document_similarity, oracle_statement_similarity
+from oracles import (
+    OracleRules,
+    canonical_statements,
+    oracle_document_similarity,
+    oracle_statement_similarity,
+)
 from test_text_similarity import random_dictionary, random_weights
 
 
@@ -79,10 +84,8 @@ def test_c02_document_pairing_oracle_equivalence():
             return Document(id=tag, statements=stmts)
         d1, d2 = make_doc("a"), make_doc("b")
         got = comp.document_similarity(d1, d2)
-        s1, s2 = d1.statements, d2.statements
-        if len(s1) > len(s2):
-            s1, s2 = s2, s1
-        sims = [[comp.statement_similarity(x, y) for y in s2] for x in s1]
+        s1, s2 = canonical_statements(d1, d2)
+        sims = [[comp.statement_similarity(Statement(x), Statement(y)) for y in s2] for x in s1]
         want = oracle_document_similarity(sims, len(s1), len(s2))
         assert got == want
     _report(2, "100 random document pairs, matcher == exhaustive pairing enumeration")

@@ -115,6 +115,18 @@ class TestTrainPredict:
         assert main(["predict", "--model", str(model_dir), "--input", str(bad),
                      "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("extra", ["no equals sign here\n", "knn.k = 7\n"],
+                             ids=["no-equals", "duplicate-key"])
+    def test_corrupt_model_config_is_data_error(self, small_dataset, small_config, tmp_path,
+                                                extra):
+        model_dir = tmp_path / "model-c"
+        assert main(["train", "--method", "numeric", "--input", str(small_dataset),
+                     "--config", str(small_config), "--out", str(model_dir)]) == 0
+        with (model_dir / "config.txt").open("a", encoding="utf-8") as fh:
+            fh.write(extra)
+        assert main(["predict", "--model", str(model_dir), "--input", str(small_dataset),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+
 
 class TestEvaluateCommand:
     def test_report_files_and_determinism(self, small_dataset, small_config, tmp_path):

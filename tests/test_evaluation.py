@@ -3,7 +3,8 @@ import pytest
 
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
-from slemap.evaluation import cross_validate, run_methods
+from slemap.evaluation import cross_validate, run_methods, stratified_folds
+from slemap.model_io import load_model, predict_model, save_model, train_model
 from slemap.synth import GeneratorSpec, generate_arrays
 
 FILLER_TEXTS = ["chest pain", "dizzy spells", "heart racing", "short breath",
@@ -112,3 +113,39 @@ class TestTextMethods:
         cfg = PipelineConfig(dims=3, folds=3)
         report = cross_validate(ds, "le", cfg, seed=0)
         assert sum(f.zero_rho for f in report.folds) >= 1
+
+
+# the smallest generated corpus found whose fold 0 pairs documents in both
+# orientations; pairing in argument order made its scores differ
+SPLIT_M, SPLIT_SEED = 160, 8
+
+
+def subset(ds: Dataset, rows) -> Dataset:
+    return Dataset(ids=[ds.ids[i] for i in rows], labels=ds.labels[rows],
+                   numeric=ds.numeric[rows], texts=[ds.texts[i] for i in rows])
+
+
+@pytest.fixture(scope="module")
+def fold_run():
+    spec = GeneratorSpec(m=SPLIT_M, numeric_dim=3, clusters=16, text_weight=0.5, noise=0.05)
+    ids, labels, numeric, texts, _ = generate_arrays(spec, seed=SPLIT_SEED)
+    ds = Dataset(ids=ids, labels=labels, numeric=numeric, texts=texts)
+    cfg = PipelineConfig(dims=4, folds=4, max_outer_iters=3, inner_theta_steps=5,
+                         inner_embedding_steps=3)
+    reports = run_methods(ds, ["numeric", "le", "sle", "lsi"], cfg, collect_predictions=True)
+    return ds, cfg, reports
+
+
+class TestFoldEqualsTrainPredict:
+    """A CV fold's test scores are train_model + save/load + predict_model on
+    the same split, bitwise."""
+
+    @pytest.mark.parametrize("method", ["numeric", "le", "sle", "lsi"])
+    def test_fold0(self, fold_run, method, tmp_path):
+        ds, cfg, reports = fold_run
+        test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
+        train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
+        cv = np.array([s for fold, _, _, s in reports[method].predictions if fold == 0])
+        save_model(train_model(subset(ds, train_idx), method, cfg), tmp_path)
+        got = predict_model(load_model(tmp_path), subset(ds, test_idx))
+        assert got.tobytes() == cv.tobytes()

@@ -190,12 +190,11 @@ class TestGenerator:
         assert abs(np.mean(aucs_le) - np.mean(aucs_numeric)) <= 0.03
 
     def test_perturbations_cover_every_transform_kind(self):
-        from slemap.similarity import SimilarityComputer
+        from oracles import OracleRules, oracle_best_vector
         from slemap.synth import PHRASE_BANKS, _perturb_statement
         from slemap.text import normalize
-        from slemap.transforms import best_transformation_vector
         cfg = PipelineConfig()
-        comp = SimilarityComputer(cfg.transform_weights(), cfg.load_dictionary())
+        rules = OracleRules.from_dictionary(cfg.load_dictionary())
         rng = np.random.default_rng(0)
         seen: set[int] = set()
         templates = [t for _, _, bank in PHRASE_BANKS for t in bank]
@@ -205,8 +204,7 @@ class TestGenerator:
                 variant = normalize(_perturb_statement(template, rng), cfg.normalization())
                 if base.is_sentinel or variant.is_sentinel:
                     continue
-                vec = best_transformation_vector(
-                    base.statements[0], variant.statements[0],
-                    cfg.transform_weights(), comp.dictionary)
-                seen.update(u for u in range(9) if vec.counts[u])
+                vec = oracle_best_vector(base.statements[0].tokens, variant.statements[0].tokens,
+                                         cfg.transform_weights().values, rules)
+                seen.update(u for u in range(9) if vec[u])
         assert seen == set(range(9)), sorted(TransformKind(u).name for u in seen)
