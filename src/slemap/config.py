@@ -1,7 +1,9 @@
 """Pipeline configuration: a flat key-value file with dotted sections.
 
-Lines are ``section.key = value``; '#' starts a comment.  Unknown keys are
-rejected so typos fail loudly.  ``echo()`` renders the fully-resolved
+Lines are ``section.key = value``; a line whose first non-blank character is
+'#' is a comment.  A '#' anywhere else is part of the value (it can be a
+legitimate delimiter), so comments never share a line with a key.  Unknown
+keys are rejected so typos fail loudly.  ``echo()`` renders the fully-resolved
 configuration in a canonical order, and every report and model directory
 embeds that echo.
 """
@@ -13,9 +15,11 @@ from pathlib import Path
 
 from .dictionary import TransformationDictionary, default_dictionary, load_dictionary_dir
 from .errors import ConfigError
+from .sle import SleConfig
 from .text import DEFAULT_DELIMITERS, DEFAULT_STOP_WORDS, NormalizationConfig
 from .transforms import TransformWeights
 
+MAX_CAP = 12   # largest normalize.max_tokens and normalize.max_statements
 _WEIGHT_KEYS = ("equal", "synonym", "misspelling", "abbreviation", "prefix",
                 "acronym", "concatenation", "suffix", "missing")
 
@@ -58,6 +62,14 @@ class PipelineConfig:
 
     def transform_weights(self) -> TransformWeights:
         return TransformWeights(self.weights)
+
+    def sle_config(self, seed: int) -> SleConfig:
+        return SleConfig(
+            dims=self.dims, lam=self.lam, lambda_ratio=self.lambda_ratio,
+            l2=self.l2, max_outer_iters=self.max_outer_iters,
+            inner_theta_steps=self.inner_theta_steps,
+            inner_embedding_steps=self.inner_embedding_steps,
+            tol=self.sle_tol, seed=seed)
 
     def load_dictionary(self) -> TransformationDictionary:
         if self.dictionary_dir:
@@ -151,8 +163,13 @@ class PipelineConfig:
         try:
             cfg = cls(**kwargs)
             cfg.transform_weights()
+            cfg.sle_config(cfg.seed)
         except ValueError as exc:
             raise ConfigError(f"{source}: {exc}") from exc
+        # The similarity dynamic programs are exponential in these caps.
+        if not (1 <= cfg.max_tokens <= MAX_CAP and 1 <= cfg.max_statements <= MAX_CAP):
+            raise ConfigError(f"{source}: normalize.max_tokens and normalize.max_statements "
+                              f"must lie in 1..{MAX_CAP}")
         if cfg.dims < 1 or cfg.folds < 2 or cfg.knn_k < 1 or cfg.max_retrains < 1:
             raise ConfigError(f"{source}: dims, folds, knn.k, cv.max_retrains must be positive")
         if not (0.0 <= cfg.retrain_auc <= 1.0):

@@ -30,7 +30,7 @@ from .lsi import TermDocumentMatrix, build_tfidf, fit_lsi, vectorize
 from .metrics import (best_mcc_threshold, compute_auc, compute_mcc, confusion_at,
                       likelihood_ratios, sensitivity_specificity)
 from .similarity import SimilarityComputer, SimilarityMatrix
-from .sle import SleConfig, fit_sle
+from .sle import fit_sle
 from .text import Document, normalize
 
 METHODS = ("numeric", "le", "sle", "lsi")
@@ -290,13 +290,7 @@ def fit(method: str, split: Split, config: PipelineConfig, fold: int = 0) -> Tra
     for attempt in range(config.max_retrains):
         seed = _derived_seed(config.seed, fold, attempt, method)
         if method == "sle":
-            scfg = SleConfig(
-                dims=config.dims, lam=config.lam, lambda_ratio=config.lambda_ratio,
-                l2=config.l2, max_outer_iters=config.max_outer_iters,
-                inner_theta_steps=config.inner_theta_steps,
-                inner_embedding_steps=config.inner_embedding_steps,
-                tol=config.sle_tol, seed=seed)
-            fitted = fit_sle(num, split.train_similarity(config), y, scfg,
+            fitted = fit_sle(num, split.train_similarity(config), y, config.sle_config(seed),
                              lap=lap, xe0=text, feature_scale=model.feature_scale)
             model.params, model.xe_train = fitted.params, fitted.embedding.vectors
             model.lam, model.degenerate = fitted.lam, fitted.degenerate

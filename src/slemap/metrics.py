@@ -95,7 +95,7 @@ def best_mcc_threshold(scores, labels) -> tuple[float, ConfusionCounts]:
         mcc = compute_mcc(c)
         if mcc > best_mcc:
             best_t, best_c, best_mcc = t, c, mcc
-    return best_t, best_c
+    return float(best_t), best_c
 
 
 def sensitivity_specificity(c: ConfusionCounts) -> tuple[float, float]:

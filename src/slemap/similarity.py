@@ -8,8 +8,6 @@ by the larger statement count.  Unpaired statements contribute nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-
 import numpy as np
 
 from .dictionary import TransformationDictionary, empty_dictionary
@@ -57,6 +55,12 @@ class SimilarityComputer:
     the shorter document first, equal-length documents ordered by key), so
     results are identical whether pairs are evaluated one at a time or in
     bulk, in any order, and do not depend on statement order.
+
+    The pairing is a subset dynamic program over (statement of the shorter
+    document, bitmask of the longer document's statements already used) that
+    keeps the largest prefix sum per mask.  Sums accumulate row by row in the
+    canonical order and rounded addition is monotone, so the result is the
+    same float as the maximum over every injective pairing.
     """
 
     def __init__(self, weights: TransformWeights | None = None,
@@ -96,19 +100,22 @@ class SimilarityComputer:
     def _pairing(self, s1: tuple, s2: tuple) -> float:
         if len(s1) > len(s2):
             s1, s2 = s2, s1
-        r1, r2 = len(s1), len(s2)
-        sims = [[self._token_similarity(x, y) for y in s2] for x in s1]
-        if r1 == 1:
-            best = max(sims[0])
-        else:
-            best = 0.0
-            for perm in permutations(range(r2), r1):
-                total = 0.0
-                for i in range(r1):
-                    total += sims[i][perm[i]]
-                if total > best:
-                    best = total
-        return best / r2
+        # used s2 statements (bitmask) -> largest prefix sum; the first row
+        # starts the sums, since 0.0 + x == x
+        best = {1 << j: self._token_similarity(s1[0], y) for j, y in enumerate(s2)}
+        for x in s1[1:]:
+            row = [self._token_similarity(x, y) for y in s2]
+            grown: dict[int, float] = {}
+            for mask, total in best.items():
+                bit = 1
+                for sim in row:
+                    if not mask & bit:
+                        val = total + sim
+                        if val > grown.get(mask | bit, -1.0):
+                            grown[mask | bit] = val
+                    bit <<= 1
+            best = grown
+        return max(best.values()) / len(s2)
 
     def matrix(self, corpus: list[Document]) -> SimilarityMatrix:
         """Full similarity matrix: upper triangle computed, mirrored, unit diagonal.

@@ -1,4 +1,4 @@
-"""Token transformations between statements and the statement similarity search.
+"""Token transformations between statements and the statement similarity.
 
 Two statements are related by a transformation graph: every token of both
 statements participates in exactly one transformation (complete), and no token
@@ -62,9 +62,6 @@ class TransformWeights:
             vals[kind] = float(w)
         return cls(tuple(vals))
 
-    def of(self, kind: TransformKind) -> float:
-        return self.values[kind]
-
 
 def _score(counts, weights) -> float:
     # Canonical evaluation order (fixed kind order) so equal count vectors
@@ -101,7 +98,7 @@ def edit_distance(a: str, b: str, cap: int | None = None) -> int:
 
 
 def pair_kinds(x: str, y: str, dct: TransformationDictionary) -> list[TransformKind]:
-    """All one-to-one transformation kinds that validly relate tokens x and y.
+    """All one-to-one transformation kinds that relate tokens x and y, in kind order.
 
     Identical tokens are related by Equal alone; the other kinds require the
     tokens to differ (Equal subsumes them).
@@ -155,36 +152,29 @@ def _spans_for_token(single: str, other: tuple[str, ...],
     return moves
 
 
-class _MoveTable:
-    """Valid transformations between the tokens of two fixed statements.
+def _moves(a: tuple[str, ...], b: tuple[str, ...], dct: TransformationDictionary,
+           wvals: tuple[float, ...]) -> list[list[tuple[int, int, TransformKind]]]:
+    """The moves that start at each a-token, as (a-tokens consumed, bitmask of
+    b-tokens consumed, kind), Missing included.
 
-    ``pairs[i][j]`` lists one-to-one kinds for (a_i, b_j); ``a_spans[i]``
-    lists (start, length, kind) runs of b matched by a_i; ``b_spans[i]``
-    lists (length, j, kind) runs a_i..a_{i+length-1} matched by b_j.
+    Only the maximum matters, so each pair and each span keeps its single
+    best-weight kind; on a weight tie the kind found first wins, which for a
+    pair is the lower kind.
     """
-
-    __slots__ = ("p", "q", "pairs", "a_spans", "b_spans")
-
-    def __init__(self, a: tuple[str, ...], b: tuple[str, ...], dct: TransformationDictionary):
-        self.p, self.q = len(a), len(b)
-        self.pairs = [[pair_kinds(x, y, dct) for y in b] for x in a]
-        self.a_spans = [_spans_for_token(x, b, dct) for x in a]
-        self.b_spans = [[] for _ in range(self.p)]
-        for j, y in enumerate(b):
-            for i0, s, kind in _spans_for_token(y, a, dct):
-                self.b_spans[i0].append((s, j, kind))
-
-
-def _check_caps(a: Statement, b: Statement, max_tokens: int) -> None:
-    for st in (a, b):
-        if len(st.tokens) > max_tokens:
-            raise TokenCapExceeded(
-                f"statement has {len(st.tokens)} tokens, cap is {max_tokens}")
-
-
-# Pruning pad: keeps branch-and-bound exact against exhaustive enumeration
-# (the test oracle) despite float rounding in the bound itself.
-_BOUND_PAD = 1e-12
+    found = [((i, 1, 1 << j), kind) for i, x in enumerate(a) for j, y in enumerate(b)
+             for kind in pair_kinds(x, y, dct)]
+    found += [((i, 1, ((1 << s) - 1) << j0), kind) for i, x in enumerate(a)
+              for j0, s, kind in _spans_for_token(x, b, dct)]
+    found += [((i0, s, 1 << j), kind) for j, y in enumerate(b)
+              for i0, s, kind in _spans_for_token(y, a, dct)]
+    best: dict[tuple[int, int, int], TransformKind] = {}
+    for key, kind in found:
+        if key not in best or wvals[kind] > wvals[best[key]]:
+            best[key] = kind
+    moves = [[(1, 0, TransformKind.MISSING)] for _ in a]
+    for (i, n_a, b_mask), kind in best.items():
+        moves[i].append((n_a, b_mask, kind))
+    return moves
 
 
 def statement_similarity(a: Statement, b: Statement,
@@ -193,106 +183,38 @@ def statement_similarity(a: Statement, b: Statement,
                          max_tokens: int = DEFAULT_MAX_TOKENS) -> float:
     """Best weighted-count ratio over all complete consistent graphs.
 
-    Branch-and-bound over the moves of ``_MoveTable`` plus Missing.  The
-    bound assumes every remaining token can be matched at weight 1 (or parked
-    as Missing when that scores higher), so no graph that could beat the
-    incumbent is ever pruned; leaf scores are evaluated canonically from
-    integer counts, which makes the result exactly symmetric and exactly
-    equal to the maximum over an exhaustive enumeration of the graphs
-    (``tests/oracles.py``).
+    A forward subset dynamic program (Held and Karp, 1962) over the states
+    (next a-token i, bitmask of used b-tokens).  Every graph takes the
+    a-tokens in order: a_i is Missing, pairs with one unused b-token, absorbs
+    a run of unused b-tokens, or is absorbed, with the a-tokens after it, by
+    one unused b-token.  A ratio is not a sum of per-move terms, so each state
+    keeps every count vector its partial graphs can have, packed into an int.
+    At i = p the unused b-tokens become Missing and every vector is scored
+    canonically from its integer counts, which makes the result exactly
+    symmetric and exactly the maximum over an exhaustive enumeration of the
+    graphs (``tests/oracles.py``).
     """
     weights = weights or TransformWeights.default()
     dct = dct or empty_dictionary()
-    _check_caps(a, b, max_tokens)
-    table = _MoveTable(a.tokens, b.tokens, dct)
-    p, q = table.p, table.q
+    for st in (a, b):
+        if len(st.tokens) > max_tokens:
+            raise TokenCapExceeded(f"statement has {len(st.tokens)} tokens, cap is {max_tokens}")
     wvals = weights.values
-    w_miss = wvals[TransformKind.MISSING]
-    missing_idx = int(TransformKind.MISSING)
-
-    counts = [0] * N_KINDS
-    best = -1.0
-
-    # Per-pair/per-span moves reduced to the single best-weight kind: only the
-    # maximum matters.
-    def best_kind(kinds):
-        return max(kinds, key=lambda k: (wvals[k], -int(k))) if kinds else None
-
-    pair_best = [[best_kind(ks) for ks in row] for row in table.pairs]
-    a_span_best: list[list[tuple[int, int, TransformKind]]] = []
+    p, q = len(a.tokens), len(b.tokens)
+    # one field per kind, each wide enough for any count (at most p + q)
+    width = (p + q).bit_length()
+    moves = [[(n_a, b_mask, 1 << (width * kind)) for n_a, b_mask, kind in row]
+             for row in _moves(a.tokens, b.tokens, dct, wvals)]
+    levels: list[dict[int, set[int]]] = [{0: {0}}] + [{} for _ in range(p)]
     for i in range(p):
-        seen: dict[tuple[int, int], TransformKind] = {}
-        for j0, s, kind in table.a_spans[i]:
-            cur = seen.get((j0, s))
-            if cur is None or wvals[kind] > wvals[cur]:
-                seen[(j0, s)] = kind
-        a_span_best.append([(j0, s, k) for (j0, s), k in seen.items()])
-    b_span_best: list[list[tuple[int, int, TransformKind]]] = []
-    for i in range(p):
-        seen = {}
-        for s, j, kind in table.b_spans[i]:
-            cur = seen.get((s, j))
-            if cur is None or wvals[kind] > wvals[cur]:
-                seen[(s, j)] = kind
-        b_span_best.append([(s, j, k) for (s, j), k in seen.items()])
-
-    def leaf(extra_missing: int) -> None:
-        nonlocal best
-        counts[missing_idx] += extra_missing
-        val = _score(counts, wvals)
-        if val > best:
-            best = val
-        counts[missing_idx] -= extra_missing
-
-    def search(i: int, mask: int, used_b: int) -> None:
-        nonlocal best
-        r_a = p - i
-        r_b = q - used_b
-        if r_a == 0 or r_b == 0:
-            leaf(r_a + r_b)
-            return
-        w_now = 0.0
-        n_now = 0
-        for u in range(N_KINDS):
-            c = counts[u]
-            if c:
-                w_now += wvals[u] * c
-                n_now += c
-        mmin = r_a if r_a < r_b else r_b
-        rem = r_a + r_b
-        bound = (w_now + mmin) / (n_now + mmin)
-        if w_miss > 0.0:
-            alt = (w_now + mmin + rem * w_miss) / (n_now + mmin + rem)
-            if alt > bound:
-                bound = alt
-        if bound + _BOUND_PAD <= best:
-            return
-        for j in range(q):
-            if mask & (1 << j):
-                continue
-            kind = pair_best[i][j]
-            if kind is None:
-                continue
-            counts[kind] += 1
-            search(i + 1, mask | (1 << j), used_b + 1)
-            counts[kind] -= 1
-        for j0, s, kind in a_span_best[i]:
-            span_mask = ((1 << s) - 1) << j0
-            if mask & span_mask:
-                continue
-            counts[kind] += 1
-            search(i + 1, mask | span_mask, used_b + s)
-            counts[kind] -= 1
-        for s, j, kind in b_span_best[i]:
-            if mask & (1 << j):
-                continue
-            counts[kind] += 1
-            search(i + s, mask | (1 << j), used_b + 1)
-            counts[kind] -= 1
-        counts[missing_idx] += 1
-        search(i + 1, mask, used_b)
-        counts[missing_idx] -= 1
-
-    search(0, 0, 0)
-    return best
-
+        for mask, vectors in levels[i].items():
+            for n_a, b_mask, step in moves[i]:
+                if not mask & b_mask:
+                    levels[i + n_a].setdefault(mask | b_mask, set()).update(
+                        v + step for v in vectors)
+    missing = 1 << (width * TransformKind.MISSING)
+    final = {v + (q - mask.bit_count()) * missing
+             for mask, vectors in levels[p].items() for v in vectors}
+    field = (1 << width) - 1
+    return max(_score([(v >> (width * k)) & field for k in range(N_KINDS)], wvals)
+               for v in final)

@@ -67,7 +67,7 @@ def test_c01_statement_similarity_oracle_equivalence():
         assert got == want, (a, b, got, want)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
-    _report(1, f"200 random pairs, branch-and-bound == exhaustive enumeration ({elapsed:.1f}s)")
+    _report(1, f"200 random pairs, subset DP == exhaustive enumeration ({elapsed:.1f}s)")
 
 
 def test_c02_document_pairing_oracle_equivalence():

@@ -183,6 +183,20 @@ class TestCompareCommand:
         assert [r[1] for r in rows[1:]] == ["2", "3", "4"]
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("line", [
+        "normalize.max_tokens = 0", "normalize.max_statements = 0",
+        "sle.max_outer_iters = 0", "sle.l2 = -1", "sle.inner_theta_steps = -1",
+        "sle.tol = -1", "sle.lambda = -1",
+    ])
+    def test_bad_value_exits_2(self, small_dataset, tmp_path, monkeypatch, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text(line + "\n")
+        command = (["similarity", "--out", "S.csv"] if line.startswith("normalize.")
+                   else ["evaluate", "--method", "sle", "--report", "rep"])
+        assert main([*command, "--input", str(small_dataset), "--config", "cfg.txt"]) == 2
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -50,6 +50,14 @@ class TestCrossValidate:
         assert len(rows) == 6  # header + 4 folds + mean
         assert rows[-1].startswith("mean,")
 
+    def test_threshold_column_is_a_number(self):
+        rng = np.random.default_rng(1)
+        report = cross_validate(numeric_dataset(rng), "numeric", PipelineConfig(), seed=2)
+        rows = [row.split(",") for row in report.to_csv_rows()]
+        col = rows[0].index("threshold")
+        for row in rows[1:-1]:
+            float(row[col])
+
     def test_unknown_method_rejected(self):
         rng = np.random.default_rng(2)
         ds = numeric_dataset(rng)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,21 @@ class TestConfig:
         p.write_text("weights.equal = 0.5\n")
         with pytest.raises(ConfigError):
             PipelineConfig.load(p)
+
+    @pytest.mark.parametrize("key", ["normalize.max_tokens", "normalize.max_statements"])
+    def test_caps_bounded(self, key):
+        for ok in ("1", "12"):
+            PipelineConfig.from_mapping({key: ok})
+        for bad in ("0", "13"):
+            with pytest.raises(ConfigError):
+                PipelineConfig.from_mapping({key: bad})
+
+    def test_readme_config_block_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "cfg.txt"
+        p.write_text(block)
+        assert PipelineConfig.load(p) == PipelineConfig()
 
     def test_loads_packaged_dictionary(self):
         dct = PipelineConfig().load_dictionary()

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import numpy as np
@@ -336,6 +337,47 @@ class TestDocumentSimilarity:
                                  for _ in range(rng.randint(3, 4))]) for tag in "ab")
             rev = Document(id="r", statements=d2.statements[::-1])
             assert fresh(d1, d2) == fresh(d2, d1) == fresh(d1, rev) == fresh(rev, d1)
+
+
+class TestBoundedTime:
+    """Inputs at the caps (12 tokens, 12 statements) that the exact searches
+    must finish quickly: duplicate tokens and mixed kinds multiply the
+    equivalent graphs, and 12 statements a side allow 12! pairings."""
+
+    def test_duplicate_tokens(self):
+        weights = TransformWeights.from_mapping({TransformKind.MISSPELLING: 0.5})
+        start = time.perf_counter()
+        val = statement_similarity(stmt(*["aaaa"] * 12), stmt(*["aaab"] * 12), weights)
+        assert time.perf_counter() - start < 1.0
+        assert val == 0.5
+
+    def test_mixed_kinds(self):
+        pool = ["pain", "pains", "paint", "spain", "pai", "pan"]
+        dct = build_dictionary(synonym_groups=[pool],
+                               abbreviations={"pai": "pain", "pan": "pains"})
+        weights = TransformWeights((1.0, 0.9, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1))
+
+        def draw(n):
+            rng = random.Random(0)
+            return [stmt(*(rng.choice(pool) for _ in range(n))) for _ in range(2)]
+
+        assert statement_similarity(*draw(10), weights, dct) == 0.9400000000000001
+        a, b = draw(12)
+        start = time.perf_counter()
+        statement_similarity(a, b, weights, dct)
+        assert time.perf_counter() - start < 2.0
+
+    def test_twelve_statement_documents(self):
+        rng = random.Random(0)
+        pool = ["chest", "pain", "heart", "racing", "dizzy", "faint", "sob", "cp",
+                "tight", "pressure", "sharp", "burn"]
+        d1, d2 = (doc(tag, *([rng.choice(pool) for _ in range(rng.randint(1, 3))]
+                             for _ in range(12))) for tag in "ab")
+        start = time.perf_counter()
+        val = SimilarityComputer().document_similarity(d1, d2)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 < val < 1.0
+        assert SimilarityComputer().document_similarity(d2, d1) == val
 
 
 class TestSimilarityMatrix:
