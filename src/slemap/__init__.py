@@ -7,7 +7,7 @@ by similarity-weighted nearest neighbors, and ships an evaluation harness
 with TF-IDF/LSI and numeric-only baselines.
 """
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig
 from .dataset import Dataset, DatasetRecord, ingest_csv, load_dataset, write_dataset_csv
 from .dictionary import (
     TransformationDictionary,
@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     DegenerateLambda,
     DimensionMismatch,
-    EmptyDocument,
     EmptyVocabulary,
     FoldTooSmall,
     InvalidSpec,

@@ -9,23 +9,23 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import errors
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig
 from .dataset import load_dataset
-from .evaluation import compare_methods, normalize_corpus, run_methods, similarity_computer
+from .evaluation import (METHODS, compare_methods, normalize_corpus, run_methods,
+                         similarity_computer)
 from .laplacian import build_laplacian, solve_eigenmap
 from .lsi import build_tfidf, lsi_embed
 from .model_io import load_model, predict_model, save_model, train_model
 from .synth import GeneratorSpec, generate_synthetic, parse_generator_spec
 
-_DATA_ERRORS = (errors.SchemaError, errors.ParseError, errors.EmptyDocument,
-                errors.InvalidSpec, errors.KTooLarge, errors.FoldTooSmall,
-                errors.SingleClass, errors.EmptyVocabulary, errors.ConfigError,
+_DATA_ERRORS = (errors.SchemaError, errors.ParseError, errors.InvalidSpec,
+                errors.KTooLarge, errors.FoldTooSmall, errors.SingleClass, errors.EmptyVocabulary, errors.ConfigError,
                 errors.TokenCapExceeded, FileNotFoundError)
 _NUMERIC_ERRORS = (errors.NonFiniteValue, errors.RankDeficient,
                    errors.NonSymmetricInput, errors.DimensionMismatch)
@@ -39,16 +39,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolved_config(args) -> PipelineConfig:
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "dict_dir", None):
-        cfg = replace(cfg, dictionary_dir=args.dict_dir)
-    if getattr(args, "dims", None) is not None:
-        cfg = replace(cfg, dims=args.dims)
-    if getattr(args, "folds", None) is not None:
-        cfg = replace(cfg, folds=args.folds)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    """The --config file (or the defaults) overridden by the flags given.
+
+    A flag overrides the PipelineConfig field its argparse dest names.
+    """
+    cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
+    given = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+             if getattr(args, f.name, None) is not None}
+    return replace(cfg, **given)
 
 
 def _load(args):
@@ -133,6 +131,15 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _methods_list(text: str) -> list[str]:
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    unknown = [m for m in methods if m not in METHODS]
+    if not methods or unknown:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated subset of {','.join(METHODS)}, got {text!r}")
+    return methods
+
+
 def _parse_dims_list(text: str) -> list[int]:
     dims = []
     for part in text.split(","):
@@ -150,9 +157,7 @@ def _parse_dims_list(text: str) -> list[int]:
 def _cmd_compare(args) -> int:
     cfg = _resolved_config(args)
     dataset = _load(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    dims_list = _parse_dims_list(args.dims)
-    rows = compare_methods(dataset, methods, dims_list, cfg)
+    rows = compare_methods(dataset, args.methods, _parse_dims_list(args.dims_list), cfg)
     out = Path(args.report)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "compare.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -177,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Supervised Laplacian eigenmaps for short clinical text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dict_dir=True):
+    def common(p):
         p.add_argument("--config", help="pipeline config file")
-        if dict_dir:
-            p.add_argument("--dict-dir", help="directory with synonyms/acronyms/abbreviations files")
+        p.add_argument("--dict-dir", dest="dictionary_dir", metavar="DICT_DIR",
+                       help="directory with synonyms/acronyms/abbreviations files")
 
     p = sub.add_parser("similarity", help="write the document similarity matrix")
     p.add_argument("--input", required=True)
@@ -221,8 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="sweep methods over embedding dimensions")
-    p.add_argument("--methods", required=True, help="comma-separated subset of numeric,le,sle,lsi")
-    p.add_argument("--dims", required=True, help="list like 5,10,20 or range like 1..50")
+    p.add_argument("--methods", required=True, type=_methods_list,
+                   help="comma-separated subset of numeric,le,sle,lsi")
+    # its own dest, so the sweep list never enters PipelineConfig.dims
+    p.add_argument("--dims", dest="dims_list", metavar="DIMS", required=True,
+                   help="list like 5,10,20 or range like 1..50")
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--folds", type=int)

@@ -3,25 +3,69 @@
 Lines are ``section.key = value``; a line whose first non-blank character is
 '#' is a comment.  A '#' anywhere else is part of the value (it can be a
 legitimate delimiter), so comments never share a line with a key.  Unknown
-keys are rejected so typos fail loudly.  ``echo()`` renders the fully-resolved
-configuration in a canonical order, and every report and model directory
-embeds that echo.
+keys are rejected so typos fail loudly.  ``KEYS`` drives both parsing and
+``echo()``, the canonical rendering that every report and model directory
+embeds.  A config is checked whenever it is built, ``replace`` included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .dictionary import TransformationDictionary, default_dictionary, load_dictionary_dir
 from .errors import ConfigError
 from .sle import SleConfig
 from .text import DEFAULT_DELIMITERS, DEFAULT_STOP_WORDS, NormalizationConfig
-from .transforms import TransformWeights
+from .transforms import TransformKind, TransformWeights
 
 MAX_CAP = 12   # largest normalize.max_tokens and normalize.max_statements
-_WEIGHT_KEYS = ("equal", "synonym", "misspelling", "abbreviation", "prefix",
-                "acronym", "concatenation", "suffix", "missing")
+
+# file key -> PipelineConfig field, in echo order; a weights.<kind> key holds
+# the entry of its transformation kind in the weights tuple
+KEYS: dict[str, str] = {
+    "normalize.delimiters": "delimiters",
+    "normalize.stop_words": "stop_words",
+    "normalize.max_statements": "max_statements",
+    "normalize.max_tokens": "max_tokens",
+    **{f"weights.{kind.name.lower()}": "weights" for kind in TransformKind},
+    "dictionary.dir": "dictionary_dir",
+    "misspelling.max_edit_distance": "max_edit_distance",
+    "misspelling.min_token_length": "min_token_length",
+    "embedding.dims": "dims",
+    "sle.lambda": "lam",
+    "sle.lambda_ratio": "lambda_ratio",
+    "sle.l2": "l2",
+    "sle.max_outer_iters": "max_outer_iters",
+    "sle.inner_theta_steps": "inner_theta_steps",
+    "sle.inner_embedding_steps": "inner_embedding_steps",
+    "sle.tol": "sle_tol",
+    "knn.k": "knn_k",
+    "knn.weighted": "knn_weighted",
+    "cv.folds": "folds",
+    "cv.seed": "seed",
+    "cv.retrain_auc": "retrain_auc",
+    "cv.max_retrains": "max_retrains",
+    "lsi.joint_embed": "lsi_joint",
+}
+
+
+def read_settings(path: str | Path, error: type[Exception]) -> dict[str, tuple[str, str]]:
+    """A file's ``key = value`` lines as key -> (value, "path:line"); a line
+    without '=' or a repeated key raises ``error``."""
+    values: dict[str, tuple[str, str]] = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise error(f"{where}: expected 'key = value'")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise error(f"{where}: duplicate key {key!r}")
+        values[key] = (val, where)
+    return values
 
 
 @dataclass(frozen=True)
@@ -49,6 +93,25 @@ class PipelineConfig:
     retrain_auc: float = 0.65
     max_retrains: int = 5
     lsi_joint: bool = False
+
+    def __post_init__(self) -> None:
+        # The similarity dynamic programs are exponential in these caps.
+        if not (1 <= self.max_tokens <= MAX_CAP and 1 <= self.max_statements <= MAX_CAP):
+            raise ConfigError("normalize.max_tokens and normalize.max_statements "
+                              f"must lie in 1..{MAX_CAP}")
+        if self.dims < 1 or self.knn_k < 1 or self.max_retrains < 1:
+            raise ConfigError("embedding.dims, knn.k and cv.max_retrains must be at least 1")
+        if self.folds < 2:
+            raise ConfigError("cv.folds must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("cv.seed must be non-negative")
+        if not 0.0 <= self.retrain_auc <= 1.0:
+            raise ConfigError("cv.retrain_auc must lie in [0, 1]")
+        try:
+            self.transform_weights()
+            self.sle_config(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     # ---- derived views -------------------------------------------------
 
@@ -86,138 +149,68 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        values: dict[str, str] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = val
-        return cls.from_mapping(values, source=str(path))
+        return cls._parse(read_settings(path, ConfigError), str(path))
 
     @classmethod
     def from_mapping(cls, values: dict[str, str], source: str = "<mapping>") -> "PipelineConfig":
+        return cls._parse({key: (val, source) for key, val in values.items()}, source)
+
+    @classmethod
+    def _parse(cls, values: dict[str, tuple[str, str]], source: str) -> "PipelineConfig":
         kwargs = {}
-        weight_vals = list(TransformWeights.default().values)
-        for key, val in values.items():
+        weights = list(cls.weights)
+        for key, (val, where) in values.items():
+            name = KEYS.get(key)
+            if name is None:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            parse = _CODECS[_FIELD_TYPES[name]][0]
             try:
-                if key.startswith("weights."):
-                    name = key.split(".", 1)[1]
-                    if name not in _WEIGHT_KEYS:
-                        raise ConfigError(f"{source}: unknown transformation {name!r}")
-                    weight_vals[_WEIGHT_KEYS.index(name)] = float(val)
-                elif key == "normalize.delimiters":
-                    kwargs["delimiters"] = val
-                elif key == "normalize.stop_words":
-                    kwargs["stop_words"] = tuple(sorted(
-                        t.strip() for t in val.split(",") if t.strip()))
-                elif key == "normalize.max_statements":
-                    kwargs["max_statements"] = int(val)
-                elif key == "normalize.max_tokens":
-                    kwargs["max_tokens"] = int(val)
-                elif key == "dictionary.dir":
-                    kwargs["dictionary_dir"] = val
-                elif key == "misspelling.max_edit_distance":
-                    kwargs["max_edit_distance"] = int(val)
-                elif key == "misspelling.min_token_length":
-                    kwargs["min_token_length"] = int(val)
-                elif key == "embedding.dims":
-                    kwargs["dims"] = int(val)
-                elif key == "sle.lambda":
-                    kwargs["lam"] = None if val == "auto" else float(val)
-                elif key == "sle.lambda_ratio":
-                    kwargs["lambda_ratio"] = float(val)
-                elif key == "sle.l2":
-                    kwargs["l2"] = float(val)
-                elif key == "sle.max_outer_iters":
-                    kwargs["max_outer_iters"] = int(val)
-                elif key == "sle.inner_theta_steps":
-                    kwargs["inner_theta_steps"] = int(val)
-                elif key == "sle.inner_embedding_steps":
-                    kwargs["inner_embedding_steps"] = int(val)
-                elif key == "sle.tol":
-                    kwargs["sle_tol"] = float(val)
-                elif key == "knn.k":
-                    kwargs["knn_k"] = int(val)
-                elif key == "knn.weighted":
-                    kwargs["knn_weighted"] = _parse_bool(val, key, source)
-                elif key == "cv.folds":
-                    kwargs["folds"] = int(val)
-                elif key == "cv.seed":
-                    kwargs["seed"] = int(val)
-                elif key == "cv.retrain_auc":
-                    kwargs["retrain_auc"] = float(val)
-                elif key == "cv.max_retrains":
-                    kwargs["max_retrains"] = int(val)
-                elif key == "lsi.joint_embed":
-                    kwargs["lsi_joint"] = _parse_bool(val, key, source)
+                if name == "weights":
+                    weights[_weight_kind(key)] = parse(val)
                 else:
-                    raise ConfigError(f"{source}: unknown key {key!r}")
+                    kwargs[name] = parse(val)
             except ValueError as exc:
-                raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
-        kwargs["weights"] = tuple(weight_vals)
+                raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
         try:
-            cfg = cls(**kwargs)
-            cfg.transform_weights()
-            cfg.sle_config(cfg.seed)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
-        # The similarity dynamic programs are exponential in these caps.
-        if not (1 <= cfg.max_tokens <= MAX_CAP and 1 <= cfg.max_statements <= MAX_CAP):
-            raise ConfigError(f"{source}: normalize.max_tokens and normalize.max_statements "
-                              f"must lie in 1..{MAX_CAP}")
-        if cfg.dims < 1 or cfg.folds < 2 or cfg.knn_k < 1 or cfg.max_retrains < 1:
-            raise ConfigError(f"{source}: dims, folds, knn.k, cv.max_retrains must be positive")
-        if not (0.0 <= cfg.retrain_auc <= 1.0):
-            raise ConfigError(f"{source}: cv.retrain_auc must lie in [0, 1]")
-        return cfg
+            return cls(**kwargs, weights=tuple(weights))
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
 
     def echo(self) -> str:
-        """Canonical text rendering; parses back to an identical config."""
-        lines = [
-            "# resolved pipeline configuration",
-            f"normalize.delimiters = {self.delimiters}",
-            f"normalize.stop_words = {','.join(self.stop_words)}",
-            f"normalize.max_statements = {self.max_statements}",
-            f"normalize.max_tokens = {self.max_tokens}",
-        ]
-        for name, val in zip(_WEIGHT_KEYS, self.weights):
-            lines.append(f"weights.{name} = {val!r}")
-        lines.extend([
-            f"dictionary.dir = {self.dictionary_dir}",
-            f"misspelling.max_edit_distance = {self.max_edit_distance}",
-            f"misspelling.min_token_length = {self.min_token_length}",
-            f"embedding.dims = {self.dims}",
-            f"sle.lambda = {'auto' if self.lam is None else repr(self.lam)}",
-            f"sle.lambda_ratio = {self.lambda_ratio!r}",
-            f"sle.l2 = {self.l2!r}",
-            f"sle.max_outer_iters = {self.max_outer_iters}",
-            f"sle.inner_theta_steps = {self.inner_theta_steps}",
-            f"sle.inner_embedding_steps = {self.inner_embedding_steps}",
-            f"sle.tol = {self.sle_tol!r}",
-            f"knn.k = {self.knn_k}",
-            f"knn.weighted = {'true' if self.knn_weighted else 'false'}",
-            f"cv.folds = {self.folds}",
-            f"cv.seed = {self.seed}",
-            f"cv.retrain_auc = {self.retrain_auc!r}",
-            f"cv.max_retrains = {self.max_retrains}",
-            f"lsi.joint_embed = {'true' if self.lsi_joint else 'false'}",
-        ])
+        """Canonical text rendering; loads back to an equal config."""
+        lines = ["# resolved pipeline configuration"]
+        for key, name in KEYS.items():
+            value = getattr(self, name)
+            if name == "weights":
+                value = value[_weight_kind(key)]
+            lines.append(f"{key} = {_CODECS[_FIELD_TYPES[name]][1](value)}")
         return "\n".join(lines) + "\n"
 
 
-def _parse_bool(val: str, key: str, source: str) -> bool:
+def _weight_kind(key: str) -> TransformKind:
+    return TransformKind[key.removeprefix("weights.").upper()]
+
+
+def _parse_bool(val: str) -> bool:
     low = val.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{source}: bad boolean for {key!r}: {val!r}")
+    raise ValueError(f"not a boolean: {val!r}")
 
 
-def load_config(path: str | Path | None) -> PipelineConfig:
-    return PipelineConfig() if path is None else PipelineConfig.load(path)
+# field annotation -> (parse, print); the float tuple is the weights, whose
+# entries are one key each
+_CODECS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "str": (str, str),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "float | None": (lambda val: None if val == "auto" else float(val),
+                     lambda v: "auto" if v is None else repr(v)),
+    "tuple[str, ...]": (lambda val: tuple(sorted(t.strip() for t in val.split(",") if t.strip())),
+                        ",".join),
+    "tuple[float, ...]": (float, repr),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}

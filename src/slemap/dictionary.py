@@ -117,9 +117,11 @@ def load_dictionary(synonyms_path: Path | str | None = None,
 def load_dictionary_dir(dict_dir: Path | str, **kwargs) -> TransformationDictionary:
     """Load synonyms.txt / acronyms.txt / abbreviations.txt from a directory.
 
-    Missing files are simply skipped.
+    Missing files are simply skipped; a missing directory is an error.
     """
     d = Path(dict_dir)
+    if not d.is_dir():
+        raise FileNotFoundError(f"dictionary directory not found: {d}")
     paths = {}
     for key, name in (("synonyms_path", "synonyms.txt"),
                       ("acronyms_path", "acronyms.txt"),

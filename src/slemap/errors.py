@@ -5,10 +5,6 @@ class SlemapError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyDocument(SlemapError):
-    """No statement survived normalization."""
-
-
 class TokenCapExceeded(SlemapError):
     """A statement exceeds the configured token cap; input needs pre-truncation."""
 

@@ -352,7 +352,6 @@ def _fold_metrics(fold: int, scores_train, y_train, scores_test, y_test,
 
 def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                 prepared: PreparedDataset | None = None,
-                n_folds: int | None = None, seed: int | None = None,
                 collect_predictions: bool = False) -> dict[str, EvalReport]:
     """Evaluate several methods over one shared fold split.
 
@@ -362,18 +361,15 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    n_folds = config.folds if n_folds is None else n_folds
-    seed = config.seed if seed is None else seed
     needs_sim = any(m in ("le", "sle") for m in methods)
     if prepared is None:
         prepared = prepare_dataset(dataset, config, needs_sim)
     if needs_sim and prepared.similarity is None:
         raise ValueError("prepared dataset lacks the similarity matrix")
     labels = dataset.labels
-    folds = stratified_folds(labels, n_folds, seed)
+    folds = stratified_folds(labels, config.folds, config.seed)
     all_idx = np.arange(dataset.m)
     echo = config.echo()
-    fit_config = replace(config, seed=seed)
     per_method: dict[str, list[FoldMetrics]] = {m: [] for m in methods}
     per_method_preds: dict[str, list[tuple[int, str, int, float]]] = {m: [] for m in methods}
 
@@ -386,7 +382,7 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
             split.sim_train = s[np.ix_(train_idx, train_idx)]
             split.sim_test = s[np.ix_(test_idx, train_idx)]
         for method in methods:
-            model = fit(method, split, fit_config, fold_no)
+            model = fit(method, split, config, fold_no)
             te_scores, zero_rho = score(model, split)
             per_method[method].append(
                 _fold_metrics(fold_no, model.fit_scores, labels[train_idx], te_scores,
@@ -397,14 +393,13 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                     for i, s in zip(test_idx, te_scores))
         del split   # frees the fold's matrices before the next fold slices its own
 
-    return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=seed,
+    return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
                           predictions=per_method_preds[m] if collect_predictions else None)
             for m in methods}
 
 
-def cross_validate(dataset: Dataset, method: str, config: PipelineConfig,
-                   n_folds: int | None = None, seed: int | None = None) -> EvalReport:
-    return run_methods(dataset, [method], config, n_folds=n_folds, seed=seed)[method]
+def cross_validate(dataset: Dataset, method: str, config: PipelineConfig) -> EvalReport:
+    return run_methods(dataset, [method], config)[method]
 
 
 def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],

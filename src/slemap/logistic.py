@@ -32,9 +32,8 @@ class LearnerParams:
         return cls(weights=np.zeros(n_features), bias=0.0, l2=l2)
 
     @classmethod
-    def random_init(cls, n_features: int, l2: float, rng: np.random.Generator,
-                    scale: float = 0.01) -> "LearnerParams":
-        return cls(weights=scale * rng.standard_normal(n_features), bias=0.0, l2=l2)
+    def random_init(cls, n_features: int, l2: float, rng: np.random.Generator) -> "LearnerParams":
+        return cls(weights=0.01 * rng.standard_normal(n_features), bias=0.0, l2=l2)
 
 
 @dataclass
@@ -115,10 +114,10 @@ def predict_proba(params: LearnerParams, x: np.ndarray) -> np.ndarray:
 
 
 def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int,
-                  init_step: float = 1.0, grad_tol: float = 0.0) -> LearnerParams:
+                  grad_tol: float = 0.0) -> LearnerParams:
     """Plain gradient descent with Armijo backtracking on the training loss."""
     cur = loss(params, data)
-    eta = init_step
+    eta = 1.0
     for _ in range(steps):
         gw, gb = grad_theta(params, data)
         gnorm2 = float(gw @ gw + gb * gb)

@@ -42,8 +42,6 @@ class SleConfig:
     max_outer_iters: int = 50
     inner_theta_steps: int = 25
     inner_embedding_steps: int = 25
-    theta_step: float = 1.0
-    embedding_step: float | None = None  # None: exact line search on the phi part
     tol: float = 1e-6
     seed: int = 0
 
@@ -133,8 +131,7 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     # how far backtracking had to shrink the previous accepted step
     step_scale = 0.5
     for _ in range(config.max_outer_iters):
-        params = descend_theta(params, data, config.inner_theta_steps,
-                               init_step=config.theta_step)
+        params = descend_theta(params, data, config.inner_theta_steps)
         cur_loss = loss(params, data)
         joint = phi + lam * cur_loss
 
@@ -145,10 +142,7 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
             znorm_d = float(np.sqrt(np.einsum("ij,ij->", z, degrees[:, None] * z)))
             if znorm_d <= 1e-15 * max(1.0, float(np.abs(xe).max())):
                 break
-            if config.embedding_step is not None:
-                trial = config.embedding_step
-            else:
-                trial = step_scale * np.sqrt(config.dims) / znorm_d
+            trial = step_scale * np.sqrt(config.dims) / znorm_d
             halvings = 0
             accepted = False
             for _ in range(60):
@@ -181,8 +175,7 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
                 halvings += 1
             if degenerate or not accepted:
                 break
-            if config.embedding_step is None:
-                step_scale = min(max(step_scale * 2.0 ** (1 - halvings), 1e-9), 8.0)
+            step_scale = min(max(step_scale * 2.0 ** (1 - halvings), 1e-9), 8.0)
             xe = cand
             data = data.with_embedding(xe * feature_scale)
             phi, cur_loss, joint = cand_phi, cand_loss, cand_joint

@@ -10,11 +10,12 @@ the text cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_settings
 from .dataset import write_dataset_csv
 from .errors import InvalidSpec
 
@@ -179,7 +180,7 @@ class GeneratorSpec:
     filler_prob: float = 0.15
     perturb_prob: float = 0.7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.m < 2:
             raise InvalidSpec("m must be >= 2")
         if self.numeric_dim < 0:
@@ -194,32 +195,18 @@ class GeneratorSpec:
             raise InvalidSpec("alpha and variants_per_template must be positive")
 
 
-_SPEC_KEYS = {
-    "m": int, "numeric_dim": int, "clusters": int, "text_weight": float,
-    "noise": float, "alpha": float, "variants_per_template": int,
-    "second_statement_prob": float, "third_statement_prob": float,
-    "filler_prob": float, "perturb_prob": float,
-}
-
-
 def parse_generator_spec(path: str | Path) -> GeneratorSpec:
+    """A spec file: ``key = value`` lines naming GeneratorSpec fields."""
+    types = {f.name: type(f.default) for f in fields(GeneratorSpec)}
     kwargs = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidSpec(f"{path}:{lineno}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _SPEC_KEYS:
-            raise InvalidSpec(f"{path}:{lineno}: unknown key {key!r}")
+    for key, (val, where) in read_settings(path, InvalidSpec).items():
+        if key not in types:
+            raise InvalidSpec(f"{where}: unknown key {key!r}")
         try:
-            kwargs[key] = _SPEC_KEYS[key](val)
+            kwargs[key] = types[key](val)
         except ValueError as exc:
-            raise InvalidSpec(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    spec = GeneratorSpec(**kwargs)
-    spec.validate()
-    return spec
+            raise InvalidSpec(f"{where}: bad value for {key!r}: {exc}") from exc
+    return GeneratorSpec(**kwargs)
 
 
 # ---- text perturbations -----------------------------------------------
@@ -316,7 +303,6 @@ def _perturb_statement(text: str, rng: np.random.Generator) -> str:
 
 def generate_arrays(spec: GeneratorSpec, seed: int):
     """Generate (ids, labels, numeric, texts, clusters) for one dataset."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     banks = PHRASE_BANKS[: spec.clusters]
 

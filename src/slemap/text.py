@@ -5,8 +5,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import EmptyDocument
-
 # Common English stop words, minus negations ("no", "not") which carry
 # clinical meaning.
 DEFAULT_STOP_WORDS = frozenset(
@@ -29,7 +27,6 @@ class NormalizationConfig:
     stop_words: frozenset[str] = DEFAULT_STOP_WORDS
     max_statements: int = DEFAULT_MAX_STATEMENTS
     max_tokens: int = DEFAULT_MAX_TOKENS
-    sentinel_on_empty: bool = True
 
 
 @dataclass(frozen=True)
@@ -92,10 +89,8 @@ def normalize(raw: str, config: NormalizationConfig | None = None, doc_id: str =
     Lowercases, drops punctuation that is not a delimiter, splits into
     statements on the configured delimiters, tokenizes on whitespace, and
     removes stop words.  Statements that end up empty are dropped; statement
-    and token counts are truncated to the configured caps.
-
-    Raises :class:`EmptyDocument` if nothing survives and the config does not
-    allow a sentinel.
+    and token counts are truncated to the configured caps.  If nothing
+    survives, the result is a sentinel document.
     """
     cfg = config or NormalizationConfig()
     lowered = raw.lower()
@@ -111,8 +106,4 @@ def normalize(raw: str, config: NormalizationConfig | None = None, doc_id: str =
         if len(statements) == cfg.max_statements:
             break
 
-    if not statements:
-        if cfg.sentinel_on_empty:
-            return Document(id=doc_id, statements=(), raw=raw)
-        raise EmptyDocument(f"document {doc_id!r} is empty after normalization")
     return Document(id=doc_id, statements=tuple(statements), raw=raw)

@@ -261,7 +261,7 @@ def test_c09_metric_unit_suite():
                      labels=rng.integers(0, 2, m),
                      numeric=rng.standard_normal((m, 4)),
                      texts=["chest pain"] * m)
-        report = cross_validate(ds, "numeric", PipelineConfig(), seed=seed)
+        report = cross_validate(ds, "numeric", PipelineConfig(seed=seed))
         aucs.append(report.mean_auc)
     assert 0.4 <= float(np.mean(aucs)) <= 0.6
     _report(9, f"AUC/MCC identities hold; permutation-null mean AUC {np.mean(aucs):.3f}")

@@ -1,9 +1,11 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from slemap.cli import main
+from slemap.config import PipelineConfig
 from slemap.dataset import load_dataset
 from slemap.model_io import load_model, predict_model, save_model, train_model
 
@@ -147,8 +149,8 @@ class TestEvaluateCommand:
         from slemap.config import PipelineConfig
         from slemap.evaluation import cross_validate
         ds, _ = load_dataset(small_dataset)
-        cfg = PipelineConfig.load(small_config)
-        report = cross_validate(ds, "numeric", cfg, seed=3)
+        cfg = replace(PipelineConfig.load(small_config), seed=3)
+        report = cross_validate(ds, "numeric", cfg)
         text = (rep / "report.csv").read_text()
         mean_row = [r for r in text.splitlines() if r.startswith("mean")][0]
         assert mean_row.split(",")[1] == repr(report.mean_auc)
@@ -183,6 +185,26 @@ class TestCompareCommand:
         assert [r[1] for r in rows[1:]] == ["2", "3", "4"]
 
 
+    @pytest.mark.parametrize("methods", ["foo", ",", "numeric,foo"])
+    def test_bad_methods_is_usage_error(self, small_dataset, tmp_path, capsys, methods):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--methods", methods, "--dims", "2",
+                  "--input", str(small_dataset), "--report", str(tmp_path / "cmp")])
+        assert exc.value.code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--method", "numeric"],
+                                     ["compare", "--methods", "numeric", "--dims", "2..3"]],
+                         ids=["evaluate", "compare"])
+def test_report_config_loads_back(small_dataset, small_config, tmp_path, command):
+    rep = tmp_path / "rep"
+    assert main([*command, "--input", str(small_dataset), "--config", str(small_config),
+                 "--seed", "4", "--report", str(rep)]) == 0
+    expected = replace(PipelineConfig.load(small_config), seed=4)
+    assert PipelineConfig.load(rep / "config.txt") == expected
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("line", [
         "normalize.max_tokens = 0", "normalize.max_statements = 0",
@@ -195,6 +217,28 @@ class TestConfigErrors:
         command = (["similarity", "--out", "S.csv"] if line.startswith("normalize.")
                    else ["evaluate", "--method", "sle", "--report", "rep"])
         assert main([*command, "--input", str(small_dataset), "--config", "cfg.txt"]) == 2
+
+
+    @pytest.mark.parametrize("flags", [
+        ["evaluate", "--method", "numeric", "--folds", "0"],
+        ["evaluate", "--method", "numeric", "--folds", "1"],
+        ["evaluate", "--method", "numeric", "--seed", "-1"],
+        ["embed", "--method", "le", "--dims", "0"],
+    ], ids=["folds-0", "folds-1", "seed-negative", "dims-0"])
+    def test_bad_flag_exits_2(self, small_dataset, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        out = ["--out", "e.csv"] if flags[0] == "embed" else ["--report", "rep"]
+        assert main([*flags, *out, "--input", str(small_dataset)]) == 2
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_missing_dictionary_dir_exits_2(self, small_dataset, tmp_path, capsys, where):
+        missing = tmp_path / "no-such-dir"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"dictionary.dir = {missing}\n" if where == "config" else "")
+        flag = ["--dict-dir", str(missing)] if where == "flag" else []
+        assert main(["similarity", "--input", str(small_dataset), "--out", str(tmp_path / "S.csv"),
+                     "--config", str(cfg), *flag]) == 2
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -24,7 +24,7 @@ class TestCrossValidate:
     def test_noiseless_numeric_auc(self):
         rng = np.random.default_rng(0)
         ds = numeric_dataset(rng)
-        report = cross_validate(ds, "numeric", PipelineConfig(), seed=0)
+        report = cross_validate(ds, "numeric", PipelineConfig(seed=0))
         assert report.mean_auc > 0.99
 
     def test_shuffled_labels_near_chance(self):
@@ -32,7 +32,7 @@ class TestCrossValidate:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             ds = numeric_dataset(rng, noiseless=False)
-            report = cross_validate(ds, "numeric", PipelineConfig(), seed=seed)
+            report = cross_validate(ds, "numeric", PipelineConfig(seed=seed))
             aucs.append(report.mean_auc)
             mccs.append(report.mean_mcc)
         assert 0.4 <= np.mean(aucs) <= 0.6
@@ -41,8 +41,8 @@ class TestCrossValidate:
     def test_report_structure(self):
         rng = np.random.default_rng(1)
         ds = numeric_dataset(rng)
-        cfg = PipelineConfig()
-        report = cross_validate(ds, "numeric", cfg, n_folds=4, seed=2)
+        cfg = PipelineConfig(folds=4, seed=2)
+        report = cross_validate(ds, "numeric", cfg)
         assert len(report.folds) == 4
         assert "# configuration" in report.to_text()
         assert report.config_echo == cfg.echo()
@@ -52,7 +52,7 @@ class TestCrossValidate:
 
     def test_threshold_column_is_a_number(self):
         rng = np.random.default_rng(1)
-        report = cross_validate(numeric_dataset(rng), "numeric", PipelineConfig(), seed=2)
+        report = cross_validate(numeric_dataset(rng), "numeric", PipelineConfig(seed=2))
         rows = [row.split(",") for row in report.to_csv_rows()]
         col = rows[0].index("threshold")
         for row in rows[1:-1]:
@@ -73,14 +73,14 @@ class TestRetrainRule:
                      labels=rng.integers(0, 2, m),
                      numeric=rng.standard_normal((m, 2)),
                      texts=[FILLER_TEXTS[i % len(FILLER_TEXTS)] for i in range(m)])
-        report = cross_validate(ds, "numeric", PipelineConfig(), n_folds=2, seed=0)
+        report = cross_validate(ds, "numeric", PipelineConfig(folds=2, seed=0))
         assert all(f.attempts == PipelineConfig().max_retrains for f in report.folds)
         assert all(f.train_auc < 0.65 for f in report.folds)
 
     def test_easy_data_single_attempt(self):
         rng = np.random.default_rng(4)
         ds = numeric_dataset(rng)
-        report = cross_validate(ds, "numeric", PipelineConfig(), seed=0)
+        report = cross_validate(ds, "numeric", PipelineConfig(seed=0))
         assert all(f.attempts == 1 for f in report.folds)
         assert all(f.train_auc >= 0.65 for f in report.folds)
 
@@ -119,7 +119,7 @@ class TestTextMethods:
         texts[7] = "qxqxqxqxq zzzzyyyyzzz"  # matches nothing anywhere
         ds = Dataset(ids=ids, labels=labels, numeric=numeric, texts=texts)
         cfg = PipelineConfig(dims=3, folds=3)
-        report = cross_validate(ds, "le", cfg, seed=0)
+        report = cross_validate(ds, "le", cfg)
         assert sum(f.zero_rho for f in report.folds) >= 1
 
 

@@ -1,9 +1,10 @@
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slemap.config import PipelineConfig
+from slemap.config import KEYS, PipelineConfig
 from slemap.dataset import Dataset, ingest_csv, load_dataset, write_dataset_csv
 from slemap.errors import ConfigError, FoldTooSmall, InvalidSpec, ParseError, SchemaError
 from slemap.evaluation import prepare_dataset, run_methods, stratified_folds
@@ -20,6 +21,33 @@ class TestConfig:
                          if line and not line.startswith("#"))
         })
         assert parsed == cfg
+
+    def test_every_key_round_trips(self, tmp_path):
+        cfg = PipelineConfig(
+            delimiters=",;", stop_words=("a", "the"), max_statements=5, max_tokens=9,
+            weights=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2), dictionary_dir="dicts",
+            max_edit_distance=2, min_token_length=3, dims=7, lam=0.125, lambda_ratio=0.3,
+            l2=0.01, max_outer_iters=9, inner_theta_steps=8, inner_embedding_steps=7,
+            sle_tol=1e-5, knn_k=4, knn_weighted=False, folds=3, seed=11, retrain_auc=0.6,
+            max_retrains=3, lsi_joint=True)
+        assert set(KEYS.values()) == {f.name for f in fields(PipelineConfig)}
+        changed = set(cfg.echo().splitlines()) - set(PipelineConfig().echo().splitlines())
+        # every key but weights.equal, which is fixed at 1, differs from the default
+        assert {line.split(" = ")[0] for line in changed} == set(KEYS) - {"weights.equal"}
+        p = tmp_path / "cfg.txt"
+        p.write_text(cfg.echo())
+        assert PipelineConfig.load(p) == cfg
+
+    @pytest.mark.parametrize("change", [
+        {"folds": 1}, {"dims": 0}, {"knn_k": 0}, {"max_retrains": 0}, {"seed": -1},
+        {"retrain_auc": 1.5}, {"max_tokens": 13}, {"l2": -1.0},
+        {"weights": (0.5,) + PipelineConfig().weights[1:]},
+    ], ids=lambda change: next(iter(change)))
+    def test_checked_on_construction(self, change):
+        with pytest.raises(ConfigError):
+            replace(PipelineConfig(), **change)
+        with pytest.raises(ConfigError):
+            PipelineConfig(**change)
 
     def test_load_file(self, tmp_path):
         p = tmp_path / "cfg.txt"
@@ -157,11 +185,11 @@ class TestGenerator:
 
     def test_invalid_spec(self):
         with pytest.raises(InvalidSpec):
-            GeneratorSpec(m=1).validate()
+            GeneratorSpec(m=1)
         with pytest.raises(InvalidSpec):
-            GeneratorSpec(text_weight=1.5).validate()
+            GeneratorSpec(text_weight=1.5)
         with pytest.raises(InvalidSpec):
-            GeneratorSpec(clusters=100).validate()
+            GeneratorSpec(clusters=100)
 
     def test_spec_file_parsing(self, tmp_path):
         p = tmp_path / "spec.txt"
@@ -174,6 +202,19 @@ class TestGenerator:
         p.write_text("m = 50\nshape = weird\n")
         with pytest.raises(InvalidSpec):
             parse_generator_spec(p)
+
+    def test_spec_file_duplicate_key(self, tmp_path):
+        p = tmp_path / "spec.txt"
+        p.write_text("m = 50\nclusters = 4\nm = 60\n")
+        with pytest.raises(InvalidSpec, match="spec.txt:3: duplicate key 'm'"):
+            parse_generator_spec(p)
+
+    def test_readme_spec_block_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n")[2].split("```", 1)[0]
+        p = tmp_path / "spec.txt"
+        p.write_text(block)
+        assert parse_generator_spec(p) == GeneratorSpec()
 
     def test_text_only_labels_cluster_similarity(self):
         # pure text signal, no noise: same-cluster documents are more similar

@@ -50,12 +50,6 @@ class TestNormalize:
         d = normalize("   ")
         assert d.is_sentinel
 
-    def test_blank_raises_without_sentinel(self):
-        from slemap.errors import EmptyDocument
-        cfg = NormalizationConfig(sentinel_on_empty=False)
-        with pytest.raises(EmptyDocument):
-            normalize("   ", cfg)
-
     def test_comma_and_period(self):
         d = normalize("CP, dizziness.")
         assert [list(s.tokens) for s in d.statements] == [["cp"], ["dizziness"]]
