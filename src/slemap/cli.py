@@ -142,13 +142,16 @@ def _methods_list(text: str) -> list[str]:
 
 def _parse_dims_list(text: str) -> list[int]:
     dims = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            dims.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            dims.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                dims.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                dims.append(int(part))
+    except ValueError:   # a part that is not an integer
+        dims = []
     if not dims or any(d < 1 for d in dims):
         raise errors.ConfigError(f"bad dims list {text!r}")
     return dims

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .errors import ParseError
+
 DEFAULT_MISSPELLING_MAX_EDIT_DISTANCE = 1
 DEFAULT_MISSPELLING_MIN_TOKEN_LENGTH = 4
 
@@ -90,26 +92,26 @@ def load_dictionary(synonyms_path: Path | str | None = None,
         for lineno, line in _content_lines(Path(synonyms_path)):
             group = [t.strip() for t in line.split(",") if t.strip()]
             if len(group) < 2:
-                raise ValueError(f"{synonyms_path}:{lineno}: synonym group needs >= 2 tokens")
+                raise ParseError(f"{synonyms_path}:{lineno}: synonym group needs >= 2 tokens")
             groups.append(group)
     acronyms = {}
     if acronyms_path is not None:
         for lineno, line in _content_lines(Path(acronyms_path)):
             if "=" not in line:
-                raise ValueError(f"{acronyms_path}:{lineno}: expected 'short = long tokens'")
+                raise ParseError(f"{acronyms_path}:{lineno}: expected 'short = long tokens'")
             short, long = line.split("=", 1)
             seq = tuple(long.split())
             if len(seq) < 2:
-                raise ValueError(f"{acronyms_path}:{lineno}: acronym must expand to >= 2 tokens")
+                raise ParseError(f"{acronyms_path}:{lineno}: acronym must expand to >= 2 tokens")
             acronyms[short.strip()] = seq
     abbreviations = {}
     if abbreviations_path is not None:
         for lineno, line in _content_lines(Path(abbreviations_path)):
             if "=" not in line:
-                raise ValueError(f"{abbreviations_path}:{lineno}: expected 'short = long'")
+                raise ParseError(f"{abbreviations_path}:{lineno}: expected 'short = long'")
             short, long = line.split("=", 1)
             if len(long.split()) != 1:
-                raise ValueError(f"{abbreviations_path}:{lineno}: abbreviation expands to one token")
+                raise ParseError(f"{abbreviations_path}:{lineno}: abbreviation expands to one token")
             abbreviations[short.strip()] = long.strip()
     return build_dictionary(groups, acronyms, abbreviations, max_edit_distance, min_token_length)
 

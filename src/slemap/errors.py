@@ -46,7 +46,8 @@ class SchemaError(SlemapError):
 
 
 class ParseError(SlemapError):
-    """A dataset row could not be parsed; message carries the line number."""
+    """A dataset row or dictionary line could not be parsed; message carries
+    the line number."""
 
 
 class InvalidSpec(SlemapError):

@@ -178,10 +178,24 @@ class TrainedModel:
     fit_scores: np.ndarray | None = None     # in-sample scores behind train_auc
     train_auc: float = 0.0
     attempts: int = 1
+    # le/sle: the normalized training documents and the computer that scores
+    # new documents against them; kept in memory only, made on first use
+    # unless train_model hands over the ones that built the training matrix
+    _corpus: tuple[list[Document], SimilarityComputer] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_numeric(self) -> int:
         return self.numeric_mean.shape[0]
+
+    def corpus(self) -> tuple[list[Document], SimilarityComputer]:
+        if self._corpus is None:
+            self.keep_corpus(normalize_corpus(self.train_ids, self.train_texts, self.config),
+                             similarity_computer(self.config))
+        return self._corpus
+
+    def keep_corpus(self, docs: list[Document], computer: SimilarityComputer) -> None:
+        self._corpus = (docs, computer)
 
 
 @dataclass
@@ -192,7 +206,8 @@ class Split:
     and kept, so every method fitted on a split shares them.  Cross-validation
     supplies the documents and the fold's blocks of the corpus matrix.  A split
     without them builds the training matrix with one SimilarityComputer and
-    scores test documents by ``rows`` against the model's training documents.
+    scores test documents by ``rows`` against the model's training documents,
+    with the model's computer (``TrainedModel.corpus``).
     """
 
     dataset: Dataset
@@ -209,22 +224,21 @@ class Split:
             self.docs = normalize_corpus(self.dataset.ids, self.dataset.texts, config)
         return [self.docs[i] for i in rows]
 
-    def _computer(self, config: PipelineConfig) -> SimilarityComputer:
+    def computer(self, config: PipelineConfig) -> SimilarityComputer:
         if "computer" not in self._cache:
             self._cache["computer"] = similarity_computer(config)
         return self._cache["computer"]
 
     def train_similarity(self, config: PipelineConfig) -> np.ndarray:
         if self.sim_train is None:
-            self.sim_train = self._computer(config).matrix(
+            self.sim_train = self.computer(config).matrix(
                 self.documents(config, self.train)).values
         return self.sim_train
 
     def test_similarity(self, model: TrainedModel) -> np.ndarray:
         if self.sim_test is None:
-            cfg = model.config
-            corpus = normalize_corpus(model.train_ids, model.train_texts, cfg)
-            self.sim_test = self._computer(cfg).rows(self.documents(cfg, self.test), corpus)
+            corpus, computer = model.corpus()
+            self.sim_test = computer.rows(self.documents(model.config, self.test), corpus)
         return self.sim_test
 
     def spectrum(self, config: PipelineConfig) -> tuple[Laplacian, np.ndarray, float]:

@@ -40,6 +40,10 @@ def train_model(dataset: Dataset, method: str, config: PipelineConfig) -> Traine
     everything = np.arange(dataset.m)
     split = Split(dataset, train=everything, test=everything)
     model = fit(method, split, config)
+    if method in ("le", "sle"):
+        # score new records against the documents and the statement table
+        # that built the training matrix
+        model.keep_corpus(split.documents(config, everything), split.computer(config))
     model.train_scores = score(model, split)[0]
     return model
 

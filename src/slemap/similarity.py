@@ -7,12 +7,18 @@ by the larger statement count.  Unpaired statements contribute nothing.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import TransformationDictionary, empty_dictionary
 from .text import DEFAULT_MAX_TOKENS, Document, Statement
 from .transforms import TransformWeights, statement_similarity
+
+# Bytes one chunk of document pairs may hold while it is paired, counted by
+# _pair_bytes; a chunk holds at least one pair.
+_CHUNK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -38,23 +44,117 @@ def _doc_key(doc: Document) -> tuple:
     return tuple(sorted(st.tokens for st in doc.statements))
 
 
+def _canonical(key: tuple) -> tuple:
+    # Shorter documents first, equal lengths by key: of two documents, the
+    # one that comes first supplies the rows of the pairing.
+    return len(key), key
+
+
 def _dedupe(docs: list[Document]) -> tuple[list[tuple], np.ndarray]:
-    """Distinct document keys in first-seen order, and each document's index
+    """Distinct document keys in canonical order and each document's index
     into them."""
-    index: dict[tuple, int] = {}
-    inverse = np.array([index.setdefault(_doc_key(d), len(index)) for d in docs],
-                       dtype=np.intp)
-    return list(index), inverse
+    keyed = [_doc_key(d) for d in docs]
+    keys = sorted(set(keyed), key=_canonical)
+    index = {key: n for n, key in enumerate(keys)}
+    return keys, np.array([index[key] for key in keyed], dtype=np.intp)
+
+
+def _distinct(docs: list[Document]) -> list[Statement]:
+    return list({st.tokens: st for d in docs for st in d.statements}.values())
+
+
+@functools.cache
+def _steps(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The pairing DP's transitions over r columns.
+
+    Level k lists the column masks with k bits set; level 1 is column order.
+    Step k (k = 1 .. r - 1) gives, for every mask of level k + 1 and every
+    column j in it, the position in level k of the mask without j, and j;
+    both arrays have shape (C(r, k + 1), k + 1).
+    """
+    level = [1 << j for j in range(r)]
+    steps = []
+    for _ in range(1, r):
+        position = {mask: p for p, mask in enumerate(level)}
+        level = sorted({mask | 1 << j for mask in level for j in range(r) if not mask >> j & 1})
+        cols = [[j for j in range(r) if mask >> j & 1] for mask in level]
+        src = [[position[mask ^ 1 << j] for j in row] for mask, row in zip(level, cols)]
+        steps.append((np.array(src, dtype=np.intp), np.array(cols, dtype=np.intp)))
+        for array in steps[-1]:
+            array.flags.writeable = False   # shared by every caller
+    return tuple(steps)
+
+
+def _pair_bytes(r1: int, r2: int) -> int:
+    """Bytes a document pair of r1 and r2 statements takes in a chunk: its
+    indices and statement ids, its statement similarities as gathered and as
+    oriented, and the three widest arrays of a DP step."""
+    widest = max((src.size for src, _ in _steps(r2)), default=r2)
+    return 8 * (6 + r1 + r2 + 2 * r1 * r2 + 3 * widest)
+
+
+def _best_pairing(sims: np.ndarray) -> np.ndarray:
+    """Document similarity of each of P document pairs from its statement
+    similarities ``sims`` (P, r1, r2), rows in canonical order, r1 <= r2.
+
+    A subset DP over (row, used-column mask): the first row starts the sums,
+    each later row adds to every mask that lacks the column it takes, and
+    each mask keeps its largest sum.
+    """
+    r1, r2 = sims.shape[1:]
+    best = sims[:, 0, :]
+    for i, (src, cols) in zip(range(1, r1), _steps(r2)):
+        best = (best[:, src] + sims[:, i, cols]).max(axis=2)
+    return best.max(axis=1) / r2
+
+
+@dataclass
+class _Table:
+    """Statement similarities, NaN where not scored: ``values[i, j]`` for the
+    statements ``rows[i]`` and ``cols[j]``; ``row_of``/``col_of`` map
+    statement tokens to positions."""
+
+    values: np.ndarray
+    rows: list[Statement]
+    cols: list[Statement]
+    row_of: dict[tuple, int]
+    col_of: dict[tuple, int]
+
+    @classmethod
+    def empty(cls, rows: list[Statement], cols: list[Statement]) -> "_Table":
+        return cls(np.full((len(rows), len(cols)), np.nan), rows, cols,
+                   {st.tokens: i for i, st in enumerate(rows)},
+                   {st.tokens: j for j, st in enumerate(cols)})
+
+    def put(self, x: tuple, y: tuple, value: float) -> None:
+        """Store the similarity of the statements with tokens x and y in each
+        orientation the table has."""
+        for u, v in ((x, y), (y, x)):
+            i, j = self.row_of.get(u), self.col_of.get(v)
+            if i is not None and j is not None:
+                self.values[i, j] = value
 
 
 class SimilarityComputer:
-    """Caches statement- and document-level similarities across many pairs.
+    """Caches statement similarities across many document pairs.
 
     All methods are pure functions of the inputs; the caches only memoize.
+    ``matrix`` interns every distinct statement of its corpus once, into the
+    rows and columns of a dense statement-similarity table that the computer
+    keeps.  ``rows`` interns nothing: it scores its new documents' statements
+    against the corpus statements in a table of its own, which starts from
+    what the kept table holds, so a computer reused for many requests keeps
+    only its matrix corpora.  A call scores only the statement pairs that its
+    document pairs hold and its table lacks, each with one
+    ``statement_similarity``; the token relations are memoized for all calls.
+
     Documents are paired in a canonical order (statements sorted by tokens,
     the shorter document first, equal-length documents ordered by key), so
     results are identical whether pairs are evaluated one at a time or in
-    bulk, in any order, and do not depend on statement order.
+    bulk, in any order, and do not depend on statement order.  The distinct
+    documents of a call are grouped by statement count, and each pair of
+    classes is paired as numpy blocks of document pairs, in chunks of at most
+    ``_CHUNK_BYTES``.
 
     The pairing is a subset dynamic program over (statement of the shorter
     document, bitmask of the longer document's statements already used) that
@@ -69,53 +169,18 @@ class SimilarityComputer:
         self.weights = weights or TransformWeights.default()
         self.dictionary = dictionary or empty_dictionary()
         self.max_tokens = max_tokens
-        self._stmt_cache: dict[tuple, float] = {}
-        self._doc_cache: dict[tuple, float] = {}
+        # the statements of every matrix corpus, as rows and as columns
+        statements: list[Statement] = []
+        ids: dict[tuple, int] = {}
+        self._known = _Table(np.empty((0, 0)), statements, statements, ids, ids)
+        self._relations: dict = {}   # token x -> token y -> pair_kinds
 
     def statement_similarity(self, a: Statement, b: Statement) -> float:
-        return self._token_similarity(a.tokens, b.tokens)
-
-    def _token_similarity(self, ka: tuple, kb: tuple) -> float:
-        key = (ka, kb) if ka <= kb else (kb, ka)
-        val = self._stmt_cache.get(key)
-        if val is None:
-            val = statement_similarity(Statement(key[0]), Statement(key[1]), self.weights,
-                                       self.dictionary, self.max_tokens)
-            self._stmt_cache[key] = val
-        return val
+        first = np.zeros((1, 1), dtype=np.intp)
+        return float(self._lookup(self._call_table([a], [b]), first, first)[0, 0, 0])
 
     def document_similarity(self, d1: Document, d2: Document) -> float:
-        return self._key_similarity(_doc_key(d1), _doc_key(d2))
-
-    def _key_similarity(self, k1: tuple, k2: tuple) -> float:
-        if not k1 or not k2:
-            return 0.0   # sentinel documents have no statements
-        key = (k1, k2) if k1 <= k2 else (k2, k1)
-        val = self._doc_cache.get(key)
-        if val is None:
-            val = self._pairing(*key)
-            self._doc_cache[key] = val
-        return val
-
-    def _pairing(self, s1: tuple, s2: tuple) -> float:
-        if len(s1) > len(s2):
-            s1, s2 = s2, s1
-        # used s2 statements (bitmask) -> largest prefix sum; the first row
-        # starts the sums, since 0.0 + x == x
-        best = {1 << j: self._token_similarity(s1[0], y) for j, y in enumerate(s2)}
-        for x in s1[1:]:
-            row = [self._token_similarity(x, y) for y in s2]
-            grown: dict[int, float] = {}
-            for mask, total in best.items():
-                bit = 1
-                for sim in row:
-                    if not mask & bit:
-                        val = total + sim
-                        if val > grown.get(mask | bit, -1.0):
-                            grown[mask | bit] = val
-                    bit <<= 1
-            best = grown
-        return max(best.values()) / len(s2)
+        return float(self.rows([d1], [d2])[0, 0])
 
     def matrix(self, corpus: list[Document]) -> SimilarityMatrix:
         """Full similarity matrix: upper triangle computed, mirrored, unit diagonal.
@@ -124,15 +189,14 @@ class SimilarityComputer:
         pairwise pass, which leaves the result identical but much cheaper on
         template-heavy corpora.
         """
-        m = len(corpus)
-        if m < 2:
+        if len(corpus) < 2:
             raise ValueError("need at least 2 documents")
         keys, inverse = _dedupe(corpus)
-        n_u = len(keys)
-        su = np.eye(n_u)
-        for i in range(n_u):
-            for j in range(i + 1, n_u):
-                su[i, j] = su[j, i] = self._key_similarity(keys[i], keys[j])
+        self._intern(corpus)
+        everything = np.arange(len(keys))
+        upper = self._pairs(keys, everything, everything, self._known, upper=True)
+        su = upper + upper.T
+        np.fill_diagonal(su, 1.0)
         values = su[np.ix_(inverse, inverse)]
         # Distinct empty documents share a dedupe key but are not similar:
         # sentinels score 0 against everything except themselves.
@@ -145,12 +209,120 @@ class SimilarityComputer:
 
     def rows(self, new_docs: list[Document], corpus: list[Document]) -> np.ndarray:
         """Similarities of each new document against every corpus document."""
-        keys, inverse = _dedupe(corpus)
-        new_keys, new_inverse = _dedupe(new_docs)
-        su = np.empty((len(new_keys), len(keys)))
-        for r, nk in enumerate(new_keys):
-            su[r] = [self._key_similarity(nk, k) for k in keys]
-        return su[np.ix_(new_inverse, inverse)]
+        keys, inverse = _dedupe(list(new_docs) + list(corpus))
+        new, old = inverse[:len(new_docs)], inverse[len(new_docs):]
+        new_u, new_inv = np.unique(new, return_inverse=True)
+        old_u, old_inv = np.unique(old, return_inverse=True)
+        table = self._call_table(_distinct(new_docs), _distinct(corpus))
+        su = self._pairs(keys, new_u, old_u, table, upper=False)
+        return su[np.ix_(new_inv, old_inv)]
+
+    def _intern(self, docs: list[Document]) -> None:
+        """Give every statement of ``docs`` a row and a column of the kept table."""
+        known = self._known
+        for st in _distinct(docs):
+            if st.tokens not in known.row_of:
+                known.row_of[st.tokens] = len(known.rows)
+                known.rows.append(st)
+        n, old = len(known.rows), len(known.values)
+        if n > old:
+            grown = np.full((n, n), np.nan)
+            grown[:old, :old] = known.values
+            known.values = grown
+
+    def _call_table(self, rows: list[Statement], cols: list[Statement]) -> _Table:
+        """A table of ``rows`` against ``cols`` with what the kept table has."""
+        table = _Table.empty(rows, cols)
+        known = self._known.row_of
+        i, p = _positions(rows, known)
+        j, q = _positions(cols, known)
+        table.values[np.ix_(i, j)] = self._known.values[np.ix_(p, q)]
+        return table
+
+    def _pairs(self, keys: list[tuple], left: np.ndarray, right: np.ndarray,
+               table: _Table, upper: bool) -> np.ndarray:
+        """Similarity of the distinct documents ``keys[left[a]]`` and
+        ``keys[right[b]]`` at [a, b]; ``keys`` is in canonical order and
+        ``left``/``right`` ascend, and ``table`` has the statements of the
+        left documents as rows and those of the right documents as columns.
+        With ``upper`` only pairs with left[a] < right[b] are computed and the
+        others stay 0, as do pairs with an empty document."""
+        out = np.zeros((len(left), len(right)))
+        size = np.array([len(key) for key in keys], dtype=np.intp)
+        # keys are grouped by statement count, so each class is a run of keys
+        # and of the ascending ``left`` and ``right``
+        row_ids, col_ids, first = {}, {}, {}
+        for r in np.unique(size[size > 0]).tolist():
+            members = np.flatnonzero(size == r)
+            first[r] = int(members[0])
+            # a key on one side only gets placeholder ids on the other
+            row_ids[r], col_ids[r] = (
+                np.array([[index.get(tokens, 0) for tokens in keys[k]] for k in members],
+                         dtype=np.intp)
+                for index in (table.row_of, table.col_of))
+
+        def runs(side):
+            sizes, counts = size[side], list(first)
+            return [(r, lo, hi) for r, lo, hi in zip(counts, np.searchsorted(sizes, counts, "left"),
+                                                     np.searchsorted(sizes, counts, "right"))
+                    if lo < hi]
+
+        for ra, a0, a1 in runs(left):
+            for rb, b0, b1 in runs(right):
+                # chunks of the block's (a, b) pairs in row-major order
+                per = max(1, _CHUNK_BYTES // _pair_bytes(min(ra, rb), max(ra, rb)))
+                width = b1 - b0
+                for k0 in range(0, (a1 - a0) * width, per):
+                    k = np.arange(k0, min(k0 + per, (a1 - a0) * width))
+                    at, bt = a0 + k // width, b0 + k % width
+                    a, b = left[at], right[bt]
+                    if upper:
+                        keep = a < b
+                        at, bt, a, b = at[keep], bt[keep], a[keep], b[keep]
+                    if a.size:
+                        sims = self._lookup(table, row_ids[ra][a - first[ra]],
+                                            col_ids[rb][b - first[rb]])
+                        # the document that comes first in ``keys`` supplies the rows
+                        if ra > rb:
+                            sims = sims.transpose(0, 2, 1)
+                        elif ra == rb and (b < a).any():
+                            sims = np.where((b < a)[:, None, None], sims.transpose(0, 2, 1), sims)
+                        out[at, bt] = _best_pairing(sims)
+        return out
+
+    def _lookup(self, table: _Table, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Statement similarities (P, r1, r2) of the table rows ``rows``
+        (P, r1) against the table columns ``cols`` (P, r2); pairs the table
+        lacks are scored first."""
+        a, b = rows[:, :, None], cols[:, None, :]
+        sims = table.values[a, b]
+        missing = np.isnan(sims)
+        if missing.any():
+            a, b = np.broadcast_arrays(a, b)
+            kept = table is self._known
+            for i, j in sorted(set(zip(a[missing].tolist(), b[missing].tolist()))):
+                if not math.isnan(table.values[i, j]):
+                    continue   # scored just before in the other orientation
+                x, y = table.rows[i], table.cols[j]
+                if y.tokens < x.tokens:
+                    x, y = y, x
+                value = statement_similarity(x, y, self.weights, self.dictionary,
+                                             self.max_tokens, relations=self._relations)
+                if kept:   # its rows are its columns
+                    table.values[i, j] = table.values[j, i] = value
+                else:
+                    table.put(x.tokens, y.tokens, value)
+                    self._known.put(x.tokens, y.tokens, value)
+            sims = table.values[rows[:, :, None], cols[:, None, :]]
+        return sims
+
+
+def _positions(statements: list[Statement],
+               index: dict[tuple, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``statements`` of those ``index`` has, and their index values."""
+    found = [(n, index[st.tokens]) for n, st in enumerate(statements) if st.tokens in index]
+    return (np.array([n for n, _ in found], dtype=np.intp),
+            np.array([i for _, i in found], dtype=np.intp))
 
 
 def document_similarity(d1: Document, d2: Document,

@@ -153,16 +153,28 @@ def _spans_for_token(single: str, other: tuple[str, ...],
 
 
 def _moves(a: tuple[str, ...], b: tuple[str, ...], dct: TransformationDictionary,
-           wvals: tuple[float, ...]) -> list[list[tuple[int, int, TransformKind]]]:
+           wvals: tuple[float, ...],
+           relations: dict) -> list[list[tuple[int, int, TransformKind]]]:
     """The moves that start at each a-token, as (a-tokens consumed, bitmask of
     b-tokens consumed, kind), Missing included.
 
     Only the maximum matters, so each pair and each span keeps its single
     best-weight kind; on a weight tie the kind found first wins, which for a
-    pair is the lower kind.
+    pair is the lower kind.  ``relations`` memoizes ``pair_kinds`` as
+    ``relations[x][y]`` for tokens x <= y.
     """
-    found = [((i, 1, 1 << j), kind) for i, x in enumerate(a) for j, y in enumerate(b)
-             for kind in pair_kinds(x, y, dct)]
+    found = []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            # pair_kinds is symmetric, so a pair is kept under its smaller token
+            lo, hi = (x, y) if x <= y else (y, x)
+            known = relations.get(lo)
+            if known is None:
+                known = relations[lo] = {}
+            kinds = known.get(hi)
+            if kinds is None:
+                kinds = known[hi] = tuple(pair_kinds(x, y, dct))
+            found += [((i, 1, 1 << j), kind) for kind in kinds]
     found += [((i, 1, ((1 << s) - 1) << j0), kind) for i, x in enumerate(a)
               for j0, s, kind in _spans_for_token(x, b, dct)]
     found += [((i0, s, 1 << j), kind) for j, y in enumerate(b)
@@ -180,7 +192,8 @@ def _moves(a: tuple[str, ...], b: tuple[str, ...], dct: TransformationDictionary
 def statement_similarity(a: Statement, b: Statement,
                          weights: TransformWeights | None = None,
                          dct: TransformationDictionary | None = None,
-                         max_tokens: int = DEFAULT_MAX_TOKENS) -> float:
+                         max_tokens: int = DEFAULT_MAX_TOKENS,
+                         relations: dict | None = None) -> float:
     """Best weighted-count ratio over all complete consistent graphs.
 
     A forward subset dynamic program (Held and Karp, 1962) over the states
@@ -193,9 +206,14 @@ def statement_similarity(a: Statement, b: Statement,
     canonically from its integer counts, which makes the result exactly
     symmetric and exactly the maximum over an exhaustive enumeration of the
     graphs (``tests/oracles.py``).
+
+    ``relations`` memoizes the token relations (``pair_kinds``) by token pair;
+    a caller that scores many pairs with one dictionary passes one dict to
+    every call.
     """
     weights = weights or TransformWeights.default()
     dct = dct or empty_dictionary()
+    relations = {} if relations is None else relations
     for st in (a, b):
         if len(st.tokens) > max_tokens:
             raise TokenCapExceeded(f"statement has {len(st.tokens)} tokens, cap is {max_tokens}")
@@ -204,7 +222,7 @@ def statement_similarity(a: Statement, b: Statement,
     # one field per kind, each wide enough for any count (at most p + q)
     width = (p + q).bit_length()
     moves = [[(n_a, b_mask, 1 << (width * kind)) for n_a, b_mask, kind in row]
-             for row in _moves(a.tokens, b.tokens, dct, wvals)]
+             for row in _moves(a.tokens, b.tokens, dct, wvals, relations)]
     levels: list[dict[int, set[int]]] = [{0: {0}}] + [{} for _ in range(p)]
     for i in range(p):
         for mask, vectors in levels[i].items():

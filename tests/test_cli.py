@@ -185,6 +185,13 @@ class TestCompareCommand:
         assert [r[1] for r in rows[1:]] == ["2", "3", "4"]
 
 
+    @pytest.mark.parametrize("dims", ["2..x", "x", "2,3.5", "..3"])
+    def test_bad_dims_is_config_error(self, small_dataset, tmp_path, capsys, dims):
+        assert main(["compare", "--methods", "numeric", "--dims", dims,
+                     "--input", str(small_dataset), "--report", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert "bad dims list" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("methods", ["foo", ",", "numeric,foo"])
     def test_bad_methods_is_usage_error(self, small_dataset, tmp_path, capsys, methods):
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +246,21 @@ class TestConfigErrors:
         assert main(["similarity", "--input", str(small_dataset), "--out", str(tmp_path / "S.csv"),
                      "--config", str(cfg), *flag]) == 2
         assert str(missing) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("name, line", [
+        ("acronyms.txt", "cp chest pain"), ("acronyms.txt", "cp = chest"),
+        ("abbreviations.txt", "min minute"), ("synonyms.txt", "faint"),
+    ])
+    def test_malformed_dictionary_line_exits_2(self, small_dataset, tmp_path, capsys,
+                                               name, line):
+        dct = tmp_path / "dict"
+        dct.mkdir()
+        (dct / name).write_text("# comment\n" + line + "\n")
+        assert main(["similarity", "--input", str(small_dataset), "--dict-dir", str(dct),
+                     "--out", str(tmp_path / "S.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{dct / name}:2:" in err and "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slemap import evaluation
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
 from slemap.evaluation import cross_validate, run_methods, stratified_folds
@@ -157,3 +158,34 @@ class TestFoldEqualsTrainPredict:
         save_model(train_model(subset(ds, train_idx), method, cfg), tmp_path)
         got = predict_model(load_model(tmp_path), subset(ds, test_idx))
         assert got.tobytes() == cv.tobytes()
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
+    def test_predict_reuses_training_corpus(self, fold_run, tmp_path, monkeypatch, loaded):
+        """A model normalizes its training texts once and keeps one similarity
+        computer: a request normalizes only its own texts, and requests with
+        novel text leave the computer's statement table as it was."""
+        ds, cfg, _ = fold_run
+        test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
+        train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
+        model = train_model(subset(ds, train_idx), "sle", cfg)
+        if loaded:
+            save_model(model, tmp_path)
+            model = load_model(tmp_path)
+        request = subset(ds, test_idx)
+        first = predict_model(model, request)
+        computer = model.corpus()[1]
+        kept = computer._known.values.copy()
+        normalized = []
+        original = evaluation.normalize
+        monkeypatch.setattr(evaluation, "normalize",
+                            lambda text, *args, **kwargs: normalized.append(text)
+                            or original(text, *args, **kwargs))
+        for k in range(3):
+            novel = Dataset(ids=request.ids, labels=request.labels, numeric=request.numeric,
+                            texts=[f"unseen{k} words{n}, novel{k} text" for n in range(request.m)])
+            predict_model(model, novel)
+        again = predict_model(model, request)
+        assert again.tobytes() == first.tobytes()
+        assert len(normalized) == 4 * request.m
+        assert model.corpus()[1] is computer
+        assert np.array_equal(computer._known.values, kept, equal_nan=True)

@@ -5,9 +5,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from slemap import similarity
 from slemap.config import PipelineConfig
 from slemap.dictionary import build_dictionary, empty_dictionary, load_dictionary
-from slemap.errors import TokenCapExceeded
+from slemap.errors import ParseError, TokenCapExceeded
 from slemap.similarity import SimilarityComputer, build_similarity_matrix, document_similarity
 from slemap.text import Document, NormalizationConfig, Statement, normalize
 from slemap.transforms import TransformKind, TransformWeights, edit_distance, statement_similarity
@@ -250,24 +251,23 @@ class TestBestVector:
 
 
 class TestDocumentSimilarity:
-    def stub_computer(self, sims):
-        """A computer whose statement similarities are pre-seeded constants."""
-        comp = SimilarityComputer()
+    def stub_computer(self, monkeypatch, sims):
+        """A computer whose statement similarities are the given constants."""
         d1 = doc("a", *[[f"a{i}"] for i in range(len(sims))])
         d2 = doc("b", *[[f"b{j}"] for j in range(len(sims[0]))])
-        for i, s_i in enumerate(d1.statements):
-            for j, s_j in enumerate(d2.statements):
-                ka, kb = s_i.tokens, s_j.tokens
-                key = (ka, kb) if ka <= kb else (kb, ka)
-                comp._stmt_cache[key] = sims[i][j]
-        return comp, d1, d2
+        table = {(s_i.tokens, s_j.tokens): sims[i][j]
+                 for i, s_i in enumerate(d1.statements) for j, s_j in enumerate(d2.statements)}
+        # the computer scores each pair with the smaller statement first: a* < b*
+        monkeypatch.setattr(similarity, "statement_similarity",
+                            lambda a, b, *args, **kwargs: table[a.tokens, b.tokens])
+        return SimilarityComputer(), d1, d2
 
-    def test_two_by_two_example(self):
-        comp, d1, d2 = self.stub_computer([[0.9, 0.1], [0.2, 0.2]])
+    def test_two_by_two_example(self, monkeypatch):
+        comp, d1, d2 = self.stub_computer(monkeypatch, [[0.9, 0.1], [0.2, 0.2]])
         assert comp.document_similarity(d1, d2) == pytest.approx(0.55, abs=0)
 
-    def test_one_vs_three(self):
-        comp, d1, d2 = self.stub_computer([[0.3, 0.9, 0.1]])
+    def test_one_vs_three(self, monkeypatch):
+        comp, d1, d2 = self.stub_computer(monkeypatch, [[0.3, 0.9, 0.1]])
         assert comp.document_similarity(d1, d2) == pytest.approx(0.9 / 3, abs=0)
 
     def test_identity(self):
@@ -374,6 +374,86 @@ class TestBoundedTime:
         assert SimilarityComputer().document_similarity(d2, d1) == val
 
 
+def held_pairs(docs):
+    """Unordered statement pairs (s, t) with s in one document and t in
+    another document with a different statement multiset, sentinels excluded:
+    the statement pairs a similarity matrix of ``docs`` needs."""
+    keys = sorted({tuple(sorted(x.tokens for x in d.statements)) for d in docs if len(d)})
+    return {tuple(sorted((s, t))) for i, k1 in enumerate(keys) for k2 in keys[i + 1:]
+            for s in k1 for t in k2}
+
+
+POOL12 = ["chest", "pain", "heart", "racing", "dizzy", "faint", "sob", "cp",
+          "tight", "pressure", "sharp", "burn"]
+
+
+class TestBlockKernel:
+    """The per-class block DP behind matrix, rows and document_similarity."""
+
+    def test_each_held_statement_pair_scored_once(self, monkeypatch):
+        calls = []
+        original = similarity.statement_similarity
+
+        def recorded(a, b, *args, **kwargs):
+            calls.append(tuple(sorted((a.tokens, b.tokens))))
+            return original(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(similarity, "statement_similarity", recorded)
+        rng = random.Random(5)
+        pool = ["chest", "pain", "heart", "racing", "dizzy", "faint", "sob", "cp"]
+        docs = [doc(str(k), *[[rng.choice(pool) for _ in range(rng.randint(1, 3))]
+                              for _ in range(rng.randint(1, 5))]) for k in range(30)]
+        # "only" and "inside" share one document and appear nowhere else
+        docs += [doc("inner", ["only"], ["inside"]), Document(id="e", statements=())]
+        docs += [Document(id="dup", statements=docs[0].statements[::-1])]
+        comp = SimilarityComputer()
+        comp.matrix(docs)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == held_pairs(docs)
+        assert (("inside",), ("only",)) not in set(calls)
+        # later calls whose document pairs the matrix held score nothing new
+        comp.matrix(docs[::-1])
+        comp.rows(docs[1:5], docs[5:-1])
+        assert len(calls) == len(held_pairs(docs))
+
+    def test_chunks_stay_under_budget(self, monkeypatch):
+        """A run of twelve-statement documents longer than one chunk is
+        paired in chunks of whole document pairs within the byte budget, with
+        the same result as one chunk."""
+        rng = random.Random(1)
+        docs = [doc(str(k), *([rng.choice(POOL12) for _ in range(rng.randint(1, 3))]
+                              for _ in range(12))) for k in range(24)]
+        comp = SimilarityComputer()
+        whole = comp.matrix(docs).values, comp.rows(docs[:3], docs)
+        budget = 4 * similarity._pair_bytes(12, 12)
+        monkeypatch.setattr(similarity, "_CHUNK_BYTES", budget)
+        held = []
+        original = similarity._best_pairing
+
+        def recorded(sims):
+            held.append(sims.shape[0] * similarity._pair_bytes(*sims.shape[1:]))
+            return original(sims)
+
+        monkeypatch.setattr(similarity, "_best_pairing", recorded)
+        assert np.array_equal(comp.matrix(docs).values, whole[0])
+        assert np.array_equal(comp.rows(docs[:3], docs), whole[1])
+        assert max(held) <= budget
+        assert len(held) >= (24 * 23 // 2 + 3 * 24) // 4
+
+    def test_twelve_statement_matrix(self):
+        rng = random.Random(0)
+        docs = [doc(str(k), *([rng.choice(POOL12) for _ in range(rng.randint(1, 3))]
+                              for _ in range(12))) for k in range(40)]
+        comp = SimilarityComputer()
+        start = time.perf_counter()
+        sm = comp.matrix(docs)
+        assert time.perf_counter() - start < 5.0
+        start = time.perf_counter()   # statement table warm: the pairing alone
+        assert np.array_equal(comp.matrix(docs).values, sm.values)
+        assert time.perf_counter() - start < 1.0
+        assert sm.values[0, 1] == SimilarityComputer().document_similarity(docs[1], docs[0])
+
+
 class TestSimilarityMatrix:
     def test_identical_pair(self):
         d = doc("a", ["chest", "pain"])
@@ -449,5 +529,5 @@ class TestDictionaryFiles:
     def test_bad_acronym_line(self, tmp_path):
         p = tmp_path / "acronyms.txt"
         p.write_text("cp chest pain\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="acronyms.txt:1:"):
             load_dictionary(acronyms_path=p)
