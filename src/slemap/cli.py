@@ -7,16 +7,13 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import errors
 from .config import PipelineConfig
-from .dataset import load_dataset
+from .dataset import load_dataset, write_csv
 from .evaluation import (METHODS, compare_methods, normalize_corpus, run_methods,
                          similarity_computer)
 from .laplacian import build_laplacian, solve_eigenmap
@@ -60,11 +57,8 @@ def _cmd_similarity(args) -> int:
     cfg = _resolved_config(args)
     dataset = _load(args)
     sim = similarity_computer(cfg).matrix(normalize_corpus(dataset.ids, dataset.texts, cfg))
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + list(sim.ids))
-        for i, row_id in enumerate(sim.ids):
-            writer.writerow([row_id] + [repr(float(v)) for v in sim.values[i]])
+    write_csv(args.out, ["id"] + list(sim.ids),
+              ([row_id] + [repr(float(v)) for v in row] for row_id, row in zip(sim.ids, sim.values)))
     print(f"wrote {args.out} ({sim.m}x{sim.m})")
     return 0
 
@@ -78,11 +72,8 @@ def _cmd_embed(args) -> int:
         vectors = solve_eigenmap(lap, cfg.dims).vectors
     else:
         vectors = lsi_embed(build_tfidf(docs), cfg.dims).vectors
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"e{j + 1}" for j in range(vectors.shape[1])])
-        for i, row_id in enumerate(dataset.ids):
-            writer.writerow([row_id] + [repr(float(v)) for v in vectors[i]])
+    write_csv(args.out, ["id"] + [f"e{j + 1}" for j in range(vectors.shape[1])],
+              ([row_id] + [repr(float(v)) for v in row] for row_id, row in zip(dataset.ids, vectors)))
     print(f"wrote {args.out} ({vectors.shape[0]}x{vectors.shape[1]})")
     return 0
 
@@ -101,11 +92,8 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     dataset = _load(args)
     scores = predict_model(model, dataset)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "score"])
-        for i, s in zip(dataset.ids, scores):
-            writer.writerow([i, repr(float(s))])
+    write_csv(args.out, ["id", "score"],
+              ([i, repr(float(s))] for i, s in zip(dataset.ids, scores)))
     print(f"wrote {args.out} ({len(scores)} scores)")
     return 0
 
@@ -121,11 +109,9 @@ def _cmd_evaluate(args) -> int:
     (out / "report.csv").write_text("\n".join(report.to_csv_rows()) + "\n", encoding="utf-8")
     (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
     if args.dump_predictions:
-        with (out / "predictions.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["fold", "id", "label", "score"])
-            for fold, rid, label, score in report.predictions:
-                writer.writerow([fold, rid, label, repr(score)])
+        write_csv(out / "predictions.csv", ["fold", "id", "label", "score"],
+                  ([fold, rid, label, repr(score)]
+                   for fold, rid, label, score in report.predictions))
     print(f"{args.method}: mean AUC {report.mean_auc:.4f}, mean MCC {report.mean_mcc:.4f}; "
           f"report in {out}")
     return 0
@@ -163,11 +149,8 @@ def _cmd_compare(args) -> int:
     rows = compare_methods(dataset, args.methods, _parse_dims_list(args.dims_list), cfg)
     out = Path(args.report)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "compare.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "dims", "auc", "mcc"])
-        for row in rows:
-            writer.writerow([row["method"], row["dims"], repr(row["auc"]), repr(row["mcc"])])
+    write_csv(out / "compare.csv", ["method", "dims", "auc", "mcc"],
+              ([row["method"], row["dims"], repr(row["auc"]), repr(row["mcc"])] for row in rows))
     (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
     print(f"wrote {out / 'compare.csv'} ({len(rows)} rows)")
     return 0

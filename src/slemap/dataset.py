@@ -99,13 +99,17 @@ def load_dataset(path: str | Path, strict: bool = False) -> tuple[Dataset, list[
     return Dataset.from_records(records), diagnostics
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a UTF-8 CSV file with Unix line ends: the header, then the rows."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_dataset_csv(path: str | Path, ids, labels, numeric, texts) -> None:
     numeric = np.asarray(numeric, dtype=float)
     n = numeric.shape[1]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label"] + [f"f{j + 1}" for j in range(n)] + ["text"])
-        for i in range(len(ids)):
-            writer.writerow([ids[i], int(labels[i])]
-                            + [repr(float(v)) for v in numeric[i]]
-                            + [texts[i]])
+    write_csv(path, ["id", "label"] + [f"f{j + 1}" for j in range(n)] + ["text"],
+              ([ids[i], int(labels[i])] + [repr(float(v)) for v in numeric[i]] + [texts[i]]
+               for i in range(len(ids))))

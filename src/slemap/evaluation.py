@@ -26,7 +26,7 @@ from .errors import FoldTooSmall, SchemaError
 from .estimator import estimate_batch
 from .laplacian import Laplacian, build_laplacian, solve_eigenmap
 from .logistic import LabeledFeatures, LearnerParams, predict_proba, train
-from .lsi import TermDocumentMatrix, build_tfidf, fit_lsi, vectorize
+from .lsi import build_tfidf, fit_lsi, vectorize
 from .metrics import (best_mcc_threshold, compute_auc, compute_mcc, confusion_at,
                       likelihood_ratios, sensitivity_specificity)
 from .similarity import SimilarityComputer, SimilarityMatrix
@@ -341,9 +341,8 @@ def score(model: TrainedModel, split: Split) -> tuple[np.ndarray, int]:
     elif model.method == "lsi" and split.joint_lsi:
         text = split.joint_lsi_rows(cfg)[rows]
     elif model.method == "lsi":
-        vocab = model.lsi_vocabulary
-        tdm = TermDocumentMatrix(vocab, np.zeros((0, len(vocab))), "tfidf", model.lsi_idf)
-        text = vectorize(split.documents(cfg, rows), tdm) @ model.lsi_components.T
+        text = vectorize(split.documents(cfg, rows), model.lsi_vocabulary,
+                         model.lsi_idf) @ model.lsi_components.T
     x = np.hstack([num, text * model.feature_scale])
     return predict_proba(model.params, x), zero_rho
 

@@ -3,13 +3,17 @@
 The embedding X minimizes tr(X^T L X) subject to X^T D X = I, where
 L = D - S is the Laplacian of the similarity graph.  The constrained minimum
 is the matrix of eigenvectors for the smallest eigenvalues of the generalized
-problem L x = lambda D x, after discarding the trivial constant eigenvector;
-a projected gradient descent solver is provided as an alternative route to
-the same optimum.
+problem L x = lambda D x, after discarding the trivial constant eigenvector.
+
+One projected-descent step on the constraint manifold serves two callers:
+the unsupervised eigenmap descent (an alternative route to the same optimum)
+and the SLE alternation, which adds the weighted classifier loss as an extra
+objective term.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,7 @@ from .similarity import SimilarityMatrix
 SYMMETRY_TOL = 1e-12
 DEGREE_EPSILON = 1e-8
 DEGENERATE_GAP = 1e-12
+COLLAPSE_TOL = 1e-6        # a frame column under this D-norm has collapsed
 
 
 @dataclass(frozen=True)
@@ -78,15 +83,21 @@ def _as_matrix(x) -> np.ndarray:
     return x.vectors if isinstance(x, Embedding) else np.asarray(x, dtype=float)
 
 
-def objective_phi(x, lap: Laplacian) -> float:
-    """tr(X^T L X): the similarity-weighted spread of the embedding."""
+def _phi_and_product(x, lap: Laplacian) -> tuple[float, np.ndarray]:
+    """tr(X^T L X) and the product L X it is computed from."""
     xv = _as_matrix(x)
     if xv.ndim != 2 or xv.shape[0] != lap.m:
         raise DimensionMismatch(f"embedding rows {xv.shape} vs laplacian size {lap.m}")
-    val = float(np.einsum("ij,ij->", xv, lap.matrix @ xv))
+    lx = lap.matrix @ xv
+    val = float(np.einsum("ij,ij->", xv, lx))
     if not np.isfinite(val):
         raise NonFiniteValue("objective is not finite")
-    return val
+    return val, lx
+
+
+def objective_phi(x, lap: Laplacian) -> float:
+    """tr(X^T L X): the similarity-weighted spread of the embedding."""
+    return _phi_and_product(x, lap)[0]
 
 
 def phi_gradient(x, lap: Laplacian) -> np.ndarray:
@@ -158,62 +169,97 @@ def _descent_direction(x: np.ndarray, grad: np.ndarray, degrees: np.ndarray) -> 
     return _deflate_constant(z, degrees)
 
 
-def descend_eigenmap(lap: Laplacian, dims: int, init, steps: int = 2000,
-                     step_size: float | None = None, rel_tol: float = 1e-14) -> Embedding:
+def _constraint_violation(x: np.ndarray, degrees: np.ndarray) -> float:
+    gram = x.T @ (degrees[:, None] * x)
+    return float(np.linalg.norm(gram - np.eye(x.shape[1])))
+
+
+@dataclass(frozen=True)
+class DescentState:
+    """An iterate of :func:`projected_descent` and what its next step reuses.
+
+    ``value`` is phi plus the caller's extra term at ``x``.  ``step_scale``
+    is the dimensionless multiplier on the D-normalized direction, adapted
+    from how far backtracking had to shrink the last accepted step.
+    """
+
+    x: np.ndarray
+    lx: np.ndarray              # L X, which the next gradient reuses
+    phi: float
+    value: float
+    step_scale: float = 0.5
+    max_violation: float = 0.0  # largest ||X^T D X - I|| over the iterates
+
+    @classmethod
+    def at(cls, lap: Laplacian, x: np.ndarray) -> "DescentState":
+        phi, lx = _phi_and_product(x, lap)
+        return cls(x, lx, phi, phi, max_violation=_constraint_violation(x, lap.degrees))
+
+
+def projected_descent(
+        lap: Laplacian, state: DescentState, steps: int,
+        extra: tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]] | None = None,
+) -> tuple[DescentState, str | None]:
+    """Up to ``steps`` projected gradient steps on phi(X) + extra(X) over X^T D X = I.
+
+    ``extra`` is an optional added objective term, given as the pair
+    (value at a candidate X, gradient at X).  Each step moves against the
+    projected gradient by ``step_scale * sqrt(dims)`` in D-norm, re-imposes
+    the constraint by D-weighted orthonormalization, and halves the step
+    until the value does not increase.  The descent stops early when the
+    direction vanishes or 60 halvings find no descent.  Returns the last
+    state and, when a trial step collapsed the frame (a column under
+    COLLAPSE_TOL in D-norm, or dependent columns), what collapsed.
+    """
+    degrees = lap.degrees
+    extra_value, extra_grad = extra if extra is not None else (None, None)
+    for _ in range(steps):
+        x = state.x
+        grad = 2.0 * state.lx
+        if extra_grad is not None:
+            grad = grad + extra_grad(x)
+        z = _descent_direction(x, grad, degrees)
+        znorm_d = float(np.sqrt(np.einsum("ij,ij->", z, degrees[:, None] * z)))
+        if znorm_d <= 1e-15 * max(1.0, float(np.abs(x).max())):
+            break
+        trial = state.step_scale * np.sqrt(x.shape[1]) / znorm_d
+        for halvings in range(60):
+            moved = x - trial * z
+            col_norms = np.sqrt(np.einsum("ij,ij->j", moved, degrees[:, None] * moved))
+            if np.any(col_norms < COLLAPSE_TOL):
+                return state, "column collapsed"
+            try:
+                cand = d_orthonormalize(moved, degrees)
+            except RankDeficient:
+                return state, "columns became dependent"
+            phi, lx = _phi_and_product(cand, lap)
+            value = phi if extra_value is None else phi + extra_value(cand)
+            if not np.isfinite(value):
+                raise NonFiniteValue("objective became non-finite during descent")
+            if value <= state.value:
+                break
+            trial *= 0.5
+        else:
+            break
+        state = DescentState(
+            cand, lx, phi, value,
+            min(max(state.step_scale * 2.0 ** (1 - halvings), 1e-9), 8.0),
+            max(state.max_violation, _constraint_violation(cand, degrees)))
+    return state, None
+
+
+def descend_eigenmap(lap: Laplacian, dims: int, init, steps: int = 2000) -> Embedding:
     """Projected gradient descent on tr(X^T L X) over {X : X^T D X = I}.
 
-    Each step moves against the projected gradient, re-imposes the constraint
-    by D-weighted orthonormalization, and backtracks (halving the step) when
-    the objective would increase.  Iterates are kept D-orthogonal to the
-    constant direction so the attainable optimum matches
-    :func:`solve_eigenmap`.  The trial step defaults to the exact minimizer
-    of the quadratic model along the search direction.
+    The init is made D-orthogonal to the constant direction and
+    D-orthonormalized, so the attainable optimum matches
+    :func:`solve_eigenmap`; then :func:`projected_descent` runs with no
+    extra term.  A trial step that collapses the frame ends the descent at
+    the last iterate.
     """
-    x = _as_matrix(init).astype(float, copy=True)
-    m = lap.m
-    if x.shape != (m, dims):
-        raise DimensionMismatch(f"init must be {(m, dims)}, got {x.shape}")
-    degrees = lap.degrees
-    if step_size is not None and step_size == 0.0:
-        return Embedding(vectors=d_orthonormalize(x, degrees), ids=lap.ids)
-    x = d_orthonormalize(_deflate_constant(x, degrees), degrees)
-    phi = objective_phi(x, lap)
-    lmat = lap.matrix
-    stall = 0
-    for _ in range(steps):
-        grad = 2.0 * (lmat @ x)
-        z = _descent_direction(x, grad, degrees)
-        lz = lmat @ z
-        num = float(np.einsum("ij,ij->", z, lmat @ x))
-        den = float(np.einsum("ij,ij->", z, lz))
-        if step_size is not None:
-            eta = step_size
-        elif den > 0.0:
-            eta = num / den
-        else:
-            eta = 1.0 / (np.max(degrees) + 1.0)
-        accepted = False
-        for _ in range(60):
-            try:
-                candidate = d_orthonormalize(x - eta * z, degrees)
-            except RankDeficient:
-                eta *= 0.5
-                continue
-            phi_new = objective_phi(candidate, lap)
-            if not np.isfinite(phi_new):
-                raise NonFiniteValue("objective became non-finite during descent")
-            if phi_new <= phi:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-        moved = phi - phi_new
-        x, phi = candidate, phi_new
-        if moved <= rel_tol * max(1.0, abs(phi)):
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-    return Embedding(vectors=x, ids=lap.ids)
+    x = _as_matrix(init)
+    if x.shape != (lap.m, dims):
+        raise DimensionMismatch(f"init must be {(lap.m, dims)}, got {x.shape}")
+    x = d_orthonormalize(_deflate_constant(x, lap.degrees), lap.degrees)
+    state, _ = projected_descent(lap, DescentState.at(lap, x), steps)
+    return Embedding(vectors=state.x, ids=lap.ids)

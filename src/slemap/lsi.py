@@ -17,7 +17,6 @@ class TermDocumentMatrix:
 
     vocabulary: tuple[str, ...]
     matrix: np.ndarray
-    weighting: str = "count"          # "count" or "tfidf"
     idf: np.ndarray | None = None     # natural-log idf, present for tfidf
 
     @property
@@ -30,15 +29,10 @@ def _document_tokens(doc: Document) -> list[str]:
 
 
 def build_counts(corpus: list[Document]) -> TermDocumentMatrix:
-    vocab = sorted({tok for doc in corpus for tok in _document_tokens(doc)})
+    vocab = tuple(sorted({tok for doc in corpus for tok in _document_tokens(doc)}))
     if not vocab:
         raise EmptyVocabulary("corpus has no tokens")
-    index = {tok: j for j, tok in enumerate(vocab)}
-    counts = np.zeros((len(corpus), len(vocab)))
-    for i, doc in enumerate(corpus):
-        for tok in _document_tokens(doc):
-            counts[i, index[tok]] += 1.0
-    return TermDocumentMatrix(tuple(vocab), counts)
+    return TermDocumentMatrix(vocab, vectorize(corpus, vocab))
 
 
 def build_tfidf(corpus: list[Document]) -> TermDocumentMatrix:
@@ -46,20 +40,23 @@ def build_tfidf(corpus: list[Document]) -> TermDocumentMatrix:
     tdm = build_counts(corpus)
     df = (tdm.matrix > 0).sum(axis=0)
     idf = np.log(tdm.m / df)
-    return TermDocumentMatrix(tdm.vocabulary, tdm.matrix * idf[None, :], "tfidf", idf)
+    return TermDocumentMatrix(tdm.vocabulary, tdm.matrix * idf[None, :], idf)
 
 
-def vectorize(docs: list[Document], tdm: TermDocumentMatrix) -> np.ndarray:
-    """Rows for new documents in the matrix's vocabulary and weighting."""
-    index = {tok: j for j, tok in enumerate(tdm.vocabulary)}
-    out = np.zeros((len(docs), len(tdm.vocabulary)))
+def vectorize(docs: list[Document], vocabulary, idf: np.ndarray | None = None) -> np.ndarray:
+    """Token counts of the documents over the vocabulary, times idf if given.
+
+    Tokens outside the vocabulary are dropped.
+    """
+    index = {tok: j for j, tok in enumerate(vocabulary)}
+    out = np.zeros((len(docs), len(vocabulary)))
     for i, doc in enumerate(docs):
         for tok in _document_tokens(doc):
             j = index.get(tok)
             if j is not None:
                 out[i, j] += 1.0
-    if tdm.weighting == "tfidf":
-        out *= tdm.idf[None, :]
+    if idf is not None:
+        out *= idf[None, :]
     return out
 
 

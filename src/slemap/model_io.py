@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .dataset import Dataset
+from .dataset import Dataset, write_csv
+from .errors import ParseError
 from .evaluation import Split, TrainedModel, fit, score
 from .logistic import LearnerParams
 
@@ -56,13 +57,6 @@ def predict_model(model: TrainedModel, dataset: Dataset) -> np.ndarray:
 # ---- persistence -------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _read_csv(path: Path) -> list[list[str]]:
     """The rows of a CSV file, without its header."""
     with path.open(newline="", encoding="utf-8") as fh:
@@ -96,43 +90,49 @@ def save_model(model: TrainedModel, model_dir: str | Path) -> None:
     (d / "config.txt").write_text(model.config.echo(), encoding="utf-8")
     if model.method in ("le", "sle"):
         dims = model.xe_train.shape[1]
-        _write_csv(d / "xe_train.csv", ["id"] + [f"e{j + 1}" for j in range(dims)],
-                   ([i] + _reprs(row) for i, row in zip(model.train_ids, model.xe_train)))
-        _write_csv(d / "train_corpus.csv", ["id", "text"],
-                   zip(model.train_ids, model.train_texts))
+        write_csv(d / "xe_train.csv", ["id"] + [f"e{j + 1}" for j in range(dims)],
+                  ([i] + _reprs(row) for i, row in zip(model.train_ids, model.xe_train)))
+        write_csv(d / "train_corpus.csv", ["id", "text"],
+                  zip(model.train_ids, model.train_texts))
     if model.method == "sle":
-        _write_csv(d / "objective_trace.csv", ["iteration", "joint_objective"],
-                   enumerate(_reprs(model.objective_trace)))
+        write_csv(d / "objective_trace.csv", ["iteration", "joint_objective"],
+                  enumerate(_reprs(model.objective_trace)))
     if model.method == "lsi":
-        _write_csv(d / "lsi_vocabulary.csv", ["token", "idf"],
-                   zip(model.lsi_vocabulary, _reprs(model.lsi_idf)))
-        _write_csv(d / "lsi_components.csv",
-                   [f"v{j + 1}" for j in range(model.lsi_components.shape[1])],
-                   (_reprs(row) for row in model.lsi_components))
+        write_csv(d / "lsi_vocabulary.csv", ["token", "idf"],
+                  zip(model.lsi_vocabulary, _reprs(model.lsi_idf)))
+        write_csv(d / "lsi_components.csv",
+                  [f"v{j + 1}" for j in range(model.lsi_components.shape[1])],
+                  (_reprs(row) for row in model.lsi_components))
     if model.train_scores is not None:
-        _write_csv(d / "train_scores.csv", ["id", "score"],
-                   zip(model.train_ids, _reprs(model.train_scores)))
+        write_csv(d / "train_scores.csv", ["id", "score"],
+                  zip(model.train_ids, _reprs(model.train_scores)))
 
 
 def load_model(model_dir: str | Path) -> TrainedModel:
     d = Path(model_dir)
-    meta = json.loads((d / "model.json").read_text(encoding="utf-8"))
     config = PipelineConfig.load(d / "config.txt")
-    params = LearnerParams(
-        weights=np.array([float(w) for w in meta["params"]["weights"]]),
-        bias=float(meta["params"]["bias"]),
-        l2=float(meta["params"]["l2"]),
-    )
-    model = TrainedModel(
-        method=meta["method"], config=config, params=params,
-        numeric_mean=np.array([float(v) for v in meta["numeric_mean"]]),
-        numeric_std=np.array([float(v) for v in meta["numeric_std"]]),
-        feature_scale=float(meta["feature_scale"]),
-        lam=None if meta["lambda"] is None else float(meta["lambda"]),
-        degenerate=bool(meta["degenerate"]),
-        train_auc=float(meta["train_auc"]),
-        attempts=int(meta["attempts"]),
-    )
+    path = d / "model.json"
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        params = LearnerParams(
+            weights=np.array([float(w) for w in meta["params"]["weights"]]),
+            bias=float(meta["params"]["bias"]),
+            l2=float(meta["params"]["l2"]),
+        )
+        model = TrainedModel(
+            method=meta["method"], config=config, params=params,
+            numeric_mean=np.array([float(v) for v in meta["numeric_mean"]]),
+            numeric_std=np.array([float(v) for v in meta["numeric_std"]]),
+            feature_scale=float(meta["feature_scale"]),
+            lam=None if meta["lambda"] is None else float(meta["lambda"]),
+            degenerate=bool(meta["degenerate"]),
+            train_auc=float(meta["train_auc"]),
+            attempts=int(meta["attempts"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        # JSONDecodeError is a ValueError; a missing key, a value of the
+        # wrong type or an unparsable number all mean a damaged file
+        raise ParseError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
     if model.method in ("le", "sle"):
         rows = _read_csv(d / "xe_train.csv")
         model.train_ids = [r[0] for r in rows]

@@ -4,33 +4,33 @@ The objective is phi(Xe, S) + lambda * loss(classifier(X, Y, theta)) where the
 embedding columns Xe sit inside the full design matrix X.  It is minimized by
 alternating gradient descent: descend the classifier loss in theta with Xe
 fixed, then descend the joint objective in Xe with theta fixed, keeping
-Xe^T D Xe = I by projection.  The embedding starts at the unsupervised
-eigenmap and moves for a limited number of iterations with a deliberately
-small lambda; a lambda large enough to collapse the embedding is surfaced as
-a DegenerateLambda warning rather than silently producing a trivial solution.
+Xe^T D Xe = I by projection.  The Xe half is the projected-descent step of
+the unsupervised eigenmap descent (``laplacian.projected_descent``) with
+lambda * loss as its extra objective term.  The embedding starts at the
+unsupervised eigenmap and moves for a limited number of iterations with a
+deliberately small lambda; a lambda large enough to collapse the embedding
+is surfaced as a DegenerateLambda warning rather than silently producing a
+trivial solution.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateLambda, NonFiniteValue, RankDeficient
+from .errors import DegenerateLambda, NonFiniteValue
 from .laplacian import (
+    DescentState,
     Embedding,
     Laplacian,
-    _descent_direction,
     build_laplacian,
-    d_orthonormalize,
     objective_phi,
+    projected_descent,
     solve_eigenmap,
 )
 from .logistic import LabeledFeatures, LearnerParams, descend_theta, grad_embedding, loss, train
-from .similarity import SimilarityMatrix
-
-COLLAPSE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,8 @@ class SleConfig:
 class SleModel:
     params: LearnerParams
     embedding: Embedding
-    similarity: SimilarityMatrix | None
-    config: SleConfig
     objective_trace: list[float]
     lam: float
-    n_numeric: int
-    feature_scale: float = 1.0
     degenerate: bool = False
     max_constraint_violation: float = 0.0
 
@@ -109,7 +105,6 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     m, n_numeric = numeric.shape
     if xe0.shape != (m, config.dims):
         raise ValueError(f"initial embedding must be {(m, config.dims)}")
-    degrees = lap.degrees
 
     data = LabeledFeatures(np.hstack([numeric, xe0 * feature_scale]), y,
                            slice(n_numeric, n_numeric + config.dims))
@@ -117,91 +112,37 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     params = train(data, config.l2, init=LearnerParams.random_init(
         n_numeric + config.dims, config.l2, rng))
 
-    xe = xe0.copy()
-    phi = objective_phi(xe, lap)
-    cur_loss = loss(params, data)
-    lam = resolve_lambda(config, phi, cur_loss)
-    joint = phi + lam * cur_loss
-    trace = [joint]
-    degenerate = False
-    max_violation = _constraint_violation(xe, degrees)
+    def seen(x):
+        """The design matrix with embedding X, as the classifier sees it."""
+        return data.with_embedding(x * feature_scale)
 
-    lmat = lap.matrix
-    # dimensionless multiplier on the D-normalized direction; adapted from
-    # how far backtracking had to shrink the previous accepted step
-    step_scale = 0.5
+    state = DescentState.at(lap, xe0.copy())
+    cur_loss = loss(params, data)
+    lam = resolve_lambda(config, state.phi, cur_loss)
+    trace = [state.phi + lam * cur_loss]
+    degenerate = False
     for _ in range(config.max_outer_iters):
         params = descend_theta(params, data, config.inner_theta_steps)
-        cur_loss = loss(params, data)
-        joint = phi + lam * cur_loss
-
-        for _ in range(config.inner_embedding_steps):
-            grad = (2.0 * (lmat @ xe)
-                    + lam * feature_scale * grad_embedding(params, data))
-            z = _descent_direction(xe, grad, degrees)
-            znorm_d = float(np.sqrt(np.einsum("ij,ij->", z, degrees[:, None] * z)))
-            if znorm_d <= 1e-15 * max(1.0, float(np.abs(xe).max())):
-                break
-            trial = step_scale * np.sqrt(config.dims) / znorm_d
-            halvings = 0
-            accepted = False
-            for _ in range(60):
-                moved = xe - trial * z
-                col_norms = np.sqrt(np.einsum("ij,ij->j", moved, degrees[:, None] * moved))
-                if np.any(col_norms < COLLAPSE_TOL):
-                    warnings.warn(
-                        "embedding column collapsed under the D metric; "
-                        "lambda is too large", DegenerateLambda)
-                    degenerate = True
-                    break
-                try:
-                    cand = d_orthonormalize(moved, degrees)
-                except RankDeficient:
-                    # dependent columns are the same collapse failure
-                    warnings.warn(
-                        "embedding columns became dependent under the D metric; "
-                        "lambda is too large", DegenerateLambda)
-                    degenerate = True
-                    break
-                cand_phi = objective_phi(cand, lap)
-                cand_loss = loss(params, data.with_embedding(cand * feature_scale))
-                cand_joint = cand_phi + lam * cand_loss
-                if not np.isfinite(cand_joint):
-                    raise NonFiniteValue("joint objective became non-finite")
-                if cand_joint <= joint:
-                    accepted = True
-                    break
-                trial *= 0.5
-                halvings += 1
-            if degenerate or not accepted:
-                break
-            step_scale = min(max(step_scale * 2.0 ** (1 - halvings), 1e-9), 8.0)
-            xe = cand
-            data = data.with_embedding(xe * feature_scale)
-            phi, cur_loss, joint = cand_phi, cand_loss, cand_joint
-            max_violation = max(max_violation, _constraint_violation(xe, degrees))
-        trace.append(joint)
-        if degenerate:
+        state = replace(state, value=state.phi + lam * loss(params, data))
+        state, collapse = projected_descent(lap, state, config.inner_embedding_steps, extra=(
+            lambda x: lam * loss(params, seen(x)),
+            lambda x: lam * feature_scale * grad_embedding(params, seen(x))))
+        data = seen(state.x)
+        trace.append(state.value)
+        if collapse is not None:
+            warnings.warn(f"embedding {collapse} under the D metric; lambda is too large",
+                          DegenerateLambda)
+            degenerate = True
             break
         prev = trace[-2]
-        if prev - joint <= config.tol * max(1.0, abs(prev)):
+        if prev - state.value <= config.tol * max(1.0, abs(prev)):
             break
 
-    ids = lap.ids
     return SleModel(
         params=params,
-        embedding=Embedding(vectors=xe, ids=ids),
-        feature_scale=feature_scale,
-        similarity=similarity if isinstance(similarity, SimilarityMatrix) else None,
-        config=config,
+        embedding=Embedding(vectors=state.x, ids=lap.ids),
         objective_trace=trace,
         lam=lam,
-        n_numeric=n_numeric,
         degenerate=degenerate,
-        max_constraint_violation=max_violation,
+        max_constraint_violation=state.max_violation,
     )
-
-
-def _constraint_violation(xe: np.ndarray, degrees: np.ndarray) -> float:
-    gram = xe.T @ (degrees[:, None] * xe)
-    return float(np.linalg.norm(gram - np.eye(xe.shape[1])))

@@ -1,4 +1,5 @@
 import csv
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,25 @@ class TestTrainPredict:
             fh.write(extra)
         assert main(["predict", "--model", str(model_dir), "--input", str(small_dataset),
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda meta: "{",
+        lambda meta: json.dumps({k: v for k, v in meta.items() if k != "feature_scale"}),
+        lambda meta: json.dumps({**meta, "params": {**meta["params"], "bias": "abc"}}),
+    ], ids=["invalid-json", "missing-key", "non-numeric"])
+    def test_corrupt_model_json_is_data_error(self, small_dataset, small_config, tmp_path,
+                                              capsys, damage):
+        model_dir = tmp_path / "model-j"
+        assert main(["train", "--method", "numeric", "--input", str(small_dataset),
+                     "--config", str(small_config), "--out", str(model_dir)]) == 0
+        meta_path = model_dir / "model.json"
+        meta_path.write_text(damage(json.loads(meta_path.read_text(encoding="utf-8"))),
+                             encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_dir), "--input", str(small_dataset),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "model.json" in err
 
 
 class TestEvaluateCommand:

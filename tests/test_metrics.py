@@ -172,8 +172,8 @@ class TestTfidf:
     def test_vectorize_round_trip(self):
         docs = self.corpus()
         tdm = build_tfidf(docs)
-        assert np.allclose(vectorize(docs, tdm), tdm.matrix, atol=1e-15)
-        out = vectorize([normalize("unseen words only", doc_id="x")], tdm)
+        assert np.allclose(vectorize(docs, tdm.vocabulary, tdm.idf), tdm.matrix, atol=1e-15)
+        out = vectorize([normalize("unseen words only", doc_id="x")], tdm.vocabulary, tdm.idf)
         assert np.all(out == 0.0)
 
 

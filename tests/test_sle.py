@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -153,3 +154,23 @@ class TestFit:
             lap = build_laplacian(s)
             gram = model.embedding.vectors.T @ (lap.degrees[:, None] * model.embedding.vectors)
             assert np.linalg.norm(gram - np.eye(2)) <= 1e-6
+
+
+class TestGolden:
+    def test_fit_sle_pinned(self):
+        # recorded from the previous implementation of the alternation; any
+        # change to the step rule, the backtracking or the operand order of
+        # the products shows here
+        rng = np.random.default_rng(15)
+        numeric, s, y = clustered_dataset(rng, m=30, n_numeric=3, dims=2)
+        cfg = SleConfig(dims=2, max_outer_iters=3, inner_theta_steps=5,
+                        inner_embedding_steps=4, tol=0.0, seed=4)
+        model = fit_sle(numeric, s, y, cfg, feature_scale=2.5)
+        assert [repr(v) for v in model.objective_trace] == [
+            "1.258240694469423", "1.258121519162032",
+            "1.2581105612343841", "1.258110064944224"]
+        assert repr(model.lam) == "0.4485952949044169"
+        assert model.degenerate is False
+        assert repr(model.max_constraint_violation) == "9.766280742255908e-16"
+        assert hashlib.sha256(model.embedding.vectors.tobytes()).hexdigest() == (
+            "547a78340c28d36ca35d928a64e285b674005046cf2bbc9373c395808d5e62b1")
