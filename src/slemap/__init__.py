@@ -33,17 +33,9 @@ from .errors import (
     SlemapError,
     TokenCapExceeded,
 )
-from .estimator import (
-    NeighborSet,
-    estimate_average,
-    estimate_batch,
-    estimate_weighted,
-    find_neighbors,
-    neighbors_from_similarities,
-)
+from .estimator import estimate_batch
 from .evaluation import EvalReport, compare_methods, cross_validate, run_methods, stratified_folds
 from .laplacian import (
-    Embedding,
     Laplacian,
     build_laplacian,
     d_orthonormalize,
@@ -61,7 +53,7 @@ from .logistic import (
     predict_proba,
     train,
 )
-from .lsi import TermDocumentMatrix, build_counts, build_tfidf, fit_lsi, lsi_embed, project_lsi
+from .lsi import TermDocumentMatrix, build_counts, build_tfidf, fit_lsi
 from .metrics import (
     ConfusionCounts,
     best_mcc_threshold,

@@ -17,7 +17,7 @@ from .dataset import load_dataset, write_csv
 from .evaluation import (METHODS, compare_methods, normalize_corpus, run_methods,
                          similarity_computer)
 from .laplacian import build_laplacian, solve_eigenmap
-from .lsi import build_tfidf, lsi_embed
+from .lsi import build_tfidf, fit_lsi
 from .model_io import load_model, predict_model, save_model, train_model
 from .synth import GeneratorSpec, generate_synthetic, parse_generator_spec
 
@@ -68,10 +68,10 @@ def _cmd_embed(args) -> int:
     dataset = _load(args)
     docs = normalize_corpus(dataset.ids, dataset.texts, cfg)
     if args.method == "le":
-        lap = build_laplacian(similarity_computer(cfg).matrix(docs))
-        vectors = solve_eigenmap(lap, cfg.dims).vectors
+        lap = build_laplacian(similarity_computer(cfg).matrix(docs).values)
+        vectors = solve_eigenmap(lap, cfg.dims)
     else:
-        vectors = lsi_embed(build_tfidf(docs), cfg.dims).vectors
+        vectors = fit_lsi(build_tfidf(docs), cfg.dims).doc_embedding
     write_csv(args.out, ["id"] + [f"e{j + 1}" for j in range(vectors.shape[1])],
               ([row_id] + [repr(float(v)) for v in row] for row_id, row in zip(dataset.ids, vectors)))
     print(f"wrote {args.out} ({vectors.shape[0]}x{vectors.shape[1]})")

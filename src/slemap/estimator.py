@@ -1,114 +1,42 @@
-"""Embedding estimation for unseen documents from their training similarities.
+"""Estimated embeddings of unseen documents from their training similarities.
 
 An unseen document's coordinates are proxied by its k most similar training
 documents: either their plain average or a similarity-weighted average that
-falls back to the zero vector when every neighbor similarity is zero.
+falls back to the zero vector when every neighbor similarity is zero.  One
+block estimator serves every caller; a single document is a one-row block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dictionary import TransformationDictionary
 from .errors import KTooLarge
-from .laplacian import Embedding
-from .similarity import SimilarityComputer
-from .text import Document
-from .transforms import TransformWeights
-
-DEFAULT_NEIGHBORS = 5
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """Top-k training indices with their similarities, best first.
-
-    Ties are broken toward the lower training index, which makes batch
-    estimation deterministic under permutations of equally-similar documents.
-    """
-
-    indices: tuple[int, ...]
-    similarities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.similarities) or not self.indices:
-            raise ValueError("need matching, non-empty indices and similarities")
-        if any(self.similarities[i] < self.similarities[i + 1]
-               for i in range(len(self.similarities) - 1)):
-            raise ValueError("similarities must be non-increasing")
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-
-def neighbors_from_similarities(sims: np.ndarray, k: int) -> NeighborSet:
-    sims = np.asarray(sims, dtype=float)
-    if k < 1 or k > sims.shape[0]:
-        raise KTooLarge(f"k={k} outside 1..{sims.shape[0]}")
-    order = np.lexsort((np.arange(sims.shape[0]), -sims))
-    top = order[:k]
-    return NeighborSet(tuple(int(i) for i in top), tuple(float(sims[i]) for i in top))
-
-
-def find_neighbors(new_doc: Document, corpus: list[Document],
-                   weights: TransformWeights | None = None,
-                   dct: TransformationDictionary | None = None,
-                   k: int = DEFAULT_NEIGHBORS,
-                   computer: SimilarityComputer | None = None) -> NeighborSet:
-    """Most similar training documents, by the document similarity measure."""
-    if not corpus:
-        raise KTooLarge("training corpus is empty")
-    comp = computer or SimilarityComputer(weights, dct)
-    sims = comp.rows([new_doc], corpus)[0]
-    return neighbors_from_similarities(sims, k)
-
-
-def _neighbor_rows(neighbors: NeighborSet, embedding) -> np.ndarray:
-    xe = embedding.vectors if isinstance(embedding, Embedding) else np.asarray(embedding, dtype=float)
-    idx = np.asarray(neighbors.indices, dtype=np.intp)
-    if idx.max() >= xe.shape[0]:
-        raise IndexError("neighbor index outside the training embedding")
-    return xe[idx]
-
-
-def estimate_average(neighbors: NeighborSet, embedding) -> np.ndarray:
-    """Plain mean of the neighbor embedding rows."""
-    return _neighbor_rows(neighbors, embedding).mean(axis=0)
-
-
-def estimate_weighted(neighbors: NeighborSet, embedding) -> np.ndarray:
-    """Similarity-weighted mean; the zero vector when all similarities are 0."""
-    rows = _neighbor_rows(neighbors, embedding)
-    sims = np.asarray(neighbors.similarities, dtype=float)
-    rho = float(sims.sum())
-    if rho <= 0.0:
-        return np.zeros(rows.shape[1])
-    if sims.min() == sims.max():
-        # equal weights cancel analytically; evaluating the cancelled form
-        # keeps the equivalence with the plain average exact
-        return rows.mean(axis=0)
-    return sims @ rows / rho
-
-
-def estimate_batch(sim_rows: np.ndarray, embedding, k: int,
+def estimate_batch(sim_rows: np.ndarray, embedding: np.ndarray, k: int,
                    weighted: bool = True) -> tuple[np.ndarray, int]:
     """Estimate one embedding row per similarity row.
 
-    Returns the estimates and the number of rows that hit the degenerate
-    all-zero-similarity path (those rows are the zero vector).
+    Row i's neighbors are the k training documents most similar to it, ties
+    broken toward the lower training index.  Equal neighbor weights cancel
+    analytically, and the weighted estimate evaluates the cancelled form, so
+    it equals the plain average exactly.  Returns the estimates and the
+    number of rows that hit the degenerate all-zero-similarity path (those
+    rows are the zero vector).
     """
-    xe = embedding.vectors if isinstance(embedding, Embedding) else np.asarray(embedding, dtype=float)
-    out = np.empty((sim_rows.shape[0], xe.shape[1]))
+    if k < 1 or k > sim_rows.shape[1]:
+        raise KTooLarge(f"k={k} outside 1..{sim_rows.shape[1]}")
+    top = np.argsort(-sim_rows, axis=1, kind="stable")[:, :k]
+    out = np.empty((sim_rows.shape[0], embedding.shape[1]))
     zero_rho = 0
-    for i in range(sim_rows.shape[0]):
-        neigh = neighbors_from_similarities(sim_rows[i], k)
-        if weighted:
-            if sum(neigh.similarities) <= 0.0:
-                zero_rho += 1
-            out[i] = estimate_weighted(neigh, xe)
+    for i, (idx, s) in enumerate(zip(top, np.take_along_axis(sim_rows, top, axis=1))):
+        rows = embedding[idx]
+        rho = float(s.sum())
+        if not weighted or (rho > 0.0 and s.min() == s.max()):
+            out[i] = rows.mean(axis=0)
+        elif rho <= 0.0:
+            zero_rho += 1
+            out[i] = 0.0
         else:
-            out[i] = estimate_average(neigh, xe)
+            out[i] = s @ rows / rho
     return out, zero_rho

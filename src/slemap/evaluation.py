@@ -248,7 +248,7 @@ class Split:
             lap = build_laplacian(self.train_similarity(config))
             # puts the D-orthonormal eigenvector columns on the same element
             # scale as standardized numeric features
-            self._cache[key] = (lap, solve_eigenmap(lap, config.dims).vectors,
+            self._cache[key] = (lap, solve_eigenmap(lap, config.dims),
                                 math.sqrt(float(lap.degrees.sum())))
         return self._cache[key]
 
@@ -306,7 +306,7 @@ def fit(method: str, split: Split, config: PipelineConfig, fold: int = 0) -> Tra
         if method == "sle":
             fitted = fit_sle(num, split.train_similarity(config), y, config.sle_config(seed),
                              lap=lap, xe0=text, feature_scale=model.feature_scale)
-            model.params, model.xe_train = fitted.params, fitted.embedding.vectors
+            model.params, model.xe_train = fitted.params, fitted.embedding
             model.lam, model.degenerate = fitted.lam, fitted.degenerate
             model.objective_trace = list(fitted.objective_trace)
             features = np.hstack([num, model.xe_train * model.feature_scale])

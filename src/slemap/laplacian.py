@@ -4,6 +4,9 @@ The embedding X minimizes tr(X^T L X) subject to X^T D X = I, where
 L = D - S is the Laplacian of the similarity graph.  The constrained minimum
 is the matrix of eigenvectors for the smallest eigenvalues of the generalized
 problem L x = lambda D x, after discarding the trivial constant eigenvector.
+An embedding is a plain m x dims array, one row per document in the order of
+the similarity matrix: ``solve_eigenmap`` and ``descend_eigenmap`` return
+one, and the objective and its gradient take one.
 
 One projected-descent step on the constraint manifold serves two callers:
 the unsupervised eigenmap descent (an alternative route to the same optimum)
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, NonSymmetricInput, RankDeficient
-from .similarity import SimilarityMatrix
 
 SYMMETRY_TOL = 1e-12
 DEGREE_EPSILON = 1e-8
@@ -39,36 +41,14 @@ class Laplacian:
 
     matrix: np.ndarray
     degrees: np.ndarray
-    ids: tuple[str, ...] | None = None
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Row-per-document coordinates in the reduced space."""
-
-    vectors: np.ndarray
-    ids: tuple[str, ...] | None = None
-
-    @property
-    def m(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.vectors.shape[1]
-
-
-def build_laplacian(similarity: SimilarityMatrix | np.ndarray) -> Laplacian:
-    if isinstance(similarity, SimilarityMatrix):
-        s = similarity.values
-        ids = similarity.ids
-    else:
-        s = np.asarray(similarity, dtype=float)
-        ids = None
+def build_laplacian(similarity: np.ndarray) -> Laplacian:
+    s = np.asarray(similarity, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"similarity matrix must be square, got {s.shape}")
     if np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
@@ -76,36 +56,30 @@ def build_laplacian(similarity: SimilarityMatrix | np.ndarray) -> Laplacian:
     raw_degrees = s.sum(axis=1)
     lap = np.diag(raw_degrees) - s
     degrees = np.where(raw_degrees > 0.0, raw_degrees, DEGREE_EPSILON)
-    return Laplacian(matrix=lap, degrees=degrees, ids=ids)
+    return Laplacian(matrix=lap, degrees=degrees)
 
 
-def _as_matrix(x) -> np.ndarray:
-    return x.vectors if isinstance(x, Embedding) else np.asarray(x, dtype=float)
-
-
-def _phi_and_product(x, lap: Laplacian) -> tuple[float, np.ndarray]:
+def _phi_and_product(x: np.ndarray, lap: Laplacian) -> tuple[float, np.ndarray]:
     """tr(X^T L X) and the product L X it is computed from."""
-    xv = _as_matrix(x)
-    if xv.ndim != 2 or xv.shape[0] != lap.m:
-        raise DimensionMismatch(f"embedding rows {xv.shape} vs laplacian size {lap.m}")
-    lx = lap.matrix @ xv
-    val = float(np.einsum("ij,ij->", xv, lx))
+    if x.ndim != 2 or x.shape[0] != lap.m:
+        raise DimensionMismatch(f"embedding rows {x.shape} vs laplacian size {lap.m}")
+    lx = lap.matrix @ x
+    val = float(np.einsum("ij,ij->", x, lx))
     if not np.isfinite(val):
         raise NonFiniteValue("objective is not finite")
     return val, lx
 
 
-def objective_phi(x, lap: Laplacian) -> float:
+def objective_phi(x: np.ndarray, lap: Laplacian) -> float:
     """tr(X^T L X): the similarity-weighted spread of the embedding."""
     return _phi_and_product(x, lap)[0]
 
 
-def phi_gradient(x, lap: Laplacian) -> np.ndarray:
+def phi_gradient(x: np.ndarray, lap: Laplacian) -> np.ndarray:
     """d tr(X^T L X) / dX = 2 L X."""
-    xv = _as_matrix(x)
-    if xv.ndim != 2 or xv.shape[0] != lap.m:
-        raise DimensionMismatch(f"embedding rows {xv.shape} vs laplacian size {lap.m}")
-    return 2.0 * (lap.matrix @ xv)
+    if x.ndim != 2 or x.shape[0] != lap.m:
+        raise DimensionMismatch(f"embedding rows {x.shape} vs laplacian size {lap.m}")
+    return 2.0 * (lap.matrix @ x)
 
 
 def d_orthonormalize(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -124,7 +98,7 @@ def _deflate_constant(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return x - comp[None, :]
 
 
-def solve_eigenmap(lap: Laplacian, dims: int) -> Embedding:
+def solve_eigenmap(lap: Laplacian, dims: int) -> np.ndarray:
     """Bottom non-trivial eigenvectors of L x = lambda D x, D-orthonormalized.
 
     The symmetric reduction M = D^(-1/2) L D^(-1/2) is solved densely.  The
@@ -153,7 +127,7 @@ def solve_eigenmap(lap: Laplacian, dims: int) -> Embedding:
         i = int(np.argmax(np.abs(x[:, j])))
         if x[i, j] < 0.0:
             x[:, j] = -x[:, j]
-    return Embedding(vectors=x, ids=lap.ids)
+    return x
 
 
 def _descent_direction(x: np.ndarray, grad: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -248,7 +222,7 @@ def projected_descent(
     return state, None
 
 
-def descend_eigenmap(lap: Laplacian, dims: int, init, steps: int = 2000) -> Embedding:
+def descend_eigenmap(lap: Laplacian, dims: int, init: np.ndarray, steps: int = 2000) -> np.ndarray:
     """Projected gradient descent on tr(X^T L X) over {X : X^T D X = I}.
 
     The init is made D-orthogonal to the constant direction and
@@ -257,9 +231,8 @@ def descend_eigenmap(lap: Laplacian, dims: int, init, steps: int = 2000) -> Embe
     extra term.  A trial step that collapses the frame ends the descent at
     the last iterate.
     """
-    x = _as_matrix(init)
-    if x.shape != (lap.m, dims):
-        raise DimensionMismatch(f"init must be {(lap.m, dims)}, got {x.shape}")
-    x = d_orthonormalize(_deflate_constant(x, lap.degrees), lap.degrees)
+    if init.shape != (lap.m, dims):
+        raise DimensionMismatch(f"init must be {(lap.m, dims)}, got {init.shape}")
+    x = d_orthonormalize(_deflate_constant(init, lap.degrees), lap.degrees)
     state, _ = projected_descent(lap, DescentState.at(lap, x), steps)
-    return Embedding(vectors=state.x, ids=lap.ids)
+    return state.x

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyVocabulary, RankDeficient
-from .laplacian import Embedding
 from .text import Document
 
 
@@ -87,15 +86,6 @@ def fit_lsi(tdm: TermDocumentMatrix, dims: int) -> LsiModel:
             vt[j] = -vt[j]
             u[:, j] = -u[:, j]
     return LsiModel(doc_embedding=u * s[None, :], components=vt, singular_values=s)
-
-
-def lsi_embed(tdm: TermDocumentMatrix, dims: int, ids=None) -> Embedding:
-    model = fit_lsi(tdm, dims)
-    return Embedding(vectors=model.doc_embedding, ids=ids)
-
-
-def project_lsi(model: LsiModel, rows: np.ndarray) -> np.ndarray:
-    return rows @ model.components.T
 
 
 def reconstruction(model: LsiModel) -> np.ndarray:

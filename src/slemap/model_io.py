@@ -20,7 +20,7 @@ import numpy as np
 from .config import PipelineConfig
 from .dataset import Dataset, write_csv
 from .errors import ParseError
-from .evaluation import Split, TrainedModel, fit, score
+from .evaluation import METHODS, Split, TrainedModel, fit, score
 from .logistic import LearnerParams
 
 # perfbench/tracing.py wraps these names here; evaluation.fit/score make the calls
@@ -109,11 +109,15 @@ def save_model(model: TrainedModel, model_dir: str | Path) -> None:
 
 
 def load_model(model_dir: str | Path) -> TrainedModel:
+    """A saved model; a damaged file in the directory is a ``ParseError``
+    naming it."""
     d = Path(model_dir)
     config = PipelineConfig.load(d / "config.txt")
     path = d / "model.json"
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
+        if meta["method"] not in METHODS:
+            raise ValueError(f"unknown method {meta['method']!r}")
         params = LearnerParams(
             weights=np.array([float(w) for w in meta["params"]["weights"]]),
             bias=float(meta["params"]["bias"]),
@@ -133,23 +137,40 @@ def load_model(model_dir: str | Path) -> TrainedModel:
         # JSONDecodeError is a ValueError; a missing key, a value of the
         # wrong type or an unparsable number all mean a damaged file
         raise ParseError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
-    if model.method in ("le", "sle"):
-        rows = _read_csv(d / "xe_train.csv")
-        model.train_ids = [r[0] for r in rows]
-        model.xe_train = np.array([[float(v) for v in r[1:]] for r in rows])
-        corpus = {r[0]: r[1] for r in _read_csv(d / "train_corpus.csv")}
-        model.train_texts = [corpus[i] for i in model.train_ids]
-    if model.method == "sle" and (d / "objective_trace.csv").exists():
-        model.objective_trace = [float(r[1]) for r in _read_csv(d / "objective_trace.csv")]
-    if model.method == "lsi":
-        vocab = _read_csv(d / "lsi_vocabulary.csv")
-        model.lsi_vocabulary = tuple(r[0] for r in vocab)
-        model.lsi_idf = np.array([float(r[1]) for r in vocab])
-        model.lsi_components = np.array(
-            [[float(v) for v in r] for r in _read_csv(d / "lsi_components.csv")])
-    if (d / "train_scores.csv").exists():
-        rows = _read_csv(d / "train_scores.csv")
-        model.train_scores = np.array([float(r[1]) for r in rows])
-        if not model.train_ids:
+    width = 0   # embedding columns the classifier weights must cover
+    try:
+        if model.method in ("le", "sle"):
+            path = d / "xe_train.csv"
+            rows = _read_csv(path)
             model.train_ids = [r[0] for r in rows]
+            model.xe_train = np.array([[float(v) for v in r[1:]] for r in rows])
+            width = model.xe_train.shape[1]
+            path = d / "train_corpus.csv"
+            corpus = {r[0]: r[1] for r in _read_csv(path)}
+            model.train_texts = [corpus[i] for i in model.train_ids]
+        path = d / "objective_trace.csv"
+        if model.method == "sle" and path.exists():
+            model.objective_trace = [float(r[1]) for r in _read_csv(path)]
+        if model.method == "lsi":
+            path = d / "lsi_vocabulary.csv"
+            vocab = _read_csv(path)
+            model.lsi_vocabulary = tuple(r[0] for r in vocab)
+            model.lsi_idf = np.array([float(r[1]) for r in vocab])
+            path = d / "lsi_components.csv"
+            model.lsi_components = np.array([[float(v) for v in r] for r in _read_csv(path)])
+            width = model.lsi_components.shape[0]
+        path = d / "train_scores.csv"
+        if path.exists():
+            rows = _read_csv(path)
+            model.train_scores = np.array([float(r[1]) for r in rows])
+            if not model.train_ids:
+                model.train_ids = [r[0] for r in rows]
+    except (IndexError, KeyError, ValueError) as exc:
+        # a short row, a training id without text, an unparsable number or
+        # rows of unequal length
+        raise ParseError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
+    if model.params.weights.shape != (model.n_numeric + width,):
+        raise ParseError(
+            f"{d / 'model.json'}: {model.params.weights.shape[0]} classifier weights for "
+            f"{model.n_numeric} numeric features and {width} embedding columns")
     return model

@@ -146,7 +146,8 @@ class SimilarityComputer:
     what the kept table holds, so a computer reused for many requests keeps
     only its matrix corpora.  A call scores only the statement pairs that its
     document pairs hold and its table lacks, each with one
-    ``statement_similarity``; the token relations are memoized for all calls.
+    ``statement_similarity``; the token relations are memoized across calls,
+    except those of tokens that only a ``rows`` call's new documents hold.
 
     Documents are paired in a canonical order (statements sorted by tokens,
     the shorter document first, equal-length documents ordered by key), so
@@ -213,8 +214,15 @@ class SimilarityComputer:
         new, old = inverse[:len(new_docs)], inverse[len(new_docs):]
         new_u, new_inv = np.unique(new, return_inverse=True)
         old_u, old_inv = np.unique(old, return_inverse=True)
-        table = self._call_table(_distinct(new_docs), _distinct(corpus))
-        su = self._pairs(keys, new_u, old_u, table, upper=False)
+        new_st, old_st = _distinct(new_docs), _distinct(corpus)
+        su = self._pairs(keys, new_u, old_u, self._call_table(new_st, old_st), upper=False)
+        # forget the relations of tokens that neither the kept table nor the
+        # corpus holds, so requests with novel words do not grow the memo
+        held = set().union(*(st.tokens for st in self._known.rows + old_st))
+        for tok in set().union(*(st.tokens for st in new_st)) - held:
+            self._relations.pop(tok, None)
+            for related in self._relations.values():
+                related.pop(tok, None)
         return su[np.ix_(new_inv, old_inv)]
 
     def _intern(self, docs: list[Document]) -> None:

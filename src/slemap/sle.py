@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DegenerateLambda, NonFiniteValue
 from .laplacian import (
     DescentState,
-    Embedding,
     Laplacian,
     build_laplacian,
     objective_phi,
@@ -59,18 +58,17 @@ class SleConfig:
 @dataclass
 class SleModel:
     params: LearnerParams
-    embedding: Embedding
+    embedding: np.ndarray           # m x dims, rows in the similarity order
     objective_trace: list[float]
     lam: float
     degenerate: bool = False
     max_constraint_violation: float = 0.0
 
 
-def joint_objective(xe, params: LearnerParams, lap: Laplacian,
+def joint_objective(xe: np.ndarray, params: LearnerParams, lap: Laplacian,
                     data: LabeledFeatures, lam: float) -> float:
     """phi(Xe, S) + lambda * classifier loss, with Xe written into the data."""
-    xe_mat = xe.vectors if isinstance(xe, Embedding) else np.asarray(xe, dtype=float)
-    val = objective_phi(xe_mat, lap) + lam * loss(params, data.with_embedding(xe_mat))
+    val = objective_phi(xe, lap) + lam * loss(params, data.with_embedding(xe))
     if not np.isfinite(val):
         raise NonFiniteValue("joint objective is not finite")
     return val
@@ -101,7 +99,7 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     if lap is None:
         lap = build_laplacian(similarity)
     if xe0 is None:
-        xe0 = solve_eigenmap(lap, config.dims).vectors
+        xe0 = solve_eigenmap(lap, config.dims)
     m, n_numeric = numeric.shape
     if xe0.shape != (m, config.dims):
         raise ValueError(f"initial embedding must be {(m, config.dims)}")
@@ -140,7 +138,7 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
 
     return SleModel(
         params=params,
-        embedding=Embedding(vectors=state.x, ids=lap.ids),
+        embedding=state.x,
         objective_trace=trace,
         lam=lam,
         degenerate=degenerate,

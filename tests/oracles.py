@@ -7,6 +7,9 @@ memoization.  They are exponential and only meant for small inputs.
 
 from __future__ import annotations
 
+import numpy as np
+
+from slemap.errors import KTooLarge
 from slemap.transforms import N_KINDS, TransformKind
 
 EQ, SYN, MIS, ABB, PRE, ACR, CON, SUF, MISS = (
@@ -181,3 +184,32 @@ def oracle_document_similarity(stmt_sims: list[list[float]], r1: int, r2: int) -
 
     rec(0, frozenset(), 0.0)
     return best / r2
+
+
+def oracle_estimate(sim_rows, xe, k: int, weighted: bool):
+    """The kNN estimator one document at a time: neighbors by ``lexsort`` on
+    (-similarity, index), then the plain average, or the similarity-weighted
+    average with the equal-weight and all-zero rules, as the block estimator
+    states them.  Returns the estimates and the count of all-zero rows."""
+    out = np.empty((sim_rows.shape[0], xe.shape[1]))
+    zero_rho = 0
+    for i in range(sim_rows.shape[0]):
+        sims = np.asarray(sim_rows[i], dtype=float)
+        if k < 1 or k > sims.shape[0]:
+            raise KTooLarge(f"k={k} outside 1..{sims.shape[0]}")
+        top = np.lexsort((np.arange(sims.shape[0]), -sims))[:k]
+        near = np.asarray(tuple(float(sims[j]) for j in top), dtype=float)
+        rows = xe[np.asarray(top, dtype=np.intp)]
+        if not weighted:
+            out[i] = rows.mean(axis=0)
+            continue
+        if sum(float(s) for s in near) <= 0.0:
+            zero_rho += 1
+        rho = float(near.sum())
+        if rho <= 0.0:
+            out[i] = np.zeros(rows.shape[1])
+        elif near.min() == near.max():
+            out[i] = rows.mean(axis=0)
+        else:
+            out[i] = near @ rows / rho
+    return out, zero_rho

@@ -14,7 +14,8 @@ import pytest
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
 from slemap.dictionary import build_dictionary
-from slemap.estimator import NeighborSet, estimate_average, estimate_weighted
+from slemap.errors import KTooLarge
+from slemap.estimator import estimate_batch
 from slemap.evaluation import cross_validate, prepare_dataset, run_methods
 from slemap.laplacian import (
     build_laplacian,
@@ -168,7 +169,7 @@ def test_c05_descent_matches_eigensolver():
         out = descend_eigenmap(lap, 5, rng.standard_normal((50, 5)), steps=5000)
         achieved = objective_phi(out, lap)
         assert achieved <= target + 1e-6 * abs(target)
-        gram = out.vectors.T @ (lap.degrees[:, None] * out.vectors)
+        gram = out.T @ (lap.degrees[:, None] * out)
         assert np.linalg.norm(gram - np.eye(5)) <= 1e-8
     _report(5, "descent reaches the eigensolver objective to 1e-6 relative, 10 matrices")
 
@@ -191,11 +192,11 @@ def test_c06_sle_monotone_trace_and_lambda_zero_fixed_point():
     ds = Dataset(ids=ids, labels=labels, numeric=numeric, texts=texts)
     prepared = prepare_dataset(ds, PipelineConfig(), True)
     lap = build_laplacian(prepared.similarity.values)
-    xe0 = solve_eigenmap(lap, 3).vectors
+    xe0 = solve_eigenmap(lap, 3)
     cfg0 = SleConfig(dims=3, lam=0.0, max_outer_iters=5, inner_theta_steps=5,
                      inner_embedding_steps=5, seed=0)
     model0 = fit_sle(numeric, prepared.similarity.values, labels, cfg0, lap=lap, xe0=xe0)
-    assert np.abs(model0.embedding.vectors - xe0).max() < 1e-8
+    assert np.abs(model0.embedding - xe0).max() < 1e-8
     _report(6, "joint objective non-increasing on 10 runs; lambda=0 embedding fixed to 1e-8")
 
 
@@ -224,6 +225,13 @@ def test_c07_directional_replication():
 
 
 def test_c08_knn_estimator_properties():
+    def estimates(idx, sims, xe):
+        """(average, weighted) from the neighbors idx; the rest score 0."""
+        row = np.zeros((1, xe.shape[0]))
+        row[0, list(idx)] = sims
+        return tuple(estimate_batch(row, xe, len(idx), weighted)[0][0]
+                     for weighted in (False, True))
+
     rng = np.random.default_rng(5)
     for _ in range(100):
         n, dims = 12, 3
@@ -231,17 +239,22 @@ def test_c08_knn_estimator_properties():
         k = int(rng.integers(1, 7))
         idx = tuple(int(i) for i in rng.choice(n, size=k, replace=False))
         c = float(rng.random() * 0.9 + 0.05)
-        equal = NeighborSet(idx, (c,) * k)
-        assert np.array_equal(estimate_weighted(equal, xe), estimate_average(equal, xe))
-        sims = tuple(float(v) for v in np.sort(rng.random(k))[::-1])
-        neigh = NeighborSet(idx, sims)
+        average, weighted = estimates(idx, (c,) * k, xe)
+        assert np.array_equal(weighted, average)
+        sims = np.sort(rng.random(k) + 0.01)[::-1]
         rows = xe[list(idx)]
-        for est in (estimate_average(neigh, xe), estimate_weighted(neigh, xe)):
+        for est in estimates(idx, sims, xe):
             assert np.all(est >= rows.min(axis=0) - 1e-12)
             assert np.all(est <= rows.max(axis=0) + 1e-12)
-    zero = NeighborSet((0, 1), (0.0, 0.0))
-    assert np.array_equal(estimate_weighted(zero, np.ones((3, 4))), np.zeros(4))
-    _report(8, "weighted==average under equal similarities; rho=0 gives 0; hull bounds hold")
+    est, zero_rho = estimate_batch(np.zeros((1, 3)), np.ones((3, 4)), 2)
+    assert np.array_equal(est[0], np.zeros(4)) and zero_rho == 1
+    # ties go to the lower training index
+    est, _ = estimate_batch(np.array([[0.5, 0.9, 0.5, 0.1]]), np.eye(4), 2, weighted=False)
+    assert np.array_equal(est[0], [0.5, 0.5, 0.0, 0.0])
+    with pytest.raises(KTooLarge):
+        estimate_batch(np.ones((1, 3)), np.ones((3, 4)), 4)
+    _report(8, "weighted==average under equal similarities; rho=0 gives 0; hull bounds hold; "
+               "ties to the lower index; k > n rejected")
 
 
 def test_c09_metric_unit_suite():

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -149,6 +150,68 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "model.json" in err
 
+
+@pytest.fixture(scope="module")
+def trained_models(small_dataset, small_config, tmp_path_factory):
+    """A saved model directory per method, trained once for the damage cases."""
+    root = tmp_path_factory.mktemp("models")
+    for method in ("numeric", "sle", "lsi"):
+        assert main(["train", "--method", method, "--input", str(small_dataset),
+                     "--config", str(small_config), "--out", str(root / method)]) == 0
+    return root
+
+
+def _edit_csv(path, edit):
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _set_cell(row, col, value):
+    def edit(rows):
+        rows[row][col] = value
+    return edit
+
+
+def _edit_meta(edit):
+    def damage(path):
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        edit(meta)
+        path.write_text(json.dumps(meta), encoding="utf-8")
+    return damage
+
+
+def _drop_weight(meta):
+    meta["params"]["weights"].pop()
+
+
+class TestDamagedModelDir:
+    @pytest.mark.parametrize("method,name,damage", [
+        ("sle", "xe_train.csv", lambda p: _edit_csv(p, _set_cell(2, 1, "abc"))),
+        ("sle", "objective_trace.csv", lambda p: _edit_csv(p, _set_cell(1, 1, "abc"))),
+        ("lsi", "lsi_vocabulary.csv", lambda p: _edit_csv(p, _set_cell(1, 1, "abc"))),
+        ("lsi", "lsi_components.csv", lambda p: _edit_csv(p, _set_cell(1, 0, "abc"))),
+        ("sle", "train_scores.csv", lambda p: _edit_csv(p, _set_cell(3, 1, "abc"))),
+        ("sle", "train_corpus.csv", lambda p: _edit_csv(p, lambda rows: rows.pop(5))),
+        ("sle", "model.json", _edit_meta(lambda meta: meta.update(method="foo"))),
+        ("numeric", "model.json", _edit_meta(_drop_weight)),
+        ("sle", "model.json", _edit_meta(_drop_weight)),
+        ("lsi", "model.json", _edit_meta(lambda m: m["params"]["weights"].append("0.5"))),
+    ], ids=["xe-train-value", "trace-value", "lsi-idf-value", "lsi-component-value",
+            "train-score-value", "corpus-missing-id", "unknown-method",
+            "numeric-weights", "sle-weights", "lsi-weights"])
+    def test_is_data_error_naming_the_file(self, trained_models, small_dataset, tmp_path,
+                                           capsys, method, name, damage):
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_models / method, model_dir)
+        damage(model_dir / name)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_dir), "--input", str(small_dataset),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and name in err
 
 class TestEvaluateCommand:
     def test_report_files_and_determinism(self, small_dataset, small_config, tmp_path):

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_estimate
 from slemap.errors import KTooLarge
-from slemap.estimator import (
-    NeighborSet,
-    estimate_average,
-    estimate_batch,
-    estimate_weighted,
-    find_neighbors,
-    neighbors_from_similarities,
-)
+from slemap.estimator import estimate_batch
+from slemap.similarity import SimilarityComputer
 from slemap.text import Document, Statement
 
 
@@ -25,57 +20,74 @@ CORPUS = [
 ]
 
 
+def chosen(sims, k):
+    """The training indices estimate_batch averages for each similarity row,
+    read off a one-hot embedding."""
+    sims = np.atleast_2d(sims)
+    est, _ = estimate_batch(sims, np.eye(sims.shape[1]), k, weighted=False)
+    return [np.flatnonzero(row).tolist() for row in est]
+
+
+def estimates(n, idx, sims, xe):
+    """Average and weighted estimates from the neighbors ``idx`` with
+    similarities ``sims``; every other training document scores 0."""
+    row = np.zeros((1, n))
+    row[0, list(idx)] = sims
+    k = len(idx)
+    return (estimate_batch(row, xe, k, weighted=False)[0][0],
+            estimate_batch(row, xe, k, weighted=True)[0][0])
+
+
 class TestFindNeighbors:
     def test_identical_doc_is_top(self):
-        new = doc("n", ["heart", "racing"])
-        neigh = find_neighbors(new, CORPUS, k=2)
-        assert neigh.indices[0] == 1
-        assert neigh.similarities[0] == 1.0
+        sims = SimilarityComputer().rows([doc("n", ["heart", "racing"])], CORPUS)
+        assert chosen(sims, 1) == [[1]]
+        assert sims[0, 1] == 1.0
 
     def test_k_equals_corpus_size(self):
-        new = doc("n", ["chest", "pain"])
-        neigh = find_neighbors(new, CORPUS, k=4)
-        assert len(neigh.indices) == 4
-        assert sorted(neigh.indices) == [0, 1, 2, 3]
+        sims = SimilarityComputer().rows([doc("n", ["chest", "pain"])], CORPUS)
+        assert chosen(sims, 4) == [[0, 1, 2, 3]]
 
     def test_k_too_large(self):
+        sims = SimilarityComputer().rows([doc("n", ["chest"])], CORPUS)
         with pytest.raises(KTooLarge):
-            find_neighbors(doc("n", ["chest"]), CORPUS, k=5)
+            estimate_batch(sims, np.eye(4), k=5)
+        with pytest.raises(KTooLarge):
+            estimate_batch(sims, np.eye(4), k=0)
 
     def test_matches_full_sort(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             sims = np.round(rng.random(12), 2)  # rounding forces ties
             k = int(rng.integers(1, 12))
-            neigh = neighbors_from_similarities(sims, k)
             full = sorted(range(12), key=lambda i: (-sims[i], i))
-            assert list(neigh.indices) == full[:k]
+            assert chosen(sims, k) == [sorted(full[:k])]
 
     def test_tie_break_lower_index(self):
-        neigh = neighbors_from_similarities(np.array([0.5, 0.9, 0.9, 0.1]), 2)
-        assert neigh.indices == (1, 2)
+        assert chosen(np.array([0.5, 0.9, 0.9, 0.1]), 2) == [[1, 2]]
+        # a tie across the cut keeps the lower index
+        assert chosen(np.array([0.5, 0.9, 0.5, 0.1]), 2) == [[0, 1]]
 
 
 class TestEstimates:
     def test_shared_embedding_returned(self):
         xe = np.tile([1.5, -2.0], (4, 1))
-        neigh = NeighborSet((0, 2, 3), (0.9, 0.5, 0.3))
-        assert np.allclose(estimate_average(neigh, xe), [1.5, -2.0])
-        assert np.allclose(estimate_weighted(neigh, xe), [1.5, -2.0])
+        for est in estimates(4, (0, 2, 3), (0.9, 0.5, 0.3), xe):
+            assert np.allclose(est, [1.5, -2.0])
 
     def test_average_arithmetic(self):
         xe = np.array([[0.0, 0.0], [2.0, 4.0]])
-        neigh = NeighborSet((0, 1), (0.9, 0.9))
-        assert np.array_equal(estimate_average(neigh, xe), [1.0, 2.0])
+        average, _ = estimates(2, (0, 1), (0.9, 0.9), xe)
+        assert np.array_equal(average, [1.0, 2.0])
 
     def test_average_matches_resummation(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             xe = rng.standard_normal((10, 3))
             idx = tuple(int(i) for i in rng.choice(10, size=4, replace=False))
-            neigh = NeighborSet(idx, tuple(sorted(rng.random(4), reverse=True)))
+            average, _ = estimates(10, idx, sorted(rng.random(4) + 0.01, reverse=True), xe)
             want = sum(xe[i] for i in idx) / 4
-            assert np.allclose(estimate_average(neigh, xe), want, atol=1e-12)
+            assert np.allclose(average, want, atol=1e-12)
 
     def test_weighted_equals_average_for_equal_sims(self):
         rng = np.random.default_rng(2)
@@ -83,29 +95,28 @@ class TestEstimates:
             xe = rng.standard_normal((8, 3))
             idx = tuple(int(i) for i in rng.choice(8, size=3, replace=False))
             c = float(rng.random() * 0.9 + 0.05)
-            neigh = NeighborSet(idx, (c, c, c))
-            assert np.array_equal(estimate_weighted(neigh, xe), estimate_average(neigh, xe))
+            average, weighted = estimates(8, idx, (c, c, c), xe)
+            assert np.array_equal(weighted, average)
 
     def test_zero_rho_gives_zero_vector(self):
         xe = np.random.default_rng(3).standard_normal((5, 4))
-        neigh = NeighborSet((1, 3), (0.0, 0.0))
-        assert np.array_equal(estimate_weighted(neigh, xe), np.zeros(4))
+        _, weighted = estimates(5, (1, 3), (0.0, 0.0), xe)
+        assert np.array_equal(weighted, np.zeros(4))
 
     def test_zero_weight_neighbor_ignored(self):
         xe = np.array([[3.0, 1.0], [9.0, 9.0]])
-        neigh = NeighborSet((0, 1), (1.0, 0.0))
-        assert np.array_equal(estimate_weighted(neigh, xe), [3.0, 1.0])
+        _, weighted = estimates(2, (0, 1), (1.0, 0.0), xe)
+        assert np.array_equal(weighted, [3.0, 1.0])
 
     def test_convex_hull_bounds(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             xe = rng.standard_normal((12, 3))
             k = int(rng.integers(1, 6))
-            sims = np.sort(rng.random(k))[::-1]
+            sims = np.sort(rng.random(k) + 0.01)[::-1]
             idx = tuple(int(i) for i in rng.choice(12, size=k, replace=False))
-            neigh = NeighborSet(idx, tuple(float(s) for s in sims))
             rows = xe[list(idx)]
-            for est in (estimate_average(neigh, xe), estimate_weighted(neigh, xe)):
+            for est in estimates(12, idx, sims, xe):
                 assert np.all(est >= rows.min(axis=0) - 1e-12)
                 assert np.all(est <= rows.max(axis=0) + 1e-12)
 
@@ -128,3 +139,28 @@ class TestBatch:
         est1, _ = estimate_batch(sims[None, :], xe, k=3)
         est2, _ = estimate_batch(sims[None, :], xe.copy(), k=3)
         assert np.array_equal(est1, est2)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_matches_per_row_oracle_bitwise(self, weighted):
+        # rounded similarities tie often, including across the k-th place,
+        # and all-zero rows take the degenerate path
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 7, 16):
+            xe = rng.standard_normal((n, 3))
+            sims = np.round(rng.random((24, n)), 1)
+            sims[::5] = 0.0
+            sims[1::7] = sims[1, 0]
+            for k in range(1, n + 1):
+                got, got_zero = estimate_batch(sims, xe, k, weighted)
+                want, want_zero = oracle_estimate(sims, xe, k, weighted)
+                assert got.tobytes() == want.tobytes()
+                assert got_zero == want_zero
+
+    def test_one_row_call_matches_block(self):
+        rng = np.random.default_rng(7)
+        xe = rng.standard_normal((9, 4))
+        sims = np.round(rng.random((5, 9)), 1)
+        block, _ = estimate_batch(sims, xe, 3)
+        for i in range(5):
+            single, _ = estimate_batch(sims[i:i + 1], xe, 3)
+            assert single.tobytes() == block[i:i + 1].tobytes()

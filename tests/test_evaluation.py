@@ -189,3 +189,32 @@ class TestFoldEqualsTrainPredict:
         assert len(normalized) == 4 * request.m
         assert model.corpus()[1] is computer
         assert np.array_equal(computer._known.values, kept, equal_nan=True)
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
+    def test_relation_memo_stays_bounded(self, fold_run, tmp_path, loaded):
+        """Requests with novel words leave the token-relation memo of a
+        long-lived model as large as it was, and score bitwise as a fresh
+        model does."""
+        ds, cfg, _ = fold_run
+        test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
+        train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
+
+        def make():
+            model = train_model(subset(ds, train_idx), "sle", cfg)
+            if loaded:
+                save_model(model, tmp_path)
+                model = load_model(tmp_path)
+            return model
+
+        model = make()
+        request = subset(ds, test_idx)
+        predict_model(model, request)
+        relations = model.corpus()[1]._relations
+        size = sum(map(len, relations.values()))
+        for k in range(5):
+            novel = Dataset(ids=request.ids[:1], labels=request.labels[:1],
+                            numeric=request.numeric[:1],
+                            texts=[f"chest pain unseen{k} novelword{k}"])
+            got = predict_model(model, novel)
+            assert sum(map(len, relations.values())) == size
+            assert got.tobytes() == predict_model(make(), novel).tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slemap.errors import EmptyVocabulary, RankDeficient, SingleClass
-from slemap.lsi import build_counts, build_tfidf, fit_lsi, lsi_embed, project_lsi, reconstruction, vectorize
+from slemap.lsi import build_counts, build_tfidf, fit_lsi, reconstruction, vectorize
 from slemap.metrics import (
     ConfusionCounts,
     best_mcc_threshold,
@@ -213,7 +213,8 @@ class TestLsi:
                 enumerate(["chest pain", "dizzy spells", "heart racing", "chest pain dizzy"])]
         tdm = build_tfidf(docs)
         model = fit_lsi(tdm, 2)
-        projected = project_lsi(model, tdm.matrix)
+        # the product evaluation.score makes for new documents
+        projected = vectorize(docs, tdm.vocabulary, tdm.idf) @ model.components.T
         assert np.allclose(projected, model.doc_embedding, atol=1e-10)
 
     def test_dims_out_of_range(self):
@@ -231,10 +232,3 @@ class TestLsi:
         b = fit_lsi(TermDocumentMatrix(tdm.vocabulary, mat.copy()), 3)
         assert np.array_equal(a.doc_embedding, b.doc_embedding)
         assert np.array_equal(a.components, b.components)
-
-    def test_embedding_wrapper(self):
-        docs = [normalize(t, doc_id=str(i)) for i, t in
-                enumerate(["chest pain", "dizzy spells", "heart racing"])]
-        emb = lsi_embed(build_tfidf(docs), 2, ids=("0", "1", "2"))
-        assert emb.vectors.shape == (3, 2)
-        assert emb.ids == ("0", "1", "2")

@@ -84,11 +84,11 @@ class TestFit:
         rng = np.random.default_rng(3)
         numeric, s, y = clustered_dataset(rng)
         lap = build_laplacian(s)
-        xe0 = solve_eigenmap(lap, 2).vectors
+        xe0 = solve_eigenmap(lap, 2)
         cfg = SleConfig(dims=2, lam=0.0, max_outer_iters=5,
                         inner_theta_steps=5, inner_embedding_steps=5, seed=0)
         model = fit_sle(numeric, s, y, cfg, lap=lap, xe0=xe0)
-        assert np.abs(model.embedding.vectors - xe0).max() < 1e-8
+        assert np.abs(model.embedding - xe0).max() < 1e-8
 
     def test_trace_non_increasing(self):
         rng = np.random.default_rng(4)
@@ -108,7 +108,7 @@ class TestFit:
         model = fit_sle(numeric, s, y, cfg)
         assert model.max_constraint_violation <= 1e-6
         lap = build_laplacian(s)
-        gram = model.embedding.vectors.T @ (lap.degrees[:, None] * model.embedding.vectors)
+        gram = model.embedding.T @ (lap.degrees[:, None] * model.embedding)
         assert np.linalg.norm(gram - np.eye(3)) <= 1e-6
 
     def test_deterministic(self):
@@ -120,13 +120,13 @@ class TestFit:
         b = fit_sle(numeric.copy(), s.copy(), y.copy(), cfg)
         assert len(a.objective_trace) == len(b.objective_trace)
         assert np.allclose(a.objective_trace, b.objective_trace, rtol=0, atol=1e-12)
-        assert np.array_equal(a.embedding.vectors, b.embedding.vectors)
+        assert np.array_equal(a.embedding, b.embedding)
 
     def test_supervision_lowers_loss_vs_unsupervised_embedding(self):
         rng = np.random.default_rng(7)
         numeric, s, y = clustered_dataset(rng, m=40)
         lap = build_laplacian(s)
-        xe0 = solve_eigenmap(lap, 2).vectors
+        xe0 = solve_eigenmap(lap, 2)
         cfg = SleConfig(dims=2, max_outer_iters=15, inner_theta_steps=10,
                         inner_embedding_steps=10, seed=2)
         model = fit_sle(numeric, s, y, cfg, lap=lap, xe0=xe0)
@@ -152,7 +152,7 @@ class TestFit:
         assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
         if not model.degenerate:
             lap = build_laplacian(s)
-            gram = model.embedding.vectors.T @ (lap.degrees[:, None] * model.embedding.vectors)
+            gram = model.embedding.T @ (lap.degrees[:, None] * model.embedding)
             assert np.linalg.norm(gram - np.eye(2)) <= 1e-6
 
 
@@ -172,5 +172,5 @@ class TestGolden:
         assert repr(model.lam) == "0.4485952949044169"
         assert model.degenerate is False
         assert repr(model.max_constraint_violation) == "9.766280742255908e-16"
-        assert hashlib.sha256(model.embedding.vectors.tobytes()).hexdigest() == (
+        assert hashlib.sha256(model.embedding.tobytes()).hexdigest() == (
             "547a78340c28d36ca35d928a64e285b674005046cf2bbc9373c395808d5e62b1")

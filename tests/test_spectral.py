@@ -3,7 +3,6 @@ import pytest
 
 from slemap.errors import DimensionMismatch, NonSymmetricInput, RankDeficient
 from slemap.laplacian import (
-    Embedding,
     build_laplacian,
     d_orthonormalize,
     _deflate_constant,
@@ -140,7 +139,7 @@ class TestSolveEigenmap:
         lap = build_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
         emb = solve_eigenmap(lap, 1)
         # lambda = 1 eigenvector of Lx = lambda Dx, D-normalized, positive sign
-        assert np.allclose(emb.vectors, [[0.5], [-0.5]], atol=1e-12)
+        assert np.allclose(emb, [[0.5], [-0.5]], atol=1e-12)
         assert objective_phi(emb, lap) == pytest.approx(1.0, abs=1e-12)
 
     def test_d_orthonormal(self):
@@ -148,7 +147,7 @@ class TestSolveEigenmap:
         for _ in range(5):
             lap = build_laplacian(random_similarity(rng, 14))
             emb = solve_eigenmap(lap, 4)
-            gram = emb.vectors.T @ (lap.degrees[:, None] * emb.vectors)
+            gram = emb.T @ (lap.degrees[:, None] * emb)
             assert np.linalg.norm(gram - np.eye(4)) <= 1e-8
 
     def test_disconnected_components(self):
@@ -162,11 +161,11 @@ class TestSolveEigenmap:
         np.fill_diagonal(s, 1.0)
         lap = build_laplacian(s)
         emb = solve_eigenmap(lap, 2)
-        assert np.all(np.isfinite(emb.vectors))
-        gram = emb.vectors.T @ (lap.degrees[:, None] * emb.vectors)
+        assert np.all(np.isfinite(emb))
+        gram = emb.T @ (lap.degrees[:, None] * emb)
         assert np.linalg.norm(gram - np.eye(2)) <= 1e-8
         # the leading direction is the near-null component contrast
-        assert objective_phi(Embedding(emb.vectors[:, :1]), lap) <= 1e-6
+        assert objective_phi(emb[:, :1], lap) <= 1e-6
 
     def test_beats_random_frames(self):
         rng = np.random.default_rng(9)
@@ -193,8 +192,8 @@ class TestSolveEigenmap:
     def test_deterministic_sign(self):
         rng = np.random.default_rng(10)
         s = random_similarity(rng, 10)
-        a = solve_eigenmap(build_laplacian(s), 3).vectors
-        b = solve_eigenmap(build_laplacian(s.copy()), 3).vectors
+        a = solve_eigenmap(build_laplacian(s), 3)
+        b = solve_eigenmap(build_laplacian(s.copy()), 3)
         assert np.array_equal(a, b)
 
 
@@ -205,7 +204,7 @@ class TestDescend:
         emb = solve_eigenmap(lap, 2)
         out = descend_eigenmap(lap, 2, emb, steps=5)
         assert abs(objective_phi(out, lap) - objective_phi(emb, lap)) < 1e-10
-        assert np.abs(out.vectors - emb.vectors).max() < 1e-8
+        assert np.abs(out - emb).max() < 1e-8
 
     def test_reaches_eigensolver_objective(self):
         rng = np.random.default_rng(12)
@@ -221,13 +220,13 @@ class TestDescend:
         lap = build_laplacian(random_similarity(rng, 8))
         init = _deflate_constant(rng.standard_normal((8, 2)), lap.degrees)
         out = descend_eigenmap(lap, 2, init, steps=0)
-        assert np.allclose(out.vectors, d_orthonormalize(init, lap.degrees), atol=1e-12)
+        assert np.allclose(out, d_orthonormalize(init, lap.degrees), atol=1e-12)
 
     def test_constraint_maintained(self):
         rng = np.random.default_rng(14)
         lap = build_laplacian(random_similarity(rng, 15))
         out = descend_eigenmap(lap, 3, rng.standard_normal((15, 3)), steps=200)
-        gram = out.vectors.T @ (lap.degrees[:, None] * out.vectors)
+        gram = out.T @ (lap.degrees[:, None] * out)
         assert np.linalg.norm(gram - np.eye(3)) <= 1e-8
 
 
@@ -244,5 +243,5 @@ class TestDOrthonormalize:
         rng = np.random.default_rng(22)
         lap = build_laplacian(random_similarity(rng, 9))
         emb = solve_eigenmap(lap, 3)
-        out = d_orthonormalize(emb.vectors, lap.degrees)
-        assert np.abs(out - emb.vectors).max() < 1e-12
+        out = d_orthonormalize(emb, lap.degrees)
+        assert np.abs(out - emb).max() < 1e-12
