@@ -132,11 +132,22 @@ def stratified_folds(labels: np.ndarray, n_folds: int, seed: int) -> list[np.nda
 
 @dataclass
 class PreparedDataset:
-    """Normalization and similarity work shared across methods and dims."""
+    """Normalization and similarity work shared across methods and dims.
+
+    ``frames`` keeps each fold's training eigenmap between ``run_methods``
+    calls, so one eigensolve per fold serves the whole dims sweep of
+    ``compare_methods``: the sweep lists its ``widths``, the fold's first
+    solve runs at the widest of them and checks the degenerate-gap rule at
+    each, and every width slices that frame.  Only the m_train x max(widths)
+    frame is kept, never the Laplacian or the full eigendecomposition.
+    """
 
     dataset: Dataset
     docs: list[Document]
     similarity: SimilarityMatrix | None
+    widths: tuple[int, ...] = ()
+    # (folds, seed, fold number) -> Split.frame of that fold
+    frames: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
 
 
 def normalize_corpus(ids: list[str], texts: list[str],
@@ -202,12 +213,15 @@ class TrainedModel:
 class Split:
     """Records to fit on and records to score, as row indices into one dataset.
 
-    Documents, similarities and the training spectrum are made on first use
-    and kept, so every method fitted on a split shares them.  Cross-validation
-    supplies the documents and the fold's blocks of the corpus matrix.  A split
-    without them builds the training matrix with one SimilarityComputer and
-    scores test documents by ``rows`` against the model's training documents,
-    with the model's computer (``TrainedModel.corpus``).
+    Documents, similarities, the Laplacian and the training eigenmap are
+    made on first use and kept, so every method fitted on a split shares
+    them.  Cross-validation supplies the documents, the fold's blocks of the
+    corpus matrix, the sweep's ``widths`` and the fold's ``frame`` from an
+    earlier width, so one eigensolve per fold serves the whole dims sweep.
+    A split without them builds the training matrix with one
+    SimilarityComputer and scores test documents by ``rows`` against the
+    model's training documents, with the model's computer
+    (``TrainedModel.corpus``).
     """
 
     dataset: Dataset
@@ -217,6 +231,9 @@ class Split:
     sim_train: np.ndarray | None = None
     sim_test: np.ndarray | None = None
     joint_lsi: bool = False           # LSI factorizes the test documents too
+    widths: tuple[int, ...] = ()      # every dims the one eigensolve must serve
+    # (widths checked, eigenmap at the widest of them, feature scale)
+    frame: tuple[tuple[int, ...], np.ndarray, float] | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def documents(self, config: PipelineConfig, rows) -> list[Document]:
@@ -241,16 +258,28 @@ class Split:
             self.sim_test = computer.rows(self.documents(model.config, self.test), corpus)
         return self.sim_test
 
-    def spectrum(self, config: PipelineConfig) -> tuple[Laplacian, np.ndarray, float]:
-        """Laplacian, eigenmap and feature scale of the training similarities."""
-        key = ("spectrum", config.dims)
-        if key not in self._cache:
-            lap = build_laplacian(self.train_similarity(config))
-            # puts the D-orthonormal eigenvector columns on the same element
-            # scale as standardized numeric features
-            self._cache[key] = (lap, solve_eigenmap(lap, config.dims),
-                                math.sqrt(float(lap.degrees.sum())))
-        return self._cache[key]
+    def laplacian(self, config: PipelineConfig) -> Laplacian:
+        if "laplacian" not in self._cache:
+            self._cache["laplacian"] = build_laplacian(self.train_similarity(config))
+        return self._cache["laplacian"]
+
+    def eigenmap(self, config: PipelineConfig) -> tuple[np.ndarray, float]:
+        """Eigenmap at ``config.dims`` and feature scale of the training similarities.
+
+        One solve at the widest of ``widths`` and ``config.dims`` serves every
+        width whose degenerate-gap rule it checked.  Each width gets a
+        C-contiguous copy of the frame's leading columns, bitwise the array a
+        solve at that width returns.
+        """
+        if self.frame is None or config.dims not in self.frame[0]:
+            lap = self.laplacian(config)
+            widths = tuple(sorted({config.dims, *self.widths}))
+            # the scale puts the D-orthonormal eigenvector columns on the same
+            # element scale as standardized numeric features
+            self.frame = (widths, solve_eigenmap(lap, widths),
+                          math.sqrt(float(lap.degrees.sum())))
+        _, frame, scale = self.frame
+        return frame[:, :config.dims].copy(), scale
 
     def joint_lsi_rows(self, config: PipelineConfig) -> np.ndarray:
         """LSI embedding of every document in the dataset, test records included."""
@@ -289,7 +318,7 @@ def fit(method: str, split: Split, config: PipelineConfig, fold: int = 0) -> Tra
 
     text = np.zeros((len(rows), 0))
     if method in ("le", "sle"):
-        lap, text, model.feature_scale = split.spectrum(config)
+        text, model.feature_scale = split.eigenmap(config)
         model.xe_train = text
     elif method == "lsi" and split.joint_lsi:
         text = split.joint_lsi_rows(config)[rows]
@@ -305,7 +334,8 @@ def fit(method: str, split: Split, config: PipelineConfig, fold: int = 0) -> Tra
         seed = _derived_seed(config.seed, fold, attempt, method)
         if method == "sle":
             fitted = fit_sle(num, split.train_similarity(config), y, config.sle_config(seed),
-                             lap=lap, xe0=text, feature_scale=model.feature_scale)
+                             lap=split.laplacian(config), xe0=text,
+                             feature_scale=model.feature_scale)
             model.params, model.xe_train = fitted.params, fitted.embedding
             model.lam, model.degenerate = fitted.lam, fitted.degenerate
             model.objective_trace = list(fitted.objective_trace)
@@ -369,7 +399,9 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     """Evaluate several methods over one shared fold split.
 
     Similarity matrices, normalized documents, and the per-fold unsupervised
-    eigenmap are computed once and shared wherever two methods need them.
+    eigenmap are computed once and shared wherever two methods need them;
+    a ``prepared`` dataset also keeps each fold's eigenmap for later calls
+    at other dims.
     """
     for method in methods:
         if method not in METHODS:
@@ -388,8 +420,10 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
 
     for fold_no, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, test_idx)
+        key = (config.folds, config.seed, fold_no)
         split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
-                      joint_lsi=config.lsi_joint)
+                      joint_lsi=config.lsi_joint, widths=prepared.widths,
+                      frame=prepared.frames.get(key))
         if needs_sim:
             s = prepared.similarity.values
             split.sim_train = s[np.ix_(train_idx, train_idx)]
@@ -404,6 +438,8 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                 per_method_preds[method].extend(
                     (fold_no, dataset.ids[i], int(labels[i]), float(s))
                     for i, s in zip(test_idx, te_scores))
+        if split.frame is not None:
+            prepared.frames[key] = split.frame
         del split   # frees the fold's matrices before the next fold slices its own
 
     return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
@@ -417,9 +453,16 @@ def cross_validate(dataset: Dataset, method: str, config: PipelineConfig) -> Eva
 
 def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
                     config: PipelineConfig) -> list[dict]:
-    """The (method, dims) sweep behind the `compare` command."""
+    """The (method, dims) sweep behind the `compare` command.
+
+    Every width runs ``run_methods`` on the same folds, and one eigensolve
+    per fold, at the widest width, serves them all (``PreparedDataset``).
+    A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
+    training size minus one, raises ``RankDeficient`` at that solve.
+    """
     needs_sim = any(m in ("le", "sle") for m in methods)
     prepared = prepare_dataset(dataset, config, needs_sim)
+    prepared.widths = tuple(dims_list)
     rows = []
     for dims in dims_list:
         cfg = replace(config, dims=dims)

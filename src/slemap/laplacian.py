@@ -16,7 +16,7 @@ objective term.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +98,7 @@ def _deflate_constant(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return x - comp[None, :]
 
 
-def solve_eigenmap(lap: Laplacian, dims: int) -> np.ndarray:
+def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
     """Bottom non-trivial eigenvectors of L x = lambda D x, D-orthonormalized.
 
     The symmetric reduction M = D^(-1/2) L D^(-1/2) is solved densely.  The
@@ -108,10 +108,16 @@ def solve_eigenmap(lap: Laplacian, dims: int) -> np.ndarray:
     stays correct on disconnected graphs where several eigenvalues vanish.
     Column signs are fixed so each column's largest-magnitude entry is
     positive.
+
+    ``dims`` may list several widths: one solve checks each of them and
+    returns the frame of the widest.  Every column depends on the solve
+    alone, so its leading w columns are bitwise the frame ``dims=w`` returns.
     """
     m = lap.m
-    if dims < 1 or dims > m - 1:
-        raise RankDeficient(f"need 1 <= dims <= m-1, got dims={dims}, m={m}")
+    widths = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
+    for w in widths:
+        if w < 1 or w > m - 1:
+            raise RankDeficient(f"need 1 <= dims <= m-1, got dims={w}, m={m}")
     dsqrt = np.sqrt(lap.degrees)
     reduced = lap.matrix / dsqrt[:, None] / dsqrt[None, :]
     reduced = (reduced + reduced.T) / 2.0
@@ -119,9 +125,11 @@ def solve_eigenmap(lap: Laplacian, dims: int) -> np.ndarray:
     shift = float(np.max(np.sum(np.abs(reduced), axis=1))) + 1.0
     eigvals, eigvecs = np.linalg.eigh(reduced + shift * np.outer(v0, v0))
     # indices 0..m-2 are the non-trivial pairs; the shifted constant sits last
-    if dims <= m - 2 and eigvals[dims] - eigvals[dims - 1] < DEGENERATE_GAP:
-        raise RankDeficient(
-            "requested dimension cuts a numerically degenerate eigenvalue cluster")
+    for w in widths:
+        if w <= m - 2 and eigvals[w] - eigvals[w - 1] < DEGENERATE_GAP:
+            raise RankDeficient(
+                "requested dimension cuts a numerically degenerate eigenvalue cluster")
+    dims = max(widths)
     x = eigvecs[:, :dims] / dsqrt[:, None]
     for j in range(dims):
         i = int(np.argmax(np.abs(x[:, j])))

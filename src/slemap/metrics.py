@@ -37,15 +37,9 @@ def compute_auc(scores, labels) -> float:
     labels = np.asarray(labels)
     _check_two_classes(labels)
     n = scores.shape[0]
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and scores[order[j]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0  # 1-based average rank
-        i = j
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)     # tie group k fills sorted places end[k]-counts[k]..end[k]-1
+    ranks = ((end - counts + 1 + end) / 2.0)[inverse]  # 1-based average rank
     n_pos = int((labels == 1).sum())
     n_neg = n - n_pos
     rank_sum = float(ranks[labels == 1].sum())
@@ -78,24 +72,32 @@ def best_mcc_threshold(scores, labels) -> tuple[float, ConfusionCounts]:
     """Exhaustive sweep over decision thresholds, maximizing MCC.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    scores plus -inf/+inf; ties on MCC resolve to the lowest threshold.
+    scores plus -inf/+inf; ties on MCC resolve to the lowest threshold.  The
+    counts at every candidate come from one sort per class: a left
+    ``searchsorted`` counts the scores below a threshold, which is
+    ``scores >= t`` also where a midpoint rounds onto a score.  MCC is
+    :func:`compute_mcc`'s arithmetic on exact integer counts.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     _check_two_classes(labels)
     distinct = np.unique(scores)
-    candidates = [-math.inf]
-    candidates.extend((distinct[:-1] + distinct[1:]) / 2.0)
-    candidates.append(math.inf)
-    best_t = candidates[0]
-    best_c = confusion_at(scores, labels, best_t)
-    best_mcc = compute_mcc(best_c)
-    for t in candidates[1:]:
-        c = confusion_at(scores, labels, t)
-        mcc = compute_mcc(c)
-        if mcc > best_mcc:
-            best_t, best_c, best_mcc = t, c, mcc
-    return float(best_t), best_c
+    candidates = np.concatenate(([-math.inf], (distinct[:-1] + distinct[1:]) / 2.0,
+                                 [math.inf]))
+    pos = labels == 1
+    # the product of the four marginals stays under n^4 / 16, so int64 is
+    # exact while n^4 < 2^63; past that, Python ints
+    exact = np.int64 if scores.shape[0] ** 4 < 2 ** 63 else object
+    tp, fp = (np.asarray(len(s) - np.searchsorted(np.sort(s), candidates, side="left"),
+                         dtype=exact) for s in (scores[pos], scores[~pos]))
+    fn, tn = int(pos.sum()) - tp, int((~pos).sum()) - fp
+    denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    mcc = np.zeros(candidates.shape[0])
+    live = denom != 0
+    mcc[live] = (tp * tn - fp * fn)[live] / np.sqrt(denom[live].astype(float))
+    best = int(np.argmax(mcc))
+    return float(candidates[best]), ConfusionCounts(
+        tp=int(tp[best]), fp=int(fp[best]), tn=int(tn[best]), fn=int(fn[best]))
 
 
 def sensitivity_specificity(c: ConfusionCounts) -> tuple[float, float]:

@@ -137,6 +137,9 @@ def load_model(model_dir: str | Path) -> TrainedModel:
         # JSONDecodeError is a ValueError; a missing key, a value of the
         # wrong type or an unparsable number all mean a damaged file
         raise ParseError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
+    if model.numeric_std.shape != model.numeric_mean.shape:
+        raise ParseError(f"{path}: {model.numeric_std.shape[0]} numeric_std entries for "
+                         f"{model.numeric_mean.shape[0]} numeric_mean entries")
     width = 0   # embedding columns the classifier weights must cover
     try:
         if model.method in ("le", "sle"):
@@ -159,6 +162,9 @@ def load_model(model_dir: str | Path) -> TrainedModel:
             path = d / "lsi_components.csv"
             model.lsi_components = np.array([[float(v) for v in r] for r in _read_csv(path)])
             width = model.lsi_components.shape[0]
+            if model.lsi_components.shape[1] != len(vocab):
+                raise ParseError(f"{d / 'lsi_vocabulary.csv'}: {len(vocab)} tokens for "
+                                 f"{model.lsi_components.shape[1]} columns in {path.name}")
         path = d / "train_scores.csv"
         if path.exists():
             rows = _read_csv(path)

@@ -7,9 +7,12 @@ memoization.  They are exponential and only meant for small inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from slemap.errors import KTooLarge
+from slemap.metrics import ConfusionCounts, compute_mcc, confusion_at
 from slemap.transforms import N_KINDS, TransformKind
 
 EQ, SYN, MIS, ABB, PRE, ACR, CON, SUF, MISS = (
@@ -213,3 +216,45 @@ def oracle_estimate(sim_rows, xe, k: int, weighted: bool):
         else:
             out[i] = near @ rows / rho
     return out, zero_rho
+
+
+def oracle_auc(scores, labels) -> float:
+    """Rank AUC from a loop over the sorted scores: each run of equal scores
+    gets its 1-based average rank."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    n = scores.shape[0]
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(n)
+    i = 0
+    while i < n:
+        j = i
+        while j < n and scores[order[j]] == scores[order[i]]:
+            j += 1
+        ranks[order[i:j]] = (i + 1 + j) / 2.0
+        i = j
+    n_pos = int((labels == 1).sum())
+    n_neg = n - n_pos
+    rank_sum = float(ranks[labels == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def oracle_best_mcc_threshold(scores, labels) -> tuple[float, ConfusionCounts]:
+    """The MCC-best threshold by counting ``scores >= t`` afresh at every
+    candidate (-inf, the midpoints of consecutive distinct scores, +inf);
+    the first candidate with the largest MCC wins."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    distinct = np.unique(scores)
+    candidates = [-math.inf]
+    candidates.extend((distinct[:-1] + distinct[1:]) / 2.0)
+    candidates.append(math.inf)
+    best_t = candidates[0]
+    best_c = confusion_at(scores, labels, best_t)
+    best_mcc = compute_mcc(best_c)
+    for t in candidates[1:]:
+        c = confusion_at(scores, labels, t)
+        mcc = compute_mcc(c)
+        if mcc > best_mcc:
+            best_t, best_c, best_mcc = t, c, mcc
+    return float(best_t), best_c

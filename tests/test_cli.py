@@ -199,9 +199,12 @@ class TestDamagedModelDir:
         ("numeric", "model.json", _edit_meta(_drop_weight)),
         ("sle", "model.json", _edit_meta(_drop_weight)),
         ("lsi", "model.json", _edit_meta(lambda m: m["params"]["weights"].append("0.5"))),
+        ("sle", "model.json", _edit_meta(lambda m: m["numeric_std"].pop())),
+        ("lsi", "lsi_vocabulary.csv", lambda p: _edit_csv(p, lambda rows: rows.pop(5))),
     ], ids=["xe-train-value", "trace-value", "lsi-idf-value", "lsi-component-value",
             "train-score-value", "corpus-missing-id", "unknown-method",
-            "numeric-weights", "sle-weights", "lsi-weights"])
+            "numeric-weights", "sle-weights", "lsi-weights",
+            "numeric-std-length", "lsi-vocabulary-length"])
     def test_is_data_error_naming_the_file(self, trained_models, small_dataset, tmp_path,
                                            capsys, method, name, damage):
         model_dir = tmp_path / "model"

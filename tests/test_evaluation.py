@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from slemap import evaluation
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
-from slemap.evaluation import cross_validate, run_methods, stratified_folds
+from slemap.errors import RankDeficient
+from slemap.evaluation import compare_methods, cross_validate, run_methods, stratified_folds
 from slemap.model_io import load_model, predict_model, save_model, train_model
 from slemap.synth import GeneratorSpec, generate_arrays
 
@@ -122,6 +125,46 @@ class TestTextMethods:
         cfg = PipelineConfig(dims=3, folds=3)
         report = cross_validate(ds, "le", cfg)
         assert sum(f.zero_rho for f in report.folds) >= 1
+
+
+class TestDimsSweep:
+    """compare_methods solves each fold's eigenproblem once for all widths."""
+
+    CFG = PipelineConfig(folds=3, max_outer_iters=2, inner_theta_steps=4,
+                         inner_embedding_steps=2)
+
+    def test_rows_equal_per_dims_runs_with_one_solve_per_fold(self, text_dataset,
+                                                              monkeypatch):
+        solves = []
+        real = evaluation.solve_eigenmap
+
+        def counted(lap, dims):
+            solves.append(dims)
+            return real(lap, dims)
+
+        monkeypatch.setattr(evaluation, "solve_eigenmap", counted)
+        rows = compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
+        assert solves == [(2, 3, 5)] * self.CFG.folds
+        solves.clear()
+        for dims in (2, 3, 5):
+            reports = run_methods(text_dataset, ["le", "sle"], replace(self.CFG, dims=dims))
+            for method in ("le", "sle"):
+                row = next(r for r in rows if (r["method"], r["dims"]) == (method, dims))
+                assert repr(row["auc"]) == repr(reports[method].mean_auc)
+                assert repr(row["mcc"]) == repr(reports[method].mean_mcc)
+        assert solves == [(2,)] * 3 + [(3,)] * 3 + [(5,)] * 3
+
+    @pytest.mark.parametrize("dims_list", [[2, 1], [2, 200]], ids=["degenerate", "too-wide"])
+    def test_bad_width_is_rank_deficient(self, dims_list):
+        # three mutually unrelated texts: the training graph has three
+        # components, so width 1 cuts the two non-trivial null vectors
+        texts = ["chest pain", "dizzy spells", "heart racing"]
+        m = 30
+        ds = Dataset(ids=[str(i) for i in range(m)], labels=np.arange(m) % 2,
+                     numeric=np.random.default_rng(0).standard_normal((m, 2)),
+                     texts=[texts[i % 3] for i in range(m)])
+        with pytest.raises(RankDeficient):
+            compare_methods(ds, ["le", "sle"], dims_list, self.CFG)
 
 
 # the smallest generated corpus found whose fold 0 pairs documents in both

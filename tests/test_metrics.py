@@ -16,6 +16,34 @@ from slemap.metrics import (
 )
 from slemap.text import normalize
 
+from oracles import oracle_auc, oracle_best_mcc_threshold
+
+
+def labeled(rng, scores):
+    """Random labels for the scores, both classes present."""
+    labels = rng.integers(0, 2, len(scores))
+    labels[:2] = (0, 1)
+    return np.asarray(scores, dtype=float), rng.permutation(labels)
+
+
+def tied_scores(rng, n):
+    return np.round(rng.random(n), 1)
+
+
+def constant_scores(rng, n):
+    return np.full(n, rng.random())
+
+
+def adjacent_scores(rng, n):
+    """Runs of adjacent doubles: the midpoint of two neighbours rounds onto
+    one of them."""
+    base = rng.random((n + 2) // 3)
+    return rng.permutation(np.concatenate(
+        [base, np.nextafter(base, 2.0), np.nextafter(np.nextafter(base, 2.0), 2.0)])[:n])
+
+
+SCORE_KINDS = [tied_scores, constant_scores, adjacent_scores]
+
 
 class TestAuc:
     def test_perfect_ranking(self):
@@ -40,6 +68,13 @@ class TestAuc:
             if labels.min() == labels.max():
                 continue
             assert compute_auc(scores, labels) == compute_auc(np.exp(3 * scores), labels)
+
+    @pytest.mark.parametrize("make", SCORE_KINDS, ids=lambda f: f.__name__)
+    def test_equals_rank_loop_oracle(self, make):
+        rng = np.random.default_rng(6)
+        for n in list(range(2, 12)) + [40, 333]:
+            scores, labels = labeled(rng, make(rng, n))
+            assert compute_auc(scores, labels) == oracle_auc(scores, labels)
 
     def test_matches_pair_count_oracle(self):
         rng = np.random.default_rng(1)
@@ -110,6 +145,41 @@ class TestBestMccThreshold:
             assert compute_mcc(got_c) == pytest.approx(best_val, abs=0)
             ties = [t for t in cands if compute_mcc(confusion_at(scores, labels, t)) == best_val]
             assert got_t == min(ties)
+
+    @pytest.mark.parametrize("make", SCORE_KINDS, ids=lambda f: f.__name__)
+    def test_equals_loop_oracle(self, make):
+        rng = np.random.default_rng(7)
+        for n in list(range(2, 12)) + [40, 333]:
+            scores, labels = labeled(rng, make(rng, n))
+            got_t, got_c = best_mcc_threshold(scores, labels)
+            want_t, want_c = oracle_best_mcc_threshold(scores, labels)
+            assert got_t == want_t and got_c == want_c
+
+    def test_midpoint_rounding_onto_a_score(self):
+        a = 0.3
+        b = np.nextafter(a, 1.0)
+        assert (a + b) / 2.0 in (a, b)
+        scores, labels = [a, b, b, a], [0, 1, 1, 0]
+        assert best_mcc_threshold(scores, labels) == oracle_best_mcc_threshold(scores, labels)
+        assert compute_mcc(best_mcc_threshold(scores, labels)[1]) == 1.0
+
+    def test_constant_scores_pick_minus_inf(self):
+        t, c = best_mcc_threshold([0.25] * 7, [0, 1, 1, 0, 1, 0, 0])
+        assert t == -math.inf and c == ConfusionCounts(tp=3, fp=4, tn=0, fn=0)
+
+    def test_large_n_counts_exact(self):
+        # (n/2)^4 > 2^63: int64 marginal products would wrap at the best threshold
+        n = 120_000
+        rng = np.random.default_rng(8)
+        labels = rng.permutation(np.repeat([0, 1], n // 2))
+        scores = labels + rng.normal(0.0, 0.5, n)
+        t, c = best_mcc_threshold(scores, labels)
+        assert c == confusion_at(scores, labels, t)
+        assert (c.tp + c.fp) * (c.tp + c.fn) * (c.tn + c.fp) * (c.tn + c.fn) >= 2 ** 63
+        best = compute_mcc(c)
+        d = np.unique(scores)
+        for x in (d[:-1] + d[1:])[::997] / 2.0:
+            assert compute_mcc(confusion_at(scores, labels, x)) <= best
 
     def test_sensitivity_specificity_recompose(self):
         rng = np.random.default_rng(5)

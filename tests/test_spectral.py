@@ -189,6 +189,21 @@ class TestSolveEigenmap:
         with pytest.raises(RankDeficient):
             solve_eigenmap(lap, 1)
 
+    def test_widths_one_solve_is_each_width_bitwise(self):
+        lap = build_laplacian(random_similarity(np.random.default_rng(11), 14))
+        frame = solve_eigenmap(lap, [2, 6, 3])
+        assert frame.shape == (14, 6)
+        for w in (2, 3, 6):
+            assert frame[:, :w].copy().tobytes() == solve_eigenmap(lap, w).tobytes()
+
+    def test_widths_each_checked(self):
+        lap = build_laplacian(block_similarity(2, 2, 2))
+        # width 1 cuts the degenerate null pair even when a wider width is fine
+        with pytest.raises(RankDeficient):
+            solve_eigenmap(lap, [2, 1])
+        with pytest.raises(RankDeficient):
+            solve_eigenmap(lap, (2, 6))
+
     def test_deterministic_sign(self):
         rng = np.random.default_rng(10)
         s = random_similarity(rng, 10)
