@@ -119,11 +119,16 @@ def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
         if w < 1 or w > m - 1:
             raise RankDeficient(f"need 1 <= dims <= m-1, got dims={w}, m={m}")
     dsqrt = np.sqrt(lap.degrees)
-    reduced = lap.matrix / dsqrt[:, None] / dsqrt[None, :]
-    reduced = (reduced + reduced.T) / 2.0
+    # in place where the arithmetic allows, so that the solve's input is the
+    # only m x m array of ours alive while eigh allocates its own
+    reduced = lap.matrix / dsqrt[:, None]
+    reduced /= dsqrt[None, :]
+    reduced = reduced + reduced.T
+    reduced /= 2.0
     v0 = dsqrt / np.linalg.norm(dsqrt)
     shift = float(np.max(np.sum(np.abs(reduced), axis=1))) + 1.0
-    eigvals, eigvecs = np.linalg.eigh(reduced + shift * np.outer(v0, v0))
+    reduced += shift * np.outer(v0, v0)
+    eigvals, eigvecs = np.linalg.eigh(reduced)
     # indices 0..m-2 are the non-trivial pairs; the shifted constant sits last
     for w in widths:
         if w <= m - 2 and eigvals[w] - eigvals[w - 1] < DEGENERATE_GAP:

@@ -9,6 +9,8 @@ by the best achievable weighted-count ratio over all such graphs.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -76,8 +78,20 @@ def _score(counts, weights) -> float:
     return num / total
 
 
+def all_missing_similarity(n_tokens: int, weights: TransformWeights) -> float:
+    """Similarity of a statement pair with ``n_tokens`` tokens in all that no
+    transformation but Missing relates.  Its only complete graph makes every
+    token Missing; ``_score`` scores it as the statement DP does."""
+    counts = [0] * N_KINDS
+    counts[TransformKind.MISSING] = n_tokens
+    return _score(counts, weights.values)
+
+
 def edit_distance(a: str, b: str, cap: int | None = None) -> int:
-    """Damerau-Levenshtein distance (optimal string alignment variant)."""
+    """Damerau-Levenshtein distance (optimal string alignment variant).
+
+    With ``cap`` any distance above the cap may be returned as ``cap + 1``.
+    """
     if a == b:
         return 0
     la, lb = len(a), len(b)
@@ -93,6 +107,10 @@ def edit_distance(a: str, b: str, cap: int | None = None) -> int:
             if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
                 best = min(best, prev2[j - 2] + 1)
             cur[j] = best
+        # an entry reads the two rows above it, so once two consecutive rows
+        # exceed the cap, so does every later row
+        if cap is not None and min(cur) > cap and min(prev) > cap:
+            return cap + 1
         prev2, prev = prev, cur
     return prev[lb]
 
@@ -120,6 +138,15 @@ def pair_kinds(x: str, y: str, dct: TransformationDictionary) -> list[TransformK
         if longer.endswith(shorter):
             kinds.append(TransformKind.SUFFIX)
     return kinds
+
+
+def may_span(single: str, joined: str, initials: str, dct: TransformationDictionary) -> bool:
+    """Whether ``single`` passes a test that every token with a span in a
+    statement passes: a concatenation is a substring of the statement's
+    tokens joined, a letter acronym one of their initials joined, and a
+    dictionary acronym a key of ``dct.acronyms``."""
+    return (single in joined or len(single) >= 2 and single in initials
+            or single in dct.acronyms)
 
 
 def _spans_for_token(single: str, other: tuple[str, ...],
@@ -154,31 +181,24 @@ def _spans_for_token(single: str, other: tuple[str, ...],
 
 def _moves(a: tuple[str, ...], b: tuple[str, ...], dct: TransformationDictionary,
            wvals: tuple[float, ...],
-           relations: dict) -> list[list[tuple[int, int, TransformKind]]]:
+           kinds: Callable[[str, str], Sequence[TransformKind]],
+           ) -> list[list[tuple[int, int, TransformKind]]]:
     """The moves that start at each a-token, as (a-tokens consumed, bitmask of
     b-tokens consumed, kind), Missing included.
 
     Only the maximum matters, so each pair and each span keeps its single
     best-weight kind; on a weight tie the kind found first wins, which for a
-    pair is the lower kind.  ``relations`` memoizes ``pair_kinds`` as
-    ``relations[x][y]`` for tokens x <= y.
+    pair is the lower kind.  ``kinds(x, y)`` is ``pair_kinds(x, y, dct)``.
     """
-    found = []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            # pair_kinds is symmetric, so a pair is kept under its smaller token
-            lo, hi = (x, y) if x <= y else (y, x)
-            known = relations.get(lo)
-            if known is None:
-                known = relations[lo] = {}
-            kinds = known.get(hi)
-            if kinds is None:
-                kinds = known[hi] = tuple(pair_kinds(x, y, dct))
-            found += [((i, 1, 1 << j), kind) for kind in kinds]
+    found = [((i, 1, 1 << j), kind) for i, x in enumerate(a) for j, y in enumerate(b)
+             for kind in kinds(x, y)]
+    # only tokens that pass may_span can have spans
+    ja, jb = "".join(a), "".join(b)
+    ia, ib = "".join(t[0] for t in a), "".join(t[0] for t in b)
     found += [((i, 1, ((1 << s) - 1) << j0), kind) for i, x in enumerate(a)
-              for j0, s, kind in _spans_for_token(x, b, dct)]
+              if may_span(x, jb, ib, dct) for j0, s, kind in _spans_for_token(x, b, dct)]
     found += [((i0, s, 1 << j), kind) for j, y in enumerate(b)
-              for i0, s, kind in _spans_for_token(y, a, dct)]
+              if may_span(y, ja, ia, dct) for i0, s, kind in _spans_for_token(y, a, dct)]
     best: dict[tuple[int, int, int], TransformKind] = {}
     for key, kind in found:
         if key not in best or wvals[kind] > wvals[best[key]]:
@@ -193,7 +213,8 @@ def statement_similarity(a: Statement, b: Statement,
                          weights: TransformWeights | None = None,
                          dct: TransformationDictionary | None = None,
                          max_tokens: int = DEFAULT_MAX_TOKENS,
-                         relations: dict | None = None) -> float:
+                         kinds: Callable[[str, str], Sequence[TransformKind]] | None = None,
+                         ) -> float:
     """Best weighted-count ratio over all complete consistent graphs.
 
     A forward subset dynamic program (Held and Karp, 1962) over the states
@@ -207,13 +228,12 @@ def statement_similarity(a: Statement, b: Statement,
     symmetric and exactly the maximum over an exhaustive enumeration of the
     graphs (``tests/oracles.py``).
 
-    ``relations`` memoizes the token relations (``pair_kinds``) by token pair;
-    a caller that scores many pairs with one dictionary passes one dict to
-    every call.
+    ``kinds(x, y)`` gives the token relations, ``pair_kinds(x, y, dct)``; a
+    caller that scores many pairs with one dictionary passes a memoized one.
     """
     weights = weights or TransformWeights.default()
     dct = dct or empty_dictionary()
-    relations = {} if relations is None else relations
+    kinds = kinds or functools.partial(pair_kinds, dct=dct)
     for st in (a, b):
         if len(st.tokens) > max_tokens:
             raise TokenCapExceeded(f"statement has {len(st.tokens)} tokens, cap is {max_tokens}")
@@ -222,7 +242,7 @@ def statement_similarity(a: Statement, b: Statement,
     # one field per kind, each wide enough for any count (at most p + q)
     width = (p + q).bit_length()
     moves = [[(n_a, b_mask, 1 << (width * kind)) for n_a, b_mask, kind in row]
-             for row in _moves(a.tokens, b.tokens, dct, wvals, relations)]
+             for row in _moves(a.tokens, b.tokens, dct, wvals, kinds)]
     levels: list[dict[int, set[int]]] = [{0: {0}}] + [{} for _ in range(p)]
     for i in range(p):
         for mask, vectors in levels[i].items():

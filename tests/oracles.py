@@ -144,6 +144,20 @@ def vector_score(counts, weight_values) -> float:
     return num / total
 
 
+def oracle_related(a_tokens, b_tokens, rules: OracleRules) -> bool:
+    """Whether a transformation other than Missing relates a token of one
+    statement to a token, or to a run of two or more tokens, of the other.
+    A pair for which this is false has only the all-Missing graph."""
+    a_tokens, b_tokens = tuple(a_tokens), tuple(b_tokens)
+
+    def runs(side):
+        return [side[lo:hi] for lo in range(len(side)) for hi in range(lo + 2, len(side) + 1)]
+
+    return (any(rules.one_to_one(x, y) for x in a_tokens for y in b_tokens)
+            or any(rules.one_to_span(x, run) for x in a_tokens for run in runs(b_tokens))
+            or any(rules.one_to_span(y, run) for y in b_tokens for run in runs(a_tokens)))
+
+
 def oracle_statement_similarity(a_tokens, b_tokens, weight_values, rules: OracleRules) -> float:
     return max(vector_score(c, weight_values) for c in oracle_vectors(a_tokens, b_tokens, rules))
 

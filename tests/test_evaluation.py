@@ -235,9 +235,9 @@ class TestFoldEqualsTrainPredict:
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
     def test_relation_memo_stays_bounded(self, fold_run, tmp_path, loaded):
-        """Requests with novel words leave the token-relation memo of a
-        long-lived model as large as it was, and score bitwise as a fresh
-        model does."""
+        """Requests with novel words leave the token-relation stores of a
+        long-lived model (the token ids and the pair_kinds table) as large as
+        they were, and score bitwise as a fresh model does."""
         ds, cfg, _ = fold_run
         test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
         train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
@@ -252,12 +252,17 @@ class TestFoldEqualsTrainPredict:
         model = make()
         request = subset(ds, test_idx)
         predict_model(model, request)
-        relations = model.corpus()[1]._relations
-        size = sum(map(len, relations.values()))
+        computer = model.corpus()[1]
+
+        def stores():
+            return (len(computer._token_id), len(computer._tokens), computer._kinds.shape,
+                    int((computer._kinds >= 0).sum()))
+
+        size = stores()
         for k in range(5):
             novel = Dataset(ids=request.ids[:1], labels=request.labels[:1],
                             numeric=request.numeric[:1],
                             texts=[f"chest pain unseen{k} novelword{k}"])
             got = predict_model(model, novel)
-            assert sum(map(len, relations.values())) == size
+            assert stores() == size
             assert got.tobytes() == predict_model(make(), novel).tobytes()

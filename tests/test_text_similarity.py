@@ -5,19 +5,21 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from slemap import similarity
+from slemap import similarity, transforms
 from slemap.config import PipelineConfig
 from slemap.dictionary import build_dictionary, empty_dictionary, load_dictionary
 from slemap.errors import ParseError, TokenCapExceeded
 from slemap.similarity import SimilarityComputer, build_similarity_matrix, document_similarity
 from slemap.text import Document, NormalizationConfig, Statement, normalize
-from slemap.transforms import TransformKind, TransformWeights, edit_distance, statement_similarity
+from slemap.transforms import (TransformKind, TransformWeights, all_missing_similarity,
+                               edit_distance, statement_similarity)
 
 from oracles import (
     OracleRules,
     canonical_statements,
     oracle_best_vector,
     oracle_document_similarity,
+    oracle_related,
     oracle_statement_similarity,
     oracle_vectors,
 )
@@ -252,9 +254,11 @@ class TestBestVector:
 
 class TestDocumentSimilarity:
     def stub_computer(self, monkeypatch, sims):
-        """A computer whose statement similarities are the given constants."""
-        d1 = doc("a", *[[f"a{i}"] for i in range(len(sims))])
-        d2 = doc("b", *[[f"b{j}"] for j in range(len(sims[0]))])
+        """A computer whose statement similarities are the given constants.
+        Every statement holds the token "x", so every statement pair is
+        related and is scored by the stub."""
+        d1 = doc("a", *[[f"a{i}", "x"] for i in range(len(sims))])
+        d2 = doc("b", *[[f"b{j}", "x"] for j in range(len(sims[0]))])
         table = {(s_i.tokens, s_j.tokens): sims[i][j]
                  for i, s_i in enumerate(d1.statements) for j, s_j in enumerate(d2.statements)}
         # the computer scores each pair with the smaller statement first: a* < b*
@@ -374,13 +378,17 @@ class TestBoundedTime:
         assert SimilarityComputer().document_similarity(d2, d1) == val
 
 
-def held_pairs(docs):
+def held_pairs(docs, new=None):
     """Unordered statement pairs (s, t) with s in one document and t in
     another document with a different statement multiset, sentinels excluded:
-    the statement pairs a similarity matrix of ``docs`` needs."""
-    keys = sorted({tuple(sorted(x.tokens for x in d.statements)) for d in docs if len(d)})
-    return {tuple(sorted((s, t))) for i, k1 in enumerate(keys) for k2 in keys[i + 1:]
-            for s in k1 for t in k2}
+    the statement pairs a similarity matrix of ``docs`` needs.  With ``new``,
+    the pairs of a new document and a corpus document: those ``rows`` needs."""
+    def keys(ds):
+        return sorted({tuple(sorted(x.tokens for x in d.statements)) for d in ds if len(d)})
+
+    pairs = ([(k1, k2) for i, k1 in enumerate(keys(docs)) for k2 in keys(docs)[i + 1:]]
+             if new is None else [(k1, k2) for k1 in keys(new) for k2 in keys(docs) if k1 != k2])
+    return {tuple(sorted((s, t))) for k1, k2 in pairs for s in k1 for t in k2}
 
 
 POOL12 = ["chest", "pain", "heart", "racing", "dizzy", "faint", "sob", "cp",
@@ -391,6 +399,9 @@ class TestBlockKernel:
     """The per-class block DP behind matrix, rows and document_similarity."""
 
     def test_each_held_statement_pair_scored_once(self, monkeypatch):
+        """The statement DP scores each held related pair exactly once; a
+        held unrelated pair never reaches it and holds the all-Missing
+        value, which is what the DP gives it."""
         calls = []
         original = similarity.statement_similarity
 
@@ -406,15 +417,119 @@ class TestBlockKernel:
         # "only" and "inside" share one document and appear nowhere else
         docs += [doc("inner", ["only"], ["inside"]), Document(id="e", statements=())]
         docs += [Document(id="dup", statements=docs[0].statements[::-1])]
-        comp = SimilarityComputer()
+        weights = TransformWeights.from_mapping({TransformKind.MISSING: 0.25})
+        comp = SimilarityComputer(weights)
         comp.matrix(docs)
+        held = held_pairs(docs)
+        related = {pair for pair in held if oracle_related(*pair, OracleRules())}
+        assert related and held - related
         assert len(calls) == len(set(calls))
-        assert set(calls) == held_pairs(docs)
+        assert set(calls) == related
         assert (("inside",), ("only",)) not in set(calls)
+        at = comp._known.row_of
+        for s, t in held - related:
+            value = comp._known.values[at[s], at[t]]
+            assert value == all_missing_similarity(len(s) + len(t), weights)
+            assert value == original(Statement(s), Statement(t), weights)
         # later calls whose document pairs the matrix held score nothing new
         comp.matrix(docs[::-1])
         comp.rows(docs[1:5], docs[5:-1])
-        assert len(calls) == len(held_pairs(docs))
+        assert len(calls) == len(related)
+
+    def test_identical_document_in_rows(self, monkeypatch):
+        """A new document identical to a corpus document scores exactly what
+        the pairing DP gives it, 1.0, without scoring a statement pair; an
+        empty document still scores 0 against an empty one."""
+        calls = []
+        monkeypatch.setattr(similarity, "statement_similarity",
+                            lambda a, b, *args, **kwargs: calls.append((a, b)))
+        weights = TransformWeights((1.0, 0.9, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1))
+        rng = random.Random(4)
+        for _ in range(20):
+            d = doc("d", *[[rng.choice(POOL12) for _ in range(rng.randint(1, 3))]
+                           for _ in range(rng.randint(1, 6))])
+            copy = Document(id="copy", statements=d.statements[::-1])
+            key = sorted(st.tokens for st in d.statements)
+            sims = np.array([[statement_similarity(Statement(x), Statement(y), weights)
+                              for y in key] for x in key])
+            want = similarity._best_pairing(sims[None])[0]
+            got = SimilarityComputer(weights).rows([copy], [d])
+            assert got[0, 0] == want == 1.0
+            assert not calls
+        empty = [Document(id=k, statements=()) for k in "ef"]
+        d = doc("d", ["chest", "pain"])
+        comp = SimilarityComputer(weights)
+        assert np.array_equal(comp.rows(empty[:1], [empty[1], d, empty[0]]), np.zeros((1, 3)))
+        assert np.array_equal(comp.rows([d], empty), np.zeros((1, 2)))
+        assert not calls
+
+    def test_token_cap_in_unrelated_pair(self):
+        """A statement over the token cap raises through matrix and rows even
+        when no token of it relates to the other statements."""
+        big, small = doc("big", ["a", "b", "c", "d"]), doc("small", ["zzz"])
+        for make in (lambda comp: comp.matrix([big, small]),
+                     lambda comp: comp.matrix([small, big]),
+                     lambda comp: comp.rows([big], [small]),
+                     lambda comp: comp.rows([small], [big])):
+            comp = SimilarityComputer(max_tokens=3)
+            with pytest.raises(TokenCapExceeded):
+                make(comp)
+
+    def test_relatedness_filter_is_exact(self, monkeypatch):
+        """On a corpus that uses every transformation kind, with a Missing
+        weight above 0, the filter changes no value of S or of rows, and
+        every pair it keeps from the DP has only the all-Missing graph."""
+        synonyms = [["exercise", "activity"], ["faint", "syncope"]]
+        acronyms = {"sob": ("short", "breath"), "ekg": ("electro", "cardio", "gram")}
+        abbreviations = {"min": "minute", "hx": "history"}
+        dct = build_dictionary(synonyms, acronyms, abbreviations)
+        rules = OracleRules(synonyms, acronyms, abbreviations)
+        weights = TransformWeights((1.0, 0.9, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.15))
+        statements = [
+            ["chest", "pain"], ["chestpain"], ["cp"], ["pian"], ["chets", "hurt"],
+            ["short", "breath"], ["sob"], ["shortbreath", "at", "night"],
+            ["exercise", "induced"], ["activity"], ["faint", "spell"], ["syncope"],
+            ["electro", "cardio", "gram"], ["ekg"], ["min"], ["minute"], ["hx"],
+            ["history", "of", "murmur"], ["card"], ["cardiac", "exam"], ["ache"],
+            ["headache"], ["zzz"], ["qqq", "www"], ["murmur"], ["murmr", "heard"]]
+        rng = random.Random(11)
+        docs = [doc(str(k), *rng.sample(statements, rng.randint(1, 3))) for k in range(24)]
+        docs += [Document(id="e", statements=()),
+                 Document(id="dup", statements=docs[3].statements)]
+        new = [doc(f"n{k}", *rng.sample(statements, rng.randint(1, 3))) for k in range(6)]
+        new += [docs[5], doc("novel", ["unseen", "words"], ["chest", "pian"]),
+                Document(id="ne", statements=())]
+
+        # reference: every statement pair scored by the DP, then paired
+        ref = SimilarityComputer(weights, dct)
+        ref._intern(docs + new)
+        for i, x in enumerate(ref._known.rows):
+            for j, y in enumerate(ref._known.rows):
+                ref._known.values[i, j] = statement_similarity(x, y, weights, dct)
+        want_s, want_rows = ref.matrix(docs).values, ref.rows(new, docs)
+
+        calls = []
+        original = similarity.statement_similarity
+
+        def recorded(a, b, *args, **kwargs):
+            calls.append(tuple(sorted((a.tokens, b.tokens))))
+            return original(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(similarity, "statement_similarity", recorded)
+        comp = SimilarityComputer(weights, dct)
+        assert np.array_equal(comp.matrix(docs).values, want_s)
+        assert np.array_equal(comp.rows(new, docs), want_rows)
+        assert np.array_equal(SimilarityComputer(weights, dct).rows(new, docs), want_rows)
+        held = held_pairs(docs) | held_pairs(docs, new)
+        kept_from_dp = held - set(calls)
+        assert kept_from_dp and set(calls)
+        for s, t in kept_from_dp:
+            assert not oracle_related(s, t, rules), (s, t)
+            moves = transforms._moves(s, t, dct, weights.values,
+                                      lambda x, y: transforms.pair_kinds(x, y, dct))
+            assert all(len(row) == 1 for row in moves)
+        for s, t in held & set(calls):
+            assert oracle_related(s, t, rules), (s, t)
 
     def test_chunks_stay_under_budget(self, monkeypatch):
         """A run of twelve-statement documents longer than one chunk is
@@ -510,6 +625,17 @@ class TestEditDistance:
 
     def test_transposition_counts_once(self):
         assert edit_distance("pain", "pian") == 1
+
+    def test_cap_against_oracle(self):
+        """With a cap, every distance up to the cap is exact and every larger
+        one reads as more than the cap."""
+        from oracles import osa_distance
+        rng = random.Random(12)
+        for _ in range(400):
+            a, b = ("".join(rng.choice("abc") for _ in range(rng.randint(0, 8)))
+                    for _ in range(2))
+            for cap in range(3):
+                assert min(edit_distance(a, b, cap), cap + 1) == min(osa_distance(a, b), cap + 1)
 
 
 class TestDictionaryFiles:
