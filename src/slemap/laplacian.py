@@ -8,6 +8,14 @@ An embedding is a plain m x dims array, one row per document in the order of
 the similarity matrix: ``solve_eigenmap`` and ``descend_eigenmap`` return
 one, and the objective and its gradient take one.
 
+Short texts repeat, so many rows of S are bitwise equal.  Groups of equal
+rows partition the graph equitably, and the generalized problem splits
+exactly into a quotient problem with one row per group and, for every row
+beyond a group's first, an eigenvector that lives inside its group with
+eigenvalue exactly 1.  ``solve_eigenmap`` solves the quotient and expands
+its vectors to rows; it solves over every row only when the frame would
+reach that eigenvalue-1 block or no row repeats.
+
 One projected-descent step on the constraint manifold serves two callers:
 the unsupervised eigenmap descent (an alternative route to the same optimum)
 and the SLE alternation, which adds the weighted classifier loss as an extra
@@ -37,26 +45,59 @@ class Laplacian:
     (isolated sentinel documents) get DEGREE_EPSILON so the generalized
     eigenproblem stays well-posed; ``matrix`` is built from the raw degrees,
     so its rows sum to zero exactly.
+
+    ``groups`` gives each row's group of bitwise-equal rows of S, numbered in
+    order of their first row, and ``firsts`` the first row of each group.
+    Rows are grouped only when S is exactly symmetric and only among rows of
+    positive degree; every other row is a group of its own.
     """
 
     matrix: np.ndarray
     degrees: np.ndarray
+    groups: np.ndarray
+    firsts: np.ndarray
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
 
 
+def _equal_row_groups(s: np.ndarray, groupable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group of each row among the bitwise-equal rows of ``s``, and each group's first row.
+
+    Rows are bucketed by a hash of their bytes and a bucket's rows confirmed
+    equal with ``np.array_equal``, so rows one ulp apart stay apart.  Rows
+    where ``groupable`` is False are groups of their own.
+    """
+    groups = np.empty(s.shape[0], dtype=np.intp)
+    firsts: list[int] = []
+    buckets: dict[int, list[int]] = {}
+    for i, row in enumerate(s):
+        bucket = buckets.setdefault(hash(row.tobytes()), []) if groupable[i] else []
+        g = next((g for g in bucket if np.array_equal(s[firsts[g]], row)), len(firsts))
+        if g == len(firsts):
+            firsts.append(i)
+            bucket.append(g)
+        groups[i] = g
+    return groups, np.array(firsts, dtype=np.intp)
+
+
 def build_laplacian(similarity: np.ndarray) -> Laplacian:
     s = np.asarray(similarity, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"similarity matrix must be square, got {s.shape}")
-    if np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
+    if not np.isfinite(s).all():
+        raise NonFiniteValue("similarity matrix has a NaN or infinite entry")
+    asymmetry = np.max(np.abs(s - s.T))
+    if asymmetry > SYMMETRY_TOL:
         raise NonSymmetricInput("similarity matrix is not symmetric")
     raw_degrees = s.sum(axis=1)
     lap = np.diag(raw_degrees) - s
     degrees = np.where(raw_degrees > 0.0, raw_degrees, DEGREE_EPSILON)
-    return Laplacian(matrix=lap, degrees=degrees)
+    # equal rows of an inexactly symmetric S need not have equal columns
+    groupable = raw_degrees > 0.0 if asymmetry == 0.0 else np.zeros(s.shape[0], dtype=bool)
+    groups, firsts = _equal_row_groups(s, groupable)
+    return Laplacian(matrix=lap, degrees=degrees, groups=groups, firsts=firsts)
 
 
 def _phi_and_product(x: np.ndarray, lap: Laplacian) -> tuple[float, np.ndarray]:
@@ -98,16 +139,61 @@ def _deflate_constant(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return x - comp[None, :]
 
 
+def _grouped_eigh(lap: Laplacian, groups: np.ndarray,
+                  firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the quotient problem over ``groups``, constant direction shifted last.
+
+    With c the group sizes, the quotient pencil is (Q, diag(d/c)) where Q
+    holds the mean of L over each block of two groups: -S between groups, and
+    r/c - s_gg on the diagonal.  Its symmetric reduction is solved densely
+    after a rank-one shift pushes the constant direction, proportional to
+    sqrt(c*d), above the spectrum.  Returns the eigenvalues, the eigenvectors
+    and sqrt(c*d), which maps an eigenvector to the group values of a
+    D-orthonormal frame.  With every row its own group the operations are
+    those of a plain solve of D^(-1/2) L D^(-1/2).
+    """
+    counts = np.bincount(groups, minlength=firsts.shape[0]).astype(float)
+    # in place where the arithmetic allows, so that the solve's input is the
+    # only full-size array of ours alive while eigh allocates its own
+    reduced = lap.matrix[np.ix_(firsts, firsts)]
+    multi = np.flatnonzero(counts > 1.0)
+    if multi.size:
+        lasts = np.argsort(groups, kind="stable")[np.cumsum(counts).astype(np.intp) - 1]
+        f, c = firsts[multi], counts[multi]
+        # a diagonal block holds c entries r - s and c(c-1) entries -s
+        reduced[multi, multi] = (lap.matrix[f, f] + (c - 1.0) * lap.matrix[f, lasts[multi]]) / c
+    degrees = lap.degrees[firsts]
+    dsqrt = np.sqrt(degrees / counts)
+    reduced /= dsqrt[:, None]
+    reduced /= dsqrt[None, :]
+    reduced = reduced + reduced.T
+    reduced /= 2.0
+    root = np.sqrt(counts * degrees)
+    v0 = root / np.linalg.norm(root)
+    shift = float(np.max(np.sum(np.abs(reduced), axis=1))) + 1.0
+    reduced += shift * np.outer(v0, v0)
+    eigvals, eigvecs = np.linalg.eigh(reduced)
+    return eigvals, eigvecs, root
+
+
 def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
     """Bottom non-trivial eigenvectors of L x = lambda D x, D-orthonormalized.
 
-    The symmetric reduction M = D^(-1/2) L D^(-1/2) is solved densely.  The
-    constant direction (always a null vector of M) is pushed above the
-    spectrum by a rank-one shift before the solve, so the lowest dims
-    eigenvectors of the shifted matrix are exactly the non-trivial ones; this
-    stays correct on disconnected graphs where several eigenvalues vanish.
-    Column signs are fixed so each column's largest-magnitude entry is
-    positive.
+    The problem is solved over the Laplacian's groups of equal rows: the
+    quotient's symmetric reduction is solved densely and each group's value
+    is copied to its rows.  The rows beyond each group's first add
+    eigenvectors inside their group with eigenvalue exactly 1, which the
+    quotient does not see; when the frame would need one of them (``dims``
+    past the quotient's non-trivial count, or its eigenvalue ``dims`` - 1 not
+    below 1), or when no row repeats, the same solve runs with every row its
+    own group, which is the plain dense solve of D^(-1/2) L D^(-1/2).  The
+    constant direction (always a null vector) is pushed above the spectrum
+    by a rank-one shift before the solve, so the lowest dims eigenvectors of
+    the shifted matrix are exactly the non-trivial ones; this stays correct
+    on disconnected graphs where several eigenvalues vanish.  The
+    degenerate-gap rule reads the quotient's spectrum merged with the exact
+    ones.  Column signs are fixed so each column's largest-magnitude entry
+    is positive.
 
     ``dims`` may list several widths: one solve checks each of them and
     returns the frame of the widest.  Every column depends on the solve
@@ -118,24 +204,23 @@ def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
     for w in widths:
         if w < 1 or w > m - 1:
             raise RankDeficient(f"need 1 <= dims <= m-1, got dims={w}, m={m}")
-    dsqrt = np.sqrt(lap.degrees)
-    # in place where the arithmetic allows, so that the solve's input is the
-    # only m x m array of ours alive while eigh allocates its own
-    reduced = lap.matrix / dsqrt[:, None]
-    reduced /= dsqrt[None, :]
-    reduced = reduced + reduced.T
-    reduced /= 2.0
-    v0 = dsqrt / np.linalg.norm(dsqrt)
-    shift = float(np.max(np.sum(np.abs(reduced), axis=1))) + 1.0
-    reduced += shift * np.outer(v0, v0)
-    eigvals, eigvecs = np.linalg.eigh(reduced)
-    # indices 0..m-2 are the non-trivial pairs; the shifted constant sits last
+    dims = max(widths)
+    groups = lap.groups
+    eigvals, eigvecs, root = _grouped_eigh(lap, groups, lap.firsts)
+    u = eigvals.shape[0]
+    if u < m and (dims > u - 1 or not eigvals[dims - 1] < 1.0):
+        del eigvecs     # not alive beside the full solve's arrays
+        groups = np.arange(m)
+        eigvals, eigvecs, root = _grouped_eigh(lap, groups, groups)
+        u = m
+    # indices 0..u-2 are the quotient's non-trivial pairs; its shifted
+    # constant sits last
+    spectrum = np.sort(np.concatenate([eigvals[:u - 1], np.ones(m - u)]))
     for w in widths:
-        if w <= m - 2 and eigvals[w] - eigvals[w - 1] < DEGENERATE_GAP:
+        if w <= m - 2 and spectrum[w] - spectrum[w - 1] < DEGENERATE_GAP:
             raise RankDeficient(
                 "requested dimension cuts a numerically degenerate eigenvalue cluster")
-    dims = max(widths)
-    x = eigvecs[:, :dims] / dsqrt[:, None]
+    x = (eigvecs[:, :dims] / root[:, None])[groups]
     for j in range(dims):
         i = int(np.argmax(np.abs(x[:, j])))
         if x[i, j] < 0.0:

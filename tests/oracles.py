@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from slemap.errors import KTooLarge
+from slemap.errors import KTooLarge, RankDeficient
+from slemap.laplacian import DEGENERATE_GAP
 from slemap.metrics import ConfusionCounts, compute_mcc, confusion_at
 from slemap.transforms import N_KINDS, TransformKind
 
@@ -272,3 +273,36 @@ def oracle_best_mcc_threshold(scores, labels) -> tuple[float, ConfusionCounts]:
         if mcc > best_mcc:
             best_t, best_c, best_mcc = t, c, mcc
     return float(best_t), best_c
+
+
+def oracle_solve_eigenmap(lap, dims):
+    """Bottom non-trivial eigenvectors of L x = lambda D x from one dense
+    solve over every row of L, with no grouping of equal rows."""
+    m = lap.m
+    widths = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
+    for w in widths:
+        if w < 1 or w > m - 1:
+            raise RankDeficient(f"need 1 <= dims <= m-1, got dims={w}, m={m}")
+    dsqrt = np.sqrt(lap.degrees)
+    # in place where the arithmetic allows, so that the solve's input is the
+    # only m x m array of ours alive while eigh allocates its own
+    reduced = lap.matrix / dsqrt[:, None]
+    reduced /= dsqrt[None, :]
+    reduced = reduced + reduced.T
+    reduced /= 2.0
+    v0 = dsqrt / np.linalg.norm(dsqrt)
+    shift = float(np.max(np.sum(np.abs(reduced), axis=1))) + 1.0
+    reduced += shift * np.outer(v0, v0)
+    eigvals, eigvecs = np.linalg.eigh(reduced)
+    # indices 0..m-2 are the non-trivial pairs; the shifted constant sits last
+    for w in widths:
+        if w <= m - 2 and eigvals[w] - eigvals[w - 1] < DEGENERATE_GAP:
+            raise RankDeficient(
+                "requested dimension cuts a numerically degenerate eigenvalue cluster")
+    dims = max(widths)
+    x = eigvecs[:, :dims] / dsqrt[:, None]
+    for j in range(dims):
+        i = int(np.argmax(np.abs(x[:, j])))
+        if x[i, j] < 0.0:
+            x[:, j] = -x[:, j]
+    return x

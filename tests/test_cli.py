@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import slemap
 from slemap.cli import main
 from slemap.config import PipelineConfig
 from slemap.dataset import load_dataset
@@ -363,3 +367,14 @@ class TestUsageErrors:
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["similarity", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg alone adds about 0.3 s and 28 MB to every command's start-up
+    src = os.path.dirname(os.path.dirname(slemap.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, slemap, slemap.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from slemap.errors import DimensionMismatch, NonSymmetricInput, RankDeficient
+from oracles import oracle_solve_eigenmap
+from slemap.config import PipelineConfig
+from slemap.dataset import Dataset
+from slemap.errors import DimensionMismatch, NonFiniteValue, NonSymmetricInput, RankDeficient
+from slemap.evaluation import prepare_dataset
+from slemap.synth import GeneratorSpec, generate_arrays
 from slemap.laplacian import (
     build_laplacian,
     d_orthonormalize,
@@ -28,6 +33,18 @@ def block_similarity(*sizes):
         s[at:at + size, at:at + size] = 1.0
         at += size
     return s
+
+
+def repeated_rows(s, idx):
+    """The similarity of the documents of ``s`` listed in ``idx``, repeats included."""
+    return np.ascontiguousarray(s[np.ix_(idx, idx)])
+
+
+def synth_similarity(m, clusters, seed=0):
+    spec = GeneratorSpec(m=m, numeric_dim=3, clusters=clusters, text_weight=0.5, noise=0.05)
+    ids, labels, numeric, texts, _ = generate_arrays(spec, seed=seed)
+    ds = Dataset(ids=ids, labels=labels, numeric=numeric, texts=texts)
+    return prepare_dataset(ds, PipelineConfig(), True).similarity.values
 
 
 class TestBuildLaplacian:
@@ -71,6 +88,35 @@ class TestBuildLaplacian:
         s[0, 1] = 1e-6
         with pytest.raises(NonSymmetricInput):
             build_laplacian(s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, bad):
+        s = random_similarity(np.random.default_rng(3), 4)
+        s[0, 1] = s[1, 0] = bad
+        with pytest.raises(NonFiniteValue):
+            build_laplacian(s)
+
+    def test_groups_equal_rows(self):
+        s = repeated_rows(random_similarity(np.random.default_rng(4), 5), [3, 0, 3, 1, 0, 3])
+        lap = build_laplacian(s)
+        assert lap.groups.tolist() == [0, 1, 0, 2, 1, 0]
+        assert lap.firsts.tolist() == [0, 1, 3]
+
+    def test_rows_one_ulp_apart_not_merged(self):
+        s = repeated_rows(random_similarity(np.random.default_rng(5), 6), [0, 1, 2, 3, 4, 5, 0])
+        s[6, 3] = s[3, 6] = np.nextafter(s[6, 3], 2.0)
+        lap = build_laplacian(s)
+        assert lap.firsts.tolist() == list(range(7))
+        assert solve_eigenmap(lap, 3).tobytes() == oracle_solve_eigenmap(lap, 3).tobytes()
+
+    def test_zero_degree_and_inexactly_symmetric_rows_not_grouped(self):
+        s = np.zeros((5, 5))
+        s[:2, :2] = 1.0
+        assert build_laplacian(s).firsts.tolist() == [0, 2, 3, 4]
+        # rows 0 and 3 stay equal, but their columns differ in row 1
+        s = repeated_rows(random_similarity(np.random.default_rng(6), 3), [0, 1, 2, 0])
+        s[1, 0] += 1e-14
+        assert build_laplacian(s).firsts.tolist() == [0, 1, 2, 3]
 
 
 class TestObjective:
@@ -210,6 +256,67 @@ class TestSolveEigenmap:
         a = solve_eigenmap(build_laplacian(s), 3)
         b = solve_eigenmap(build_laplacian(s.copy()), 3)
         assert np.array_equal(a, b)
+
+
+class TestQuotientSolve:
+    """solve_eigenmap over groups of equal rows against the solve over every row."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_free_is_oracle_bitwise(self, seed):
+        lap = build_laplacian(random_similarity(np.random.default_rng(seed), 16))
+        assert lap.firsts.size == lap.m
+        for dims in (1, 4, [2, 7, 5], lap.m - 1):
+            assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: repeated_rows(random_similarity(np.random.default_rng(12), 12),
+                              np.random.default_rng(13).integers(0, 12, size=30)),
+        lambda: repeated_rows(random_similarity(np.random.default_rng(14), 20),
+                              np.repeat(np.arange(20), np.arange(20) % 4 + 1)),
+        # weak coupling, constant between two blocks, makes the graph connected
+        lambda: block_similarity(3, 1, 4, 2, 2) + 0.05 * repeated_rows(
+            random_similarity(np.random.default_rng(15), 5), [0, 0, 0, 1, 2, 2, 2, 2, 3, 3, 4, 4]),
+        lambda: synth_similarity(200, 4),
+    ], ids=["random-repeats", "graded-repeats", "blocks", "synth-200x4"])
+    def test_duplicate_heavy_matches_oracle(self, make):
+        lap = build_laplacian(make())
+        m, u = lap.m, lap.firsts.size
+        assert u < m
+        for w in range(1, m):
+            try:
+                want = oracle_solve_eigenmap(lap, w)
+            except RankDeficient:
+                with pytest.raises(RankDeficient):
+                    solve_eigenmap(lap, w)
+                continue
+            got = solve_eigenmap(lap, w)
+            if w > u - 1:
+                # past the quotient's non-trivial pairs only the fallback solves
+                assert got.tobytes() == want.tobytes()
+            assert np.max(np.abs(got - want)) <= 1e-12, w
+            gram = got.T @ (lap.degrees[:, None] * got)
+            assert np.max(np.abs(gram - np.eye(w))) <= 1e-8, w
+
+    def test_width_into_the_ones_block_falls_back(self):
+        # 10 distinct rows among 30: a frame of 28 columns reaches the 20
+        # eigenvectors inside groups, which only the solve over every row has
+        lap = build_laplacian(repeated_rows(random_similarity(np.random.default_rng(12), 12),
+                                            np.random.default_rng(13).integers(0, 12, size=30)))
+        assert lap.firsts.size == 10
+        for dims in (28, 29, [3, 28]):
+            assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
+        with pytest.raises(RankDeficient):
+            solve_eigenmap(lap, 15)
+        # two repeated rows among 16: eight quotient eigenvalues lie below 1,
+        # so widths 10 and 12, inside the quotient's count, need the two
+        # eigenvalue-1 vectors, and width 9 cuts between them
+        lap = build_laplacian(repeated_rows(random_similarity(np.random.default_rng(0), 14),
+                                            [*range(14), 0, 1]))
+        assert lap.firsts.size == 14
+        for dims in (10, 12):
+            assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
+        with pytest.raises(RankDeficient):
+            solve_eigenmap(lap, 9)
 
 
 class TestDescend:
