@@ -74,8 +74,9 @@ def _equal_row_groups(s: np.ndarray, groupable: np.ndarray) -> tuple[np.ndarray,
     buckets: dict[int, list[int]] = {}
     for i, row in enumerate(s):
         bucket = buckets.setdefault(hash(row.tobytes()), []) if groupable[i] else []
-        g = next((g for g in bucket if np.array_equal(s[firsts[g]], row)), len(firsts))
-        if g == len(firsts):
+        g = next((g for g in bucket if np.array_equal(s[firsts[g]], row)), None)
+        if g is None:
+            g = len(firsts)
             firsts.append(i)
             bucket.append(g)
         groups[i] = g

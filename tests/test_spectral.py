@@ -6,7 +6,6 @@ from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
 from slemap.errors import DimensionMismatch, NonFiniteValue, NonSymmetricInput, RankDeficient
 from slemap.evaluation import prepare_dataset
-from slemap.synth import GeneratorSpec, generate_arrays
 from slemap.laplacian import (
     build_laplacian,
     d_orthonormalize,
@@ -16,6 +15,7 @@ from slemap.laplacian import (
     phi_gradient,
     solve_eigenmap,
 )
+from slemap.synth import GeneratorSpec, generate_arrays
 
 
 def random_similarity(rng, m):
