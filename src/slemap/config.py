@@ -105,6 +105,9 @@ class PipelineConfig:
             raise ConfigError("cv.folds must be at least 2")
         if self.seed < 0:
             raise ConfigError("cv.seed must be non-negative")
+        if self.max_edit_distance < 0 or self.min_token_length < 0:
+            raise ConfigError("misspelling.max_edit_distance and misspelling.min_token_length "
+                              "must be at least 0")
         if not 0.0 <= self.retrain_auc <= 1.0:
             raise ConfigError("cv.retrain_auc must lie in [0, 1]")
         try:

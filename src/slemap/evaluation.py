@@ -138,15 +138,21 @@ class PreparedDataset:
     calls, so one eigensolve per fold serves the whole dims sweep of
     ``compare_methods``: the sweep lists its ``widths``, the fold's first
     solve runs at the widest of them and checks the degenerate-gap rule at
-    each, and every width slices that frame.  Only the m_train x max(widths)
-    frame is kept, never the Laplacian or the full eigendecomposition.
+    each, and every width slices that frame.  While ``keep_laplacians``
+    says that a later width of the sweep fits sle on the same folds again,
+    each fold's entry also carries the fold's Laplacian (its u x u block
+    over distinct rows), so every fold builds it once; otherwise the entry
+    holds the m_train x max(widths) frame alone, and the last width frees
+    each Laplacian as its fold ends.  The full eigendecomposition is never
+    kept.
     """
 
     dataset: Dataset
     docs: list[Document]
     similarity: SimilarityMatrix | None
     widths: tuple[int, ...] = ()
-    # (folds, seed, fold number) -> Split.frame of that fold
+    keep_laplacians: bool = False
+    # (folds, seed, fold number) -> (Split.frame, Split.lap or None) of that fold
     frames: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
 
 
@@ -216,8 +222,9 @@ class Split:
     Documents, similarities, the Laplacian and the training eigenmap are
     made on first use and kept, so every method fitted on a split shares
     them.  Cross-validation supplies the documents, the fold's blocks of the
-    corpus matrix, the sweep's ``widths`` and the fold's ``frame`` from an
-    earlier width, so one eigensolve per fold serves the whole dims sweep.
+    corpus matrix, the sweep's ``widths`` and the fold's ``frame`` and
+    ``lap`` from an earlier width, so one eigensolve and one Laplacian per
+    fold serve the whole dims sweep.
     A split without them builds the training matrix with one
     SimilarityComputer and scores test documents by ``rows`` against the
     model's training documents, with the model's computer
@@ -234,6 +241,7 @@ class Split:
     widths: tuple[int, ...] = ()      # every dims the one eigensolve must serve
     # (widths checked, eigenmap at the widest of them, feature scale)
     frame: tuple[tuple[int, ...], np.ndarray, float] | None = None
+    lap: Laplacian | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def documents(self, config: PipelineConfig, rows) -> list[Document]:
@@ -259,9 +267,9 @@ class Split:
         return self.sim_test
 
     def laplacian(self, config: PipelineConfig) -> Laplacian:
-        if "laplacian" not in self._cache:
-            self._cache["laplacian"] = build_laplacian(self.train_similarity(config))
-        return self._cache["laplacian"]
+        if self.lap is None:
+            self.lap = build_laplacian(self.train_similarity(config))
+        return self.lap
 
     def eigenmap(self, config: PipelineConfig) -> tuple[np.ndarray, float]:
         """Eigenmap at ``config.dims`` and feature scale of the training similarities.
@@ -421,9 +429,10 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     for fold_no, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, test_idx)
         key = (config.folds, config.seed, fold_no)
+        frame, lap = prepared.frames.get(key, (None, None))
         split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
                       joint_lsi=config.lsi_joint, widths=prepared.widths,
-                      frame=prepared.frames.get(key))
+                      frame=frame, lap=lap)
         if needs_sim:
             s = prepared.similarity.values
             split.sim_train = s[np.ix_(train_idx, train_idx)]
@@ -439,7 +448,8 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                     (fold_no, dataset.ids[i], int(labels[i]), float(s))
                     for i, s in zip(test_idx, te_scores))
         if split.frame is not None:
-            prepared.frames[key] = split.frame
+            prepared.frames[key] = (split.frame,
+                                    split.lap if prepared.keep_laplacians else None)
         del split   # frees the fold's matrices before the next fold slices its own
 
     return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
@@ -457,6 +467,7 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
 
     Every width runs ``run_methods`` on the same folds, and one eigensolve
     per fold, at the widest width, serves them all (``PreparedDataset``).
+    With sle, each fold's Laplacian is kept until the last width.
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
     training size minus one, raises ``RankDeficient`` at that solve.
     """
@@ -464,7 +475,8 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
     prepared = prepare_dataset(dataset, config, needs_sim)
     prepared.widths = tuple(dims_list)
     rows = []
-    for dims in dims_list:
+    for n, dims in enumerate(dims_list):
+        prepared.keep_laplacians = "sle" in methods and n + 1 < len(dims_list)
         cfg = replace(config, dims=dims)
         reports = run_methods(dataset, methods, cfg, prepared=prepared)
         for method in methods:

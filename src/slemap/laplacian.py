@@ -9,12 +9,14 @@ the similarity matrix: ``solve_eigenmap`` and ``descend_eigenmap`` return
 one, and the objective and its gradient take one.
 
 Short texts repeat, so many rows of S are bitwise equal.  Groups of equal
-rows partition the graph equitably, and the generalized problem splits
-exactly into a quotient problem with one row per group and, for every row
-beyond a group's first, an eigenvector that lives inside its group with
-eigenvalue exactly 1.  ``solve_eigenmap`` solves the quotient and expands
-its vectors to rows; it solves over every row only when the frame would
-reach that eigenvalue-1 block or no row repeats.
+rows partition the graph equitably, so a ``Laplacian`` is its u x u block
+over one row per group, and L X is computed over the groups at u^2 * dims
+cost rather than m^2 * dims.  The generalized problem splits exactly into a
+quotient problem with one row per group and, for every row beyond a
+group's first, an eigenvector that lives inside its group with eigenvalue
+exactly 1.  ``solve_eigenmap`` solves the quotient and expands its vectors
+to rows; it expands the block to every row and solves there only when the
+frame would reach that eigenvalue-1 block or no row repeats.
 
 One projected-descent step on the constraint manifold serves two callers:
 the unsupervised eigenmap descent (an alternative route to the same optimum)
@@ -39,27 +41,63 @@ COLLAPSE_TOL = 1e-6        # a frame column under this D-norm has collapsed
 
 @dataclass(frozen=True)
 class Laplacian:
-    """L = D - S with D the diagonal degree matrix of S.
-
-    ``degrees`` carries the regularized diagonal of D: zero-degree rows
-    (isolated sentinel documents) get DEGREE_EPSILON so the generalized
-    eigenproblem stays well-posed; ``matrix`` is built from the raw degrees,
-    so its rows sum to zero exactly.
+    """L = D - S with D the diagonal degree matrix of S, held over groups of equal rows.
 
     ``groups`` gives each row's group of bitwise-equal rows of S, numbered in
     order of their first row, and ``firsts`` the first row of each group.
     Rows are grouped only when S is exactly symmetric and only among rows of
-    positive degree; every other row is a group of its own.
+    positive degree; every other row is a group of its own.  ``order`` lists
+    the rows sorted by group and ``starts`` where each group begins in it.
+
+    Equal rows of a symmetric S have equal columns, so L is kept as its
+    u x u ``block`` over ``firsts`` (raw degree minus s on the diagonal, -s
+    elsewhere) and ``self_similarity``, each group's similarity to itself,
+    which every entry of S inside the group equals.  No m x m matrix is
+    kept: :meth:`dot` computes L X over the groups and :meth:`dense` expands
+    the block to every row.
+
+    ``raw_degrees`` are the row sums of S, from which L is built, so its rows
+    sum to zero exactly.  ``degrees`` carries the regularized diagonal of D:
+    zero-degree rows (isolated sentinel documents) get DEGREE_EPSILON so the
+    generalized eigenproblem stays well-posed.
     """
 
-    matrix: np.ndarray
+    block: np.ndarray
+    self_similarity: np.ndarray
+    raw_degrees: np.ndarray
     degrees: np.ndarray
     groups: np.ndarray
     firsts: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
 
     @property
     def m(self) -> int:
-        return self.matrix.shape[0]
+        return self.groups.shape[0]
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """L X as (L_u G^T X)[groups] + r * (X - (G^T X)[groups]).
+
+        G is the row-to-group indicator, so G^T X sums each group's rows and
+        S X = (S_u G^T X)[groups].  The first term's degree part is
+        r * (G^T X)[groups] where L X has r * X, and the second term puts
+        that right.  With every row its own group, L_u is L and the product
+        is the plain one.
+        """
+        if self.firsts.shape[0] == self.m:
+            return self.block @ x
+        gx = np.add.reduceat(x[self.order], self.starts, axis=0)
+        lx = (self.block @ gx)[self.groups]
+        lx += self.raw_degrees[:, None] * (x - gx[self.groups])
+        return lx
+
+    def dense(self) -> np.ndarray:
+        """L over every row, bitwise diag(raw_degrees) - S."""
+        within = self.block.copy()
+        np.fill_diagonal(within, 0.0 - self.self_similarity)
+        full = within[np.ix_(self.groups, self.groups)]
+        np.fill_diagonal(full, self.raw_degrees - self.self_similarity[self.groups])
+        return full
 
 
 def _equal_row_groups(s: np.ndarray, groupable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,23 +127,31 @@ def build_laplacian(similarity: np.ndarray) -> Laplacian:
         raise DimensionMismatch(f"similarity matrix must be square, got {s.shape}")
     if not np.isfinite(s).all():
         raise NonFiniteValue("similarity matrix has a NaN or infinite entry")
-    asymmetry = np.max(np.abs(s - s.T))
-    if asymmetry > SYMMETRY_TOL:
+    exact = np.array_equal(s, s.T)
+    if not exact and np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
         raise NonSymmetricInput("similarity matrix is not symmetric")
     raw_degrees = s.sum(axis=1)
-    lap = np.diag(raw_degrees) - s
     degrees = np.where(raw_degrees > 0.0, raw_degrees, DEGREE_EPSILON)
     # equal rows of an inexactly symmetric S need not have equal columns
-    groupable = raw_degrees > 0.0 if asymmetry == 0.0 else np.zeros(s.shape[0], dtype=bool)
+    groupable = raw_degrees > 0.0 if exact else np.zeros(s.shape[0], dtype=bool)
     groups, firsts = _equal_row_groups(s, groupable)
-    return Laplacian(matrix=lap, degrees=degrees, groups=groups, firsts=firsts)
+    block = s[np.ix_(firsts, firsts)]
+    self_similarity = block.diagonal().copy()
+    # 0 - s, not -s: the entries of diag(r) - S off its diagonal, zeros included
+    np.subtract(0.0, block, out=block)
+    np.fill_diagonal(block, raw_degrees[firsts] - self_similarity)
+    order = np.argsort(groups, kind="stable")
+    counts = np.bincount(groups)
+    return Laplacian(block=block, self_similarity=self_similarity, raw_degrees=raw_degrees,
+                     degrees=degrees, groups=groups, firsts=firsts, order=order,
+                     starts=np.cumsum(counts) - counts)
 
 
 def _phi_and_product(x: np.ndarray, lap: Laplacian) -> tuple[float, np.ndarray]:
     """tr(X^T L X) and the product L X it is computed from."""
     if x.ndim != 2 or x.shape[0] != lap.m:
         raise DimensionMismatch(f"embedding rows {x.shape} vs laplacian size {lap.m}")
-    lx = lap.matrix @ x
+    lx = lap.dot(x)
     val = float(np.einsum("ij,ij->", x, lx))
     if not np.isfinite(val):
         raise NonFiniteValue("objective is not finite")
@@ -121,7 +167,7 @@ def phi_gradient(x: np.ndarray, lap: Laplacian) -> np.ndarray:
     """d tr(X^T L X) / dX = 2 L X."""
     if x.ndim != 2 or x.shape[0] != lap.m:
         raise DimensionMismatch(f"embedding rows {x.shape} vs laplacian size {lap.m}")
-    return 2.0 * (lap.matrix @ x)
+    return 2.0 * lap.dot(x)
 
 
 def d_orthonormalize(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -140,9 +186,8 @@ def _deflate_constant(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return x - comp[None, :]
 
 
-def _grouped_eigh(lap: Laplacian, groups: np.ndarray,
-                  firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of the quotient problem over ``groups``, constant direction shifted last.
+def _grouped_eigh(lap: Laplacian, grouped: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the quotient problem over the groups, constant direction shifted last.
 
     With c the group sizes, the quotient pencil is (Q, diag(d/c)) where Q
     holds the mean of L over each block of two groups: -S between groups, and
@@ -150,20 +195,25 @@ def _grouped_eigh(lap: Laplacian, groups: np.ndarray,
     after a rank-one shift pushes the constant direction, proportional to
     sqrt(c*d), above the spectrum.  Returns the eigenvalues, the eigenvectors
     and sqrt(c*d), which maps an eigenvector to the group values of a
-    D-orthonormal frame.  With every row its own group the operations are
-    those of a plain solve of D^(-1/2) L D^(-1/2).
+    D-orthonormal frame.  Not ``grouped``, every row is its own group and
+    the operations are those of a plain solve of D^(-1/2) L D^(-1/2) over
+    ``lap.dense()``.
     """
-    counts = np.bincount(groups, minlength=firsts.shape[0]).astype(float)
     # in place where the arithmetic allows, so that the solve's input is the
     # only full-size array of ours alive while eigh allocates its own
-    reduced = lap.matrix[np.ix_(firsts, firsts)]
-    multi = np.flatnonzero(counts > 1.0)
-    if multi.size:
-        lasts = np.argsort(groups, kind="stable")[np.cumsum(counts).astype(np.intp) - 1]
-        f, c = firsts[multi], counts[multi]
+    if grouped:
+        counts = np.diff(lap.starts, append=lap.m).astype(float)
+        degrees = lap.degrees[lap.firsts]
+        reduced = lap.block.copy()
+        multi = np.flatnonzero(counts > 1.0)
+        c = counts[multi]
         # a diagonal block holds c entries r - s and c(c-1) entries -s
-        reduced[multi, multi] = (lap.matrix[f, f] + (c - 1.0) * lap.matrix[f, lasts[multi]]) / c
-    degrees = lap.degrees[firsts]
+        reduced[multi, multi] = (lap.block[multi, multi]
+                                 + (c - 1.0) * (0.0 - lap.self_similarity[multi])) / c
+    else:
+        counts = np.ones(lap.m)
+        degrees = lap.degrees
+        reduced = lap.dense()
     dsqrt = np.sqrt(degrees / counts)
     reduced /= dsqrt[:, None]
     reduced /= dsqrt[None, :]
@@ -207,12 +257,12 @@ def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
             raise RankDeficient(f"need 1 <= dims <= m-1, got dims={w}, m={m}")
     dims = max(widths)
     groups = lap.groups
-    eigvals, eigvecs, root = _grouped_eigh(lap, groups, lap.firsts)
+    eigvals, eigvecs, root = _grouped_eigh(lap, grouped=True)
     u = eigvals.shape[0]
     if u < m and (dims > u - 1 or not eigvals[dims - 1] < 1.0):
         del eigvecs     # not alive beside the full solve's arrays
         groups = np.arange(m)
-        eigvals, eigvecs, root = _grouped_eigh(lap, groups, groups)
+        eigvals, eigvecs, root = _grouped_eigh(lap, grouped=False)
         u = m
     # indices 0..u-2 are the quotient's non-trivial pairs; its shifted
     # constant sits last

@@ -90,8 +90,11 @@ def all_missing_similarity(n_tokens: int, weights: TransformWeights) -> float:
 def edit_distance(a: str, b: str, cap: int | None = None) -> int:
     """Damerau-Levenshtein distance (optimal string alignment variant).
 
-    With ``cap`` any distance above the cap may be returned as ``cap + 1``.
+    With ``cap`` any distance above the cap may be returned as ``cap + 1``;
+    a negative cap raises ValueError.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"edit distance cap must be non-negative, got {cap}")
     if a == b:
         return 0
     la, lb = len(a), len(b)

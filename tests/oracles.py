@@ -275,6 +275,11 @@ def oracle_best_mcc_threshold(scores, labels) -> tuple[float, ConfusionCounts]:
     return float(best_t), best_c
 
 
+def oracle_laplacian_product(s, x):
+    """L X with L = diag(S 1) - S built over every row, as one dense product."""
+    return (np.diag(s.sum(axis=1)) - s) @ x
+
+
 def oracle_solve_eigenmap(lap, dims):
     """Bottom non-trivial eigenvectors of L x = lambda D x from one dense
     solve over every row of L, with no grouping of equal rows."""
@@ -286,7 +291,7 @@ def oracle_solve_eigenmap(lap, dims):
     dsqrt = np.sqrt(lap.degrees)
     # in place where the arithmetic allows, so that the solve's input is the
     # only m x m array of ours alive while eigh allocates its own
-    reduced = lap.matrix / dsqrt[:, None]
+    reduced = lap.dense() / dsqrt[:, None]
     reduced /= dsqrt[None, :]
     reduced = reduced + reduced.T
     reduced /= 2.0

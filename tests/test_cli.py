@@ -307,6 +307,7 @@ class TestConfigErrors:
         "normalize.max_tokens = 0", "normalize.max_statements = 0",
         "sle.max_outer_iters = 0", "sle.l2 = -1", "sle.inner_theta_steps = -1",
         "sle.tol = -1", "sle.lambda = -1",
+        "misspelling.max_edit_distance = -1", "misspelling.min_token_length = -1",
     ])
     def test_bad_value_exits_2(self, small_dataset, tmp_path, monkeypatch, line):
         monkeypatch.chdir(tmp_path)

@@ -7,7 +7,8 @@ from slemap import evaluation
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
 from slemap.errors import RankDeficient
-from slemap.evaluation import compare_methods, cross_validate, run_methods, stratified_folds
+from slemap.evaluation import (compare_methods, cross_validate, prepare_dataset, run_methods,
+                               stratified_folds)
 from slemap.model_io import load_model, predict_model, save_model, train_model
 from slemap.synth import GeneratorSpec, generate_arrays
 
@@ -153,6 +154,26 @@ class TestDimsSweep:
                 assert repr(row["auc"]) == repr(reports[method].mean_auc)
                 assert repr(row["mcc"]) == repr(reports[method].mean_mcc)
         assert solves == [(2,)] * 3 + [(3,)] * 3 + [(5,)] * 3
+
+    def test_one_laplacian_per_fold(self, text_dataset, monkeypatch):
+        builds = []
+        real = evaluation.build_laplacian
+
+        def counted(s):
+            builds.append(s.shape)
+            return real(s)
+
+        monkeypatch.setattr(evaluation, "build_laplacian", counted)
+        compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
+        assert len(builds) == self.CFG.folds
+        # a single width keeps no Laplacian beyond its fold
+        builds.clear()
+        prepared = prepare_dataset(text_dataset, self.CFG, True)
+        prepared.widths = (3,)
+        run_methods(text_dataset, ["le", "sle"], replace(self.CFG, dims=3), prepared=prepared)
+        assert len(builds) == self.CFG.folds
+        assert len(prepared.frames) == self.CFG.folds
+        assert all(lap is None for _, lap in prepared.frames.values())
 
     @pytest.mark.parametrize("dims_list", [[2, 1], [2, 200]], ids=["degenerate", "too-wide"])
     def test_bad_width_is_rank_deficient(self, dims_list):

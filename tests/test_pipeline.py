@@ -85,6 +85,13 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 PipelineConfig.from_mapping({key: bad})
 
+    @pytest.mark.parametrize("key", ["misspelling.max_edit_distance",
+                                     "misspelling.min_token_length"])
+    def test_misspelling_settings_non_negative(self, key):
+        assert getattr(PipelineConfig.from_mapping({key: "0"}), KEYS[key]) == 0
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_mapping({key: "-1"})
+
     def test_readme_config_block_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_solve_eigenmap
+from oracles import oracle_laplacian_product, oracle_solve_eigenmap
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
 from slemap.errors import DimensionMismatch, NonFiniteValue, NonSymmetricInput, RankDeficient
@@ -47,35 +47,50 @@ def synth_similarity(m, clusters, seed=0):
     return prepare_dataset(ds, PipelineConfig(), True).similarity.values
 
 
+# similarity matrices with many repeated rows, as (id, maker) pairs
+DUPLICATE_HEAVY = [
+    ("random-repeats", lambda: repeated_rows(random_similarity(np.random.default_rng(12), 12),
+                                             np.random.default_rng(13).integers(0, 12, size=30))),
+    ("graded-repeats", lambda: repeated_rows(random_similarity(np.random.default_rng(14), 20),
+                                             np.repeat(np.arange(20), np.arange(20) % 4 + 1))),
+    # weak coupling, constant between two blocks, makes the graph connected
+    ("blocks", lambda: block_similarity(3, 1, 4, 2, 2) + 0.05 * repeated_rows(
+        random_similarity(np.random.default_rng(15), 5), [0, 0, 0, 1, 2, 2, 2, 2, 3, 3, 4, 4])),
+    ("synth-200x4", lambda: synth_similarity(200, 4)),
+]
+duplicate_heavy = pytest.mark.parametrize(
+    "make", [make for _, make in DUPLICATE_HEAVY], ids=[name for name, _ in DUPLICATE_HEAVY])
+
+
 class TestBuildLaplacian:
     def test_two_node(self):
         lap = build_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert np.allclose(lap.degrees, [2.0, 2.0])
-        assert np.array_equal(lap.matrix, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert np.array_equal(lap.dense(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_identity_similarity(self):
         lap = build_laplacian(np.eye(3))
-        assert np.array_equal(lap.matrix, np.zeros((3, 3)))
+        assert np.array_equal(lap.dense(), np.zeros((3, 3)))
         assert np.allclose(lap.degrees, np.ones(3))
 
     def test_row_sums_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             lap = build_laplacian(random_similarity(rng, 12))
-            assert np.max(np.abs(lap.matrix.sum(axis=1))) <= 1e-10
+            assert np.max(np.abs(lap.dense().sum(axis=1))) <= 1e-10
 
     def test_psd(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             lap = build_laplacian(random_similarity(rng, 15))
-            assert np.linalg.eigvalsh(lap.matrix).min() >= -1e-10
+            assert np.linalg.eigvalsh(lap.dense()).min() >= -1e-10
 
     def test_quadratic_form_nonneg(self):
         rng = np.random.default_rng(8)
         lap = build_laplacian(random_similarity(rng, 10))
         for _ in range(20):
             v = rng.standard_normal(10)
-            assert v @ lap.matrix @ v >= -1e-10 * (v @ v)
+            assert v @ lap.dense() @ v >= -1e-10 * (v @ v)
 
     def test_zero_degree_regularized(self):
         s = np.zeros((3, 3))
@@ -268,16 +283,7 @@ class TestQuotientSolve:
         for dims in (1, 4, [2, 7, 5], lap.m - 1):
             assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
 
-    @pytest.mark.parametrize("make", [
-        lambda: repeated_rows(random_similarity(np.random.default_rng(12), 12),
-                              np.random.default_rng(13).integers(0, 12, size=30)),
-        lambda: repeated_rows(random_similarity(np.random.default_rng(14), 20),
-                              np.repeat(np.arange(20), np.arange(20) % 4 + 1)),
-        # weak coupling, constant between two blocks, makes the graph connected
-        lambda: block_similarity(3, 1, 4, 2, 2) + 0.05 * repeated_rows(
-            random_similarity(np.random.default_rng(15), 5), [0, 0, 0, 1, 2, 2, 2, 2, 3, 3, 4, 4]),
-        lambda: synth_similarity(200, 4),
-    ], ids=["random-repeats", "graded-repeats", "blocks", "synth-200x4"])
+    @duplicate_heavy
     def test_duplicate_heavy_matches_oracle(self, make):
         lap = build_laplacian(make())
         m, u = lap.m, lap.firsts.size
@@ -317,6 +323,40 @@ class TestQuotientSolve:
             assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
         with pytest.raises(RankDeficient):
             solve_eigenmap(lap, 9)
+
+
+class TestQuotientProduct:
+    """L X over groups of equal rows against the product with the m x m L."""
+
+    @duplicate_heavy
+    def test_duplicate_heavy_matches_oracle(self, make):
+        s = make()
+        lap = build_laplacian(s)
+        assert lap.firsts.size < lap.m
+        x = np.random.default_rng(16).standard_normal((lap.m, 5))
+        want = oracle_laplacian_product(s, x)
+        for got in (lap.dot(x), phi_gradient(x, lap) / 2.0):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_free_is_oracle_bitwise(self, seed):
+        s = random_similarity(np.random.default_rng(seed), 16)
+        lap = build_laplacian(s)
+        assert lap.firsts.size == lap.m
+        x = np.random.default_rng(seed + 100).standard_normal((lap.m, 3))
+        want = oracle_laplacian_product(s, x)
+        assert lap.dot(x).tobytes() == want.tobytes()
+        assert phi_gradient(x, lap).tobytes() == (2.0 * want).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        *(make for _, make in DUPLICATE_HEAVY),
+        lambda: random_similarity(np.random.default_rng(17), 9),
+        lambda: np.eye(4),
+    ], ids=[*(name for name, _ in DUPLICATE_HEAVY), "duplicate-free", "identity"])
+    def test_dense_expansion_is_full_laplacian(self, make):
+        # the matrix the full-solve fallback reads
+        s = make()
+        assert np.array_equal(build_laplacian(s).dense(), np.diag(s.sum(1)) - s)
 
 
 class TestDescend:

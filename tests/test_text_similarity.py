@@ -637,6 +637,11 @@ class TestEditDistance:
             for cap in range(3):
                 assert min(edit_distance(a, b, cap), cap + 1) == min(osa_distance(a, b), cap + 1)
 
+    @pytest.mark.parametrize("a, b", [("abcd", "abce"), ("abcd", "abcd")])
+    def test_negative_cap_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            edit_distance(a, b, cap=-1)
+
 
 class TestDictionaryFiles:
     def test_round_trip(self, tmp_path):
