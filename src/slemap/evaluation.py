@@ -138,20 +138,17 @@ class PreparedDataset:
     calls, so one eigensolve per fold serves the whole dims sweep of
     ``compare_methods``: the sweep lists its ``widths``, the fold's first
     solve runs at the widest of them and checks the degenerate-gap rule at
-    each, and every width slices that frame.  While ``keep_laplacians``
-    says that a later width of the sweep fits sle on the same folds again,
-    each fold's entry also carries the fold's Laplacian (its u x u block
-    over distinct rows), so every fold builds it once; otherwise the entry
-    holds the m_train x max(widths) frame alone, and the last width frees
-    each Laplacian as its fold ends.  The full eigendecomposition is never
-    kept.
+    each, and every width slices that frame.  When the sweep lists more than
+    one width and sle is among the methods, each fold's entry also carries
+    the fold's Laplacian (its u x u block over distinct rows), so every fold
+    builds it once; otherwise the entry holds the m_train x max(widths)
+    frame alone.  The full eigendecomposition is never kept.
     """
 
     dataset: Dataset
     docs: list[Document]
     similarity: SimilarityMatrix | None
     widths: tuple[int, ...] = ()
-    keep_laplacians: bool = False
     # (folds, seed, fold number) -> (Split.frame, Split.lap or None) of that fold
     frames: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
 
@@ -409,7 +406,8 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     Similarity matrices, normalized documents, and the per-fold unsupervised
     eigenmap are computed once and shared wherever two methods need them;
     a ``prepared`` dataset also keeps each fold's eigenmap for later calls
-    at other dims.
+    at other dims, and with sle and more than one width in its sweep, each
+    fold's Laplacian too.
     """
     for method in methods:
         if method not in METHODS:
@@ -419,6 +417,7 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
         prepared = prepare_dataset(dataset, config, needs_sim)
     if needs_sim and prepared.similarity is None:
         raise ValueError("prepared dataset lacks the similarity matrix")
+    keep_lap = "sle" in methods and len(prepared.widths) > 1
     labels = dataset.labels
     folds = stratified_folds(labels, config.folds, config.seed)
     all_idx = np.arange(dataset.m)
@@ -448,8 +447,7 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                     (fold_no, dataset.ids[i], int(labels[i]), float(s))
                     for i, s in zip(test_idx, te_scores))
         if split.frame is not None:
-            prepared.frames[key] = (split.frame,
-                                    split.lap if prepared.keep_laplacians else None)
+            prepared.frames[key] = (split.frame, split.lap if keep_lap else None)
         del split   # frees the fold's matrices before the next fold slices its own
 
     return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
@@ -467,7 +465,7 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
 
     Every width runs ``run_methods`` on the same folds, and one eigensolve
     per fold, at the widest width, serves them all (``PreparedDataset``).
-    With sle, each fold's Laplacian is kept until the last width.
+    With sle, each fold's Laplacian is built once as well.
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
     training size minus one, raises ``RankDeficient`` at that solve.
     """
@@ -475,8 +473,7 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
     prepared = prepare_dataset(dataset, config, needs_sim)
     prepared.widths = tuple(dims_list)
     rows = []
-    for n, dims in enumerate(dims_list):
-        prepared.keep_laplacians = "sle" in methods and n + 1 < len(dims_list)
+    for dims in dims_list:
         cfg = replace(config, dims=dims)
         reports = run_methods(dataset, methods, cfg, prepared=prepared)
         for method in methods:

@@ -81,11 +81,10 @@ class Laplacian:
         G is the row-to-group indicator, so G^T X sums each group's rows and
         S X = (S_u G^T X)[groups].  The first term's degree part is
         r * (G^T X)[groups] where L X has r * X, and the second term puts
-        that right.  With every row its own group, L_u is L and the product
-        is the plain one.
+        that right.  With every row its own group, L_u is L, G^T X is X and
+        the correction adds zeros, so the product keeps the plain one's
+        values (a -0.0 entry can turn into +0.0).
         """
-        if self.firsts.shape[0] == self.m:
-            return self.block @ x
         gx = np.add.reduceat(x[self.order], self.starts, axis=0)
         lx = (self.block @ gx)[self.groups]
         lx += self.raw_degrees[:, None] * (x - gx[self.groups])

@@ -156,19 +156,29 @@ class TestDimsSweep:
         assert solves == [(2,)] * 3 + [(3,)] * 3 + [(5,)] * 3
 
     def test_one_laplacian_per_fold(self, text_dataset, monkeypatch):
-        builds = []
-        real = evaluation.build_laplacian
+        builds, sweeps = [], []
+        real_build, real_prepare = evaluation.build_laplacian, evaluation.prepare_dataset
 
         def counted(s):
             builds.append(s.shape)
-            return real(s)
+            return real_build(s)
+
+        def captured(*args):
+            sweeps.append(real_prepare(*args))
+            return sweeps[-1]
 
         monkeypatch.setattr(evaluation, "build_laplacian", counted)
+        monkeypatch.setattr(evaluation, "prepare_dataset", captured)
         compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
         assert len(builds) == self.CFG.folds
+        # a sweep with sle keeps each fold's Laplacian; one without keeps none
+        compare_methods(text_dataset, ["le"], [2, 3, 5], self.CFG)
+        for prepared, kept in zip(sweeps, (True, False)):
+            assert len(prepared.frames) == self.CFG.folds
+            assert all((lap is not None) == kept for _, lap in prepared.frames.values())
         # a single width keeps no Laplacian beyond its fold
         builds.clear()
-        prepared = prepare_dataset(text_dataset, self.CFG, True)
+        prepared = real_prepare(text_dataset, self.CFG, True)
         prepared.widths = (3,)
         run_methods(text_dataset, ["le", "sle"], replace(self.CFG, dims=3), prepared=prepared)
         assert len(builds) == self.CFG.folds
