@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .dictionary import TransformationDictionary, default_dictionary, load_dictionary_dir
+from .dictionary import (MAX_EDIT_DISTANCE, TransformationDictionary, default_dictionary,
+                         load_dictionary_dir)
 from .errors import ConfigError
 from .sle import SleConfig
 from .text import DEFAULT_DELIMITERS, DEFAULT_STOP_WORDS, NormalizationConfig
@@ -105,9 +106,10 @@ class PipelineConfig:
             raise ConfigError("cv.folds must be at least 2")
         if self.seed < 0:
             raise ConfigError("cv.seed must be non-negative")
-        if self.max_edit_distance < 0 or self.min_token_length < 0:
-            raise ConfigError("misspelling.max_edit_distance and misspelling.min_token_length "
-                              "must be at least 0")
+        if not 0 <= self.max_edit_distance <= MAX_EDIT_DISTANCE:
+            raise ConfigError(f"misspelling.max_edit_distance must lie in 0..{MAX_EDIT_DISTANCE}")
+        if self.min_token_length < 0:
+            raise ConfigError("misspelling.min_token_length must be at least 0")
         if not 0.0 <= self.retrain_auc <= 1.0:
             raise ConfigError("cv.retrain_auc must lie in [0, 1]")
         try:

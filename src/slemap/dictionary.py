@@ -18,6 +18,9 @@ from .errors import ParseError
 
 DEFAULT_MISSPELLING_MAX_EDIT_DISTANCE = 1
 DEFAULT_MISSPELLING_MIN_TOKEN_LENGTH = 4
+# Largest misspelling edit distance: a token's deletion variants, which the
+# similarity layer indexes, number C(len, <= cap).
+MAX_EDIT_DISTANCE = 3
 
 
 @dataclass(frozen=True)
@@ -27,7 +30,8 @@ class TransformationDictionary:
     ``synonym_sets`` maps each token to the id of its group, so membership in
     the same group is symmetric by construction.  ``acronyms`` maps a short
     form to the full token sequence (length >= 2); ``abbreviations`` maps a
-    short form to a single token.
+    short form to a single token.  ``max_edit_distance`` lies in
+    0..``MAX_EDIT_DISTANCE``.
     """
 
     synonym_group: dict[str, frozenset[int]] = field(default_factory=dict)
@@ -35,6 +39,11 @@ class TransformationDictionary:
     abbreviations: dict[str, str] = field(default_factory=dict)
     max_edit_distance: int = DEFAULT_MISSPELLING_MAX_EDIT_DISTANCE
     min_token_length: int = DEFAULT_MISSPELLING_MIN_TOKEN_LENGTH
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.max_edit_distance <= MAX_EDIT_DISTANCE:
+            raise ValueError(f"misspelling max_edit_distance must lie in 0..{MAX_EDIT_DISTANCE}, "
+                             f"got {self.max_edit_distance}")
 
     def same_synonym_set(self, a: str, b: str) -> bool:
         ga = self.synonym_group.get(a)

@@ -218,10 +218,10 @@ class Split:
 
     Documents, similarities, the Laplacian and the training eigenmap are
     made on first use and kept, so every method fitted on a split shares
-    them.  Cross-validation supplies the documents, the fold's blocks of the
-    corpus matrix, the sweep's ``widths`` and the fold's ``frame`` and
-    ``lap`` from an earlier width, so one eigensolve and one Laplacian per
-    fold serve the whole dims sweep.
+    them.  Cross-validation supplies the documents, the corpus matrix (the
+    fold's blocks are sliced from it on first use), the sweep's ``widths``
+    and the fold's ``frame`` and ``lap`` from an earlier width, so one
+    eigensolve and one Laplacian per fold serve the whole dims sweep.
     A split without them builds the training matrix with one
     SimilarityComputer and scores test documents by ``rows`` against the
     model's training documents, with the model's computer
@@ -232,8 +232,7 @@ class Split:
     train: np.ndarray
     test: np.ndarray
     docs: list[Document] | None = None
-    sim_train: np.ndarray | None = None
-    sim_test: np.ndarray | None = None
+    similarity: np.ndarray | None = None   # over every record of the dataset
     joint_lsi: bool = False           # LSI factorizes the test documents too
     widths: tuple[int, ...] = ()      # every dims the one eigensolve must serve
     # (widths checked, eigenmap at the widest of them, feature scale)
@@ -252,16 +251,21 @@ class Split:
         return self._cache["computer"]
 
     def train_similarity(self, config: PipelineConfig) -> np.ndarray:
-        if self.sim_train is None:
-            self.sim_train = self.computer(config).matrix(
-                self.documents(config, self.train)).values
-        return self.sim_train
+        if "train" not in self._cache:
+            self._cache["train"] = (
+                self.similarity[np.ix_(self.train, self.train)] if self.similarity is not None
+                else self.computer(config).matrix(self.documents(config, self.train)).values)
+        return self._cache["train"]
 
     def test_similarity(self, model: TrainedModel) -> np.ndarray:
-        if self.sim_test is None:
-            corpus, computer = model.corpus()
-            self.sim_test = computer.rows(self.documents(model.config, self.test), corpus)
-        return self.sim_test
+        if "test" not in self._cache:
+            if self.similarity is not None:
+                self._cache["test"] = self.similarity[np.ix_(self.test, self.train)]
+            else:
+                corpus, computer = model.corpus()
+                self._cache["test"] = computer.rows(
+                    self.documents(model.config, self.test), corpus)
+        return self._cache["test"]
 
     def laplacian(self, config: PipelineConfig) -> Laplacian:
         if self.lap is None:
@@ -338,7 +342,7 @@ def fit(method: str, split: Split, config: PipelineConfig, fold: int = 0) -> Tra
     for attempt in range(config.max_retrains):
         seed = _derived_seed(config.seed, fold, attempt, method)
         if method == "sle":
-            fitted = fit_sle(num, split.train_similarity(config), y, config.sle_config(seed),
+            fitted = fit_sle(num, None, y, config.sle_config(seed),
                              lap=split.laplacian(config), xe0=text,
                              feature_scale=model.feature_scale)
             model.params, model.xe_train = fitted.params, fitted.embedding
@@ -430,12 +434,9 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
         key = (config.folds, config.seed, fold_no)
         frame, lap = prepared.frames.get(key, (None, None))
         split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
+                      similarity=prepared.similarity.values if needs_sim else None,
                       joint_lsi=config.lsi_joint, widths=prepared.widths,
                       frame=frame, lap=lap)
-        if needs_sim:
-            s = prepared.similarity.values
-            split.sim_train = s[np.ix_(train_idx, train_idx)]
-            split.sim_test = s[np.ix_(test_idx, train_idx)]
         for method in methods:
             model = fit(method, split, config, fold_no)
             te_scores, zero_rho = score(model, split)

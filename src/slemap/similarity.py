@@ -7,6 +7,7 @@ by the larger statement count.  Unpaired statements contribute nothing.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from .dictionary import TransformationDictionary, empty_dictionary
 from .text import DEFAULT_MAX_TOKENS, Document, Statement
-from .transforms import (TransformKind, TransformWeights, _spans_for_token,
+from .transforms import (MIN_AFFIX_LENGTH, TransformKind, TransformWeights, _spans_for_token,
                          all_missing_similarity, may_span, pair_kinds, statement_similarity)
 
 # Bytes one chunk of document pairs may hold while it is paired, counted by
@@ -144,6 +145,118 @@ class _Table:
                 self.values[i, j] = value
 
 
+class _TokenRelations:
+    """Token ids, and ``pair_kinds`` of every two tokens with ids as an int16
+    bitmask over TransformKind (0: unrelated; -1 beyond the ids).
+
+    When a token gets its id, lookups over the tokens with ids find every
+    token that ``pair_kinds`` may relate to it:
+
+    * Synonym: the ids under each of its synonym groups;
+    * Abbreviation: its expansion, and the short forms that expand to it;
+    * Prefix and Suffix: its proper prefixes and suffixes of at least
+      ``MIN_AFFIX_LENGTH`` characters, and the tokens that start or end with
+      it, found by bisection in the sorted tokens and the sorted reversed
+      tokens;
+    * Misspelling: the ids that share a variant with at most ``cap``
+      characters deleted (FastSS: Bocek, Hunt and Stiller, 2007).  Each edit
+      of an optimal string alignment deletes at most one character on each
+      side (a substitution or a transposition one on both), so two tokens
+      within ``cap`` edits share such a variant.
+
+    Only those candidates are checked with ``pair_kinds``; the rest of the
+    token's row and column is 0, and the diagonal is Equal.
+    """
+
+    def __init__(self, dictionary: TransformationDictionary):
+        self.dictionary = dictionary
+        self.tokens: list[str] = []
+        self.ids: dict[str, int] = {}
+        self.kinds = np.full((0, 0), -1, dtype=np.int16)
+        self.forward: list[str] = []               # the tokens, sorted
+        self.backward: list[str] = []              # the tokens reversed, sorted
+        self.synonyms: dict[int, set[int]] = {}    # synonym group -> ids
+        self.deletions: dict[str, set[int]] = {}   # deletion variant -> ids
+        self.short_forms: dict[str, list[str]] = {}
+        for short, long in dictionary.abbreviations.items():
+            self.short_forms.setdefault(long, []).append(short)
+
+    def add(self, statements: list) -> int:
+        """Give every token of the token sequences ``statements`` an id and
+        its relations; returns how many ids there are."""
+        new = list(dict.fromkeys(tok for st in statements for tok in st if tok not in self.ids))
+        old, n = len(self.tokens), len(self.tokens) + len(new)
+        if n > len(self.kinds):   # with room for the new words of a few requests
+            grown = np.full((n + n // 4, n + n // 4), -1, dtype=np.int16)
+            grown[:old, :old] = self.kinds[:old, :old]
+            self.kinds = grown
+        self.kinds[old:n, :n] = self.kinds[:n, old:n] = 0
+        for i, tok in enumerate(new, start=old):
+            self.kinds[i, i] = 1 << TransformKind.EQUAL
+            for j in sorted(self._candidates(tok)):
+                mask = sum(1 << kind for kind in pair_kinds(tok, self.tokens[j], self.dictionary))
+                self.kinds[i, j] = self.kinds[j, i] = mask
+            self.ids[tok] = i
+            self.tokens.append(tok)
+            bisect.insort(self.forward, tok)
+            bisect.insort(self.backward, tok[::-1])
+            for store, key in self._keys(tok):
+                store.setdefault(key, set()).add(i)
+        return n
+
+    def forget(self, n: int) -> None:
+        """Drop the tokens with ids from ``n`` on, and their relations."""
+        for i, tok in enumerate(self.tokens[n:], start=n):
+            del self.ids[tok]
+            del self.forward[bisect.bisect_left(self.forward, tok)]
+            del self.backward[bisect.bisect_left(self.backward, tok[::-1])]
+            for store, key in self._keys(tok):
+                store[key].discard(i)
+                if not store[key]:
+                    del store[key]
+        del self.tokens[n:]
+        self.kinds[n:, :] = self.kinds[:, n:] = -1
+
+    def kinds_of(self, x: str, y: str) -> tuple[TransformKind, ...]:
+        """``pair_kinds`` of two tokens with ids."""
+        return _kinds_of(int(self.kinds[self.ids[x], self.ids[y]]))
+
+    def _keys(self, tok: str):
+        """The (store, key) entries that hold the token's id: its synonym
+        groups and its deletion variants."""
+        for group in self.dictionary.synonym_group.get(tok, ()):
+            yield self.synonyms, group
+        cap = self.dictionary.max_edit_distance
+        if cap < 1 or len(tok) < self.dictionary.min_token_length:
+            return
+        level = variants = {tok}
+        for _ in range(cap):
+            level = {v[:k] + v[k + 1:] for v in level for k in range(len(v))}
+            variants = variants | level
+        for variant in variants:
+            yield self.deletions, variant
+
+    def _candidates(self, tok: str) -> set[int]:
+        """Ids of the tokens that pair_kinds may relate to ``tok``, which has none."""
+        ids = self.ids
+        found: set[int] = set()
+        for store, key in self._keys(tok):
+            found |= store.get(key, set())
+        for other in (self.dictionary.abbreviations.get(tok), *self.short_forms.get(tok, ()),
+                      *(part for k in range(MIN_AFFIX_LENGTH, len(tok))
+                        for part in (tok[:k], tok[-k:]))):
+            if other in ids:
+                found.add(ids[other])
+        if len(tok) >= MIN_AFFIX_LENGTH:
+            for ordered, key, back in ((self.forward, tok, False),
+                                       (self.backward, tok[::-1], True)):
+                k = bisect.bisect_left(ordered, key)
+                while k < len(ordered) and ordered[k].startswith(key):
+                    found.add(ids[ordered[k][::-1] if back else ordered[k]])
+                    k += 1
+        return found
+
+
 class SimilarityComputer:
     """Caches statement similarities across many document pairs.
 
@@ -158,11 +271,13 @@ class SimilarityComputer:
     relates, no span) the all-Missing score, without the statement DP; that
     score is exactly what the DP returns for such a pair.  It then scores the
     related statement pairs that its document pairs hold and its table lacks,
-    each with one ``statement_similarity``.  The token relations
-    (``pair_kinds``) are memoized across calls in a token x token table that
-    both passes read, except those of tokens that only a ``rows`` call's new
-    documents hold.  A new document identical to a non-empty
-    corpus document scores 1.0 without a pairing.
+    each with one ``statement_similarity``.  The token relations come from a
+    relation index (``_TokenRelations``): when a token gets its id, lookups
+    find the few tokens it may be related to, and ``pair_kinds`` runs on
+    those candidates only.  Both passes read the index's token x token
+    table; a ``rows`` call drops the tokens that only its new documents
+    hold.  A new document identical to a non-empty corpus document scores
+    1.0 without a pairing.
 
     Documents are paired in a canonical order (statements sorted by tokens,
     the shorter document first, equal-length documents ordered by key), so
@@ -189,11 +304,7 @@ class SimilarityComputer:
         statements: list[Statement] = []
         ids: dict[tuple, int] = {}
         self._known = _Table(np.empty((0, 0)), statements, statements, ids, ids)
-        # token ids, and pair_kinds of two ids as a bitmask over
-        # TransformKind (0: unrelated), -1 where not computed yet
-        self._tokens: list[str] = []
-        self._token_id: dict[str, int] = {}
-        self._kinds = np.full((0, 0), -1, dtype=np.int16)
+        self._relations = _TokenRelations(self.dictionary)
 
     def statement_similarity(self, a: Statement, b: Statement) -> float:
         first = np.zeros((1, 1), dtype=np.intp)
@@ -239,7 +350,7 @@ class SimilarityComputer:
         new_st, old_st = _distinct(new_docs), _distinct(corpus)
         # the kept table's tokens have ids already; ids from ``held`` on are
         # tokens that only the new documents hold
-        held = self._token_ids([st.tokens for st in old_st])
+        held = self._relations.add([st.tokens for st in old_st])
         table = self._call_table(new_st, old_st)
         try:
             self._fill_unrelated(table, np.arange(len(new_st)), np.arange(len(old_st)))
@@ -247,10 +358,7 @@ class SimilarityComputer:
         finally:
             # forget the relations of tokens that neither the kept table nor
             # the corpus holds, so requests with novel words do not grow the memo
-            for tok in self._tokens[held:]:
-                del self._token_id[tok]
-            del self._tokens[held:]
-            self._kinds[held:, :] = self._kinds[:, held:] = -1
+            self._relations.forget(held)
         return su[np.ix_(new_inv, old_inv)]
 
     def _intern(self, docs: list[Document]) -> np.ndarray:
@@ -267,23 +375,8 @@ class SimilarityComputer:
             grown = np.full((n, n), np.nan)
             grown[:old, :old] = known.values
             known.values = grown
-        self._token_ids([st.tokens for st in statements])
+        self._relations.add([st.tokens for st in statements])
         return np.array([known.row_of[st.tokens] for st in statements], dtype=np.intp)
-
-    def _token_ids(self, statements: list) -> int:
-        """Give every token of the token sequences ``statements`` an id;
-        returns how many ids there are."""
-        for st in statements:
-            for tok in st:
-                if tok not in self._token_id:
-                    self._token_id[tok] = len(self._tokens)
-                    self._tokens.append(tok)
-        n, cap = len(self._tokens), len(self._kinds)
-        if n > cap:   # with room for the new words of a few requests
-            grown = np.full((n + n // 4, n + n // 4), -1, dtype=np.int16)
-            grown[:cap, :cap] = self._kinds
-            self._kinds = grown
-        return n
 
     def _fill_unrelated(self, table: _Table, rows: np.ndarray, cols: np.ndarray) -> None:
         """Score every unscored pair of the table rows ``rows`` and columns
@@ -293,8 +386,8 @@ class SimilarityComputer:
         token of one statement has a span in the other.  Otherwise the only
         complete graph makes every token Missing, so the pair gets
         ``all_missing_similarity``, bitwise what the DP returns.  Token pairs
-        are decided once per computer through the ``pair_kinds`` memo, and
-        statement pairs for the whole call at once, as the boolean product
+        are read from the relation index, and statement pairs are decided
+        for the whole call at once, as the boolean product
         T_rows R T_colsᵀ of statement-token incidences and token relations.
         Pairs with a statement over ``max_tokens`` are left to the DP, which
         raises ``TokenCapExceeded`` for them.
@@ -313,7 +406,7 @@ class SimilarityComputer:
         tokens, a, b = _incidences(left, right)
         # 0/1 matrices in float32, so that the boolean products run in BLAS
         # and a product is > 0 exactly when one of its terms is 1
-        related = a @ self._token_relations(tokens, a.T @ _ones(todo) @ b > 0) @ b.T > 0
+        related = a @ self._token_relations(tokens) @ b.T > 0
         loose = todo & ~related
         if loose.any():   # no token pair relates these: look for a span
             related |= ((a @ self._spans(tokens, a.T @ _ones(loose) > 0, right) > 0)
@@ -335,24 +428,12 @@ class SimilarityComputer:
         both = (p >= 0) & (q >= 0)
         self._known.values[p[both], q[both]] = self._known.values[q[both], p[both]] = value[both]
 
-    def _token_relations(self, tokens: list[str], needed: np.ndarray) -> np.ndarray:
-        """Whether pair_kinds relates ``tokens[x]`` and ``tokens[y]``, as
-        float32 0/1, computed for the ``needed`` pairs the memo lacks."""
-        self._token_ids([tokens])
-        ids = np.array([self._token_id[tok] for tok in tokens], dtype=np.intp)
-        unknown = needed & (self._kinds[np.ix_(ids, ids)] < 0)
-        for u, v in zip(*(k.tolist() for k in np.nonzero(unknown))):
-            self._pair_kinds(tokens[u], tokens[v])
-        return _ones(self._kinds[np.ix_(ids, ids)] > 0)
-
-    def _pair_kinds(self, x: str, y: str) -> tuple[TransformKind, ...]:
-        """``pair_kinds`` of two tokens with ids, through the memo."""
-        i, j = self._token_id[x], self._token_id[y]
-        mask = int(self._kinds[i, j])
-        if mask < 0:
-            mask = sum(1 << kind for kind in pair_kinds(x, y, self.dictionary))
-            self._kinds[i, j] = self._kinds[j, i] = mask
-        return _kinds_of(mask)
+    def _token_relations(self, tokens: list[str]) -> np.ndarray:
+        """Whether pair_kinds relates ``tokens[x]`` and ``tokens[y]``, as float32 0/1."""
+        relations = self._relations
+        relations.add([tokens])
+        ids = np.array([relations.ids[tok] for tok in tokens], dtype=np.intp)
+        return _ones(relations.kinds[np.ix_(ids, ids)] > 0)
 
     def _spans(self, tokens: list[str], asked: np.ndarray,
                statements: list[tuple]) -> np.ndarray:
@@ -452,7 +533,7 @@ class SimilarityComputer:
                 if y.tokens < x.tokens:
                     x, y = y, x
                 value = statement_similarity(x, y, self.weights, self.dictionary,
-                                             self.max_tokens, kinds=self._pair_kinds)
+                                             self.max_tokens, kinds=self._relations.kinds_of)
                 if kept:   # its rows are its columns
                     table.values[i, j] = table.values[j, i] = value
                 else:

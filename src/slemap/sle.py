@@ -89,7 +89,8 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
 
     ``lap``/``xe0`` may be supplied when the caller already solved the
     unsupervised problem (the evaluation harness shares them between the
-    supervised and unsupervised runs); they must match ``similarity``.
+    supervised and unsupervised runs); they must match ``similarity``, which
+    is read only to build a missing ``lap`` and may be None when it is given.
     ``feature_scale`` multiplies the embedding columns as the classifier sees
     them (the D-orthonormal eigenvectors are orders of magnitude smaller than
     typical numeric features); the trace objective and the constraint always

@@ -185,6 +185,20 @@ class TestDimsSweep:
         assert len(prepared.frames) == self.CFG.folds
         assert all(lap is None for _, lap in prepared.frames.values())
 
+    def test_training_block_read_at_first_width_only(self, text_dataset, monkeypatch):
+        """Each fold slices its training similarities once, at the first
+        width; later widths reuse the fold's eigenmap and Laplacian."""
+        reads = []
+        real = evaluation.Split.train_similarity
+
+        def counted(split, config):
+            reads.append(config.dims)
+            return real(split, config)
+
+        monkeypatch.setattr(evaluation.Split, "train_similarity", counted)
+        compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
+        assert reads == [2] * self.CFG.folds
+
     @pytest.mark.parametrize("dims_list", [[2, 1], [2, 200]], ids=["degenerate", "too-wide"])
     def test_bad_width_is_rank_deficient(self, dims_list):
         # three mutually unrelated texts: the training graph has three
@@ -267,8 +281,9 @@ class TestFoldEqualsTrainPredict:
     @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
     def test_relation_memo_stays_bounded(self, fold_run, tmp_path, loaded):
         """Requests with novel words leave the token-relation stores of a
-        long-lived model (the token ids and the pair_kinds table) as large as
-        they were, and score bitwise as a fresh model does."""
+        long-lived model (the token ids, the pair_kinds table and the
+        relation index's lookups) as large as they were, and score bitwise as
+        a fresh model does."""
         ds, cfg, _ = fold_run
         test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
         train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
@@ -285,15 +300,22 @@ class TestFoldEqualsTrainPredict:
         predict_model(model, request)
         computer = model.corpus()[1]
 
-        def stores():
-            return (len(computer._token_id), len(computer._tokens), computer._kinds.shape,
-                    int((computer._kinds >= 0).sum()))
+        relations = computer._relations
 
+        def stores():
+            return (len(relations.ids), len(relations.tokens), relations.kinds.shape,
+                    int((relations.kinds >= 0).sum()),
+                    len(relations.forward), len(relations.backward),
+                    len(relations.synonyms), sum(map(len, relations.synonyms.values())),
+                    len(relations.deletions), sum(map(len, relations.deletions.values())))
+
+        # dictionary synonyms the training texts lack, so the synonym lookup grows too
+        absent = sorted(set(computer.dictionary.synonym_group) - set(relations.ids))
         size = stores()
         for k in range(5):
             novel = Dataset(ids=request.ids[:1], labels=request.labels[:1],
                             numeric=request.numeric[:1],
-                            texts=[f"chest pain unseen{k} novelword{k}"])
+                            texts=[f"chest pain unseen{k} novelword{k} {absent[k]}"])
             got = predict_model(model, novel)
             assert stores() == size
             assert got.tobytes() == predict_model(make(), novel).tobytes()

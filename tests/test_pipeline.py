@@ -6,6 +6,7 @@ import pytest
 
 from slemap.config import KEYS, PipelineConfig
 from slemap.dataset import Dataset, ingest_csv, load_dataset, write_dataset_csv
+from slemap.dictionary import MAX_EDIT_DISTANCE, build_dictionary
 from slemap.errors import ConfigError, FoldTooSmall, InvalidSpec, ParseError, SchemaError
 from slemap.evaluation import prepare_dataset, run_methods, stratified_folds
 from slemap.synth import GeneratorSpec, generate_arrays, generate_synthetic, parse_generator_spec
@@ -91,6 +92,15 @@ class TestConfig:
         assert getattr(PipelineConfig.from_mapping({key: "0"}), KEYS[key]) == 0
         with pytest.raises(ConfigError):
             PipelineConfig.from_mapping({key: "-1"})
+
+    def test_misspelling_cap_bounded(self):
+        for cap in range(MAX_EDIT_DISTANCE + 1):
+            assert PipelineConfig(max_edit_distance=cap).load_dictionary().max_edit_distance == cap
+        with pytest.raises(ConfigError):
+            PipelineConfig(max_edit_distance=MAX_EDIT_DISTANCE + 1)
+        for bad in (-1, MAX_EDIT_DISTANCE + 1):
+            with pytest.raises(ValueError, match="max_edit_distance"):
+                build_dictionary(max_edit_distance=bad)
 
     def test_readme_config_block_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
