@@ -175,8 +175,10 @@ class _TokenRelations:
         self.kinds = np.full((0, 0), -1, dtype=np.int16)
         self.forward: list[str] = []               # the tokens, sorted
         self.backward: list[str] = []              # the tokens reversed, sorted
-        self.synonyms: dict[int, set[int]] = {}    # synonym group -> ids
-        self.deletions: dict[str, set[int]] = {}   # deletion variant -> ids
+        # synonym group -> ids, and deletion variant -> ids, in id order; most
+        # variants have one id, which a list holds in less memory than a set
+        self.synonyms: dict[int, list[int]] = {}
+        self.deletions: dict[str, list[int]] = {}
         self.short_forms: dict[str, list[str]] = {}
         for short, long in dictionary.abbreviations.items():
             self.short_forms.setdefault(long, []).append(short)
@@ -193,15 +195,16 @@ class _TokenRelations:
         self.kinds[old:n, :n] = self.kinds[:n, old:n] = 0
         for i, tok in enumerate(new, start=old):
             self.kinds[i, i] = 1 << TransformKind.EQUAL
-            for j in sorted(self._candidates(tok)):
+            keys = list(self._keys(tok))
+            for j in sorted(self._candidates(tok, keys)):
                 mask = sum(1 << kind for kind in pair_kinds(tok, self.tokens[j], self.dictionary))
                 self.kinds[i, j] = self.kinds[j, i] = mask
             self.ids[tok] = i
             self.tokens.append(tok)
             bisect.insort(self.forward, tok)
             bisect.insort(self.backward, tok[::-1])
-            for store, key in self._keys(tok):
-                store.setdefault(key, set()).add(i)
+            for store, key in keys:
+                store.setdefault(key, []).append(i)
         return n
 
     def forget(self, n: int) -> None:
@@ -211,7 +214,7 @@ class _TokenRelations:
             del self.forward[bisect.bisect_left(self.forward, tok)]
             del self.backward[bisect.bisect_left(self.backward, tok[::-1])]
             for store, key in self._keys(tok):
-                store[key].discard(i)
+                store[key].remove(i)
                 if not store[key]:
                     del store[key]
         del self.tokens[n:]
@@ -236,12 +239,13 @@ class _TokenRelations:
         for variant in variants:
             yield self.deletions, variant
 
-    def _candidates(self, tok: str) -> set[int]:
-        """Ids of the tokens that pair_kinds may relate to ``tok``, which has none."""
+    def _candidates(self, tok: str, keys: list) -> set[int]:
+        """Ids of the tokens that pair_kinds may relate to ``tok``, which has
+        none yet; ``keys`` are its ``_keys``."""
         ids = self.ids
         found: set[int] = set()
-        for store, key in self._keys(tok):
-            found |= store.get(key, set())
+        for store, key in keys:
+            found.update(store.get(key, ()))
         for other in (self.dictionary.abbreviations.get(tok), *self.short_forms.get(tok, ()),
                       *(part for k in range(MIN_AFFIX_LENGTH, len(tok))
                         for part in (tok[:k], tok[-k:]))):
