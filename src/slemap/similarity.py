@@ -9,26 +9,22 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
+import operator
 from dataclasses import dataclass
-from itertools import compress
 import numpy as np
 
 from .dictionary import TransformationDictionary, empty_dictionary
 from .text import DEFAULT_MAX_TOKENS, Document, Statement
-from .transforms import (MIN_AFFIX_LENGTH, TransformKind, TransformWeights, _spans_for_token,
-                         all_missing_similarity, may_span, pair_kinds, statement_similarity)
+from .transforms import (MIN_AFFIX_LENGTH, N_KINDS, TransformKind, TransformWeights,
+                         _spans_for_token, all_missing_similarity, pair_kinds,
+                         statement_similarity)
 
 # Bytes one chunk of document pairs may hold while it is paired, counted by
 # _pair_bytes; a chunk holds at least one pair.
 _CHUNK_BYTES = 1 << 24
-
-
-@functools.cache
-def _kinds_of(mask: int) -> tuple[TransformKind, ...]:
-    """The kinds of a bitmask over TransformKind, in kind order as pair_kinds
-    lists them."""
-    return tuple(kind for kind in TransformKind if mask >> kind & 1)
+# Statement pairs a call scores or stores at once: the unrelated pairs of a
+# matrix and the unscored pairs of a chunk go in slices of bounded memory.
+_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -58,15 +54,6 @@ def _canonical(key: tuple) -> tuple:
     # Shorter documents first, equal lengths by key: of two documents, the
     # one that comes first supplies the rows of the pairing.
     return len(key), key
-
-
-def _dedupe(docs: list[Document]) -> tuple[list[tuple], np.ndarray]:
-    """Distinct document keys in canonical order and each document's index
-    into them."""
-    keyed = [_doc_key(d) for d in docs]
-    keys = sorted(set(keyed), key=_canonical)
-    index = {key: n for n, key in enumerate(keys)}
-    return keys, np.array([index[key] for key in keyed], dtype=np.intp)
 
 
 def _distinct(docs: list[Document]) -> list[Statement]:
@@ -120,34 +107,41 @@ def _best_pairing(sims: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Table:
-    """Statement similarities, NaN where not scored: ``values[i, j]`` for the
-    statements ``rows[i]`` and ``cols[j]``; ``row_of``/``col_of`` map
-    statement tokens to positions."""
+    """The statement similarities a computer keeps, NaN where not scored:
+    ``values[i, j]`` for the statements ``rows[i]`` and ``rows[j]``;
+    ``row_of`` maps statement tokens to positions."""
 
     values: np.ndarray
     rows: list[Statement]
-    cols: list[Statement]
     row_of: dict[tuple, int]
-    col_of: dict[tuple, int]
 
-    @classmethod
-    def empty(cls, rows: list[Statement], cols: list[Statement]) -> "_Table":
-        return cls(np.full((len(rows), len(cols)), np.nan), rows, cols,
-                   {st.tokens: i for i, st in enumerate(rows)},
-                   {st.tokens: j for j, st in enumerate(cols)})
+    def intern(self, statements: "_Statements") -> None:
+        """Give every one of ``statements`` a row and a column."""
+        for st in statements.statements:
+            if st.tokens not in self.row_of:
+                self.row_of[st.tokens] = len(self.rows)
+                self.rows.append(st)
+        n, old = len(self.rows), len(self.values)
+        if n > old:
+            grown = np.full((n, n), np.nan)
+            grown[:old, :old] = self.values
+            self.values = grown
 
-    def put(self, x: tuple, y: tuple, value: float) -> None:
-        """Store the similarity of the statements with tokens x and y in each
-        orientation the table has."""
-        for u, v in ((x, y), (y, x)):
-            i, j = self.row_of.get(u), self.col_of.get(v)
-            if i is not None and j is not None:
-                self.values[i, j] = value
+    def positions(self, statements: "_Statements") -> np.ndarray:
+        """Positions of ``statements`` here, -1 for those the table lacks;
+        read again only after the table grows."""
+        size, at = statements.known
+        if size != len(self.rows):
+            at = np.array([self.row_of.get(tokens, -1) for tokens in statements.tokens],
+                          dtype=np.intp)
+            statements.known = (len(self.rows), at)
+        return at
 
 
 class _TokenRelations:
     """Token ids, and ``pair_kinds`` of every two tokens with ids as an int16
-    bitmask over TransformKind (0: unrelated; -1 beyond the ids).
+    bitmask over TransformKind (0: unrelated), in a table of exactly as many
+    rows and columns as there are ids.
 
     When a token gets its id, lookups over the tokens with ids find every
     token that ``pair_kinds`` may relate to it:
@@ -172,13 +166,13 @@ class _TokenRelations:
         self.dictionary = dictionary
         self.tokens: list[str] = []
         self.ids: dict[str, int] = {}
-        self.kinds = np.full((0, 0), -1, dtype=np.int16)
+        self.kinds = np.zeros((0, 0), dtype=np.int16)
         self.forward: list[str] = []               # the tokens, sorted
         self.backward: list[str] = []              # the tokens reversed, sorted
         # synonym group -> ids, and deletion variant -> ids, in id order; most
-        # variants have one id, which a list holds in less memory than a set
-        self.synonyms: dict[int, list[int]] = {}
-        self.deletions: dict[str, list[int]] = {}
+        # variants have one id, which a tuple holds in less memory than a list
+        self.synonyms: dict[int, tuple[int, ...]] = {}
+        self.deletions: dict[str, tuple[int, ...]] = {}
         self.short_forms: dict[str, list[str]] = {}
         for short, long in dictionary.abbreviations.items():
             self.short_forms.setdefault(long, []).append(short)
@@ -188,11 +182,10 @@ class _TokenRelations:
         its relations; returns how many ids there are."""
         new = list(dict.fromkeys(tok for st in statements for tok in st if tok not in self.ids))
         old, n = len(self.tokens), len(self.tokens) + len(new)
-        if n > len(self.kinds):   # with room for the new words of a few requests
-            grown = np.full((n + n // 4, n + n // 4), -1, dtype=np.int16)
-            grown[:old, :old] = self.kinds[:old, :old]
+        if new:
+            grown = np.zeros((n, n), dtype=np.int16)
+            grown[:old, :old] = self.kinds
             self.kinds = grown
-        self.kinds[old:n, :n] = self.kinds[:n, old:n] = 0
         for i, tok in enumerate(new, start=old):
             self.kinds[i, i] = 1 << TransformKind.EQUAL
             keys = list(self._keys(tok))
@@ -204,7 +197,7 @@ class _TokenRelations:
             bisect.insort(self.forward, tok)
             bisect.insort(self.backward, tok[::-1])
             for store, key in keys:
-                store.setdefault(key, []).append(i)
+                store[key] = store.get(key, ()) + (i,)
         return n
 
     def forget(self, n: int) -> None:
@@ -214,15 +207,14 @@ class _TokenRelations:
             del self.forward[bisect.bisect_left(self.forward, tok)]
             del self.backward[bisect.bisect_left(self.backward, tok[::-1])]
             for store, key in self._keys(tok):
-                store[key].remove(i)
-                if not store[key]:
+                rest = tuple(j for j in store[key] if j != i)
+                if rest:
+                    store[key] = rest
+                else:
                     del store[key]
-        del self.tokens[n:]
-        self.kinds[n:, :] = self.kinds[:, n:] = -1
-
-    def kinds_of(self, x: str, y: str) -> tuple[TransformKind, ...]:
-        """``pair_kinds`` of two tokens with ids."""
-        return _kinds_of(int(self.kinds[self.ids[x], self.ids[y]]))
+        if n < len(self.tokens):
+            del self.tokens[n:]
+            self.kinds = self.kinds[:n, :n].copy()
 
     def _keys(self, tok: str):
         """The (store, key) entries that hold the token's id: its synonym
@@ -261,6 +253,218 @@ class _TokenRelations:
         return found
 
 
+@functools.cache
+def _best_kinds(wvals: tuple[float, ...]) -> np.ndarray:
+    """The kind a token pair's move keeps, by the pair's ``pair_kinds``
+    bitmask: the lowest kind of the highest weight, as ``_best_moves``
+    picks it; -1 for an unrelated pair."""
+    best = np.full(1 << N_KINDS, -1, dtype=np.intp)
+    for mask in range(1, 1 << N_KINDS):
+        best[mask] = max((kind for kind in range(N_KINDS) if mask >> kind & 1),
+                         key=lambda kind: (wvals[kind], -kind))
+    best.flags.writeable = False   # shared by every caller
+    return best
+
+
+def _hits(text: str, word: str):
+    """Every offset at which ``word`` occurs in ``text``."""
+    at = text.find(word)
+    while at >= 0:
+        yield at
+        at = text.find(word, at + 1)
+
+
+def _span_keys(st: tuple[str, ...], expansions: dict[tuple, list[str]]) -> set[str]:
+    """Every word that may have a span in the statement ``st``: the
+    concatenations and the initials of its runs of two or more tokens, and
+    the dictionary acronyms (``expansions``: expansion -> acronyms) whose
+    expansion is one of its runs."""
+    keys = set()
+    for i, tok in enumerate(st):
+        joined, initials = tok, tok[0]
+        for other in st[i + 1:]:
+            joined += other
+            initials += other[0]
+            keys.add(joined)
+            keys.add(initials)
+    for length in {len(seq) for seq in expansions}:
+        for j0 in range(len(st) - length + 1):
+            keys.update(expansions.get(st[j0:j0 + length], ()))
+    return keys
+
+
+class _Statements:
+    """Distinct statements of one side of a call, and the ids of their
+    tokens: ``flat`` lists the ids statement by statement, ``start`` gives
+    where each statement's ids begin, and ``owner`` the statement of each
+    id.  ``known`` caches the statements' positions in the computer's kept
+    table, with the size of the table they were read at."""
+
+    def __init__(self, statements: list[Statement], relations: _TokenRelations):
+        self.statements = statements
+        self.tokens = [st.tokens for st in statements]
+        self.position = {tokens: n for n, tokens in enumerate(self.tokens)}
+        relations.add(self.tokens)
+        ids = relations.ids
+        self.lengths = np.array([len(st) for st in self.tokens], dtype=np.intp)
+        self.flat = np.array([ids[tok] for st in self.tokens for tok in st], dtype=np.intp)
+        self.owner = np.repeat(np.arange(len(self.tokens)), self.lengths)
+        self.start = np.cumsum(self.lengths) - self.lengths
+        self.known: tuple[int, np.ndarray | None] = (-1, None)
+
+    @functools.cached_property
+    def text(self) -> tuple[str, bytes, list[int], str, list[int]]:
+        """The statements for ``spanned_by``: their tokens joined, one
+        statement a line, with a flag at every token boundary and the offset
+        of every line; and their tokens' initials, one statement a line, with
+        the offset of every line."""
+        joined = "\n".join("".join(st) for st in self.tokens)
+        bounds = bytearray(len(joined) + 1)
+        starts, at = [], 0
+        for st in self.tokens:
+            starts.append(at)
+            bounds[at] = 1
+            for tok in st:
+                at += len(tok)
+                bounds[at] = 1
+            at += 1
+        initials = "\n".join("".join(tok[0] for tok in st) for st in self.tokens)
+        initial_starts = (np.cumsum(self.lengths + 1) - self.lengths - 1).tolist()
+        return joined, bytes(bounds), starts, initials, initial_starts
+
+    def spanned_by(self, word: str, dct: TransformationDictionary,
+                   ids: dict[str, int]) -> set[int]:
+        """The statements that ``word`` may have a span in, by search in
+        ``text``: every statement it has one in, where it is the
+        concatenation of two or more tokens, the initials of len(word)
+        tokens, or a dictionary acronym whose expansion occurs.  ``ids``
+        holds every token of the statements; a concatenation is looked for
+        only when a proper prefix and a proper suffix of ``word`` are in it."""
+        joined, bounds, starts, initials, initial_starts = self.text
+        found = set()
+        if (any(word[:k] in ids for k in range(1, len(word)))
+                and any(word[k:] in ids for k in range(1, len(word)))):
+            found.update(bisect.bisect_right(starts, at) - 1 for at in _hits(joined, word)
+                         if bounds[at] and bounds[at + len(word)]
+                         and 1 in bounds[at + 1:at + len(word)])
+        if len(word) >= 2:
+            found.update(bisect.bisect_right(initial_starts, at) - 1
+                         for at in _hits(initials, word))
+        seq = dct.acronyms.get(word)
+        if seq is not None:
+            expansion = "".join(seq)
+            found.update(bisect.bisect_right(starts, at) - 1 for at in _hits(joined, expansion)
+                         if bounds[at] and bounds[at + len(expansion)])
+        return found
+
+
+@dataclass
+class _Docs:
+    """Distinct documents as one side of a pairing, in canonical order:
+    ``rank`` orders them against the other side (equal ranks are equal
+    documents), ``size`` gives their statement counts, and ``ids[r]``, for
+    the documents of r statements, the table positions of those statements
+    in canonical order, one row a document."""
+
+    rank: np.ndarray
+    size: np.ndarray
+    ids: dict[int, np.ndarray]
+
+    @classmethod
+    def of(cls, keys: list[tuple], rank, position: dict[tuple, int]) -> "_Docs":
+        size = np.array([len(key) for key in keys], dtype=np.intp)
+        ids = {r: np.array([[position[tokens] for tokens in keys[k]]
+                            for k in np.flatnonzero(size == r).tolist()], dtype=np.intp)
+               for r in np.unique(size[size > 0]).tolist()}
+        return cls(np.asarray(rank, dtype=np.intp), size, ids)
+
+    def runs(self):
+        """(r, lo, hi) for each statement count r: the documents lo .. hi - 1
+        have r statements, since keys come grouped by statement count."""
+        for r in self.ids:
+            yield (r, int(np.searchsorted(self.size, r, "left")),
+                   int(np.searchsorted(self.size, r, "right")))
+
+
+class _Corpus:
+    """The corpus side of a call: the distinct document keys in canonical
+    order, each document's index into them, the distinct statements, and the
+    documents as a pairing side over those statements, corpus key k at rank
+    2k + 1.  ``rows`` keeps the one of the last corpus it was given."""
+
+    def __init__(self, docs: list[Document], relations: _TokenRelations):
+        self.docs = list(docs)
+        keyed = [_doc_key(d) for d in self.docs]
+        self.keys = sorted(set(keyed), key=_canonical)
+        at = {key: n for n, key in enumerate(self.keys)}
+        self.inverse = np.array([at[key] for key in keyed], dtype=np.intp)
+        self.statements = _Statements(_distinct(self.docs), relations)
+        self.side = _Docs.of(self.keys, 2 * np.arange(len(self.keys)) + 1,
+                             self.statements.position)
+
+    def holds(self, docs: list[Document]) -> bool:
+        """Whether ``docs`` are this corpus's documents, the same objects in
+        the same order."""
+        return len(docs) == len(self.docs) and all(map(operator.is_, docs, self.docs))
+
+    def rank(self, key: tuple) -> int:
+        """The rank of a document key against the corpus keys, by bisection:
+        2k + 1 for the k-th key, 2k for a key that falls just before it."""
+        k = bisect.bisect_left(self.keys, _canonical(key), key=_canonical)
+        return 2 * k + 1 if k < len(self.keys) and self.keys[k] == key else 2 * k
+
+
+class _Call:
+    """One matrix, rows or statement_similarity call, dropped when it returns.
+
+    ``values[i, j]`` is the similarity of the left statement i and the right
+    statement j, NaN until scored; it starts from what the kept table
+    ``known`` holds, and ``kept_at`` gives both sides' positions in that
+    table.  ``turn`` gives, for each left statement, its right position, and for
+    each right statement, its left position (-1 where the other side lacks
+    it), so that a score fills both orientations.  ``found[st][word]`` holds
+    the spans of a word in the statement ``st`` (``_spans_for_token``, at
+    most once per word and statement), and ``memo`` the statement DP values
+    by move structure.
+    """
+
+    def __init__(self, left: _Statements, right: _Statements, known: _Table,
+                 dictionary: TransformationDictionary):
+        self.left, self.right, self.known = left, right, known
+        self.dictionary = dictionary
+        p, q = known.positions(left), known.positions(right)
+        self.kept_at = p, q
+        self.values = np.full((len(left.tokens), len(right.tokens)), np.nan)
+        i, j = np.flatnonzero(p >= 0), np.flatnonzero(q >= 0)
+        self.values[np.ix_(i, j)] = known.values[np.ix_(p[i], q[j])]
+        across = np.array([right.position.get(st, -1) for st in left.tokens], dtype=np.intp)
+        back = np.full(len(right.tokens), -1, dtype=np.intp)
+        back[across[across >= 0]] = np.flatnonzero(across >= 0)
+        self.turn = across, back
+        self.found: dict[tuple, dict[str, list]] = {}
+        self.memo: dict = {}
+
+    def spans(self, word: str, st: tuple) -> list:
+        found = self.found.setdefault(st, {})
+        if word not in found:
+            found[word] = _spans_for_token(word, st, self.dictionary)
+        return found[word]
+
+    def store(self, i: np.ndarray, j: np.ndarray, value: np.ndarray) -> None:
+        """Store the similarities ``value`` of the left statements ``i`` and
+        the right statements ``j`` in both orientations, here and in the
+        kept table."""
+        self.values[i, j] = value
+        across, back = self.turn
+        ti, tj = back[j], across[i]
+        both = (ti >= 0) & (tj >= 0)
+        self.values[ti[both], tj[both]] = value[both]
+        p, q = self.kept_at[0][i], self.kept_at[1][j]
+        both = (p >= 0) & (q >= 0)
+        kept = self.known.values
+        kept[p[both], q[both]] = kept[q[both], p[both]] = value[both]
+
+
 class SimilarityComputer:
     """Caches statement similarities across many document pairs.
 
@@ -270,18 +474,36 @@ class SimilarityComputer:
     keeps.  ``rows`` interns nothing: it scores its new documents' statements
     against the corpus statements in a table of its own, which starts from
     what the kept table holds, so a computer reused for many requests keeps
-    only its matrix corpora.  A call first gives every unscored pair of its
-    statements that shares no relation (no token pair that ``pair_kinds``
-    relates, no span) the all-Missing score, without the statement DP; that
-    score is exactly what the DP returns for such a pair.  It then scores the
-    related statement pairs that its document pairs hold and its table lacks,
-    each with one ``statement_similarity``.  The token relations come from a
-    relation index (``_TokenRelations``): when a token gets its id, lookups
-    find the few tokens it may be related to, and ``pair_kinds`` runs on
-    those candidates only.  Both passes read the index's token x token
-    table; a ``rows`` call drops the tokens that only its new documents
-    hold.  A new document identical to a non-empty corpus document scores
-    1.0 without a pairing.
+    only its matrix corpora.  For the last corpus it was given, ``rows``
+    keeps the corpus side (``_Corpus``: document keys in canonical order,
+    distinct statements with their token ids, the per-class statement
+    positions) and reuses it while a call passes the same documents in the
+    same order; a new document is placed among the corpus keys by
+    bisection.  So a request costs Python work in proportion to its own
+    statements and related pairs, not to the corpus.
+
+    A call first gives every unscored pair of its statements that shares no
+    relation (no token pair that ``pair_kinds`` relates, no span) the
+    all-Missing score, without the statement DP; that score is exactly what
+    the DP returns for such a pair.  Relatedness is decided for the whole
+    call at once, as boolean products of statement-token incidences with the
+    token relations and with the spans.  A token has a span in a statement
+    only where it is the concatenation or the initials of a run of two or
+    more of its tokens, or a dictionary acronym whose expansion occurs, so
+    the spans are found by lookup: the words a statement can absorb are
+    enumerated from its runs, and a word's candidate statements are found by
+    searching the statements' joined tokens and initials; each candidate is
+    checked once with ``_spans_for_token``.  The call then scores the
+    related statement pairs that its document pairs hold and its table
+    lacks, each with one ``statement_similarity``, handing it the pair's
+    relations, read for the pending pairs (``_BATCH`` at a time) with one
+    fancy index into the token x token table, and the call's memo, so the DP
+    runs once per move structure of the call.  The token relations come from a relation index
+    (``_TokenRelations``): when a token gets its id, lookups find the few
+    tokens it may be related to, and ``pair_kinds`` runs on those candidates
+    only; a ``rows`` call drops the tokens that only its new documents hold.
+    The span map and the memo live for one call.  A new document identical
+    to a non-empty corpus document scores 1.0 without a pairing.
 
     Documents are paired in a canonical order (statements sorted by tokens,
     the shorter document first, equal-length documents ordered by key), so
@@ -305,16 +527,22 @@ class SimilarityComputer:
         self.dictionary = dictionary or empty_dictionary()
         self.max_tokens = max_tokens
         # the statements of every matrix corpus, as rows and as columns
-        statements: list[Statement] = []
-        ids: dict[tuple, int] = {}
-        self._known = _Table(np.empty((0, 0)), statements, statements, ids, ids)
+        self._known = _Table(np.empty((0, 0)), [], {})
         self._relations = _TokenRelations(self.dictionary)
+        self._corpus: _Corpus | None = None
+        # dictionary acronym expansion -> the acronyms that expand to it
+        self._expansions: dict[tuple, list[str]] = {}
+        for word, seq in self.dictionary.acronyms.items():
+            self._expansions.setdefault(seq, []).append(word)
 
     def statement_similarity(self, a: Statement, b: Statement) -> float:
-        first = np.zeros((1, 1), dtype=np.intp)
-        table = self._call_table([a], [b])
-        self._fill_unrelated(table, first[0], first[0])
-        return float(self._lookup(table, first, first)[0, 0, 0])
+        held = len(self._relations.tokens)
+        try:
+            call = self._call(*(_Statements([st], self._relations) for st in (a, b)))
+            first = np.zeros((1, 1), dtype=np.intp)
+            return float(self._lookup(call, first, first)[0, 0, 0])
+        finally:
+            self._relations.forget(held)
 
     def document_similarity(self, d1: Document, d2: Document) -> float:
         return float(self.rows([d1], [d2])[0, 0])
@@ -328,14 +556,13 @@ class SimilarityComputer:
         """
         if len(corpus) < 2:
             raise ValueError("need at least 2 documents")
-        keys, inverse = _dedupe(corpus)
-        held = self._intern(corpus)
-        self._fill_unrelated(self._known, held, held)
-        everything = np.arange(len(keys))
-        upper = self._pairs(keys, everything, everything, self._known, upper=True)
-        su = upper + upper.T
+        docs = _Corpus(corpus, self._relations)
+        self._known.intern(docs.statements)
+        su = self._pairs(docs.side, docs.side, self._call(docs.statements, docs.statements),
+                         upper=True)
+        su += su.T   # the call is gone, and the upper triangle is not kept twice
         np.fill_diagonal(su, 1.0)
-        values = su[np.ix_(inverse, inverse)]
+        values = su[np.ix_(docs.inverse, docs.inverse)]
         # Distinct empty documents share a dedupe key but are not similar:
         # sentinels score 0 against everything except themselves.
         sentinel = np.array([d.is_sentinel for d in corpus], dtype=bool)
@@ -347,231 +574,200 @@ class SimilarityComputer:
 
     def rows(self, new_docs: list[Document], corpus: list[Document]) -> np.ndarray:
         """Similarities of each new document against every corpus document."""
-        keys, inverse = _dedupe(list(new_docs) + list(corpus))
-        new, old = inverse[:len(new_docs)], inverse[len(new_docs):]
-        new_u, new_inv = np.unique(new, return_inverse=True)
-        old_u, old_inv = np.unique(old, return_inverse=True)
-        new_st, old_st = _distinct(new_docs), _distinct(corpus)
-        # the kept table's tokens have ids already; ids from ``held`` on are
-        # tokens that only the new documents hold
-        held = self._relations.add([st.tokens for st in old_st])
-        table = self._call_table(new_st, old_st)
+        if self._corpus is None or not self._corpus.holds(corpus):
+            self._corpus = _Corpus(corpus, self._relations)
+        kept = self._corpus
+        keyed = [_doc_key(d) for d in new_docs]
+        keys = sorted(set(keyed), key=_canonical)
+        at = {key: n for n, key in enumerate(keys)}
+        # the kept table's and the corpus's tokens have ids already; ids from
+        # ``held`` on are tokens that only the new documents hold
+        held = len(self._relations.tokens)
         try:
-            self._fill_unrelated(table, np.arange(len(new_st)), np.arange(len(old_st)))
-            su = self._pairs(keys, new_u, old_u, table, upper=False)
+            new = _Statements(_distinct(new_docs), self._relations)
+            side = _Docs.of(keys, [kept.rank(key) for key in keys], new.position)
+            su = self._pairs(side, kept.side, self._call(new, kept.statements), upper=False)
         finally:
             # forget the relations of tokens that neither the kept table nor
             # the corpus holds, so requests with novel words do not grow the memo
             self._relations.forget(held)
-        return su[np.ix_(new_inv, old_inv)]
+        return su[np.ix_([at[key] for key in keyed], kept.inverse)]
 
-    def _intern(self, docs: list[Document]) -> np.ndarray:
-        """Give every statement of ``docs`` a row and a column of the kept
-        table, and its tokens ids; returns the statements' positions."""
-        known = self._known
-        statements = _distinct(docs)
-        for st in statements:
-            if st.tokens not in known.row_of:
-                known.row_of[st.tokens] = len(known.rows)
-                known.rows.append(st)
-        n, old = len(known.rows), len(known.values)
-        if n > old:
-            grown = np.full((n, n), np.nan)
-            grown[:old, :old] = known.values
-            known.values = grown
-        self._relations.add([st.tokens for st in statements])
-        return np.array([known.row_of[st.tokens] for st in statements], dtype=np.intp)
+    def _call(self, left: _Statements, right: _Statements) -> _Call:
+        """A call of ``left`` against ``right``, with every unscored pair
+        that shares no relation scored already."""
+        call = _Call(left, right, self._known, self.dictionary)
+        self._fill_unrelated(call)
+        return call
 
-    def _fill_unrelated(self, table: _Table, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Score every unscored pair of the table rows ``rows`` and columns
-        ``cols`` that shares no relation, without the statement DP.
+    def _fill_unrelated(self, call: _Call) -> None:
+        """Score every unscored pair of the call's statements that shares no
+        relation, without the statement DP, and find the spans of the call's
+        tokens in its statements.
 
         A pair is related when pair_kinds relates one of its token pairs or a
         token of one statement has a span in the other.  Otherwise the only
         complete graph makes every token Missing, so the pair gets
-        ``all_missing_similarity``, bitwise what the DP returns.  Token pairs
-        are read from the relation index, and statement pairs are decided
-        for the whole call at once, as the boolean product
-        T_rows R T_colsᵀ of statement-token incidences and token relations.
-        Pairs with a statement over ``max_tokens`` are left to the DP, which
-        raises ``TokenCapExceeded`` for them.
+        ``all_missing_similarity``, bitwise what the DP returns.  Statement
+        pairs are decided for the whole call at once, as the boolean
+        products (T_left R + H) T_rightᵀ + T_left K of statement-token
+        incidences T, token relations R read from the relation index, left
+        statement x token spans H and token x right statement spans K.  Pairs
+        with a statement over ``max_tokens`` are left to the DP, which raises
+        ``TokenCapExceeded`` for them.
         """
-        left = [table.rows[i].tokens for i in rows.tolist()]
-        right = [table.cols[j].tokens for j in cols.tolist()]
-        fits = [np.array([len(st) <= self.max_tokens for st in side], dtype=bool)
-                for side in (left, right)]
-        todo = np.isnan(table.values[np.ix_(rows, cols)]) & fits[0][:, None] & fits[1]
-        some_r, some_c = todo.any(axis=1), todo.any(axis=0)
-        if not some_r.any():
+        left, right = call.left, call.right
+        todo = (np.isnan(call.values) & (left.lengths <= self.max_tokens)[:, None]
+                & (right.lengths <= self.max_tokens))
+        li, ci = np.flatnonzero(todo.any(axis=1)), np.flatnonzero(todo.any(axis=0))
+        if not li.size:
             return
-        rows, cols, todo = rows[some_r], cols[some_c], todo[np.ix_(some_r, some_c)]
-        left = list(compress(left, some_r.tolist()))
-        right = list(compress(right, some_c.tolist()))
-        tokens, a, b = _incidences(left, right)
+        todo = todo[np.ix_(li, ci)]
+        row, col = _positions(len(left.tokens), li), _positions(len(right.tokens), ci)
+        lo, ro = row[left.owner], col[right.owner]
+        lf, rf = left.flat[lo >= 0], right.flat[ro >= 0]
+        tokens, column = np.unique(np.concatenate([lf, rf]), return_inverse=True)
         # 0/1 matrices in float32, so that the boolean products run in BLAS
         # and a product is > 0 exactly when one of its terms is 1
-        related = a @ self._token_relations(tokens) @ b.T > 0
-        loose = todo & ~related
-        if loose.any():   # no token pair relates these: look for a span
-            related |= ((a @ self._spans(tokens, a.T @ _ones(loose) > 0, right) > 0)
-                        | (b @ self._spans(tokens, b.T @ _ones(loose.T) > 0, left) > 0).T)
-        u, v = np.nonzero(todo & ~related)
-        if not u.size:
-            return
-        lengths, at = np.unique(np.array([len(st) for st in left], dtype=np.intp)[u]
-                                + np.array([len(st) for st in right], dtype=np.intp)[v],
-                                return_inverse=True)
-        value = np.array([all_missing_similarity(n, self.weights) for n in lengths.tolist()])[at]
-        table.values[rows[u], cols[v]] = value
-        if table is self._known:   # its rows are its columns
-            table.values[cols[v], rows[u]] = value
-            return
-        known = self._known.row_of
-        p = np.array([known.get(st, -1) for st in left], dtype=np.intp)[u]
-        q = np.array([known.get(st, -1) for st in right], dtype=np.intp)[v]
-        both = (p >= 0) & (q >= 0)
-        self._known.values[p[both], q[both]] = self._known.values[q[both], p[both]] = value[both]
+        a = np.zeros((li.size, tokens.size), dtype=np.float32)
+        b = np.zeros((ci.size, tokens.size), dtype=np.float32)
+        a[lo[lo >= 0], column[:lf.size]] = 1.0
+        b[ro[ro >= 0], column[lf.size:]] = 1.0
+        mine, first = np.unique(lf, return_index=True)   # the left tokens
+        mine_at = column[first]
+        reach = a[:, mine_at] @ _ones(self._relations.kinds[np.ix_(mine, tokens)] > 0)
+        spanned = np.zeros((tokens.size, ci.size), dtype=np.float32)
+        ids = self._relations.ids
+        # a right token with a span in a left statement: one of the words
+        # the statement's runs can absorb
+        for s, n in enumerate(li.tolist()):
+            st = left.tokens[n]
+            for word in _span_keys(st, self._expansions):
+                t = ids.get(word)
+                if t is not None:
+                    k = int(np.searchsorted(tokens, t))
+                    if k < tokens.size and tokens[k] == t and call.spans(word, st):
+                        reach[s, k] = 1.0
+        # a left token with a span in a right statement: found by search
+        for t, k in zip(mine.tolist(), mine_at.tolist()):
+            word = self._relations.tokens[t]
+            for c in right.spanned_by(word, self.dictionary, ids):
+                if col[c] >= 0 and call.spans(word, right.tokens[c]):
+                    spanned[k, col[c]] = 1.0
+        u, v = np.nonzero(todo & ((reach @ b.T + a @ spanned) == 0))
+        # the all-Missing score by a pair's token count
+        counts = np.unique(np.add.outer(np.unique(left.lengths[li]), np.unique(right.lengths[ci])))
+        value = np.zeros(counts[-1] + 1)
+        value[counts] = [all_missing_similarity(n, self.weights) for n in counts.tolist()]
+        for k in range(0, u.size, _BATCH):
+            i, j = li[u[k:k + _BATCH]], ci[v[k:k + _BATCH]]
+            call.store(i, j, value[left.lengths[i] + right.lengths[j]])
 
-    def _token_relations(self, tokens: list[str]) -> np.ndarray:
-        """Whether pair_kinds relates ``tokens[x]`` and ``tokens[y]``, as float32 0/1."""
-        relations = self._relations
-        relations.add([tokens])
-        ids = np.array([relations.ids[tok] for tok in tokens], dtype=np.intp)
-        return _ones(relations.kinds[np.ix_(ids, ids)] > 0)
-
-    def _spans(self, tokens: list[str], asked: np.ndarray,
-               statements: list[tuple]) -> np.ndarray:
-        """Of the ``asked`` (token, statement) pairs, those where the token
-        has a span in the statement, as float32 0/1."""
-        out = np.zeros(asked.shape, dtype=np.float32)
-        us, ns = np.flatnonzero(asked.any(axis=1)), np.flatnonzero(asked.any(axis=0))
-        joined = ["".join(statements[n]) for n in ns.tolist()]
-        initials = ["".join(tok[0] for tok in statements[n]) for n in ns.tolist()]
-        words = [tokens[u] for u in us.tolist()]
-        dct = self.dictionary
-        may = np.array([[may_span(x, j, i, dct) for j, i in zip(joined, initials)]
-                        for x in words], dtype=bool).reshape(len(us), len(ns))
-        u, n = np.nonzero(asked[np.ix_(us, ns)] & may)
-        u, n = us[u], ns[n]
-        out[u, n] = [bool(_spans_for_token(tokens[x], statements[y], dct))
-                     for x, y in zip(u.tolist(), n.tolist())]
-        return out
-
-    def _call_table(self, rows: list[Statement], cols: list[Statement]) -> _Table:
-        """A table of ``rows`` against ``cols`` with what the kept table has."""
-        table = _Table.empty(rows, cols)
-        known = self._known.row_of
-        i, p = _positions(rows, known)
-        j, q = _positions(cols, known)
-        table.values[np.ix_(i, j)] = self._known.values[np.ix_(p, q)]
-        return table
-
-    def _pairs(self, keys: list[tuple], left: np.ndarray, right: np.ndarray,
-               table: _Table, upper: bool) -> np.ndarray:
-        """Similarity of the distinct documents ``keys[left[a]]`` and
-        ``keys[right[b]]`` at [a, b]; ``keys`` is in canonical order and
-        ``left``/``right`` ascend, and ``table`` has the statements of the
-        left documents as rows and those of the right documents as columns.
-        With ``upper`` only pairs with left[a] < right[b] are computed and the
-        others stay 0, as do pairs with an empty document.  Without it, a pair
-        of one non-empty document with itself is 1.0 without a pairing: r
-        statements that each score 1.0 sum to exactly r."""
-        out = np.zeros((len(left), len(right)))
-        size = np.array([len(key) for key in keys], dtype=np.intp)
-        # keys are grouped by statement count, so each class is a run of keys
-        # and of the ascending ``left`` and ``right``
-        row_ids, col_ids, first = {}, {}, {}
-        for r in np.unique(size[size > 0]).tolist():
-            members = np.flatnonzero(size == r)
-            first[r] = int(members[0])
-            # a key on one side only gets placeholder ids on the other
-            row_ids[r], col_ids[r] = (
-                np.array([[index.get(tokens, 0) for tokens in keys[k]] for k in members],
-                         dtype=np.intp)
-                for index in (table.row_of, table.col_of))
-
-        def runs(side):
-            sizes, counts = size[side], list(first)
-            return [(r, lo, hi) for r, lo, hi in zip(counts, np.searchsorted(sizes, counts, "left"),
-                                                     np.searchsorted(sizes, counts, "right"))
-                    if lo < hi]
-
-        for ra, a0, a1 in runs(left):
-            for rb, b0, b1 in runs(right):
+    def _pairs(self, left: _Docs, right: _Docs, call: _Call, upper: bool) -> np.ndarray:
+        """Similarity of the distinct documents ``left`` and ``right`` at
+        [a, b], whose statement positions are those of the call's left and
+        right statements.  With ``upper`` only pairs whose left rank is
+        below the right rank are computed and the others stay 0, as do pairs
+        with an empty document.  Without it, a pair of one non-empty document
+        with itself is 1.0 without a pairing: r statements that each score
+        1.0 sum to exactly r."""
+        out = np.zeros((len(left.rank), len(right.rank)))
+        for ra, a0, a1 in left.runs():
+            for rb, b0, b1 in right.runs():
                 # chunks of the block's (a, b) pairs in row-major order
                 per = max(1, _CHUNK_BYTES // _pair_bytes(min(ra, rb), max(ra, rb)))
                 width = b1 - b0
                 for k0 in range(0, (a1 - a0) * width, per):
                     k = np.arange(k0, min(k0 + per, (a1 - a0) * width))
                     at, bt = a0 + k // width, b0 + k % width
-                    a, b = left[at], right[bt]
+                    a, b = left.rank[at], right.rank[bt]
                     keep = a < b if upper else a != b
                     at, bt, a, b = at[keep], bt[keep], a[keep], b[keep]
                     if a.size:
-                        sims = self._lookup(table, row_ids[ra][a - first[ra]],
-                                            col_ids[rb][b - first[rb]])
-                        # the document that comes first in ``keys`` supplies the rows
+                        sims = self._lookup(call, left.ids[ra][at - a0], right.ids[rb][bt - b0])
+                        # the document of the lower rank supplies the rows
                         if ra > rb:
                             sims = sims.transpose(0, 2, 1)
                         elif ra == rb and (b < a).any():
                             sims = np.where((b < a)[:, None, None], sims.transpose(0, 2, 1), sims)
                         out[at, bt] = _best_pairing(sims)
         if not upper:
-            out[(left[:, None] == right) & (size[left] > 0)[:, None]] = 1.0
+            out[(left.rank[:, None] == right.rank) & (left.size > 0)[:, None]] = 1.0
         return out
 
-    def _lookup(self, table: _Table, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Statement similarities (P, r1, r2) of the table rows ``rows``
-        (P, r1) against the table columns ``cols`` (P, r2); pairs the table
-        lacks are scored first."""
-        a, b = rows[:, :, None], cols[:, None, :]
-        sims = table.values[a, b]
+    def _lookup(self, call: _Call, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Statement similarities (P, r1, r2) of the call's left statements
+        ``rows`` (P, r1) against its right statements ``cols`` (P, r2); pairs
+        the call lacks are scored first, each statement pair once."""
+        sims = call.values[rows[:, :, None], cols[:, None, :]]
         missing = np.isnan(sims)
         if missing.any():
-            a, b = np.broadcast_arrays(a, b)
-            kept = table is self._known
-            for i, j in sorted(set(zip(a[missing].tolist(), b[missing].tolist()))):
-                if not math.isnan(table.values[i, j]):
-                    continue   # scored just before in the other orientation
-                x, y = table.rows[i], table.cols[j]
-                if y.tokens < x.tokens:
-                    x, y = y, x
-                value = statement_similarity(x, y, self.weights, self.dictionary,
-                                             self.max_tokens, kinds=self._relations.kinds_of)
-                if kept:   # its rows are its columns
-                    table.values[i, j] = table.values[j, i] = value
-                else:
-                    table.put(x.tokens, y.tokens, value)
-                    self._known.put(x.tokens, y.tokens, value)
-            sims = table.values[rows[:, :, None], cols[:, None, :]]
+            p, r, c = np.nonzero(missing)
+            width = call.values.shape[1]
+            cells = np.unique(rows[p, r] * width + cols[p, c])
+            i, j = cells // width, cells % width
+            # of a statement pair pending in both orientations, score one
+            across, back = call.turn
+            ti, tj = back[j], across[i]
+            turned = np.where((ti >= 0) & (tj >= 0), ti * width + tj, -1)
+            at = np.minimum(np.searchsorted(cells, turned), cells.size - 1)
+            first = (cells <= turned) | (cells[at] != turned)
+            i, j = i[first], j[first]
+            for k in range(0, i.size, _BATCH):
+                u, v = i[k:k + _BATCH], j[k:k + _BATCH]
+                call.store(u, v, self._score(call, u, v))
+            sims = call.values[rows[:, :, None], cols[:, None, :]]
         return sims
+
+    def _score(self, call: _Call, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Statement similarities of the call's left statements ``i`` and
+        right statements ``j``, each pair with one ``statement_similarity``,
+        the statement with the smaller tokens first.  It gets the pair's
+        relations: the best kind of every related token pair, read for all
+        the pairs' p x q token blocks with one fancy index into the relation
+        index's table, and the spans the call found; and the call's memo."""
+        left, right = call.left, call.right
+        il, jl = i.tolist(), j.tolist()
+        swap = np.array([right.tokens[y] < left.tokens[x] for x, y in zip(il, jl)], dtype=bool)
+        flat = np.concatenate([left.flat, right.flat])
+        starts = left.start[i], right.start[j] + left.flat.size
+        lengths = left.lengths[i], right.lengths[j]
+        xs, ys = np.where(swap, starts[1], starts[0]), np.where(swap, starts[0], starts[1])
+        p, q = np.where(swap, lengths[1], lengths[0]), np.where(swap, lengths[0], lengths[1])
+        size = p * q
+        pair = np.repeat(np.arange(size.size), size)
+        cell = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        x, y = cell // q[pair], cell % q[pair]
+        kind = _best_kinds(self.weights.values)[
+            self._relations.kinds[flat[xs[pair] + x], flat[ys[pair] + y]]]
+        hit = np.flatnonzero(kind >= 0)
+        moves: list[list] = [[] for _ in il]
+        for k, *move in zip(pair[hit].tolist(), x[hit].tolist(), y[hit].tolist(),
+                            kind[hit].tolist()):
+            moves[k].append(move)
+        values = []
+        none: dict = {}
+        for found, u, v, turned in zip(moves, il, jl, swap.tolist()):
+            first, second = left.statements[u], right.statements[v]
+            if turned:
+                first, second = second, first
+            relations = (found, call.found.get(second.tokens, none),
+                         call.found.get(first.tokens, none))
+            values.append(statement_similarity(first, second, self.weights, self.dictionary,
+                                               self.max_tokens, relations=relations,
+                                               memo=call.memo))
+        return np.array(values)
 
 
 def _ones(mask: np.ndarray) -> np.ndarray:
     return mask.astype(np.float32)
 
 
-def _incidences(left: list[tuple], right: list[tuple]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The distinct tokens of the token tuples ``left`` and ``right``, and
-    each side's statement x token incidence as float32 0/1."""
-    local: dict[str, int] = {}
-    hits = [[(n, local.setdefault(tok, len(local))) for n, st in enumerate(side) for tok in st]
-            for side in (left, right)]
-    out = []
-    for side, pairs in zip((left, right), hits):
-        incidence = np.zeros((len(side), len(local)), dtype=np.float32)
-        n, t = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        incidence[n, t] = 1.0
-        out.append(incidence)
-    return list(local), *out
-
-
-def _positions(statements: list[Statement],
-               index: dict[tuple, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ``statements`` of those ``index`` has, and their index values."""
-    found = [(n, index[st.tokens]) for n, st in enumerate(statements) if st.tokens in index]
-    return (np.array([n for n, _ in found], dtype=np.intp),
-            np.array([i for _, i in found], dtype=np.intp))
+def _positions(n: int, chosen: np.ndarray) -> np.ndarray:
+    """For each of n items, its position in ``chosen``, or -1."""
+    at = np.full(n, -1)
+    at[chosen] = np.arange(chosen.size)
+    return at
 
 
 def document_similarity(d1: Document, d2: Document,

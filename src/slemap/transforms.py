@@ -9,8 +9,6 @@ by the best achievable weighted-count ratio over all such graphs.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -143,15 +141,6 @@ def pair_kinds(x: str, y: str, dct: TransformationDictionary) -> list[TransformK
     return kinds
 
 
-def may_span(single: str, joined: str, initials: str, dct: TransformationDictionary) -> bool:
-    """Whether ``single`` passes a test that every token with a span in a
-    statement passes: a concatenation is a substring of the statement's
-    tokens joined, a letter acronym one of their initials joined, and a
-    dictionary acronym a key of ``dct.acronyms``."""
-    return (single in joined or len(single) >= 2 and single in initials
-            or single in dct.acronyms)
-
-
 def _spans_for_token(single: str, other: tuple[str, ...],
                      dct: TransformationDictionary) -> list[tuple[int, int, TransformKind]]:
     """(start, length, kind) runs of ``other`` that ``single`` can absorb."""
@@ -182,42 +171,45 @@ def _spans_for_token(single: str, other: tuple[str, ...],
     return moves
 
 
-def _moves(a: tuple[str, ...], b: tuple[str, ...], dct: TransformationDictionary,
-           wvals: tuple[float, ...],
-           kinds: Callable[[str, str], Sequence[TransformKind]],
-           ) -> list[list[tuple[int, int, TransformKind]]]:
-    """The moves that start at each a-token, as (a-tokens consumed, bitmask of
-    b-tokens consumed, kind), Missing included.
+def _relations_of(a: tuple[str, ...], b: tuple[str, ...], dct: TransformationDictionary):
+    """The token relations of the statements a and b: (i, j, kind) for every
+    kind ``pair_kinds`` relates a_i and b_j by, in (i, j, kind) order, and,
+    for each token of a, its spans in b, and for each token of b, its spans
+    in a (``_spans_for_token``)."""
+    pairs = [(i, j, kind) for i, x in enumerate(a) for j, y in enumerate(b)
+             for kind in pair_kinds(x, y, dct)]
+    return (pairs, {x: _spans_for_token(x, b, dct) for x in set(a)},
+            {y: _spans_for_token(y, a, dct) for y in set(b)})
+
+
+def _best_moves(a: tuple[str, ...], b: tuple[str, ...], relations,
+                wvals: tuple[float, ...]) -> dict[tuple[int, int, int], TransformKind]:
+    """The moves besides Missing, as (a-token, a-tokens consumed, bitmask of
+    b-tokens consumed) -> kind, from ``relations`` as ``_relations_of``
+    gives them.
 
     Only the maximum matters, so each pair and each span keeps its single
-    best-weight kind; on a weight tie the kind found first wins, which for a
-    pair is the lower kind.  ``kinds(x, y)`` is ``pair_kinds(x, y, dct)``.
+    best-weight kind; on a weight tie the kind found first wins: for a pair
+    the lower kind, and a pair before a span of the same tokens.
     """
-    found = [((i, 1, 1 << j), kind) for i, x in enumerate(a) for j, y in enumerate(b)
-             for kind in kinds(x, y)]
-    # only tokens that pass may_span can have spans
-    ja, jb = "".join(a), "".join(b)
-    ia, ib = "".join(t[0] for t in a), "".join(t[0] for t in b)
+    pairs, in_b, in_a = relations
+    found = [((i, 1, 1 << j), kind) for i, j, kind in pairs]
     found += [((i, 1, ((1 << s) - 1) << j0), kind) for i, x in enumerate(a)
-              if may_span(x, jb, ib, dct) for j0, s, kind in _spans_for_token(x, b, dct)]
+              for j0, s, kind in in_b.get(x, ())]
     found += [((i0, s, 1 << j), kind) for j, y in enumerate(b)
-              if may_span(y, ja, ia, dct) for i0, s, kind in _spans_for_token(y, a, dct)]
+              for i0, s, kind in in_a.get(y, ())]
     best: dict[tuple[int, int, int], TransformKind] = {}
     for key, kind in found:
         if key not in best or wvals[kind] > wvals[best[key]]:
             best[key] = kind
-    moves = [[(1, 0, TransformKind.MISSING)] for _ in a]
-    for (i, n_a, b_mask), kind in best.items():
-        moves[i].append((n_a, b_mask, kind))
-    return moves
+    return best
 
 
 def statement_similarity(a: Statement, b: Statement,
                          weights: TransformWeights | None = None,
                          dct: TransformationDictionary | None = None,
                          max_tokens: int = DEFAULT_MAX_TOKENS,
-                         kinds: Callable[[str, str], Sequence[TransformKind]] | None = None,
-                         ) -> float:
+                         relations=None, memo: dict | None = None) -> float:
     """Best weighted-count ratio over all complete consistent graphs.
 
     A forward subset dynamic program (Held and Karp, 1962) over the states
@@ -231,21 +223,30 @@ def statement_similarity(a: Statement, b: Statement,
     symmetric and exactly the maximum over an exhaustive enumeration of the
     graphs (``tests/oracles.py``).
 
-    ``kinds(x, y)`` gives the token relations, ``pair_kinds(x, y, dct)``; a
-    caller that scores many pairs with one dictionary passes a memoized one.
+    ``relations`` are the statements' token relations as ``_relations_of``
+    gives them; a caller that scores many pairs passes them read in one
+    batch.  The result depends only on p, q, the moves besides Missing with
+    their kinds, and the weights, so a caller that scores many pairs with one
+    set of weights may pass a ``memo`` dict: the program then runs once per
+    move structure, and every later pair of that structure gets its value.
     """
     weights = weights or TransformWeights.default()
     dct = dct or empty_dictionary()
-    kinds = kinds or functools.partial(pair_kinds, dct=dct)
     for st in (a, b):
         if len(st.tokens) > max_tokens:
             raise TokenCapExceeded(f"statement has {len(st.tokens)} tokens, cap is {max_tokens}")
     wvals = weights.values
     p, q = len(a.tokens), len(b.tokens)
+    relations = relations or _relations_of(a.tokens, b.tokens, dct)
+    best = _best_moves(a.tokens, b.tokens, relations, wvals)
+    key = (p, q, frozenset(best.items()))
+    if memo is not None and key in memo:
+        return memo[key]
     # one field per kind, each wide enough for any count (at most p + q)
     width = (p + q).bit_length()
-    moves = [[(n_a, b_mask, 1 << (width * kind)) for n_a, b_mask, kind in row]
-             for row in _moves(a.tokens, b.tokens, dct, wvals, kinds)]
+    moves = [[(1, 0, 1 << (width * TransformKind.MISSING))] for _ in range(p)]
+    for (i, n_a, b_mask), kind in best.items():
+        moves[i].append((n_a, b_mask, 1 << (width * kind)))
     levels: list[dict[int, set[int]]] = [{0: {0}}] + [{} for _ in range(p)]
     for i in range(p):
         for mask, vectors in levels[i].items():
@@ -257,5 +258,8 @@ def statement_similarity(a: Statement, b: Statement,
     final = {v + (q - mask.bit_count()) * missing
              for mask, vectors in levels[p].items() for v in vectors}
     field = (1 << width) - 1
-    return max(_score([(v >> (width * k)) & field for k in range(N_KINDS)], wvals)
-               for v in final)
+    value = max(_score([(v >> (width * k)) & field for k in range(N_KINDS)], wvals)
+                for v in final)
+    if memo is not None:
+        memo[key] = value
+    return value

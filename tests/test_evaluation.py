@@ -282,8 +282,8 @@ class TestFoldEqualsTrainPredict:
     def test_relation_memo_stays_bounded(self, fold_run, tmp_path, loaded):
         """Requests with novel words leave the token-relation stores of a
         long-lived model (the token ids, the pair_kinds table and the
-        relation index's lookups) as large as they were, and score bitwise as
-        a fresh model does."""
+        relation index's lookups) and the corpus side its computer keeps as
+        large as they were, and score bitwise as a fresh model does."""
         ds, cfg, _ = fold_run
         test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
         train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
@@ -301,13 +301,19 @@ class TestFoldEqualsTrainPredict:
         computer = model.corpus()[1]
 
         relations = computer._relations
+        corpus = computer._corpus
 
         def stores():
+            # the relation index, and the corpus side that rows keeps
             return (len(relations.ids), len(relations.tokens), relations.kinds.shape,
                     int((relations.kinds >= 0).sum()),
                     len(relations.forward), len(relations.backward),
                     len(relations.synonyms), sum(map(len, relations.synonyms.values())),
-                    len(relations.deletions), sum(map(len, relations.deletions.values())))
+                    len(relations.deletions), sum(map(len, relations.deletions.values())),
+                    sorted(vars(computer)), computer._corpus is corpus,
+                    sorted(vars(corpus)), sorted(vars(corpus.statements)),
+                    len(corpus.docs), len(corpus.keys), corpus.statements.flat.size,
+                    len(corpus.statements.text[0]), len(corpus.statements.known[1]))
 
         # dictionary synonyms the training texts lack, so the synonym lookup grows too
         absent = sorted(set(computer.dictionary.synonym_group) - set(relations.ids))
