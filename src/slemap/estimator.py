@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import KTooLarge
 
+# Bytes the neighbour selection of one chunk of rows may hold: the negated
+# similarities and their stable argsort, 16 bytes per entry.
+_SELECT_BYTES = 1 << 19
+
 
 def estimate_batch(sim_rows: np.ndarray, embedding: np.ndarray, k: int,
                    weighted: bool = True) -> tuple[np.ndarray, int]:
@@ -26,7 +30,10 @@ def estimate_batch(sim_rows: np.ndarray, embedding: np.ndarray, k: int,
     """
     if k < 1 or k > sim_rows.shape[1]:
         raise KTooLarge(f"k={k} outside 1..{sim_rows.shape[1]}")
-    top = np.argsort(-sim_rows, axis=1, kind="stable")[:, :k]
+    top = np.empty((sim_rows.shape[0], k), dtype=np.intp)
+    per = max(1, _SELECT_BYTES // (16 * sim_rows.shape[1]))
+    for i in range(0, len(top), per):
+        top[i:i + per] = np.argsort(-sim_rows[i:i + per], axis=1, kind="stable")[:, :k]
     out = np.empty((sim_rows.shape[0], embedding.shape[1]))
     zero_rho = 0
     for i, (idx, s) in enumerate(zip(top, np.take_along_axis(sim_rows, top, axis=1))):

@@ -67,20 +67,17 @@ class LabeledFeatures:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z), from e^-|z| so that no exponential overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logits(params: LearnerParams, x: np.ndarray) -> np.ndarray:
     return x @ params.weights + params.bias
 
 
-def loss(params: LearnerParams, data: LabeledFeatures) -> float:
-    z = _logits(params, data.X)
+def _loss_at(z: np.ndarray, params: LearnerParams, data: LabeledFeatures) -> float:
+    """The loss of ``params`` whose logits on ``data`` are ``z``."""
     # log(1 + e^z) - y z, evaluated stably
     nll = np.logaddexp(0.0, z) - data.y * z
     val = float(nll.mean() + 0.5 * params.l2 * params.weights @ params.weights)
@@ -89,14 +86,23 @@ def loss(params: LearnerParams, data: LabeledFeatures) -> float:
     return val
 
 
-def grad_theta(params: LearnerParams, data: LabeledFeatures) -> tuple[np.ndarray, float]:
-    z = _logits(params, data.X)
+def _grad_at(z: np.ndarray, params: LearnerParams,
+             data: LabeledFeatures) -> tuple[np.ndarray, float]:
+    """The parameter gradient of ``params`` whose logits on ``data`` are ``z``."""
     residual = sigmoid(z) - data.y
     gw = data.X.T @ residual / data.m + params.l2 * params.weights
     gb = float(residual.mean())
     if not (np.all(np.isfinite(gw)) and np.isfinite(gb)):
         raise NonFiniteValue("parameter gradient is not finite")
     return gw, gb
+
+
+def loss(params: LearnerParams, data: LabeledFeatures) -> float:
+    return _loss_at(_logits(params, data.X), params, data)
+
+
+def grad_theta(params: LearnerParams, data: LabeledFeatures) -> tuple[np.ndarray, float]:
+    return _grad_at(_logits(params, data.X), params, data)
 
 
 def grad_embedding(params: LearnerParams, data: LabeledFeatures) -> np.ndarray:
@@ -115,11 +121,15 @@ def predict_proba(params: LearnerParams, x: np.ndarray) -> np.ndarray:
 
 def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int,
                   grad_tol: float = 0.0) -> LearnerParams:
-    """Plain gradient descent with Armijo backtracking on the training loss."""
-    cur = loss(params, data)
+    """Plain gradient descent with Armijo backtracking on the training loss.
+
+    A step's gradient is taken at the logits that the loss of the step
+    before computed for the candidate it accepted."""
+    z = _logits(params, data.X)
+    cur = _loss_at(z, params, data)
     eta = 1.0
     for _ in range(steps):
-        gw, gb = grad_theta(params, data)
+        gw, gb = _grad_at(z, params, data)
         gnorm2 = float(gw @ gw + gb * gb)
         if gnorm2 <= grad_tol ** 2:
             break
@@ -127,14 +137,15 @@ def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int,
         accepted = False
         for _ in range(60):
             cand = LearnerParams(params.weights - eta * gw, params.bias - eta * gb, params.l2)
-            new = loss(cand, data)
+            cand_z = _logits(cand, data.X)
+            new = _loss_at(cand_z, cand, data)
             if new <= cur - ARMIJO_C * eta * gnorm2:
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             break
-        params, cur = cand, new
+        params, cur, z = cand, new, cand_z
     return params
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 import numpy as np
@@ -25,6 +26,11 @@ _CHUNK_BYTES = 1 << 24
 # Statement pairs a call scores or stores at once: the unrelated pairs of a
 # matrix and the unscored pairs of a chunk go in slices of bounded memory.
 _BATCH = 512
+# What a kept corpus side holds for the requests ``rows`` scores against it:
+# the bytes of its request statements' score rows, and its statement-DP
+# values by move structure; past either bound the oldest go first.
+_KEPT_ROW_BYTES = 1 << 22
+_KEPT_STRUCTURES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -390,7 +396,18 @@ class _Corpus:
     """The corpus side of a call: the distinct document keys in canonical
     order, each document's index into them, the distinct statements, and the
     documents as a pairing side over those statements, corpus key k at rank
-    2k + 1.  ``rows`` keeps the one of the last corpus it was given."""
+    2k + 1.  ``rows`` keeps the one of the last corpus it was given.
+
+    It also keeps, for the requests scored against it, ``scored``: the
+    similarities to ``statements`` (NaN where unscored) of each request
+    statement that the computer's kept table lacks, by its tokens, the most
+    recently written last; and ``memo``: the statement-DP values by move
+    structure, the oldest first.  Both are pure functions of the statement
+    pair under the computer's fixed weights, dictionary and token cap, so a
+    kept value is the float a fresh call computes.  They are bounded by
+    ``_KEPT_ROW_BYTES`` and ``_KEPT_STRUCTURES`` and die with the corpus
+    side.
+    """
 
     def __init__(self, docs: list[Document], relations: _TokenRelations):
         self.docs = list(docs)
@@ -401,6 +418,8 @@ class _Corpus:
         self.statements = _Statements(_distinct(self.docs), relations)
         self.side = _Docs.of(self.keys, 2 * np.arange(len(self.keys)) + 1,
                              self.statements.position)
+        self.scored: dict[tuple, np.ndarray] = {}
+        self.memo: dict = {}
 
     def holds(self, docs: list[Document]) -> bool:
         """Whether ``docs`` are this corpus's documents, the same objects in
@@ -413,23 +432,49 @@ class _Corpus:
         k = bisect.bisect_left(self.keys, _canonical(key), key=_canonical)
         return 2 * k + 1 if k < len(self.keys) and self.keys[k] == key else 2 * k
 
+    def seed(self, call: "_Call") -> None:
+        """Fill the unscored values of a call against ``statements`` from
+        the kept rows of its left statements."""
+        for values, tokens in zip(call.values, call.left.tokens):
+            row = self.scored.get(tokens)
+            if row is not None:
+                np.copyto(values, row, where=~np.isnan(row))
+
+    def keep(self, call: "_Call") -> None:
+        """Keep the score rows of a call that returned, for its statements
+        that the computer's kept table lacks (that table holds the others'
+        scores already), and trim both stores to their bounds."""
+        for values, tokens, at in zip(call.values, call.left.tokens, call.kept_at[0]):
+            if at < 0:
+                self.scored.pop(tokens, None)
+                self.scored[tokens] = values.copy()
+        _trim(self.scored, _KEPT_ROW_BYTES // (8 * max(1, len(self.statements.tokens))))
+        _trim(self.memo, _KEPT_STRUCTURES)
+
+
+def _trim(store: dict, limit: int) -> None:
+    """Drop the first entries of ``store`` beyond ``limit``."""
+    for key in list(itertools.islice(store, max(0, len(store) - limit))):
+        del store[key]
+
 
 class _Call:
     """One matrix, rows or statement_similarity call, dropped when it returns.
 
     ``values[i, j]`` is the similarity of the left statement i and the right
     statement j, NaN until scored; it starts from what the kept table
-    ``known`` holds, and ``kept_at`` gives both sides' positions in that
-    table.  ``turn`` gives, for each left statement, its right position, and for
-    each right statement, its left position (-1 where the other side lacks
-    it), so that a score fills both orientations.  ``found[st][word]`` holds
-    the spans of a word in the statement ``st`` (``_spans_for_token``, at
-    most once per word and statement), and ``memo`` the statement DP values
-    by move structure.
+    ``known`` holds (and, in ``rows``, from the kept corpus side's rows), and
+    ``kept_at`` gives both sides' positions in that table.  ``turn`` gives,
+    for each left statement, its right position, and for each right
+    statement, its left position (-1 where the other side lacks it), so that
+    a score fills both orientations.  ``found[st][word]`` holds the spans of
+    a word in the statement ``st`` (``_spans_for_token``, at most once per
+    word and statement), and ``memo`` the statement DP values by move
+    structure: the call's own, or in ``rows`` the kept corpus side's.
     """
 
     def __init__(self, left: _Statements, right: _Statements, known: _Table,
-                 dictionary: TransformationDictionary):
+                 dictionary: TransformationDictionary, memo: dict):
         self.left, self.right, self.known = left, right, known
         self.dictionary = dictionary
         p, q = known.positions(left), known.positions(right)
@@ -442,7 +487,7 @@ class _Call:
         back[across[across >= 0]] = np.flatnonzero(across >= 0)
         self.turn = across, back
         self.found: dict[tuple, dict[str, list]] = {}
-        self.memo: dict = {}
+        self.memo = memo
 
     def spans(self, word: str, st: tuple) -> list:
         found = self.found.setdefault(st, {})
@@ -473,14 +518,22 @@ class SimilarityComputer:
     rows and columns of a dense statement-similarity table that the computer
     keeps.  ``rows`` interns nothing: it scores its new documents' statements
     against the corpus statements in a table of its own, which starts from
-    what the kept table holds, so a computer reused for many requests keeps
-    only its matrix corpora.  For the last corpus it was given, ``rows``
-    keeps the corpus side (``_Corpus``: document keys in canonical order,
-    distinct statements with their token ids, the per-class statement
-    positions) and reuses it while a call passes the same documents in the
-    same order; a new document is placed among the corpus keys by
-    bisection.  So a request costs Python work in proportion to its own
-    statements and related pairs, not to the corpus.
+    what the kept table holds, so the kept table grows only with matrix
+    corpora.  For the last corpus it was given, ``rows`` keeps the corpus
+    side (``_Corpus``: document keys in canonical order, distinct statements
+    with their token ids, the per-class statement positions) and reuses it
+    while a call passes the same documents in the same order; a new
+    document is placed among the corpus keys by bisection.  So a request
+    costs Python work in proportion to its own statements and related
+    pairs, not to the corpus.  The kept corpus side also keeps, across
+    requests, the row of scores against the corpus statements of each
+    request statement the kept table lacks, which a later call's table
+    starts from, and the statement-DP values by move structure, which every
+    ``rows`` call against it shares; both are bounded (``_KEPT_ROW_BYTES``,
+    ``_KEPT_STRUCTURES``, the oldest dropped first), a call that raises adds
+    to neither, and both die when the corpus side is replaced.  So a
+    statement a loaded model has scored before costs no statement DP when a
+    request repeats it.
 
     A call first gives every unscored pair of its statements that shares no
     relation (no token pair that ``pair_kinds`` relates, no span) the
@@ -498,12 +551,14 @@ class SimilarityComputer:
     lacks, each with one ``statement_similarity``, handing it the pair's
     relations, read for the pending pairs (``_BATCH`` at a time) with one
     fancy index into the token x token table, and the call's memo, so the DP
-    runs once per move structure of the call.  The token relations come from a relation index
+    runs once per move structure of the call (of every ``rows`` call against
+    a kept corpus side).  The token relations come from a relation index
     (``_TokenRelations``): when a token gets its id, lookups find the few
     tokens it may be related to, and ``pair_kinds`` runs on those candidates
     only; a ``rows`` call drops the tokens that only its new documents hold.
-    The span map and the memo live for one call.  A new document identical
-    to a non-empty corpus document scores 1.0 without a pairing.
+    The span map lives for one call, and so does the memo of a ``matrix`` or
+    ``statement_similarity`` call.  A new document identical to a non-empty
+    corpus document scores 1.0 without a pairing.
 
     Documents are paired in a canonical order (statements sorted by tokens,
     the shorter document first, equal-length documents ordered by key), so
@@ -582,21 +637,30 @@ class SimilarityComputer:
         at = {key: n for n, key in enumerate(keys)}
         # the kept table's and the corpus's tokens have ids already; ids from
         # ``held`` on are tokens that only the new documents hold
-        held = len(self._relations.tokens)
+        held, structures = len(self._relations.tokens), len(kept.memo)
         try:
             new = _Statements(_distinct(new_docs), self._relations)
             side = _Docs.of(keys, [kept.rank(key) for key in keys], new.position)
-            su = self._pairs(side, kept.side, self._call(new, kept.statements), upper=False)
+            call = _Call(new, kept.statements, self._known, self.dictionary, kept.memo)
+            kept.seed(call)
+            self._fill_unrelated(call)
+            su = self._pairs(side, kept.side, call, upper=False)
+        except BaseException:
+            # a call that raises leaves the kept corpus side as it found it
+            for key in list(itertools.islice(kept.memo, structures, None)):
+                del kept.memo[key]
+            raise
         finally:
             # forget the relations of tokens that neither the kept table nor
-            # the corpus holds, so requests with novel words do not grow the memo
+            # the corpus holds, so requests with novel words do not grow the index
             self._relations.forget(held)
+        kept.keep(call)
         return su[np.ix_([at[key] for key in keyed], kept.inverse)]
 
     def _call(self, left: _Statements, right: _Statements) -> _Call:
-        """A call of ``left`` against ``right``, with every unscored pair
-        that shares no relation scored already."""
-        call = _Call(left, right, self._known, self.dictionary)
+        """A call of ``left`` against ``right`` with a memo of its own, and
+        every unscored pair that shares no relation scored already."""
+        call = _Call(left, right, self._known, self.dictionary, {})
         self._fill_unrelated(call)
         return call
 

@@ -233,6 +233,55 @@ def oracle_estimate(sim_rows, xe, k: int, weighted: bool):
     return out, zero_rho
 
 
+def oracle_sigmoid(z):
+    """The logistic function as two masked halves: 1 / (1 + e^-z) where
+    z >= 0, and e^z / (1 + e^z) elsewhere."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def oracle_train(data, l2: float, init=None, max_iters: int = 500,
+                 grad_tol: float = 1e-8):
+    """``logistic.train`` with the logits computed afresh for every loss and
+    every gradient: gradient descent from ``init`` (zeros by default) with
+    Armijo backtracking, stopping at a gradient norm of ``grad_tol`` or a
+    step no backtrack accepts.  Returns (weights, bias)."""
+    x, y, cols = data.X, data.y, data.X.shape[1]
+    w = np.zeros(cols) if init is None else init.weights
+    b = 0.0 if init is None else init.bias
+
+    def loss(w, b):
+        z = x @ w + b
+        nll = np.logaddexp(0.0, z) - y * z
+        return float(nll.mean() + 0.5 * l2 * w @ w)
+
+    def grad(w, b):
+        residual = oracle_sigmoid(x @ w + b) - y
+        return x.T @ residual / x.shape[0] + l2 * w, float(residual.mean())
+
+    cur, eta = loss(w, b), 1.0
+    for _ in range(max_iters):
+        gw, gb = grad(w, b)
+        gnorm2 = float(gw @ gw + gb * gb)
+        if gnorm2 <= grad_tol ** 2:
+            break
+        eta = min(eta * 2.0, 1e4)
+        for _ in range(60):
+            cw, cb = w - eta * gw, b - eta * gb
+            new = loss(cw, cb)
+            if new <= cur - 1e-4 * eta * gnorm2:
+                break
+            eta *= 0.5
+        else:
+            break
+        w, b, cur = cw, cb, new
+    return w, b
+
+
 def oracle_auc(scores, labels) -> float:
     """Rank AUC from a loop over the sorted scores: each run of equal scores
     gets its 1-based average rank."""

@@ -212,20 +212,34 @@ def test_structure_memo(weights):
 
 
 def test_call_state_dies_with_the_call(monkeypatch):
-    """The memo and the span maps a call hands to statement_similarity are
-    referenced by nothing once matrix or rows returns."""
+    """The span maps a call hands to statement_similarity are referenced by
+    nothing once matrix, rows or statement_similarity returns, and so is the
+    memo of a matrix or statement_similarity call.  A rows call's memo is the
+    kept corpus side's, and is referenced by nothing once that side is
+    replaced."""
     calls = recorded_calls(monkeypatch)
     dct = CFG.load_dictionary()
     corpus, unseen = benchmark_documents()
     comp = SimilarityComputer(CFG.transform_weights(), dct)
     comp.matrix(corpus[:40])
-    comp.rows(unseen[:3], corpus)
     comp.statement_similarity(stmt("chest", "pain"), stmt("cp", "now"))
-    held = {id(obj): obj for _, _, relations, memo, _ in calls for obj in (memo, *relations[1:])}
+    own = len(calls)
+    comp.rows(unseen[:3], corpus)
+    kept = comp._corpus.memo
+    assert kept and all(memo is kept for _, _, _, memo, _ in calls[own:])
+    held = {id(memo): memo for _, _, _, memo, _ in calls[:own]}
+    held.update((id(obj), obj) for _, _, relations, _, _ in calls for obj in relations[1:])
     calls.clear()
     gc.collect()
     assert len(held) > 3
     assert all(sys.getrefcount(obj) == 3 for obj in held.values())
+    assert sys.getrefcount(kept) > 2
+    comp.rows(unseen[:3], corpus)
+    assert comp._corpus.memo is kept
+    comp.rows(unseen[:3], corpus[:50])
+    calls.clear()
+    gc.collect()
+    assert comp._corpus.memo is not kept and sys.getrefcount(kept) == 2
 
 
 def test_corpus_side_reused_while_the_corpus_is_the_same(monkeypatch):
@@ -256,12 +270,115 @@ def test_corpus_side_reused_while_the_corpus_is_the_same(monkeypatch):
     replaced[10] = corpus[-1]
     check(replaced)
     kept = check(a)
-    comp.matrix(corpus[40:120] + unseen[:2])
+    # statements the kept side has not scored, half of them in a matrix with
+    # every document of A, so that the kept table holds all their pairs
+    fresh = unseen[6:10]
+    assert not {st.tokens for d in fresh for st in d.statements} & kept.scored.keys()
+    comp.matrix(corpus[:120] + fresh[:2])
     calls = recorded_calls(monkeypatch)
-    comp.rows(new, a)
+    comp.rows(fresh, a)
     known = comp._known.row_of
     assert calls and not [call for call in calls if call[0] in known and call[1] in known]
     assert check(a) is kept
+
+
+def request_stream(corpus, unseen, dct):
+    """(request, corpus) pairs against A, then B, then A again: verbatim
+    repeats, partial overlaps, statements recombined into new documents,
+    novel tokens, an empty document, and copies of corpus documents."""
+    a, b = corpus[:60], corpus[60:110]
+    recombined = Document(id="mix", statements=unseen[0].statements + unseen[4].statements)
+    novel = doc("novel", ["zqxv", "pain"], ["flurbish", "chest", "hurts"])
+    stream = [unseen[:3], unseen[:3], unseen[2:5], [recombined], unseen[:3],
+              [novel, unseen[5]], [Document(id="ne", statements=())],
+              [a[7], Document(id="dup", statements=a[3].statements[::-1]), unseen[6]],
+              dictionary_documents(dct)[:4], unseen[2:5]]
+    return ([(request, a) for request in stream] + [(request, b) for request in stream[:4]]
+            + [(request, a) for request in stream[::-1]])
+
+
+def assert_fresh(comp, request, docs):
+    """comp.rows(request, docs) is bitwise what a fresh computer returns."""
+    got = comp.rows(request, docs)
+    want = SimilarityComputer(comp.weights, comp.dictionary, comp.max_tokens).rows(request, docs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_kept_request_state_is_bitwise(monkeypatch):
+    """Over an interleaved request stream, every rows result is bitwise a
+    fresh computer's; a request of statements scored before, verbatim or
+    recombined, runs no statement DP; and a corpus switch drops the kept
+    rows and memo."""
+    dct = CFG.load_dictionary()
+    corpus, unseen = benchmark_documents()
+    weights = CFG.transform_weights()
+    comp = SimilarityComputer(weights, dct)
+    calls = recorded_calls(monkeypatch)
+    seen: set = set()
+    kept = None
+    for request, docs in request_stream(corpus, unseen, dct):
+        if kept is not None and not kept.holds(docs):
+            seen = set()
+        statements = {st.tokens for d in request for st in d.statements}
+        calls.clear()
+        assert_fresh(comp, request, docs)
+        mine = [call for call in calls if call[3] is comp._corpus.memo]
+        if statements <= seen:
+            assert not mine, statements
+        if comp._corpus is not kept:
+            # a new corpus side holds this call's rows and memo only
+            assert comp._corpus.scored.keys() == statements
+            assert kept is None or comp._corpus.memo is not kept.memo
+            kept = comp._corpus
+        seen |= statements
+        assert kept.scored.keys() == seen
+
+
+def test_kept_request_state_stays_bounded(monkeypatch):
+    """With tiny bounds the kept rows and memo never exceed them, the
+    oldest entries go first, and results stay bitwise."""
+    dct = CFG.load_dictionary()
+    corpus, unseen = benchmark_documents()
+    weights = CFG.transform_weights()
+    width = len(similarity._Corpus(corpus[:60], similarity._TokenRelations(dct)).statements.tokens)
+    monkeypatch.setattr(similarity, "_KEPT_ROW_BYTES", 8 * width * 3 + 7)
+    monkeypatch.setattr(similarity, "_KEPT_STRUCTURES", 5)
+    comp = SimilarityComputer(weights, dct)
+    for request, docs in request_stream(corpus, unseen, dct):
+        assert_fresh(comp, request, docs)
+        kept = comp._corpus
+        assert len(kept.scored) <= 3 and len(kept.memo) <= 5
+        assert sum(row.nbytes for row in kept.scored.values()) <= similarity._KEPT_ROW_BYTES
+        last = list(dict.fromkeys(st.tokens for d in request for st in d.statements))
+        if last:
+            assert list(kept.scored)[-min(3, len(last)):] == last[-3:]
+
+
+def test_raising_request_keeps_nothing(monkeypatch):
+    """A request that raises TokenCapExceeded after scoring other pairs
+    leaves the kept rows and memo as they were, and the next answers equal
+    a fresh computer's."""
+    dct = CFG.load_dictionary()
+    corpus, unseen = benchmark_documents()
+    weights = CFG.transform_weights()
+    cap = max(len(st.tokens) for d in corpus + unseen for st in d.statements)
+    long = doc("long", ["chest", "pain"], ["heart"], ["racing", "fast"],
+               ["chest", "pain", *["worse"] * cap])
+    comp = SimilarityComputer(weights, dct, cap)
+    docs = corpus[:60]
+    assert_fresh(comp, unseen[:3], docs)
+    kept = comp._corpus
+    rows = {tokens: row.tobytes() for tokens, row in kept.scored.items()}
+    memo = dict(kept.memo)
+    calls = recorded_calls(monkeypatch)
+    with pytest.raises(TokenCapExceeded):
+        comp.rows(unseen[3:6] + [long], docs)
+    assert [call for call in calls if call[3] is kept.memo]
+    assert {tokens: row.tobytes() for tokens, row in kept.scored.items()} == rows
+    assert kept.memo == memo and list(kept.memo) == list(memo)
+    for request in (unseen[3:6], unseen[:3], unseen[2:5]):
+        assert_fresh(comp, request, docs)
+    assert comp._corpus is kept
 
 
 def test_rank_places_new_keys_by_bisection():

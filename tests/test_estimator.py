@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_estimate
+from slemap import estimator
 from slemap.errors import KTooLarge
 from slemap.estimator import estimate_batch
 from slemap.similarity import SimilarityComputer
@@ -151,6 +152,26 @@ class TestBatch:
             sims[::5] = 0.0
             sims[1::7] = sims[1, 0]
             for k in range(1, n + 1):
+                got, got_zero = estimate_batch(sims, xe, k, weighted)
+                want, want_zero = oracle_estimate(sims, xe, k, weighted)
+                assert got.tobytes() == want.tobytes()
+                assert got_zero == want_zero
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_chunked_selection_matches_oracle_bitwise(self, monkeypatch, weighted):
+        """Blocks of many selection chunks, the last one partial, with ties
+        at the k-th place and duplicate columns, equal the per-row oracle."""
+        rng = np.random.default_rng(8)
+        n = 600
+        xe = rng.standard_normal((n, 3))
+        sims = np.round(rng.random((131, n)), 1)
+        sims[:, n // 2:] = sims[:, :n // 2]
+        sims[::9] = 0.0
+        sims[1::7] = sims[1, 0]
+        assert sims.shape[0] > 2 * (estimator._SELECT_BYTES // (16 * n))
+        for budget in (estimator._SELECT_BYTES, 16 * n * 4, 1):
+            monkeypatch.setattr(estimator, "_SELECT_BYTES", budget)
+            for k in (1, 5, 37):
                 got, got_zero = estimate_batch(sims, xe, k, weighted)
                 want, want_zero = oracle_estimate(sims, xe, k, weighted)
                 assert got.tobytes() == want.tobytes()

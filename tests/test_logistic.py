@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import oracle_sigmoid, oracle_train
 from slemap.logistic import (
     LabeledFeatures,
     LearnerParams,
@@ -11,6 +12,7 @@ from slemap.logistic import (
     grad_theta,
     loss,
     predict_proba,
+    sigmoid,
     train,
 )
 
@@ -169,3 +171,30 @@ class TestTraining:
             cur = loss(params, data)
             assert cur <= prev
             prev = cur
+
+
+def test_sigmoid_matches_masked_halves_bitwise():
+    """The mask-free sigmoid equals the two masked halves on signed zeros,
+    tiny, huge, overflow-edge and random logits."""
+    edges = [0.0, 1e-300, 709.0, 745.0, 1.0, 36.0, 1e308]
+    z = np.array(edges + [-v for v in edges])
+    rng = np.random.default_rng(11)
+    for sample in (z, rng.standard_normal(1000) * 40.0, rng.standard_normal((7, 9))):
+        assert sigmoid(sample).tobytes() == oracle_sigmoid(sample).tobytes()
+    assert np.signbit(z[len(edges)])   # -0.0 is among the inputs
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.01, 1.0])
+def test_train_matches_recomputed_logits_bitwise(l2):
+    """Training that reuses the accepted candidate's logits equals the loop
+    that computes them afresh, from zeros and from a random start, to
+    convergence and cut short, separable data included."""
+    rng = np.random.default_rng(12)
+    separable = np.vstack([rng.standard_normal((20, 3)) + 3, rng.standard_normal((20, 3)) - 3])
+    for data in (random_data(rng, m=40),
+                 LabeledFeatures(separable, np.repeat([1, 0], 20), slice(1, 3))):
+        init = LearnerParams.random_init(data.X.shape[1], l2, rng)
+        for start, iters in ((None, 500), (init, 500), (init, 7)):
+            got = train(data, l2, init=start, max_iters=iters)
+            w, b = oracle_train(data, l2, init=start, max_iters=iters)
+            assert got.weights.tobytes() == w.tobytes() and got.bias.hex() == b.hex()
