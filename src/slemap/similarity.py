@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import operator
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -26,11 +26,11 @@ _CHUNK_BYTES = 1 << 24
 # Statement pairs a call scores or stores at once: the unrelated pairs of a
 # matrix and the unscored pairs of a chunk go in slices of bounded memory.
 _BATCH = 512
-# What a kept corpus side holds for the requests ``rows`` scores against it:
-# the bytes of its request statements' score rows, and its statement-DP
-# values by move structure; past either bound the oldest go first.
-_KEPT_ROW_BYTES = 1 << 22
-_KEPT_STRUCTURES = 1 << 13
+# Bytes each of the two stores of a kept corpus side may hold for the
+# requests ``rows`` scores against it (``_Kept``): its request statements'
+# score rows, and its statement-DP values by move structure.  The 100
+# requests of the train_predict benchmark fill 0.42 and 0.65 MiB.
+_KEPT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -400,13 +400,15 @@ class _Corpus:
 
     It also keeps, for the requests scored against it, ``scored``: the
     similarities to ``statements`` (NaN where unscored) of each request
-    statement that the computer's kept table lacks, by its tokens, the most
-    recently written last; and ``memo``: the statement-DP values by move
-    structure, the oldest first.  Both are pure functions of the statement
-    pair under the computer's fixed weights, dictionary and token cap, so a
-    kept value is the float a fresh call computes.  They are bounded by
-    ``_KEPT_ROW_BYTES`` and ``_KEPT_STRUCTURES`` and die with the corpus
-    side.
+    statement whose row the computer's kept table does not hold, by its
+    tokens, the most recently written last; and ``memo``: the statement-DP
+    values by move structure, the oldest first.  Both are pure functions of
+    the statement pair under the computer's fixed weights, dictionary and
+    token cap, so a kept value is the float a fresh call computes.  Both are
+    ``_Kept`` stores of at most ``_KEPT_BYTES`` each, made when ``rows``
+    first uses them (a ``matrix`` corpus side has none), and die with the
+    corpus side.  Only a call that returns writes rows; the memo keeps the
+    entries of a call that raised, which are as pure.
     """
 
     def __init__(self, docs: list[Document], relations: _TokenRelations):
@@ -418,8 +420,14 @@ class _Corpus:
         self.statements = _Statements(_distinct(self.docs), relations)
         self.side = _Docs.of(self.keys, 2 * np.arange(len(self.keys)) + 1,
                              self.statements.position)
-        self.scored: dict[tuple, np.ndarray] = {}
-        self.memo: dict = {}
+
+    @functools.cached_property
+    def scored(self) -> "_Kept":
+        return _Kept(_KEPT_BYTES)
+
+    @functools.cached_property
+    def memo(self) -> "_Kept":
+        return _Kept(_KEPT_BYTES)
 
     def holds(self, docs: list[Document]) -> bool:
         """Whether ``docs`` are this corpus's documents, the same objects in
@@ -433,29 +441,60 @@ class _Corpus:
         return 2 * k + 1 if k < len(self.keys) and self.keys[k] == key else 2 * k
 
     def seed(self, call: "_Call") -> None:
-        """Fill the unscored values of a call against ``statements`` from
-        the kept rows of its left statements."""
+        """Fill the values of a call against ``statements`` that it has not
+        scored from the kept rows of its left statements."""
         for values, tokens in zip(call.values, call.left.tokens):
             row = self.scored.get(tokens)
             if row is not None:
-                np.copyto(values, row, where=~np.isnan(row))
+                np.copyto(values, row, where=np.isnan(values) & ~np.isnan(row))
 
     def keep(self, call: "_Call") -> None:
-        """Keep the score rows of a call that returned, for its statements
-        that the computer's kept table lacks (that table holds the others'
-        scores already), and trim both stores to their bounds."""
+        """Keep the score rows of a call that returned, except where the
+        computer's kept table holds the whole row: the statement and every
+        one of ``statements`` are in it, and the call stored its scores
+        there."""
+        whole = bool((call.kept_at[1] >= 0).all())
         for values, tokens, at in zip(call.values, call.left.tokens, call.kept_at[0]):
-            if at < 0:
-                self.scored.pop(tokens, None)
+            if at >= 0 and whole:
+                self.scored.drop(tokens)
+            else:
                 self.scored[tokens] = values.copy()
-        _trim(self.scored, _KEPT_ROW_BYTES // (8 * max(1, len(self.statements.tokens))))
-        _trim(self.memo, _KEPT_STRUCTURES)
 
 
-def _trim(store: dict, limit: int) -> None:
-    """Drop the first entries of ``store`` beyond ``limit``."""
-    for key in list(itertools.islice(store, max(0, len(store) - limit))):
-        del store[key]
+class _Kept(dict):
+    """An insertion-ordered dict that holds at most ``limit`` bytes: its own
+    table, and ``held``, what its keys and values hold (``_held``).  A write
+    past the limit drops the oldest entries first, and a key written again
+    becomes the newest.  Reads are a plain dict's."""
+
+    __slots__ = ("limit", "held")
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit, self.held = limit, 0
+
+    def __setitem__(self, key, value) -> None:
+        self.drop(key)
+        super().__setitem__(key, value)
+        self.held += _held(key) + _held(value)
+        while self and self.held + sys.getsizeof(self) > self.limit:
+            self.drop(next(iter(self)))
+
+    def drop(self, key) -> None:
+        if key in self:
+            self.held -= _held(key) + _held(super().pop(key))
+
+
+def _held(obj) -> int:
+    """The bytes of ``obj`` and of the tuples, frozensets and their items in
+    it, by ``sys.getsizeof``: an array counts its data, a small int or a
+    kind (shared by the interpreter) nothing, and a string at every use."""
+    if isinstance(obj, int) and -5 <= obj <= 256:
+        return 0
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (tuple, frozenset)):
+        size += sum(map(_held, obj))
+    return size
 
 
 class _Call:
@@ -527,13 +566,12 @@ class SimilarityComputer:
     costs Python work in proportion to its own statements and related
     pairs, not to the corpus.  The kept corpus side also keeps, across
     requests, the row of scores against the corpus statements of each
-    request statement the kept table lacks, which a later call's table
-    starts from, and the statement-DP values by move structure, which every
-    ``rows`` call against it shares; both are bounded (``_KEPT_ROW_BYTES``,
-    ``_KEPT_STRUCTURES``, the oldest dropped first), a call that raises adds
-    to neither, and both die when the corpus side is replaced.  So a
-    statement a loaded model has scored before costs no statement DP when a
-    request repeats it.
+    request statement whose row the kept table does not hold, which a later
+    call's table starts from, and the statement-DP values by move
+    structure, which every ``rows`` call against it shares; each holds at most ``_KEPT_BYTES``
+    (the oldest dropped first), a call that raises writes no rows, and both
+    die when the corpus side is replaced.  So a statement a loaded model has
+    scored before costs no statement DP when a request repeats it.
 
     A call first gives every unscored pair of its statements that shares no
     relation (no token pair that ``pair_kinds`` relates, no span) the
@@ -637,7 +675,7 @@ class SimilarityComputer:
         at = {key: n for n, key in enumerate(keys)}
         # the kept table's and the corpus's tokens have ids already; ids from
         # ``held`` on are tokens that only the new documents hold
-        held, structures = len(self._relations.tokens), len(kept.memo)
+        held = len(self._relations.tokens)
         try:
             new = _Statements(_distinct(new_docs), self._relations)
             side = _Docs.of(keys, [kept.rank(key) for key in keys], new.position)
@@ -645,11 +683,6 @@ class SimilarityComputer:
             kept.seed(call)
             self._fill_unrelated(call)
             su = self._pairs(side, kept.side, call, upper=False)
-        except BaseException:
-            # a call that raises leaves the kept corpus side as it found it
-            for key in list(itertools.islice(kept.memo, structures, None)):
-                del kept.memo[key]
-            raise
         finally:
             # forget the relations of tokens that neither the kept table nor
             # the corpus holds, so requests with novel words do not grow the index

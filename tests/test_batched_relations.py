@@ -270,15 +270,22 @@ def test_corpus_side_reused_while_the_corpus_is_the_same(monkeypatch):
     replaced[10] = corpus[-1]
     check(replaced)
     kept = check(a)
-    # statements the kept side has not scored, half of them in a matrix with
-    # every document of A, so that the kept table holds all their pairs
+    # statements the kept side has not scored, half of them in a matrix that
+    # shares documents with A
     fresh = unseen[6:10]
     assert not {st.tokens for d in fresh for st in d.statements} & kept.scored.keys()
-    comp.matrix(corpus[:120] + fresh[:2])
-    calls = recorded_calls(monkeypatch)
-    comp.rows(fresh, a)
+    comp.matrix(corpus[40:120] + fresh[:2])
     known = comp._known.row_of
-    assert calls and not [call for call in calls if call[0] in known and call[1] in known]
+    held = ~np.isnan(comp._known.values)
+    want = SimilarityComputer(weights, dct).rows(fresh, a)
+    calls = recorded_calls(monkeypatch)
+    assert np.array_equal(comp.rows(fresh, a), want)
+    # no pair the kept table held is scored again; the matrix leaves the
+    # pair of a statement with itself unscored when only one of its
+    # documents holds the statement, and this request meets such a pair
+    both = [call for call in calls if call[0] in known and call[1] in known]
+    assert calls and both
+    assert not [call for call in both if held[known[call[0]], known[call[1]]]]
     assert check(a) is kept
 
 
@@ -334,30 +341,93 @@ def test_kept_request_state_is_bitwise(monkeypatch):
         assert kept.scored.keys() == seen
 
 
+def test_kept_rows_dropped_once_the_kept_table_holds_them(monkeypatch):
+    """A kept row stays while the kept table lacks some of its cells, even
+    after a matrix interned its statement, and is dropped once the table
+    holds the statement and every corpus statement; each answer is bitwise
+    a fresh computer's, and none runs a DP the kept state could answer."""
+    dct = CFG.load_dictionary()
+    corpus, unseen = benchmark_documents()
+    comp = SimilarityComputer(CFG.transform_weights(), dct)
+    a, request = corpus[:60], unseen[:3]
+    statements = {st.tokens for d in request for st in d.statements}
+    calls = recorded_calls(monkeypatch)
+    assert_fresh(comp, request, a)
+    kept = comp._corpus
+    assert kept.scored.keys() == statements
+    comp.matrix(request + corpus[60:70])
+    assert statements <= comp._known.row_of.keys()
+    assert not set(kept.statements.tokens) <= comp._known.row_of.keys()
+    for _ in range(2):
+        calls.clear()
+        assert_fresh(comp, request, a)
+        assert not [call for call in calls if call[3] is kept.memo]
+        assert kept.scored.keys() == statements
+    comp.matrix(a + request)
+    calls.clear()
+    assert_fresh(comp, request, a)
+    assert not [call for call in calls if call[3] is kept.memo]
+    assert not kept.scored and comp._corpus is kept
+
+
+def footprint(store):
+    """The bytes a kept store holds: its dict, and every key and value with
+    the tuples, frozensets, strings and floats in them (small ints and
+    kinds are shared by the interpreter)."""
+    def size(obj):
+        if isinstance(obj, int) and -5 <= obj <= 256:
+            return 0
+        inner = obj if isinstance(obj, (tuple, frozenset)) else ()
+        return sys.getsizeof(obj) + sum(map(size, inner))
+    return sys.getsizeof(store) + sum(size(key) + size(value) for key, value in store.items())
+
+
 def test_kept_request_state_stays_bounded(monkeypatch):
-    """With tiny bounds the kept rows and memo never exceed them, the
-    oldest entries go first, and results stay bitwise."""
+    """With tiny bounds the kept rows and memo never hold more bytes than
+    them, the newest rows are the ones kept, and results stay bitwise."""
     dct = CFG.load_dictionary()
     corpus, unseen = benchmark_documents()
     weights = CFG.transform_weights()
     width = len(similarity._Corpus(corpus[:60], similarity._TokenRelations(dct)).statements.tokens)
-    monkeypatch.setattr(similarity, "_KEPT_ROW_BYTES", 8 * width * 3 + 7)
-    monkeypatch.setattr(similarity, "_KEPT_STRUCTURES", 5)
+    monkeypatch.setattr(similarity, "_KEPT_BYTES", 3 * (8 * width + 1000))
     comp = SimilarityComputer(weights, dct)
+    kept, written = None, []
     for request, docs in request_stream(corpus, unseen, dct):
         assert_fresh(comp, request, docs)
-        kept = comp._corpus
-        assert len(kept.scored) <= 3 and len(kept.memo) <= 5
-        assert sum(row.nbytes for row in kept.scored.values()) <= similarity._KEPT_ROW_BYTES
+        if comp._corpus is not kept:
+            kept, written = comp._corpus, []
         last = list(dict.fromkeys(st.tokens for d in request for st in d.statements))
-        if last:
-            assert list(kept.scored)[-min(3, len(last)):] == last[-3:]
+        written = [tokens for tokens in written if tokens not in last] + last
+        assert list(kept.scored) == written[len(written) - len(kept.scored):]
+        for store in (kept.scored, kept.memo):
+            assert footprint(store) == store.held + sys.getsizeof(store) <= similarity._KEPT_BYTES
+        assert kept.scored or not last
+    assert len(written) > len(kept.scored) and kept.memo
 
 
-def test_raising_request_keeps_nothing(monkeypatch):
+@pytest.mark.parametrize("corpus", ["one statement", "all empty"])
+def test_kept_rows_bounded_in_bytes_on_a_tiny_corpus(monkeypatch, corpus):
+    """Against a corpus of one statement or of empty documents only, a row
+    holds few values, and its key most of its bytes: requests of long novel
+    statements fill the kept rows to their byte bound, not past it."""
+    monkeypatch.setattr(similarity, "_KEPT_BYTES", 1 << 16)
+    dct = CFG.load_dictionary()
+    docs = [Document(id="e0", statements=()), Document(id="e1", statements=())]
+    if corpus == "one statement":
+        docs[0] = doc("c", ["chest", "pain"])
+    comp = SimilarityComputer(CFG.transform_weights(), dct)
+    for k in range(8):
+        words = [f"{k:02d}{t:02d}".ljust(30, "x") for t in range(12)]
+        comp.rows([doc(f"r{k}", *[words[n:] + words[:n] for n in range(12)])], docs)
+        kept = comp._corpus
+        assert footprint(kept.scored) <= similarity._KEPT_BYTES
+    assert footprint(kept.scored) > similarity._KEPT_BYTES - 2000 and len(kept.scored) < 8 * 12
+
+
+def test_raising_request_writes_no_rows(monkeypatch):
     """A request that raises TokenCapExceeded after scoring other pairs
-    leaves the kept rows and memo as they were, and the next answers equal
-    a fresh computer's."""
+    leaves the kept rows as they were and the memo holding what it held,
+    and the next answers equal a fresh computer's."""
     dct = CFG.load_dictionary()
     corpus, unseen = benchmark_documents()
     weights = CFG.transform_weights()
@@ -375,7 +445,8 @@ def test_raising_request_keeps_nothing(monkeypatch):
         comp.rows(unseen[3:6] + [long], docs)
     assert [call for call in calls if call[3] is kept.memo]
     assert {tokens: row.tobytes() for tokens, row in kept.scored.items()} == rows
-    assert kept.memo == memo and list(kept.memo) == list(memo)
+    assert list(kept.memo)[:len(memo)] == list(memo)
+    assert all(kept.memo[key] == value for key, value in memo.items())
     for request in (unseen[3:6], unseen[:3], unseen[2:5]):
         assert_fresh(comp, request, docs)
     assert comp._corpus is kept

@@ -282,8 +282,11 @@ class TestFoldEqualsTrainPredict:
     def test_relation_memo_stays_bounded(self, fold_run, tmp_path, loaded):
         """Requests with novel words leave the token-relation stores of a
         long-lived model (the token ids, the pair_kinds table and the
-        relation index's lookups) and the corpus side its computer keeps as
-        large as they were, and score bitwise as a fresh model does."""
+        relation index's lookups) and the corpus side its computer keeps
+        (its documents and statements) as large as they were, and score
+        bitwise as a fresh model does.  ``stores()`` leaves out the corpus
+        side's kept rows and memo, which grow with requests up to their
+        byte bounds (test_batched_relations.py)."""
         ds, cfg, _ = fold_run
         test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
         train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
