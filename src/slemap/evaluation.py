@@ -225,7 +225,10 @@ class Split:
     A split without them builds the training matrix with one
     SimilarityComputer and scores test documents by ``rows`` against the
     model's training documents, with the model's computer
-    (``TrainedModel.corpus``).
+    (``TrainedModel.corpus``).  A split whose test rows are its training
+    rows reads that block from the training matrix instead: ``rows`` gives
+    the same floats, except that a blank (sentinel) record scores 0 against
+    itself.
     """
 
     dataset: Dataset
@@ -261,6 +264,12 @@ class Split:
         if "test" not in self._cache:
             if self.similarity is not None:
                 self._cache["test"] = self.similarity[np.ix_(self.test, self.train)]
+            elif self.train.size and np.array_equal(self.test, self.train):
+                block = self.train_similarity(model.config).copy()
+                blank = np.flatnonzero([d.is_sentinel
+                                        for d in self.documents(model.config, self.train)])
+                block[blank, blank] = 0.0
+                self._cache["test"] = block
             else:
                 corpus, computer = model.corpus()
                 self._cache["test"] = computer.rows(

@@ -36,14 +36,15 @@ def train_model(dataset: Dataset, method: str, config: PipelineConfig) -> Traine
     """Fit one method on a full dataset, as CV fold 0 with its retrain rule.
 
     ``train_scores`` are then the training records' prediction-path scores,
-    made with the similarity computer that built the training matrix.
+    read from the training matrix (``Split.test_similarity``): the floats
+    that ``predict_model`` gives for the same records after a save and load.
     """
     everything = np.arange(dataset.m)
     split = Split(dataset, train=everything, test=everything)
     model = fit(method, split, config)
     if method in ("le", "sle"):
-        # score new records against the documents and the statement table
-        # that built the training matrix
+        # score new records against the training documents, with the
+        # computer whose token relations the training matrix built
         model.keep_corpus(split.documents(config, everything), split.computer(config))
     model.train_scores = score(model, split)[0]
     return model

@@ -111,39 +111,6 @@ def _best_pairing(sims: np.ndarray) -> np.ndarray:
     return best.max(axis=1) / r2
 
 
-@dataclass
-class _Table:
-    """The statement similarities a computer keeps, NaN where not scored:
-    ``values[i, j]`` for the statements ``rows[i]`` and ``rows[j]``;
-    ``row_of`` maps statement tokens to positions."""
-
-    values: np.ndarray
-    rows: list[Statement]
-    row_of: dict[tuple, int]
-
-    def intern(self, statements: "_Statements") -> None:
-        """Give every one of ``statements`` a row and a column."""
-        for st in statements.statements:
-            if st.tokens not in self.row_of:
-                self.row_of[st.tokens] = len(self.rows)
-                self.rows.append(st)
-        n, old = len(self.rows), len(self.values)
-        if n > old:
-            grown = np.full((n, n), np.nan)
-            grown[:old, :old] = self.values
-            self.values = grown
-
-    def positions(self, statements: "_Statements") -> np.ndarray:
-        """Positions of ``statements`` here, -1 for those the table lacks;
-        read again only after the table grows."""
-        size, at = statements.known
-        if size != len(self.rows):
-            at = np.array([self.row_of.get(tokens, -1) for tokens in statements.tokens],
-                          dtype=np.intp)
-            statements.known = (len(self.rows), at)
-        return at
-
-
 class _TokenRelations:
     """Token ids, and ``pair_kinds`` of every two tokens with ids as an int16
     bitmask over TransformKind (0: unrelated), in a table of exactly as many
@@ -303,8 +270,7 @@ class _Statements:
     """Distinct statements of one side of a call, and the ids of their
     tokens: ``flat`` lists the ids statement by statement, ``start`` gives
     where each statement's ids begin, and ``owner`` the statement of each
-    id.  ``known`` caches the statements' positions in the computer's kept
-    table, with the size of the table they were read at."""
+    id."""
 
     def __init__(self, statements: list[Statement], relations: _TokenRelations):
         self.statements = statements
@@ -316,7 +282,6 @@ class _Statements:
         self.flat = np.array([ids[tok] for st in self.tokens for tok in st], dtype=np.intp)
         self.owner = np.repeat(np.arange(len(self.tokens)), self.lengths)
         self.start = np.cumsum(self.lengths) - self.lengths
-        self.known: tuple[int, np.ndarray | None] = (-1, None)
 
     @functools.cached_property
     def text(self) -> tuple[str, bytes, list[int], str, list[int]]:
@@ -400,15 +365,14 @@ class _Corpus:
 
     It also keeps, for the requests scored against it, ``scored``: the
     similarities to ``statements`` (NaN where unscored) of each request
-    statement whose row the computer's kept table does not hold, by its
-    tokens, the most recently written last; and ``memo``: the statement-DP
-    values by move structure, the oldest first.  Both are pure functions of
-    the statement pair under the computer's fixed weights, dictionary and
-    token cap, so a kept value is the float a fresh call computes.  Both are
-    ``_Kept`` stores of at most ``_KEPT_BYTES`` each, made when ``rows``
-    first uses them (a ``matrix`` corpus side has none), and die with the
-    corpus side.  Only a call that returns writes rows; the memo keeps the
-    entries of a call that raised, which are as pure.
+    statement, by its tokens, the most recently written last; and ``memo``:
+    the statement-DP values by move structure, the oldest first.  Both are
+    pure functions of the statement pair under the computer's fixed weights,
+    dictionary and token cap, so a kept value is the float a fresh call
+    computes.  Both are ``_Kept`` stores of at most ``_KEPT_BYTES`` each,
+    made when ``rows`` first uses them (a ``matrix`` corpus side has none),
+    and die with the corpus side.  Only a call that returns writes rows; the
+    memo keeps the entries of a call that raised, which are as pure.
     """
 
     def __init__(self, docs: list[Document], relations: _TokenRelations):
@@ -441,24 +405,17 @@ class _Corpus:
         return 2 * k + 1 if k < len(self.keys) and self.keys[k] == key else 2 * k
 
     def seed(self, call: "_Call") -> None:
-        """Fill the values of a call against ``statements`` that it has not
-        scored from the kept rows of its left statements."""
-        for values, tokens in zip(call.values, call.left.tokens):
+        """Start a new call against ``statements`` from the kept rows of its
+        left statements."""
+        for n, tokens in enumerate(call.left.tokens):
             row = self.scored.get(tokens)
             if row is not None:
-                np.copyto(values, row, where=np.isnan(values) & ~np.isnan(row))
+                call.values[n] = row
 
     def keep(self, call: "_Call") -> None:
-        """Keep the score rows of a call that returned, except where the
-        computer's kept table holds the whole row: the statement and every
-        one of ``statements`` are in it, and the call stored its scores
-        there."""
-        whole = bool((call.kept_at[1] >= 0).all())
-        for values, tokens, at in zip(call.values, call.left.tokens, call.kept_at[0]):
-            if at >= 0 and whole:
-                self.scored.drop(tokens)
-            else:
-                self.scored[tokens] = values.copy()
+        """Keep every score row of a call that returned."""
+        for values, tokens in zip(call.values, call.left.tokens):
+            self.scored[tokens] = values.copy()
 
 
 class _Kept(dict):
@@ -501,26 +458,21 @@ class _Call:
     """One matrix, rows or statement_similarity call, dropped when it returns.
 
     ``values[i, j]`` is the similarity of the left statement i and the right
-    statement j, NaN until scored; it starts from what the kept table
-    ``known`` holds (and, in ``rows``, from the kept corpus side's rows), and
-    ``kept_at`` gives both sides' positions in that table.  ``turn`` gives,
-    for each left statement, its right position, and for each right
-    statement, its left position (-1 where the other side lacks it), so that
-    a score fills both orientations.  ``found[st][word]`` holds the spans of
-    a word in the statement ``st`` (``_spans_for_token``, at most once per
-    word and statement), and ``memo`` the statement DP values by move
-    structure: the call's own, or in ``rows`` the kept corpus side's.
+    statement j, NaN until scored (in ``rows``, it starts from the kept
+    corpus side's rows).  ``turn`` gives, for each left statement, its right
+    position, and for each right statement, its left position (-1 where the
+    other side lacks it), so that a score fills both orientations.
+    ``found[st][word]`` holds the spans of a word in the statement ``st``
+    (``_spans_for_token``, at most once per word and statement), and
+    ``memo`` the statement DP values by move structure: the call's own, or
+    in ``rows`` the kept corpus side's.
     """
 
-    def __init__(self, left: _Statements, right: _Statements, known: _Table,
+    def __init__(self, left: _Statements, right: _Statements,
                  dictionary: TransformationDictionary, memo: dict):
-        self.left, self.right, self.known = left, right, known
+        self.left, self.right = left, right
         self.dictionary = dictionary
-        p, q = known.positions(left), known.positions(right)
-        self.kept_at = p, q
         self.values = np.full((len(left.tokens), len(right.tokens)), np.nan)
-        i, j = np.flatnonzero(p >= 0), np.flatnonzero(q >= 0)
-        self.values[np.ix_(i, j)] = known.values[np.ix_(p[i], q[j])]
         across = np.array([right.position.get(st, -1) for st in left.tokens], dtype=np.intp)
         back = np.full(len(right.tokens), -1, dtype=np.intp)
         back[across[across >= 0]] = np.flatnonzero(across >= 0)
@@ -536,42 +488,36 @@ class _Call:
 
     def store(self, i: np.ndarray, j: np.ndarray, value: np.ndarray) -> None:
         """Store the similarities ``value`` of the left statements ``i`` and
-        the right statements ``j`` in both orientations, here and in the
-        kept table."""
+        the right statements ``j`` in both orientations."""
         self.values[i, j] = value
         across, back = self.turn
         ti, tj = back[j], across[i]
         both = (ti >= 0) & (tj >= 0)
         self.values[ti[both], tj[both]] = value[both]
-        p, q = self.kept_at[0][i], self.kept_at[1][j]
-        both = (p >= 0) & (q >= 0)
-        kept = self.known.values
-        kept[p[both], q[both]] = kept[q[both], p[both]] = value[both]
 
 
 class SimilarityComputer:
-    """Caches statement similarities across many document pairs.
+    """Scores statement and document similarities, sharing statement scores
+    across the document pairs of a call.
 
-    All methods are pure functions of the inputs; the caches only memoize.
-    ``matrix`` interns every distinct statement of its corpus once, into the
-    rows and columns of a dense statement-similarity table that the computer
-    keeps.  ``rows`` interns nothing: it scores its new documents' statements
-    against the corpus statements in a table of its own, which starts from
-    what the kept table holds, so the kept table grows only with matrix
-    corpora.  For the last corpus it was given, ``rows`` keeps the corpus
-    side (``_Corpus``: document keys in canonical order, distinct statements
-    with their token ids, the per-class statement positions) and reuses it
-    while a call passes the same documents in the same order; a new
-    document is placed among the corpus keys by bisection.  So a request
-    costs Python work in proportion to its own statements and related
-    pairs, not to the corpus.  The kept corpus side also keeps, across
-    requests, the row of scores against the corpus statements of each
-    request statement whose row the kept table does not hold, which a later
-    call's table starts from, and the statement-DP values by move
-    structure, which every ``rows`` call against it shares; each holds at most ``_KEPT_BYTES``
-    (the oldest dropped first), a call that raises writes no rows, and both
-    die when the corpus side is replaced.  So a statement a loaded model has
-    scored before costs no statement DP when a request repeats it.
+    All methods are pure functions of the inputs; what the computer keeps
+    only memoizes.  Each call scores its statements in a table of its own
+    (``_Call``), dropped when it returns.  For the last corpus it was given,
+    ``rows`` keeps the corpus side (``_Corpus``: document keys in canonical
+    order, distinct statements with their token ids, the per-class
+    statement positions) and reuses it while a call passes the same
+    documents in the same order; a new document is placed among the corpus
+    keys by bisection.  So a request costs Python work in proportion to its
+    own statements and related pairs, not to the corpus.  The kept corpus
+    side is the one place statement scores outlive a call: it keeps, across
+    requests, each request statement's row of scores against the corpus
+    statements, which a later call's table starts from, and the
+    statement-DP values by move structure, which every ``rows`` call against
+    it shares.  Each holds at most ``_KEPT_BYTES`` (the oldest dropped
+    first), a call that raises writes no rows, and both die when the corpus
+    side is replaced.  So a statement that a model has scored before costs
+    no statement DP when a request repeats it, whether the model was trained
+    in memory or loaded.
 
     A call first gives every unscored pair of its statements that shares no
     relation (no token pair that ``pair_kinds`` relates, no span) the
@@ -619,8 +565,6 @@ class SimilarityComputer:
         self.weights = weights or TransformWeights.default()
         self.dictionary = dictionary or empty_dictionary()
         self.max_tokens = max_tokens
-        # the statements of every matrix corpus, as rows and as columns
-        self._known = _Table(np.empty((0, 0)), [], {})
         self._relations = _TokenRelations(self.dictionary)
         self._corpus: _Corpus | None = None
         # dictionary acronym expansion -> the acronyms that expand to it
@@ -650,7 +594,6 @@ class SimilarityComputer:
         if len(corpus) < 2:
             raise ValueError("need at least 2 documents")
         docs = _Corpus(corpus, self._relations)
-        self._known.intern(docs.statements)
         su = self._pairs(docs.side, docs.side, self._call(docs.statements, docs.statements),
                          upper=True)
         su += su.T   # the call is gone, and the upper triangle is not kept twice
@@ -673,19 +616,19 @@ class SimilarityComputer:
         keyed = [_doc_key(d) for d in new_docs]
         keys = sorted(set(keyed), key=_canonical)
         at = {key: n for n, key in enumerate(keys)}
-        # the kept table's and the corpus's tokens have ids already; ids from
-        # ``held`` on are tokens that only the new documents hold
+        # earlier matrix corpora's and this corpus's tokens have ids already;
+        # ids from ``held`` on are tokens that only the new documents hold
         held = len(self._relations.tokens)
         try:
             new = _Statements(_distinct(new_docs), self._relations)
             side = _Docs.of(keys, [kept.rank(key) for key in keys], new.position)
-            call = _Call(new, kept.statements, self._known, self.dictionary, kept.memo)
+            call = _Call(new, kept.statements, self.dictionary, kept.memo)
             kept.seed(call)
             self._fill_unrelated(call)
             su = self._pairs(side, kept.side, call, upper=False)
         finally:
-            # forget the relations of tokens that neither the kept table nor
-            # the corpus holds, so requests with novel words do not grow the index
+            # forget the relations of tokens that only the new documents hold,
+            # so requests with novel words do not grow the index
             self._relations.forget(held)
         kept.keep(call)
         return su[np.ix_([at[key] for key in keyed], kept.inverse)]
@@ -693,7 +636,7 @@ class SimilarityComputer:
     def _call(self, left: _Statements, right: _Statements) -> _Call:
         """A call of ``left`` against ``right`` with a memo of its own, and
         every unscored pair that shares no relation scored already."""
-        call = _Call(left, right, self._known, self.dictionary, {})
+        call = _Call(left, right, self.dictionary, {})
         self._fill_unrelated(call)
         return call
 

@@ -78,6 +78,17 @@ def recorded_calls(monkeypatch):
     return calls
 
 
+def held_pairs(new, corpus):
+    """The unordered statement pairs that ``rows(new, corpus)`` pairs: a
+    statement of a new document and one of a corpus document with another
+    statement multiset."""
+    def keys(docs):
+        return {tuple(sorted(st.tokens for st in d.statements)) for d in docs}
+
+    return {tuple(sorted((s, t))) for k1 in keys(new) for k2 in keys(corpus) - {k1}
+            for s in k1 for t in k2}
+
+
 def assert_relations_exact(calls, weights, dct):
     """Each scored pair's relations are its pair_kinds block (one best kind
     per related token pair) and its spans, and give the moves and the value
@@ -116,14 +127,11 @@ def test_benchmark_vocabularies(monkeypatch, weights):
     for k in range(0, len(unseen), 3):
         request = unseen[k:k + 3] + dictionary_documents(dct)[k // 3::4]
         comp.rows(request, corpus)
-        # a statement the kept table lacks meets every corpus statement in a
-        # held pair, through the DP when related
+        # every held pair of a request statement and a corpus statement is
+        # scored, through the DP when related
         scored = {(a, b) for a, b, *_ in calls}
-        for new in {st.tokens for d in request for st in d.statements} - comp._known.row_of.keys():
-            for old in comp._corpus.statements.tokens:
-                pair = tuple(sorted((new, old)))
-                if pair not in scored:
-                    assert not _best_moves(*pair, _relations_of(*pair, dct), weights.values), pair
+        for pair in held_pairs(request, corpus) - scored:
+            assert not _best_moves(*pair, _relations_of(*pair, dct), weights.values), pair
     assert_relations_exact(calls, weights, dct)
 
 
@@ -242,11 +250,11 @@ def test_call_state_dies_with_the_call(monkeypatch):
     assert comp._corpus.memo is not kept and sys.getrefcount(kept) == 2
 
 
-def test_corpus_side_reused_while_the_corpus_is_the_same(monkeypatch):
+def test_corpus_side_reused_while_the_corpus_is_the_same():
     """rows keeps the corpus side of the last corpus list it was given:
     every result equals a fresh computer's, against corpus A, then B, A
     again, A reversed, A with one document replaced, and A after a matrix
-    call grew the kept table, whose scores the kept side then reads."""
+    call, which leaves the kept side in place."""
     dct = CFG.load_dictionary()
     corpus, unseen = benchmark_documents()
     a, b = corpus[:60], corpus[60:100] + corpus[:5]
@@ -270,22 +278,7 @@ def test_corpus_side_reused_while_the_corpus_is_the_same(monkeypatch):
     replaced[10] = corpus[-1]
     check(replaced)
     kept = check(a)
-    # statements the kept side has not scored, half of them in a matrix that
-    # shares documents with A
-    fresh = unseen[6:10]
-    assert not {st.tokens for d in fresh for st in d.statements} & kept.scored.keys()
-    comp.matrix(corpus[40:120] + fresh[:2])
-    known = comp._known.row_of
-    held = ~np.isnan(comp._known.values)
-    want = SimilarityComputer(weights, dct).rows(fresh, a)
-    calls = recorded_calls(monkeypatch)
-    assert np.array_equal(comp.rows(fresh, a), want)
-    # no pair the kept table held is scored again; the matrix leaves the
-    # pair of a statement with itself unscored when only one of its
-    # documents holds the statement, and this request meets such a pair
-    both = [call for call in calls if call[0] in known and call[1] in known]
-    assert calls and both
-    assert not [call for call in both if held[known[call[0]], known[call[1]]]]
+    comp.matrix(corpus[40:120] + unseen[6:8])
     assert check(a) is kept
 
 
@@ -339,35 +332,6 @@ def test_kept_request_state_is_bitwise(monkeypatch):
             kept = comp._corpus
         seen |= statements
         assert kept.scored.keys() == seen
-
-
-def test_kept_rows_dropped_once_the_kept_table_holds_them(monkeypatch):
-    """A kept row stays while the kept table lacks some of its cells, even
-    after a matrix interned its statement, and is dropped once the table
-    holds the statement and every corpus statement; each answer is bitwise
-    a fresh computer's, and none runs a DP the kept state could answer."""
-    dct = CFG.load_dictionary()
-    corpus, unseen = benchmark_documents()
-    comp = SimilarityComputer(CFG.transform_weights(), dct)
-    a, request = corpus[:60], unseen[:3]
-    statements = {st.tokens for d in request for st in d.statements}
-    calls = recorded_calls(monkeypatch)
-    assert_fresh(comp, request, a)
-    kept = comp._corpus
-    assert kept.scored.keys() == statements
-    comp.matrix(request + corpus[60:70])
-    assert statements <= comp._known.row_of.keys()
-    assert not set(kept.statements.tokens) <= comp._known.row_of.keys()
-    for _ in range(2):
-        calls.clear()
-        assert_fresh(comp, request, a)
-        assert not [call for call in calls if call[3] is kept.memo]
-        assert kept.scored.keys() == statements
-    comp.matrix(a + request)
-    calls.clear()
-    assert_fresh(comp, request, a)
-    assert not [call for call in calls if call[3] is kept.memo]
-    assert not kept.scored and comp._corpus is kept
 
 
 def footprint(store):

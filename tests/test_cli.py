@@ -91,9 +91,7 @@ class TestTrainPredict:
             stored = {r[0]: float(r[1]) for r in list(csv.reader(fh))[1:]}
         with scores_path.open() as fh:
             predicted = {r[0]: float(r[1]) for r in list(csv.reader(fh))[1:]}
-        assert stored.keys() == predicted.keys()
-        for rid in stored:
-            assert abs(stored[rid] - predicted[rid]) <= 1e-10
+        assert stored == predicted
 
     def test_sle_artifacts(self, small_dataset, small_config, tmp_path):
         model_dir = tmp_path / "model-sle2"

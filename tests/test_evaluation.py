@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slemap import evaluation
+from slemap import evaluation, similarity
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
 from slemap.errors import RankDeficient
@@ -251,7 +251,8 @@ class TestFoldEqualsTrainPredict:
     def test_predict_reuses_training_corpus(self, fold_run, tmp_path, monkeypatch, loaded):
         """A model normalizes its training texts once and keeps one similarity
         computer: a request normalizes only its own texts, and requests with
-        novel text leave the computer's statement table as it was."""
+        novel text leave the kept corpus side and its statements as they
+        were."""
         ds, cfg, _ = fold_run
         test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
         train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
@@ -262,7 +263,8 @@ class TestFoldEqualsTrainPredict:
         request = subset(ds, test_idx)
         first = predict_model(model, request)
         computer = model.corpus()[1]
-        kept = computer._known.values.copy()
+        corpus, statements = computer._corpus, computer._corpus.statements
+        tokens, flat = list(statements.tokens), statements.flat.copy()
         normalized = []
         original = evaluation.normalize
         monkeypatch.setattr(evaluation, "normalize",
@@ -276,7 +278,8 @@ class TestFoldEqualsTrainPredict:
         assert again.tobytes() == first.tobytes()
         assert len(normalized) == 4 * request.m
         assert model.corpus()[1] is computer
-        assert np.array_equal(computer._known.values, kept, equal_nan=True)
+        assert computer._corpus is corpus and corpus.statements is statements
+        assert statements.tokens == tokens and np.array_equal(statements.flat, flat)
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
     def test_relation_memo_stays_bounded(self, fold_run, tmp_path, loaded):
@@ -316,7 +319,7 @@ class TestFoldEqualsTrainPredict:
                     sorted(vars(computer)), computer._corpus is corpus,
                     sorted(vars(corpus)), sorted(vars(corpus.statements)),
                     len(corpus.docs), len(corpus.keys), corpus.statements.flat.size,
-                    len(corpus.statements.text[0]), len(corpus.statements.known[1]))
+                    len(corpus.statements.text[0]))
 
         # dictionary synonyms the training texts lack, so the synonym lookup grows too
         absent = sorted(set(computer.dictionary.synonym_group) - set(relations.ids))
@@ -328,3 +331,52 @@ class TestFoldEqualsTrainPredict:
             got = predict_model(model, novel)
             assert stores() == size
             assert got.tobytes() == predict_model(make(), novel).tobytes()
+
+    def test_in_memory_and_loaded_models_score_requests_alike(self, fold_run, tmp_path,
+                                                              monkeypatch):
+        """A trained model and its saved-and-loaded copy score a request
+        stream through one path: the same statement DP calls in the same
+        order, and bitwise the same scores.  The stream mixes unseen records,
+        training records (statements the training corpus holds) and
+        repeats."""
+        ds, cfg, _ = fold_run
+        test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
+        train = subset(ds, np.setdiff1d(np.arange(ds.m), test_idx))
+        test = subset(ds, test_idx)
+        stream = [subset(test, np.arange(k, k + 3)) for k in range(0, 12, 3)]
+        stream += [subset(train, np.array([0, 5, 9])), subset(test, np.arange(3)),
+                   subset(train, np.arange(20)), subset(test, np.arange(6, 30)), test]
+        model = train_model(train, "sle", cfg)
+        save_model(model, tmp_path)
+        original = similarity.statement_similarity
+
+        def run(model):
+            calls = []
+            monkeypatch.setattr(similarity, "statement_similarity",
+                                lambda a, b, *args, **kwargs: calls.append((a.tokens, b.tokens))
+                                or original(a, b, *args, **kwargs))
+            return [predict_model(model, request) for request in stream], calls
+
+        in_memory, in_memory_calls = run(model)
+        loaded, loaded_calls = run(load_model(tmp_path))
+        assert in_memory_calls and in_memory_calls == loaded_calls
+        for got, want in zip(in_memory, loaded):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["le", "sle"])
+def test_train_scores_of_blank_and_duplicated_records(tmp_path, method):
+    """train_scores, read from the training matrix, are bitwise what a saved
+    and loaded model predicts for the same records, also for empty,
+    whitespace-only and punctuation-only texts (which score 0 against
+    themselves on the prediction path) and for duplicated texts."""
+    spec = GeneratorSpec(m=40, numeric_dim=3, clusters=4, text_weight=0.7, noise=0.05)
+    ids, labels, numeric, texts, _ = generate_arrays(spec, seed=3)
+    texts = list(texts)
+    texts[2], texts[9], texts[30] = "", "   ", ", ."
+    texts[5] = texts[6] = texts[21]
+    ds = Dataset(ids=ids, labels=labels, numeric=numeric, texts=texts)
+    cfg = PipelineConfig(dims=4, max_outer_iters=3, inner_theta_steps=5, inner_embedding_steps=3)
+    model = train_model(ds, method, cfg)
+    save_model(model, tmp_path)
+    assert model.train_scores.tobytes() == predict_model(load_model(tmp_path), ds).tobytes()

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from itertools import permutations
@@ -410,6 +411,10 @@ class TestBlockKernel:
             return original(a, b, *args, **kwargs)
 
         monkeypatch.setattr(similarity, "statement_similarity", recorded)
+        tables = []   # the table of each call that pairs documents
+        pairs = SimilarityComputer._pairs
+        monkeypatch.setattr(SimilarityComputer, "_pairs", lambda self, left, right, call, upper:
+                            tables.append(call) or pairs(self, left, right, call, upper))
         rng = random.Random(5)
         pool = ["chest", "pain", "heart", "racing", "dizzy", "faint", "sob", "cp"]
         docs = [doc(str(k), *[[rng.choice(pool) for _ in range(rng.randint(1, 3))]
@@ -426,15 +431,19 @@ class TestBlockKernel:
         assert len(calls) == len(set(calls))
         assert set(calls) == related
         assert (("inside",), ("only",)) not in set(calls)
-        at = comp._known.row_of
+        table = tables[-1]
+        at = table.left.position
         for s, t in held - related:
-            value = comp._known.values[at[s], at[t]]
+            value = table.values[at[s], at[t]]
             assert value == all_missing_similarity(len(s) + len(t), weights)
             assert value == original(Statement(s), Statement(t), weights)
-        # later calls whose document pairs the matrix held score nothing new
-        comp.matrix(docs[::-1])
+        # a repeated rows call against the same corpus scores nothing new
+        calls.clear()
         comp.rows(docs[1:5], docs[5:-1])
-        assert len(calls) == len(related)
+        first = list(calls)
+        assert first and set(first) <= related
+        comp.rows(docs[1:5], docs[5:-1])
+        assert calls == first
 
     def test_identical_document_in_rows(self, monkeypatch):
         """A new document identical to a corpus document scores exactly what
@@ -500,13 +509,22 @@ class TestBlockKernel:
         new += [docs[5], doc("novel", ["unseen", "words"], ["chest", "pian"]),
                 Document(id="ne", statements=())]
 
-        # reference: every statement pair scored by the DP, then paired
-        ref = SimilarityComputer(weights, dct)
-        ref.matrix(docs + new)   # gives every statement a row of the kept table
-        for i, x in enumerate(ref._known.rows):
-            for j, y in enumerate(ref._known.rows):
-                ref._known.values[i, j] = statement_similarity(x, y, weights, dct)
-        want_s, want_rows = ref.matrix(docs).values, ref.rows(new, docs)
+        # reference: every statement pair scored by the DP, then paired by
+        # enumeration; an empty document scores 0, and S has a unit diagonal
+        @functools.cache
+        def by_dp(x, y):
+            return statement_similarity(Statement(x), Statement(y), weights, dct)
+
+        def reference(d1, d2):
+            if not (d1.statements and d2.statements):
+                return 0.0
+            s1, s2 = canonical_statements(d1, d2)
+            return oracle_document_similarity([[by_dp(x, y) for y in s2] for x in s1],
+                                              len(s1), len(s2))
+
+        want_s = np.array([[reference(x, y) for y in docs] for x in docs])
+        np.fill_diagonal(want_s, 1.0)
+        want_rows = np.array([[reference(x, y) for y in docs] for x in new])
 
         calls = []
         original = similarity.statement_similarity
