@@ -269,7 +269,8 @@ def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
     for w in widths:
         if w <= m - 2 and spectrum[w] - spectrum[w - 1] < DEGENERATE_GAP:
             raise RankDeficient(
-                "requested dimension cuts a numerically degenerate eigenvalue cluster")
+                f"dims={w} cuts a numerically degenerate eigenvalue cluster: non-trivial "
+                f"eigenvalues {w} and {w + 1} are {spectrum[w - 1]:.3g} and {spectrum[w]:.3g}")
     x = (eigvecs[:, :dims] / root[:, None])[groups]
     for j in range(dims):
         i = int(np.argmax(np.abs(x[:, j])))

@@ -149,6 +149,10 @@ class _TokenRelations:
         self.short_forms: dict[str, list[str]] = {}
         for short, long in dictionary.abbreviations.items():
             self.short_forms.setdefault(long, []).append(short)
+        # dictionary acronym expansion -> the acronyms that expand to it
+        self.expansions: dict[tuple, list[str]] = {}
+        for word, seq in dictionary.acronyms.items():
+            self.expansions.setdefault(seq, []).append(word)
 
     def add(self, statements: list) -> int:
         """Give every token of the token sequences ``statements`` an id and
@@ -239,14 +243,6 @@ def _best_kinds(wvals: tuple[float, ...]) -> np.ndarray:
     return best
 
 
-def _hits(text: str, word: str):
-    """Every offset at which ``word`` occurs in ``text``."""
-    at = text.find(word)
-    while at >= 0:
-        yield at
-        at = text.find(word, at + 1)
-
-
 def _span_keys(st: tuple[str, ...], expansions: dict[tuple, list[str]]) -> set[str]:
     """Every word that may have a span in the statement ``st``: the
     concatenations and the initials of its runs of two or more tokens, and
@@ -270,12 +266,14 @@ class _Statements:
     """Distinct statements of one side of a call, and the ids of their
     tokens: ``flat`` lists the ids statement by statement, ``start`` gives
     where each statement's ids begin, and ``owner`` the statement of each
-    id."""
+    id.  ``absorbers`` is their span index, built at first use: on a kept
+    corpus side once, at the first ``rows`` request that reads it."""
 
     def __init__(self, statements: list[Statement], relations: _TokenRelations):
         self.statements = statements
         self.tokens = [st.tokens for st in statements]
         self.position = {tokens: n for n, tokens in enumerate(self.tokens)}
+        self.expansions = relations.expansions
         relations.add(self.tokens)
         ids = relations.ids
         self.lengths = np.array([len(st) for st in self.tokens], dtype=np.intp)
@@ -284,106 +282,64 @@ class _Statements:
         self.start = np.cumsum(self.lengths) - self.lengths
 
     @functools.cached_property
-    def text(self) -> tuple[str, bytes, list[int], str, list[int]]:
-        """The statements for ``spanned_by``: their tokens joined, one
-        statement a line, with a flag at every token boundary and the offset
-        of every line; and their tokens' initials, one statement a line, with
-        the offset of every line."""
-        joined = "\n".join("".join(st) for st in self.tokens)
-        bounds = bytearray(len(joined) + 1)
-        starts, at = [], 0
-        for st in self.tokens:
-            starts.append(at)
-            bounds[at] = 1
-            for tok in st:
-                at += len(tok)
-                bounds[at] = 1
-            at += 1
-        initials = "\n".join("".join(tok[0] for tok in st) for st in self.tokens)
-        initial_starts = (np.cumsum(self.lengths + 1) - self.lengths - 1).tolist()
-        return joined, bytes(bounds), starts, initials, initial_starts
-
-    def spanned_by(self, word: str, dct: TransformationDictionary,
-                   ids: dict[str, int]) -> set[int]:
-        """The statements that ``word`` may have a span in, by search in
-        ``text``: every statement it has one in, where it is the
-        concatenation of two or more tokens, the initials of len(word)
-        tokens, or a dictionary acronym whose expansion occurs.  ``ids``
-        holds every token of the statements; a concatenation is looked for
-        only when a proper prefix and a proper suffix of ``word`` are in it."""
-        joined, bounds, starts, initials, initial_starts = self.text
-        found = set()
-        if (any(word[:k] in ids for k in range(1, len(word)))
-                and any(word[k:] in ids for k in range(1, len(word)))):
-            found.update(bisect.bisect_right(starts, at) - 1 for at in _hits(joined, word)
-                         if bounds[at] and bounds[at + len(word)]
-                         and 1 in bounds[at + 1:at + len(word)])
-        if len(word) >= 2:
-            found.update(bisect.bisect_right(initial_starts, at) - 1
-                         for at in _hits(initials, word))
-        seq = dct.acronyms.get(word)
-        if seq is not None:
-            expansion = "".join(seq)
-            found.update(bisect.bisect_right(starts, at) - 1 for at in _hits(joined, expansion)
-                         if bounds[at] and bounds[at + len(expansion)])
-        return found
-
-
-@dataclass
-class _Docs:
-    """Distinct documents as one side of a pairing, in canonical order:
-    ``rank`` orders them against the other side (equal ranks are equal
-    documents), ``size`` gives their statement counts, and ``ids[r]``, for
-    the documents of r statements, the table positions of those statements
-    in canonical order, one row a document."""
-
-    rank: np.ndarray
-    size: np.ndarray
-    ids: dict[int, np.ndarray]
-
-    @classmethod
-    def of(cls, keys: list[tuple], rank, position: dict[tuple, int]) -> "_Docs":
-        size = np.array([len(key) for key in keys], dtype=np.intp)
-        ids = {r: np.array([[position[tokens] for tokens in keys[k]]
-                            for k in np.flatnonzero(size == r).tolist()], dtype=np.intp)
-               for r in np.unique(size[size > 0]).tolist()}
-        return cls(np.asarray(rank, dtype=np.intp), size, ids)
-
-    def runs(self):
-        """(r, lo, hi) for each statement count r: the documents lo .. hi - 1
-        have r statements, since keys come grouped by statement count."""
-        for r in self.ids:
-            yield (r, int(np.searchsorted(self.size, r, "left")),
-                   int(np.searchsorted(self.size, r, "right")))
+    def absorbers(self) -> dict[str, tuple[int, ...]]:
+        """Each word that the runs of some of the statements can absorb
+        (``_span_keys``) -> those statements, in order.  Every statement
+        that a word has a span in (``_spans_for_token``) is listed, so a
+        word's candidates are read here instead of searched."""
+        found: dict[str, list[int]] = {}
+        for n, st in enumerate(self.tokens):
+            for word in _span_keys(st, self.expansions):
+                found.setdefault(word, []).append(n)
+        return {word: tuple(at) for word, at in found.items()}
 
 
 class _Corpus:
-    """The corpus side of a call: the distinct document keys in canonical
-    order, each document's index into them, the distinct statements, and the
-    documents as a pairing side over those statements, corpus key k at rank
-    2k + 1.  ``rows`` keeps the one of the last corpus it was given.
+    """The distinct documents of one side of a call, as a pairing side: the
+    distinct document keys in canonical order, each document's index into
+    them (``inverse``), the distinct statements, and per key its ``ranks``
+    (equal ranks are equal keys) and statement count (``size``); ``ids[r]``
+    gives, for the keys of r statements, the positions of their statements
+    in canonical order, one row a key.  A corpus has key k at rank 2k + 1,
+    and a side built ``against`` a corpus takes its ranks from
+    ``against.rank``.  ``rows`` keeps the side of the last corpus it was
+    given.
 
-    It also keeps, for the requests scored against it, ``scored``: the
-    similarities to ``statements`` (NaN where unscored) of each request
-    statement, by its tokens, the most recently written last; and ``memo``:
-    the statement-DP values by move structure, the oldest first.  Both are
-    pure functions of the statement pair under the computer's fixed weights,
-    dictionary and token cap, so a kept value is the float a fresh call
-    computes.  Both are ``_Kept`` stores of at most ``_KEPT_BYTES`` each,
-    made when ``rows`` first uses them (a ``matrix`` corpus side has none),
-    and die with the corpus side.  Only a call that returns writes rows; the
-    memo keeps the entries of a call that raised, which are as pure.
+    A kept corpus side also keeps, for the requests scored against it,
+    ``scored``: the similarities to ``statements`` (NaN where unscored) of
+    each request statement, by its tokens, the most recently written last;
+    and ``memo``: the statement-DP values by move structure, the oldest
+    first.  Both are pure functions of the statement pair under the
+    computer's fixed weights, dictionary and token cap, so a kept value is
+    the float a fresh call computes.  Both are ``_Kept`` stores of at most
+    ``_KEPT_BYTES`` each, made when ``rows`` first uses them (any other side
+    has none), and die with the corpus side.  Only a call that returns
+    writes rows; the memo keeps the entries of a call that raised, which
+    are as pure.
     """
 
-    def __init__(self, docs: list[Document], relations: _TokenRelations):
+    def __init__(self, docs: list[Document], relations: _TokenRelations,
+                 against: "_Corpus | None" = None):
         self.docs = list(docs)
         keyed = [_doc_key(d) for d in self.docs]
         self.keys = sorted(set(keyed), key=_canonical)
         at = {key: n for n, key in enumerate(self.keys)}
         self.inverse = np.array([at[key] for key in keyed], dtype=np.intp)
         self.statements = _Statements(_distinct(self.docs), relations)
-        self.side = _Docs.of(self.keys, 2 * np.arange(len(self.keys)) + 1,
-                             self.statements.position)
+        self.ranks = np.array(2 * np.arange(len(self.keys)) + 1 if against is None
+                              else [against.rank(key) for key in self.keys], dtype=np.intp)
+        self.size = np.array([len(key) for key in self.keys], dtype=np.intp)
+        position = self.statements.position
+        self.ids = {r: np.array([[position[tokens] for tokens in self.keys[k]]
+                                 for k in np.flatnonzero(self.size == r).tolist()], dtype=np.intp)
+                    for r in np.unique(self.size[self.size > 0]).tolist()}
+
+    def runs(self):
+        """(r, lo, hi) for each statement count r: the keys lo .. hi - 1 have
+        r statements, since keys come grouped by statement count."""
+        for r in self.ids:
+            yield (r, int(np.searchsorted(self.size, r, "left")),
+                   int(np.searchsorted(self.size, r, "right")))
 
     @functools.cached_property
     def scored(self) -> "_Kept":
@@ -502,22 +458,23 @@ class SimilarityComputer:
 
     All methods are pure functions of the inputs; what the computer keeps
     only memoizes.  Each call scores its statements in a table of its own
-    (``_Call``), dropped when it returns.  For the last corpus it was given,
-    ``rows`` keeps the corpus side (``_Corpus``: document keys in canonical
-    order, distinct statements with their token ids, the per-class
-    statement positions) and reuses it while a call passes the same
-    documents in the same order; a new document is placed among the corpus
-    keys by bisection.  So a request costs Python work in proportion to its
-    own statements and related pairs, not to the corpus.  The kept corpus
-    side is the one place statement scores outlive a call: it keeps, across
-    requests, each request statement's row of scores against the corpus
-    statements, which a later call's table starts from, and the
-    statement-DP values by move structure, which every ``rows`` call against
-    it shares.  Each holds at most ``_KEPT_BYTES`` (the oldest dropped
-    first), a call that raises writes no rows, and both die when the corpus
-    side is replaced.  So a statement that a model has scored before costs
-    no statement DP when a request repeats it, whether the model was trained
-    in memory or loaded.
+    (``_Call``), dropped when it returns.  Each side of a call is a
+    ``_Corpus``: document keys in canonical order, distinct statements with
+    their token ids and span index, the per-class statement positions.
+    ``rows`` builds its request side against the corpus side, whose ranks
+    place each new document among the corpus keys by bisection.  For the
+    last corpus it was given, ``rows`` keeps the corpus side and reuses it
+    while a call passes the same documents in the same order.  So a request
+    costs Python work in proportion to its own statements and related pairs,
+    not to the corpus.  The kept corpus side is the one place statement
+    scores outlive a call: it keeps, across requests, each request
+    statement's row of scores against the corpus statements, which a later
+    call's table starts from, and the statement-DP values by move structure,
+    which every ``rows`` call against it shares.  Each holds at most
+    ``_KEPT_BYTES`` (the oldest dropped first), a call that raises writes no
+    rows, and both die when the corpus side is replaced.  So a statement
+    that a model has scored before costs no statement DP when a request
+    repeats it, whether the model was trained in memory or loaded.
 
     A call first gives every unscored pair of its statements that shares no
     relation (no token pair that ``pair_kinds`` relates, no span) the
@@ -528,21 +485,23 @@ class SimilarityComputer:
     only where it is the concatenation or the initials of a run of two or
     more of its tokens, or a dictionary acronym whose expansion occurs, so
     the spans are found by lookup: the words a statement can absorb are
-    enumerated from its runs, and a word's candidate statements are found by
-    searching the statements' joined tokens and initials; each candidate is
-    checked once with ``_spans_for_token``.  The call then scores the
-    related statement pairs that its document pairs hold and its table
-    lacks, each with one ``statement_similarity``, handing it the pair's
-    relations, read for the pending pairs (``_BATCH`` at a time) with one
-    fancy index into the token x token table, and the call's memo, so the DP
-    runs once per move structure of the call (of every ``rows`` call against
-    a kept corpus side).  The token relations come from a relation index
+    enumerated from its runs (``_span_keys``), and a word's candidate
+    statements are read from the other side's index of those words
+    (``_Statements.absorbers``); each candidate is checked once with
+    ``_spans_for_token``.  The call then scores the related statement pairs
+    that its document pairs hold and its table lacks, each with one
+    ``statement_similarity``, handing it the pair's relations, read for the
+    pending pairs (``_BATCH`` at a time) with one fancy index into the token
+    x token table, and the call's memo, so the DP runs once per move
+    structure of the call (of every ``rows`` call against a kept corpus
+    side).  The token relations come from a relation index
     (``_TokenRelations``): when a token gets its id, lookups find the few
     tokens it may be related to, and ``pair_kinds`` runs on those candidates
     only; a ``rows`` call drops the tokens that only its new documents hold.
     The span map lives for one call, and so does the memo of a ``matrix`` or
-    ``statement_similarity`` call.  A new document identical to a non-empty
-    corpus document scores 1.0 without a pairing.
+    ``statement_similarity`` call.  A non-empty document scores 1.0 against
+    a document of the same key without a pairing, and an empty document 0
+    against every document (``_pairs``).
 
     Documents are paired in a canonical order (statements sorted by tokens,
     the shorter document first, equal-length documents ordered by key), so
@@ -567,10 +526,6 @@ class SimilarityComputer:
         self.max_tokens = max_tokens
         self._relations = _TokenRelations(self.dictionary)
         self._corpus: _Corpus | None = None
-        # dictionary acronym expansion -> the acronyms that expand to it
-        self._expansions: dict[tuple, list[str]] = {}
-        for word, seq in self.dictionary.acronyms.items():
-            self._expansions.setdefault(seq, []).append(word)
 
     def statement_similarity(self, a: Statement, b: Statement) -> float:
         held = len(self._relations.tokens)
@@ -585,26 +540,14 @@ class SimilarityComputer:
         return float(self.rows([d1], [d2])[0, 0])
 
     def matrix(self, corpus: list[Document]) -> SimilarityMatrix:
-        """Full similarity matrix: upper triangle computed, mirrored, unit diagonal.
-
-        Duplicate documents (same statement multiset) are collapsed before the
-        pairwise pass, which leaves the result identical but much cheaper on
-        template-heavy corpora.
-        """
+        """Full similarity matrix, with unit diagonal.  Documents with one
+        key (the same statement multiset) are paired once, which leaves the
+        result identical but much cheaper on template-heavy corpora."""
         if len(corpus) < 2:
             raise ValueError("need at least 2 documents")
         docs = _Corpus(corpus, self._relations)
-        su = self._pairs(docs.side, docs.side, self._call(docs.statements, docs.statements),
-                         upper=True)
-        su += su.T   # the call is gone, and the upper triangle is not kept twice
-        np.fill_diagonal(su, 1.0)
+        su = self._pairs(docs, docs, self._call(docs.statements, docs.statements))
         values = su[np.ix_(docs.inverse, docs.inverse)]
-        # Distinct empty documents share a dedupe key but are not similar:
-        # sentinels score 0 against everything except themselves.
-        sentinel = np.array([d.is_sentinel for d in corpus], dtype=bool)
-        if sentinel.any():
-            values[sentinel, :] = 0.0
-            values[:, sentinel] = 0.0
         np.fill_diagonal(values, 1.0)
         return SimilarityMatrix(values, tuple(d.id for d in corpus))
 
@@ -613,25 +556,21 @@ class SimilarityComputer:
         if self._corpus is None or not self._corpus.holds(corpus):
             self._corpus = _Corpus(corpus, self._relations)
         kept = self._corpus
-        keyed = [_doc_key(d) for d in new_docs]
-        keys = sorted(set(keyed), key=_canonical)
-        at = {key: n for n, key in enumerate(keys)}
         # earlier matrix corpora's and this corpus's tokens have ids already;
         # ids from ``held`` on are tokens that only the new documents hold
         held = len(self._relations.tokens)
         try:
-            new = _Statements(_distinct(new_docs), self._relations)
-            side = _Docs.of(keys, [kept.rank(key) for key in keys], new.position)
-            call = _Call(new, kept.statements, self.dictionary, kept.memo)
+            new = _Corpus(new_docs, self._relations, against=kept)
+            call = _Call(new.statements, kept.statements, self.dictionary, kept.memo)
             kept.seed(call)
             self._fill_unrelated(call)
-            su = self._pairs(side, kept.side, call, upper=False)
+            su = self._pairs(new, kept, call)
         finally:
             # forget the relations of tokens that only the new documents hold,
             # so requests with novel words do not grow the index
             self._relations.forget(held)
         kept.keep(call)
-        return su[np.ix_([at[key] for key in keyed], kept.inverse)]
+        return su[np.ix_(new.inverse, kept.inverse)]
 
     def _call(self, left: _Statements, right: _Statements) -> _Call:
         """A call of ``left`` against ``right`` with a memo of its own, and
@@ -682,16 +621,17 @@ class SimilarityComputer:
         # the statement's runs can absorb
         for s, n in enumerate(li.tolist()):
             st = left.tokens[n]
-            for word in _span_keys(st, self._expansions):
+            for word in _span_keys(st, left.expansions):
                 t = ids.get(word)
                 if t is not None:
                     k = int(np.searchsorted(tokens, t))
                     if k < tokens.size and tokens[k] == t and call.spans(word, st):
                         reach[s, k] = 1.0
-        # a left token with a span in a right statement: found by search
+        # a left token with a span in a right statement: one of the right
+        # statements whose runs can absorb it, by the right side's index
         for t, k in zip(mine.tolist(), mine_at.tolist()):
             word = self._relations.tokens[t]
-            for c in right.spanned_by(word, self.dictionary, ids):
+            for c in right.absorbers.get(word, ()):
                 if col[c] >= 0 and call.spans(word, right.tokens[c]):
                     spanned[k, col[c]] = 1.0
         u, v = np.nonzero(todo & ((reach @ b.T + a @ spanned) == 0))
@@ -703,15 +643,16 @@ class SimilarityComputer:
             i, j = li[u[k:k + _BATCH]], ci[v[k:k + _BATCH]]
             call.store(i, j, value[left.lengths[i] + right.lengths[j]])
 
-    def _pairs(self, left: _Docs, right: _Docs, call: _Call, upper: bool) -> np.ndarray:
+    def _pairs(self, left: _Corpus, right: _Corpus, call: _Call) -> np.ndarray:
         """Similarity of the distinct documents ``left`` and ``right`` at
         [a, b], whose statement positions are those of the call's left and
-        right statements.  With ``upper`` only pairs whose left rank is
-        below the right rank are computed and the others stay 0, as do pairs
-        with an empty document.  Without it, a pair of one non-empty document
-        with itself is 1.0 without a pairing: r statements that each score
-        1.0 sum to exactly r."""
-        out = np.zeros((len(left.rank), len(right.rank)))
+        right statements.  A non-empty document scores 1.0 against a
+        document of the same key without a pairing (r statements that each
+        score 1.0 sum to exactly r), and an empty document 0 against every
+        document.  Of a side against itself (``left is right``, the matrix)
+        only the pairs whose left rank is below the right rank are paired,
+        and the result is mirrored."""
+        out = np.zeros((len(left.ranks), len(right.ranks)))
         for ra, a0, a1 in left.runs():
             for rb, b0, b1 in right.runs():
                 # chunks of the block's (a, b) pairs in row-major order
@@ -720,8 +661,8 @@ class SimilarityComputer:
                 for k0 in range(0, (a1 - a0) * width, per):
                     k = np.arange(k0, min(k0 + per, (a1 - a0) * width))
                     at, bt = a0 + k // width, b0 + k % width
-                    a, b = left.rank[at], right.rank[bt]
-                    keep = a < b if upper else a != b
+                    a, b = left.ranks[at], right.ranks[bt]
+                    keep = a < b if left is right else a != b
                     at, bt, a, b = at[keep], bt[keep], a[keep], b[keep]
                     if a.size:
                         sims = self._lookup(call, left.ids[ra][at - a0], right.ids[rb][bt - b0])
@@ -731,8 +672,9 @@ class SimilarityComputer:
                         elif ra == rb and (b < a).any():
                             sims = np.where((b < a)[:, None, None], sims.transpose(0, 2, 1), sims)
                         out[at, bt] = _best_pairing(sims)
-        if not upper:
-            out[(left.rank[:, None] == right.rank) & (left.size > 0)[:, None]] = 1.0
+        if left is right:
+            out += out.T
+        out[(left.ranks[:, None] == right.ranks) & (left.size > 0)[:, None]] = 1.0
         return out
 
     def _lookup(self, call: _Call, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -175,6 +175,46 @@ def test_hand_cases(monkeypatch):
         (0, 2, 1): TransformKind.CONCATENATION}
 
 
+def test_span_index_lists_every_spanned_statement():
+    """A side's span index (``_Statements.absorbers``) lists, for every word,
+    each statement that the word has a span in (``_spans_for_token``):
+    concatenations and initials of runs, and dictionary acronyms.  ``cp``
+    (chest pain) has no span where the letters of its expansion occur under
+    another token split, and the index does not offer those statements."""
+    dct = CFG.load_dictionary()
+    hand = [("chestpain",), ("che", "stpain"), ("c", "p"), ("chest", "pain", "worse"),
+            ("no", "chest", "pain"), ("short", "breath", "heart", "racing"), ("sob", "cp"),
+            ("pe", "physical", "exam", "normal"), ("a", "b", "a", "b")]
+    statements = list(dict.fromkeys(
+        hand + [st.tokens for d in benchmark_documents()[1] + dictionary_documents(dct)
+                for st in d.statements]))
+    index = similarity._Statements([Statement(st) for st in statements],
+                                   similarity._TokenRelations(dct)).absorbers
+    # every token and acronym, every run's concatenation and initials, and
+    # the concatenation and initials of every two tokens of the hand cases
+    words = {tok for st in statements for tok in st} | set(dct.acronyms)
+    words |= {"".join(part) for st in statements for i in range(len(st))
+              for j in range(i + 2, len(st) + 1)
+              for part in (st[i:j], [tok[0] for tok in st[i:j]])}
+    vocabulary = {tok for st in hand for tok in st}
+    words |= {x + y for x in vocabulary for y in vocabulary}
+    words |= {x[0] + y[0] for x in vocabulary for y in vocabulary}
+    for n, st in enumerate(statements):
+        for word in words:
+            if _spans_for_token(word, st, dct):
+                assert n in index.get(word, ()), (word, st)
+    # the loop met each kind: a concatenation, initials, and "sob", the one
+    # packaged acronym that is not its expansion's initials
+    for word, st, kind in (("chestpain", ("chest", "pain", "worse"), TransformKind.CONCATENATION),
+                           ("pen", ("pe", "physical", "exam", "normal"), TransformKind.ACRONYM),
+                           ("sob", ("short", "breath", "heart", "racing"), TransformKind.ACRONYM)):
+        assert word in words and kind in [k for _, _, k in _spans_for_token(word, st, dct)]
+    for st in (("chestpain",), ("che", "stpain")):
+        assert not _spans_for_token("cp", st, dct)
+        assert statements.index(st) not in index["cp"]
+    assert statements.index(("no", "chest", "pain")) in index["cp"]
+
+
 def test_token_cap_in_related_pair():
     """A related statement over the token cap reaches the DP through the
     batched relations and raises there."""

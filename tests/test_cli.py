@@ -243,6 +243,31 @@ class TestEvaluateCommand:
         mean_row = [r for r in text.splitlines() if r.startswith("mean")][0]
         assert mean_row.split(",")[1] == repr(report.mean_auc)
 
+    def test_blank_records_past_the_width_are_numerical_failure(self, tmp_path, capsys):
+        """Each blank record is an isolated node of the similarity graph and
+        adds a zero eigenvalue: four blanks make four non-trivial zero
+        eigenvalues, which dims = 3 cuts (exit 3, naming the width and the
+        eigenvalues) and dims = 4 does not."""
+        from slemap.dataset import write_dataset_csv
+        from slemap.synth import GeneratorSpec, generate_arrays
+        ids, labels, numeric, texts, _ = generate_arrays(
+            GeneratorSpec(m=40, numeric_dim=3, clusters=4, text_weight=0.7, noise=0.05), 3)
+        texts[5], texts[11], texts[17], texts[23] = "", "   ", "", ", ."
+        data = tmp_path / "blank.csv"
+        write_dataset_csv(data, ids, labels, numeric, texts)
+        cfg = tmp_path / "cfg.txt"
+
+        def run(dims, *command):
+            cfg.write_text(f"embedding.dims = {dims}\nsle.max_outer_iters = 3\n")
+            return main([*command, "--method", "le", "--input", str(data), "--config", str(cfg)])
+
+        assert run(3, "train", "--out", str(tmp_path / "m")) == 3
+        assert run(3, "evaluate", "--report", str(tmp_path / "rep")) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("dims=3 cuts" in line and "eigenvalues 3 and 4 are" in line
+                                     for line in err)
+        assert run(4, "train", "--out", str(tmp_path / "m")) == 0
+
     def test_fold_without_both_classes_is_data_error(self, small_config, tmp_path):
         p = tmp_path / "onecls.csv"
         rows = ["id,label,f1,text"] + [f'r{i},1,0.5,"chest pain"' for i in range(12)]

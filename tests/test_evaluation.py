@@ -319,7 +319,7 @@ class TestFoldEqualsTrainPredict:
                     sorted(vars(computer)), computer._corpus is corpus,
                     sorted(vars(corpus)), sorted(vars(corpus.statements)),
                     len(corpus.docs), len(corpus.keys), corpus.statements.flat.size,
-                    len(corpus.statements.text[0]))
+                    len(corpus.statements.absorbers))
 
         # dictionary synonyms the training texts lack, so the synonym lookup grows too
         absent = sorted(set(computer.dictionary.synonym_group) - set(relations.ids))

@@ -413,8 +413,8 @@ class TestBlockKernel:
         monkeypatch.setattr(similarity, "statement_similarity", recorded)
         tables = []   # the table of each call that pairs documents
         pairs = SimilarityComputer._pairs
-        monkeypatch.setattr(SimilarityComputer, "_pairs", lambda self, left, right, call, upper:
-                            tables.append(call) or pairs(self, left, right, call, upper))
+        monkeypatch.setattr(SimilarityComputer, "_pairs", lambda self, left, right, call:
+                            tables.append(call) or pairs(self, left, right, call))
         rng = random.Random(5)
         pool = ["chest", "pain", "heart", "racing", "dizzy", "faint", "sob", "cp"]
         docs = [doc(str(k), *[[rng.choice(pool) for _ in range(rng.randint(1, 3))]
