@@ -12,31 +12,58 @@ import numpy as np
 
 from .errors import KTooLarge
 
-# Bytes the neighbour selection of one chunk of rows may hold: the negated
-# similarities and their stable argsort, 16 bytes per entry.
+# Bytes the neighbour selection of one chunk of rows may hold: first the
+# partitioned copy of the chunk (8 bytes per entry), then the masks and the
+# running tie count that replace it (at most 8 bytes per entry).
 _SELECT_BYTES = 1 << 19
 
 
-def estimate_batch(sim_rows: np.ndarray, embedding: np.ndarray, k: int,
+def select_neighbours(sim_rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k most similar columns and their similarities, both rows x k.
+
+    Columns are ordered by decreasing similarity, ties toward the lower
+    column index: the leading k of a stable argsort of ``-sim_rows``.  A
+    partition finds each row's k-th largest value; every column above it and
+    the lowest-index columns equal to it are kept, then only those k are
+    sorted.
+    """
+    m, n = sim_rows.shape
+    if k < 1 or k > n:
+        raise KTooLarge(f"k={k} outside 1..{n}")
+    top = np.empty((m, k), dtype=np.intp)
+    per = max(1, _SELECT_BYTES // (8 * n))
+    for i in range(0, m, per):
+        block = sim_rows[i:i + per]
+        kth = np.partition(block, n - k, axis=1)[:, [n - k]]
+        above, ties = block > kth, block == kth
+        need = k - np.count_nonzero(above, axis=1, keepdims=True)
+        keep = np.cumsum(ties, axis=1, dtype=np.int32) <= need
+        keep &= ties
+        keep |= above
+        cols = np.nonzero(keep)[1].reshape(-1, k)
+        order = np.argsort(-np.take_along_axis(block, cols, axis=1), axis=1, kind="stable")
+        top[i:i + per] = np.take_along_axis(cols, order, axis=1)
+    return top, np.take_along_axis(sim_rows, top, axis=1)
+
+
+def estimate_batch(sim_rows: np.ndarray | tuple[np.ndarray, np.ndarray],
+                   embedding: np.ndarray, k: int,
                    weighted: bool = True) -> tuple[np.ndarray, int]:
     """Estimate one embedding row per similarity row.
 
-    Row i's neighbors are the k training documents most similar to it, ties
-    broken toward the lower training index.  Equal neighbor weights cancel
-    analytically, and the weighted estimate evaluates the cancelled form, so
-    it equals the plain average exactly.  Returns the estimates and the
-    number of rows that hit the degenerate all-zero-similarity path (those
-    rows are the zero vector).
+    ``sim_rows`` is a block of similarities to the training documents, or
+    the block's ``select_neighbours(block, k)``, which callers that score one
+    block under several embeddings compute once.  Row i's neighbors are the
+    k training documents most similar to it, ties broken toward the lower
+    training index.  Equal neighbor weights cancel analytically, and the
+    weighted estimate evaluates the cancelled form, so it equals the plain
+    average exactly.  Returns the estimates and the number of rows that hit
+    the degenerate all-zero-similarity path (those rows are the zero vector).
     """
-    if k < 1 or k > sim_rows.shape[1]:
-        raise KTooLarge(f"k={k} outside 1..{sim_rows.shape[1]}")
-    top = np.empty((sim_rows.shape[0], k), dtype=np.intp)
-    per = max(1, _SELECT_BYTES // (16 * sim_rows.shape[1]))
-    for i in range(0, len(top), per):
-        top[i:i + per] = np.argsort(-sim_rows[i:i + per], axis=1, kind="stable")[:, :k]
-    out = np.empty((sim_rows.shape[0], embedding.shape[1]))
+    top, near = sim_rows if isinstance(sim_rows, tuple) else select_neighbours(sim_rows, k)
+    out = np.empty((top.shape[0], embedding.shape[1]))
     zero_rho = 0
-    for i, (idx, s) in enumerate(zip(top, np.take_along_axis(sim_rows, top, axis=1))):
+    for i, (idx, s) in enumerate(zip(top, near)):
         rows = embedding[idx]
         rho = float(s.sum())
         if not weighted or (rho > 0.0 and s.min() == s.max()):

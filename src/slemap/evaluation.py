@@ -23,7 +23,7 @@ import numpy as np
 from .config import PipelineConfig
 from .dataset import Dataset
 from .errors import FoldTooSmall, SchemaError
-from .estimator import estimate_batch
+from .estimator import estimate_batch, select_neighbours
 from .laplacian import Laplacian, build_laplacian, solve_eigenmap
 from .logistic import LabeledFeatures, LearnerParams, predict_proba, train
 from .lsi import build_tfidf, fit_lsi, vectorize
@@ -142,7 +142,9 @@ class PreparedDataset:
     one width and sle is among the methods, each fold's entry also carries
     the fold's Laplacian (its u x u block over distinct rows), so every fold
     builds it once; otherwise the entry holds the m_train x max(widths)
-    frame alone.  The full eigendecomposition is never kept.
+    frame alone.  The full eigendecomposition is never kept.  ``selections``
+    keeps each fold's kNN selection (``Split.selection``), so le and sle at
+    every width score the fold's test records from one selection.
     """
 
     dataset: Dataset
@@ -151,6 +153,8 @@ class PreparedDataset:
     widths: tuple[int, ...] = ()
     # (folds, seed, fold number) -> (Split.frame, Split.lap or None) of that fold
     frames: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
+    # (folds, seed, fold number) -> Split.selection of that fold
+    selections: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
 
 
 def normalize_corpus(ids: list[str], texts: list[str],
@@ -216,12 +220,13 @@ class TrainedModel:
 class Split:
     """Records to fit on and records to score, as row indices into one dataset.
 
-    Documents, similarities, the Laplacian and the training eigenmap are
-    made on first use and kept, so every method fitted on a split shares
-    them.  Cross-validation supplies the documents, the corpus matrix (the
-    fold's blocks are sliced from it on first use), the sweep's ``widths``
-    and the fold's ``frame`` and ``lap`` from an earlier width, so one
-    eigensolve and one Laplacian per fold serve the whole dims sweep.
+    Documents, similarities, the Laplacian, the training eigenmap and the
+    test records' kNN selection are made on first use and kept, so every
+    method fitted on a split shares them.  Cross-validation supplies the
+    documents, the corpus matrix (the fold's blocks are sliced from it on
+    first use), the sweep's ``widths`` and the fold's ``frame``, ``lap`` and
+    ``selection`` from an earlier width, so one eigensolve, one Laplacian
+    and one selection per fold serve the whole dims sweep.
     A split without them builds the training matrix with one
     SimilarityComputer and scores test documents by ``rows`` against the
     model's training documents, with the model's computer
@@ -241,6 +246,8 @@ class Split:
     # (widths checked, eigenmap at the widest of them, feature scale)
     frame: tuple[tuple[int, ...], np.ndarray, float] | None = None
     lap: Laplacian | None = None
+    # (k, the test rows' select_neighbours at k)
+    selection: tuple[int, tuple[np.ndarray, np.ndarray]] | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def documents(self, config: PipelineConfig, rows) -> list[Document]:
@@ -275,6 +282,14 @@ class Split:
                 self._cache["test"] = computer.rows(
                     self.documents(model.config, self.test), corpus)
         return self._cache["test"]
+
+    def neighbours(self, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
+        """The test records' ``knn_k`` most similar training records and
+        their similarities, selected once per k."""
+        k = model.config.knn_k
+        if self.selection is None or self.selection[0] != k:
+            self.selection = (k, select_neighbours(self.test_similarity(model), k))
+        return self.selection[1]
 
     def laplacian(self, config: PipelineConfig) -> Laplacian:
         if self.lap is None:
@@ -384,7 +399,7 @@ def score(model: TrainedModel, split: Split) -> tuple[np.ndarray, int]:
     num = (ds.numeric[rows] - model.numeric_mean) / model.numeric_std
     text, zero_rho = np.zeros((len(rows), 0)), 0
     if model.method in ("le", "sle"):
-        text, zero_rho = estimate_batch(split.test_similarity(model), model.xe_train,
+        text, zero_rho = estimate_batch(split.neighbours(model), model.xe_train,
                                         cfg.knn_k, cfg.knn_weighted)
     elif model.method == "lsi" and split.joint_lsi:
         text = split.joint_lsi_rows(cfg)[rows]
@@ -417,10 +432,10 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     """Evaluate several methods over one shared fold split.
 
     Similarity matrices, normalized documents, and the per-fold unsupervised
-    eigenmap are computed once and shared wherever two methods need them;
-    a ``prepared`` dataset also keeps each fold's eigenmap for later calls
-    at other dims, and with sle and more than one width in its sweep, each
-    fold's Laplacian too.
+    eigenmap and kNN selection are computed once and shared wherever two
+    methods need them; a ``prepared`` dataset also keeps each fold's
+    eigenmap and selection for later calls at other dims, and with sle and
+    more than one width in its sweep, each fold's Laplacian too.
     """
     for method in methods:
         if method not in METHODS:
@@ -445,7 +460,7 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
         split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
                       similarity=prepared.similarity.values if needs_sim else None,
                       joint_lsi=config.lsi_joint, widths=prepared.widths,
-                      frame=frame, lap=lap)
+                      frame=frame, lap=lap, selection=prepared.selections.get(key))
         for method in methods:
             model = fit(method, split, config, fold_no)
             te_scores, zero_rho = score(model, split)
@@ -458,6 +473,8 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                     for i, s in zip(test_idx, te_scores))
         if split.frame is not None:
             prepared.frames[key] = (split.frame, split.lap if keep_lap else None)
+        if split.selection is not None:
+            prepared.selections[key] = split.selection
         del split   # frees the fold's matrices before the next fold slices its own
 
     return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
@@ -475,7 +492,8 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
 
     Every width runs ``run_methods`` on the same folds, and one eigensolve
     per fold, at the widest width, serves them all (``PreparedDataset``).
-    With sle, each fold's Laplacian is built once as well.
+    Each fold's kNN selection is made once, and with sle, each fold's
+    Laplacian is built once as well.
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
     training size minus one, raises ``RankDeficient`` at that solve.
     """

@@ -15,6 +15,11 @@ import numpy as np
 from .errors import NonFiniteValue
 
 ARMIJO_C = 1e-4
+# Added to the Newton system's diagonal: keeps it solvable when the data are
+# separable (the curvature vanishes) or a feature column is constant.
+NEWTON_RIDGE = 1e-12
+# Relative rounding error of the loss, a mean of non-negative terms.
+LOSS_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -119,11 +124,11 @@ def predict_proba(params: LearnerParams, x: np.ndarray) -> np.ndarray:
     return sigmoid(_logits(params, np.asarray(x, dtype=float)))
 
 
-def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int,
-                  grad_tol: float = 0.0) -> LearnerParams:
-    """Plain gradient descent with Armijo backtracking on the training loss.
+def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int) -> LearnerParams:
+    """Plain gradient descent with Armijo backtracking on the training loss:
+    the classifier's step in the SLE alternation.
 
-    A step's gradient is taken at the logits that the loss of the step
+    It stops early only at a zero gradient.  A step's gradient is taken at the logits that the loss of the step
     before computed for the candidate it accepted."""
     z = _logits(params, data.X)
     cur = _loss_at(z, params, data)
@@ -131,7 +136,7 @@ def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int,
     for _ in range(steps):
         gw, gb = _grad_at(z, params, data)
         gnorm2 = float(gw @ gw + gb * gb)
-        if gnorm2 <= grad_tol ** 2:
+        if gnorm2 == 0.0:
             break
         eta = min(eta * 2.0, 1e4)
         accepted = False
@@ -150,9 +155,59 @@ def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int,
 
 
 def train(data: LabeledFeatures, l2: float, init: LearnerParams | None = None,
-          max_iters: int = 500, grad_tol: float = 1e-8) -> LearnerParams:
-    """Train to (near) convergence: descent until the gradient norm is tiny."""
+          max_iters: int = 500, grad_tol: float = 1e-10) -> LearnerParams:
+    """Train to the optimum with safeguarded Newton steps.
+
+    Each step solves the Hessian system of the weights and the bias (l2 on
+    the weights only, plus a ``NEWTON_RIDGE`` diagonal so that separable
+    data and constant columns stay solvable) and backtracks from the full
+    step until the Armijo condition holds.  Training stops after
+    ``max_iters`` steps, at a gradient norm of ``grad_tol``, at a step that
+    no backtrack accepts, or with a full step whose predicted decrease is
+    below the loss's rounding, where a backtrack could not tell a good step
+    from a bad one (gradient descent stalls there, short of ``grad_tol``).
+    """
     params = init if init is not None else LearnerParams.zeros(data.X.shape[1], l2)
     if params.l2 != l2:
         params = replace(params, l2=l2)
-    return descend_theta(params, data, steps=max_iters, grad_tol=grad_tol)
+    n = data.X.shape[1]
+    penalty = np.full(n + 1, l2 + NEWTON_RIDGE)
+    penalty[n] = NEWTON_RIDGE
+    hessian = np.empty((n + 1, n + 1))
+    z = _logits(params, data.X)
+    cur = _loss_at(z, params, data)
+    for _ in range(max_iters):
+        gw, gb = _grad_at(z, params, data)
+        g = np.append(gw, gb)
+        if float(g @ g) <= grad_tol ** 2:
+            break
+        p = sigmoid(z)
+        # [X 1]ᵀ diag(p (1 - p) / m) [X 1], without a copy of X with the
+        # ones column
+        w = np.sqrt(p * (1.0 - p) / data.m)
+        root = data.X * w[:, None]
+        hessian[:n, :n] = root.T @ root
+        hessian[:n, n] = hessian[n, :n] = root.T @ w
+        hessian[n, n] = w @ w
+        hessian[np.diag_indices_from(hessian)] += penalty
+        step = -np.linalg.solve(hessian, g)
+        slope = float(g @ step)   # minus the squared Newton decrement
+        if -slope <= LOSS_ROUNDING * cur:
+            # the Armijo test would compare rounding noise; this close to the
+            # optimum the full Newton step is accurate to rounding, and
+            # training ends with it
+            return LearnerParams(params.weights + step[:-1], params.bias + float(step[-1]), l2)
+        eta, accepted = 1.0, False
+        for _ in range(60):
+            cand = LearnerParams(params.weights + eta * step[:-1],
+                                 params.bias + eta * float(step[-1]), l2)
+            cand_z = _logits(cand, data.X)
+            new = _loss_at(cand_z, cand, data)
+            if new <= cur + ARMIJO_C * eta * slope:
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            break
+        params, cur, z = cand, new, cand_z
+    return params

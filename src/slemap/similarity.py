@@ -287,11 +287,17 @@ class _Statements:
         (``_span_keys``) -> those statements, in order.  Every statement
         that a word has a span in (``_spans_for_token``) is listed, so a
         word's candidates are read here instead of searched."""
-        found: dict[str, list[int]] = {}
-        for n, st in enumerate(self.tokens):
-            for word in _span_keys(st, self.expansions):
-                found.setdefault(word, []).append(n)
-        return {word: tuple(at) for word, at in found.items()}
+        return _absorbers(self.tokens, range(len(self.tokens)), self.expansions)
+
+
+def _absorbers(tokens: list[tuple], chosen, expansions) -> dict[str, tuple[int, ...]]:
+    """The span index of the statements ``tokens[n]`` for n in ``chosen``:
+    each word that their runs can absorb -> those n, in order."""
+    found: dict[str, list[int]] = {}
+    for n in chosen:
+        for word in _span_keys(tokens[n], expansions):
+            found.setdefault(word, []).append(n)
+    return {word: tuple(at) for word, at in found.items()}
 
 
 class _Corpus:
@@ -618,15 +624,18 @@ class SimilarityComputer:
         spanned = np.zeros((tokens.size, ci.size), dtype=np.float32)
         ids = self._relations.ids
         # a right token with a span in a left statement: one of the words
-        # the statement's runs can absorb
-        for s, n in enumerate(li.tolist()):
-            st = left.tokens[n]
-            for word in _span_keys(st, left.expansions):
-                t = ids.get(word)
-                if t is not None:
-                    k = int(np.searchsorted(tokens, t))
-                    if k < tokens.size and tokens[k] == t and call.spans(word, st):
-                        reach[s, k] = 1.0
+        # the statement's runs can absorb, by the left statements' index (a
+        # matrix call's side is its right side too, and indexes every
+        # statement once for both loops)
+        absorbed = (left.absorbers if left is right
+                    else _absorbers(left.tokens, li.tolist(), left.expansions))
+        for word, at in absorbed.items():
+            t = ids.get(word)
+            k = int(np.searchsorted(tokens, t)) if t is not None else tokens.size
+            if k < tokens.size and tokens[k] == t:
+                for n in at:
+                    if row[n] >= 0 and call.spans(word, left.tokens[n]):
+                        reach[row[n], k] = 1.0
         # a left token with a span in a right statement: one of the right
         # statements whose runs can absorb it, by the right side's index
         for t, k in zip(mine.tolist(), mine_at.tolist()):

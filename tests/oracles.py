@@ -246,8 +246,8 @@ def oracle_sigmoid(z):
 
 def oracle_train(data, l2: float, init=None, max_iters: int = 500,
                  grad_tol: float = 1e-8):
-    """``logistic.train`` with the logits computed afresh for every loss and
-    every gradient: gradient descent from ``init`` (zeros by default) with
+    """Gradient descent on the logistic loss with the logits computed afresh
+    for every loss and every gradient: from ``init`` (zeros by default) with
     Armijo backtracking, stopping at a gradient norm of ``grad_tol`` or a
     step no backtrack accepts.  Returns (weights, bias)."""
     x, y, cols = data.X, data.y, data.X.shape[1]
@@ -259,13 +259,9 @@ def oracle_train(data, l2: float, init=None, max_iters: int = 500,
         nll = np.logaddexp(0.0, z) - y * z
         return float(nll.mean() + 0.5 * l2 * w @ w)
 
-    def grad(w, b):
-        residual = oracle_sigmoid(x @ w + b) - y
-        return x.T @ residual / x.shape[0] + l2 * w, float(residual.mean())
-
     cur, eta = loss(w, b), 1.0
     for _ in range(max_iters):
-        gw, gb = grad(w, b)
+        gw, gb = oracle_gradient(data, l2, w, b)
         gnorm2 = float(gw @ gw + gb * gb)
         if gnorm2 <= grad_tol ** 2:
             break
@@ -280,6 +276,13 @@ def oracle_train(data, l2: float, init=None, max_iters: int = 500,
             break
         w, b, cur = cw, cb, new
     return w, b
+
+
+def oracle_gradient(data, l2: float, w, b):
+    """The gradient of the mean logistic loss plus (l2/2)||w||^2 in the
+    weights and in the bias at (w, b)."""
+    residual = oracle_sigmoid(data.X @ w + b) - data.y
+    return data.X.T @ residual / data.X.shape[0] + l2 * w, float(residual.mean())
 
 
 def oracle_auc(scores, labels) -> float:

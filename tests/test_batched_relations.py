@@ -215,6 +215,30 @@ def test_span_index_lists_every_spanned_statement():
     assert statements.index(("no", "chest", "pain")) in index["cp"]
 
 
+def test_matrix_enumerates_span_words_once_per_statement(monkeypatch):
+    """A matrix call is one side against itself, so both span loops of
+    ``_fill_unrelated`` read one index: each distinct statement's span words
+    are enumerated once.  The matrix equals a ``rows`` call of the same
+    documents, whose two sides are enumerated apart, except where a blank
+    document meets itself."""
+    seen = []
+    real = similarity._span_keys
+
+    def counted(st, expansions):
+        seen.append(st)
+        return real(st, expansions)
+
+    monkeypatch.setattr(similarity, "_span_keys", counted)
+    corpus = benchmark_documents()[0] + dictionary_documents(CFG.load_dictionary())
+    make = lambda: SimilarityComputer(CFG.transform_weights(), CFG.load_dictionary())
+    values = make().matrix(corpus).values
+    assert sorted(seen) == sorted({st.tokens for d in corpus for st in d.statements})
+    rows = make().rows(corpus, corpus)
+    blank = [n for n, d in enumerate(corpus) if d.is_sentinel]
+    rows[blank, blank] = values[blank, blank]
+    assert values.tobytes() == rows.tobytes()
+
+
 def test_token_cap_in_related_pair():
     """A related statement over the token cap reaches the DP through the
     batched relations and raises there."""

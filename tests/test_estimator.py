@@ -177,6 +177,27 @@ class TestBatch:
                 assert got.tobytes() == want.tobytes()
                 assert got_zero == want_zero
 
+    def test_selection_equals_stable_argsort_bitwise(self, monkeypatch):
+        """The partition selection is the leading k of a stable argsort of
+        the negated block, on duplicate columns, ties across the k-th place,
+        mixed 0.0/-0.0, all-zero and constant rows, at k = 1 and k = n,
+        under every selection budget of the chunk test."""
+        rng = np.random.default_rng(9)
+        n = 600
+        sims = np.round(rng.random((131, n)), 1)
+        sims[:, n // 2:] = sims[:, :n // 2]
+        sims[::9] = 0.0
+        sims[1::7] = sims[1, 0]
+        sims[2::5, ::3] = -0.0
+        assert np.signbit(sims).any() and (sims == 0.0).all(axis=1).any()
+        for budget in (estimator._SELECT_BYTES, 16 * n * 4, 1):
+            monkeypatch.setattr(estimator, "_SELECT_BYTES", budget)
+            for k in (1, 5, 37, n):
+                top, near = estimator.select_neighbours(sims, k)
+                want = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+                assert top.tobytes() == want.tobytes()
+                assert near.tobytes() == np.take_along_axis(sims, want, axis=1).tobytes()
+
     def test_one_row_call_matches_block(self):
         rng = np.random.default_rng(7)
         xe = rng.standard_normal((9, 4))

@@ -185,6 +185,25 @@ class TestDimsSweep:
         assert len(prepared.frames) == self.CFG.folds
         assert all(lap is None for _, lap in prepared.frames.values())
 
+    def test_one_selection_per_fold(self, text_dataset, monkeypatch):
+        """le and sle at every width score a fold's test records from one kNN
+        selection; the rows equal runs that select afresh per width
+        (test_rows_equal_per_dims_runs_with_one_solve_per_fold)."""
+        selections = []
+        real = evaluation.select_neighbours
+
+        def counted(sims, k):
+            selections.append((sims.shape, k))
+            return real(sims, k)
+
+        monkeypatch.setattr(evaluation, "select_neighbours", counted)
+        compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
+        assert len(selections) == self.CFG.folds
+        assert {k for _, k in selections} == {self.CFG.knn_k}
+        selections.clear()
+        run_methods(text_dataset, ["le", "sle"], replace(self.CFG, dims=3))
+        assert len(selections) == self.CFG.folds
+
     def test_training_block_read_at_first_width_only(self, text_dataset, monkeypatch):
         """Each fold slices its training similarities once, at the first
         width; later widths reuse the fold's eigenmap and Laplacian."""
