@@ -84,7 +84,7 @@ def _cmd_train(args) -> int:
     model = train_model(dataset, args.method, cfg)
     save_model(model, args.out)
     print(f"trained {args.method} on {dataset.m} records "
-          f"(train AUC {model.train_auc:.4f}, attempts {model.attempts}); saved to {args.out}")
+          f"(train AUC {model.train_auc:.4f}); saved to {args.out}")
     return 0
 
 

@@ -3,7 +3,8 @@
 Lines are ``section.key = value``; a line whose first non-blank character is
 '#' is a comment.  A '#' anywhere else is part of the value (it can be a
 legitimate delimiter), so comments never share a line with a key.  Unknown
-keys are rejected so typos fail loudly.  ``KEYS`` drives both parsing and
+keys are rejected so typos fail loudly, except the retired ones in
+``RETIRED_KEYS``, which are read and ignored.  ``KEYS`` drives both parsing and
 ``echo()``, the canonical rendering that every report and model directory
 embeds.  A config is checked whenever it is built, ``replace`` included.
 """
@@ -45,10 +46,11 @@ KEYS: dict[str, str] = {
     "knn.weighted": "knn_weighted",
     "cv.folds": "folds",
     "cv.seed": "seed",
-    "cv.retrain_auc": "retrain_auc",
-    "cv.max_retrains": "max_retrains",
     "lsi.joint_embed": "lsi_joint",
 }
+# keys of a retired retrain rule; config.txt files of older model
+# directories set them, so they still load
+RETIRED_KEYS = frozenset({"cv.retrain_auc", "cv.max_retrains"})
 
 
 def read_settings(path: str | Path, error: type[Exception]) -> dict[str, tuple[str, str]]:
@@ -91,8 +93,6 @@ class PipelineConfig:
     knn_weighted: bool = True
     folds: int = 5
     seed: int = 0
-    retrain_auc: float = 0.65
-    max_retrains: int = 5
     lsi_joint: bool = False
 
     def __post_init__(self) -> None:
@@ -100,8 +100,8 @@ class PipelineConfig:
         if not (1 <= self.max_tokens <= MAX_CAP and 1 <= self.max_statements <= MAX_CAP):
             raise ConfigError("normalize.max_tokens and normalize.max_statements "
                               f"must lie in 1..{MAX_CAP}")
-        if self.dims < 1 or self.knn_k < 1 or self.max_retrains < 1:
-            raise ConfigError("embedding.dims, knn.k and cv.max_retrains must be at least 1")
+        if self.dims < 1 or self.knn_k < 1:
+            raise ConfigError("embedding.dims and knn.k must be at least 1")
         if self.folds < 2:
             raise ConfigError("cv.folds must be at least 2")
         if self.seed < 0:
@@ -110,11 +110,9 @@ class PipelineConfig:
             raise ConfigError(f"misspelling.max_edit_distance must lie in 0..{MAX_EDIT_DISTANCE}")
         if self.min_token_length < 0:
             raise ConfigError("misspelling.min_token_length must be at least 0")
-        if not 0.0 <= self.retrain_auc <= 1.0:
-            raise ConfigError("cv.retrain_auc must lie in [0, 1]")
         try:
             self.transform_weights()
-            self.sle_config(self.seed)
+            self.sle_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -131,13 +129,13 @@ class PipelineConfig:
     def transform_weights(self) -> TransformWeights:
         return TransformWeights(self.weights)
 
-    def sle_config(self, seed: int) -> SleConfig:
+    def sle_config(self) -> SleConfig:
         return SleConfig(
             dims=self.dims, lam=self.lam, lambda_ratio=self.lambda_ratio,
             l2=self.l2, max_outer_iters=self.max_outer_iters,
             inner_theta_steps=self.inner_theta_steps,
             inner_embedding_steps=self.inner_embedding_steps,
-            tol=self.sle_tol, seed=seed)
+            tol=self.sle_tol)
 
     def load_dictionary(self) -> TransformationDictionary:
         if self.dictionary_dir:
@@ -165,6 +163,8 @@ class PipelineConfig:
         kwargs = {}
         weights = list(cls.weights)
         for key, (val, where) in values.items():
+            if key in RETIRED_KEYS:
+                continue
             name = KEYS.get(key)
             if name is None:
                 raise ConfigError(f"{where}: unknown key {key!r}")

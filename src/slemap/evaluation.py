@@ -5,9 +5,10 @@ unsupervised eigenmap (le), the supervised eigenmap (sle), and the
 TF-IDF + truncated-SVD baseline (lsi).  Test-fold documents never influence
 the similarity graph, the eigenmap, or the LSI factorization (unless the
 joint-embed flag deliberately grants LSI that advantage); their embeddings
-are estimated by similarity-weighted nearest neighbors.  A classifier whose
-training AUC lands under the retrain threshold is refit with a fresh
-parameter seed, up to a bounded number of attempts.
+are estimated by similarity-weighted nearest neighbors.  Every method fits
+its classifier once, from zero weights, so a fit depends only on its
+training records and the configuration; ``cv.seed`` sets the fold split
+alone.
 
 ``fit`` and ``score`` are the one implementation of the four methods: a CV
 fold and ``model_io.train_model``/``predict_model`` both go through them.
@@ -47,8 +48,9 @@ class FoldMetrics:
     lr_minus: float
     threshold: float
     train_auc: float
-    attempts: int
     zero_rho: int
+    # perfbench's evaluation.retrain_attempts counter reads this; it goes with that counter
+    attempts = 1
 
 
 @dataclass
@@ -79,7 +81,7 @@ class EvalReport:
         return self._mean("specificity")
 
     CSV_HEADER = ("fold,auc,mcc,sensitivity,specificity,lr_plus,lr_minus,"
-                  "threshold,train_auc,attempts,zero_rho")
+                  "threshold,train_auc,zero_rho")
 
     def to_csv_rows(self) -> list[str]:
         rows = [self.CSV_HEADER]
@@ -87,12 +89,12 @@ class EvalReport:
             rows.append(",".join([
                 str(f.fold), repr(f.auc), repr(f.mcc), repr(f.sensitivity),
                 repr(f.specificity), repr(f.lr_plus), repr(f.lr_minus),
-                repr(f.threshold), repr(f.train_auc), str(f.attempts), str(f.zero_rho)]))
+                repr(f.threshold), repr(f.train_auc), str(f.zero_rho)]))
         rows.append(",".join([
             "mean", repr(self.mean_auc), repr(self.mean_mcc),
             repr(self.mean_sensitivity), repr(self.mean_specificity),
             repr(self._mean("lr_plus")), repr(self._mean("lr_minus")),
-            "", "", "", ""]))
+            "", "", ""]))
         return rows
 
     def to_text(self) -> str:
@@ -102,7 +104,7 @@ class EvalReport:
                 f"fold {f.fold}: auc={f.auc:.4f} mcc={f.mcc:.4f} "
                 f"sens={f.sensitivity:.4f} spec={f.specificity:.4f} "
                 f"lr+={f.lr_plus:.4f} lr-={f.lr_minus:.4f} "
-                f"train_auc={f.train_auc:.4f} attempts={f.attempts} zero_rho={f.zero_rho}")
+                f"train_auc={f.train_auc:.4f} zero_rho={f.zero_rho}")
         lines.append("")
         lines.append(
             f"mean: auc={self.mean_auc:.4f} mcc={self.mean_mcc:.4f} "
@@ -195,7 +197,8 @@ class TrainedModel:
     train_scores: np.ndarray | None = None   # prediction-path scores, saved
     fit_scores: np.ndarray | None = None     # in-sample scores behind train_auc
     train_auc: float = 0.0
-    attempts: int = 1
+    # perfbench's evaluation.retrain_attempts counter reads this; it goes with that counter
+    attempts = 1
     # le/sle: the normalized training documents and the computer that scores
     # new documents against them; kept in memory only, made on first use
     # unless train_model hands over the ones that built the training matrix
@@ -323,18 +326,11 @@ class Split:
         return self._cache[key]
 
 
-def _derived_seed(seed: int, fold: int, attempt: int, method: str) -> int:
-    return (seed * 1_000_003 + fold * 10_007 + attempt * 101
-            + METHODS.index(method)) & 0x7FFFFFFF
+def fit(method: str, split: Split, config: PipelineConfig) -> TrainedModel:
+    """Fit one method on the split's training records, once.
 
-
-def fit(method: str, split: Split, config: PipelineConfig, fold: int = 0) -> TrainedModel:
-    """Fit one method on the split's training records, with the retrain rule.
-
-    Attempt k seeds the classifier with ``_derived_seed(config.seed, fold, k,
-    method)``.  An attempt whose in-sample training AUC lands under
-    ``config.retrain_auc`` is refit with the next seed, up to
-    ``config.max_retrains`` attempts; the last attempt is kept.
+    The classifier starts from zero weights (sle: its first fit, before the
+    alternation), so the model depends only on the split and ``config``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -363,26 +359,18 @@ def fit(method: str, split: Split, config: PipelineConfig, fold: int = 0) -> Tra
         model.lsi_components = lsi.components
     features = np.hstack([num, text * model.feature_scale])
 
-    for attempt in range(config.max_retrains):
-        seed = _derived_seed(config.seed, fold, attempt, method)
-        if method == "sle":
-            fitted = fit_sle(num, None, y, config.sle_config(seed),
-                             lap=split.laplacian(config), xe0=text,
-                             feature_scale=model.feature_scale)
-            model.params, model.xe_train = fitted.params, fitted.embedding
-            model.lam, model.degenerate = fitted.lam, fitted.degenerate
-            model.objective_trace = list(fitted.objective_trace)
-            features = np.hstack([num, model.xe_train * model.feature_scale])
-        else:
-            data = LabeledFeatures(features, y, slice(num.shape[1], features.shape[1]))
-            init = LearnerParams.random_init(features.shape[1], config.l2,
-                                             np.random.default_rng(seed))
-            model.params = train(data, config.l2, init=init)
-        model.fit_scores = predict_proba(model.params, features)
-        model.train_auc = compute_auc(model.fit_scores, y)
-        model.attempts = attempt + 1
-        if model.train_auc >= config.retrain_auc:
-            break
+    if method == "sle":
+        fitted = fit_sle(num, None, y, config.sle_config(), lap=split.laplacian(config),
+                         xe0=text, feature_scale=model.feature_scale)
+        model.params, model.xe_train = fitted.params, fitted.embedding
+        model.lam, model.degenerate = fitted.lam, fitted.degenerate
+        model.objective_trace = list(fitted.objective_trace)
+        features = np.hstack([num, model.xe_train * model.feature_scale])
+    else:
+        data = LabeledFeatures(features, y, slice(num.shape[1], features.shape[1]))
+        model.params = train(data, config.l2)
+    model.fit_scores = predict_proba(model.params, features)
+    model.train_auc = compute_auc(model.fit_scores, y)
     return model
 
 
@@ -411,7 +399,7 @@ def score(model: TrainedModel, split: Split) -> tuple[np.ndarray, int]:
 
 
 def _fold_metrics(fold: int, scores_train, y_train, scores_test, y_test,
-                  train_auc, attempts, zero_rho) -> FoldMetrics:
+                  train_auc, zero_rho) -> FoldMetrics:
     """Threshold-dependent metrics use the MCC-best threshold of the TRAINING
     scores; picking it on the test fold would inflate the null (selection
     bias near +0.09 even at 400 test samples)."""
@@ -423,7 +411,7 @@ def _fold_metrics(fold: int, scores_train, y_train, scores_test, y_test,
     lr_plus, lr_minus = likelihood_ratios(sens, spec)
     return FoldMetrics(fold=fold, auc=auc, mcc=mcc, sensitivity=sens, specificity=spec,
                        lr_plus=lr_plus, lr_minus=lr_minus, threshold=threshold,
-                       train_auc=train_auc, attempts=attempts, zero_rho=zero_rho)
+                       train_auc=train_auc, zero_rho=zero_rho)
 
 
 def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
@@ -462,11 +450,11 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                       joint_lsi=config.lsi_joint, widths=prepared.widths,
                       frame=frame, lap=lap, selection=prepared.selections.get(key))
         for method in methods:
-            model = fit(method, split, config, fold_no)
+            model = fit(method, split, config)
             te_scores, zero_rho = score(model, split)
             per_method[method].append(
                 _fold_metrics(fold_no, model.fit_scores, labels[train_idx], te_scores,
-                              labels[test_idx], model.train_auc, model.attempts, zero_rho))
+                              labels[test_idx], model.train_auc, zero_rho))
             if collect_predictions:
                 per_method_preds[method].extend(
                     (fold_no, dataset.ids[i], int(labels[i]), float(s))

@@ -36,10 +36,6 @@ class LearnerParams:
     def zeros(cls, n_features: int, l2: float = 0.0) -> "LearnerParams":
         return cls(weights=np.zeros(n_features), bias=0.0, l2=l2)
 
-    @classmethod
-    def random_init(cls, n_features: int, l2: float, rng: np.random.Generator) -> "LearnerParams":
-        return cls(weights=0.01 * rng.standard_normal(n_features), bias=0.0, l2=l2)
-
 
 @dataclass
 class LabeledFeatures:

@@ -33,7 +33,7 @@ from .text import normalize  # noqa: F401
 
 
 def train_model(dataset: Dataset, method: str, config: PipelineConfig) -> TrainedModel:
-    """Fit one method on a full dataset, as CV fold 0 with its retrain rule.
+    """Fit one method on a full dataset, as a CV fold fits it on its training records.
 
     ``train_scores`` are then the training records' prediction-path scores,
     read from the training matrix (``Split.test_similarity``): the floats
@@ -84,7 +84,6 @@ def save_model(model: TrainedModel, model_dir: str | Path) -> None:
         "lambda": None if model.lam is None else repr(float(model.lam)),
         "degenerate": model.degenerate,
         "train_auc": repr(float(model.train_auc)),
-        "attempts": model.attempts,
     }
     (d / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")
@@ -111,7 +110,7 @@ def save_model(model: TrainedModel, model_dir: str | Path) -> None:
 
 def load_model(model_dir: str | Path) -> TrainedModel:
     """A saved model; a damaged file in the directory is a ``ParseError``
-    naming it."""
+    naming it.  The ``attempts`` entry of older model.json files is ignored."""
     d = Path(model_dir)
     config = PipelineConfig.load(d / "config.txt")
     path = d / "model.json"
@@ -132,7 +131,6 @@ def load_model(model_dir: str | Path) -> TrainedModel:
             lam=None if meta["lambda"] is None else float(meta["lambda"]),
             degenerate=bool(meta["degenerate"]),
             train_auc=float(meta["train_auc"]),
-            attempts=int(meta["attempts"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         # JSONDecodeError is a ValueError; a missing key, a value of the

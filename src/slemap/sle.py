@@ -42,7 +42,6 @@ class SleConfig:
     inner_theta_steps: int = 25
     inner_embedding_steps: int = 25
     tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.dims < 1 or self.max_outer_iters < 1:
@@ -85,7 +84,8 @@ def resolve_lambda(config: SleConfig, phi0: float, loss0: float) -> float:
 def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
             lap: Laplacian | None = None, xe0: np.ndarray | None = None,
             feature_scale: float = 1.0) -> SleModel:
-    """Alternating optimization from the unsupervised eigenmap.
+    """Alternating optimization from the unsupervised eigenmap and the
+    classifier trained on it from zero weights.
 
     ``lap``/``xe0`` may be supplied when the caller already solved the
     unsupervised problem (the evaluation harness shares them between the
@@ -107,9 +107,7 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
 
     data = LabeledFeatures(np.hstack([numeric, xe0 * feature_scale]), y,
                            slice(n_numeric, n_numeric + config.dims))
-    rng = np.random.default_rng(config.seed)
-    params = train(data, config.l2, init=LearnerParams.random_init(
-        n_numeric + config.dims, config.l2, rng))
+    params = train(data, config.l2)
 
     def seen(x):
         """The design matrix with embedding X, as the classifier sees it."""

@@ -182,7 +182,7 @@ def test_c06_sle_monotone_trace_and_lambda_zero_fixed_point():
         prepared = prepare_dataset(ds, PipelineConfig(), True)
         s = prepared.similarity.values
         cfg = SleConfig(dims=3, max_outer_iters=6, inner_theta_steps=6,
-                        inner_embedding_steps=4, seed=seed)
+                        inner_embedding_steps=4)
         model = fit_sle((numeric - numeric.mean(0)) / np.where(numeric.std(0) > 0, numeric.std(0), 1),
                         s, labels, cfg)
         trace = model.objective_trace
@@ -194,7 +194,7 @@ def test_c06_sle_monotone_trace_and_lambda_zero_fixed_point():
     lap = build_laplacian(prepared.similarity.values)
     xe0 = solve_eigenmap(lap, 3)
     cfg0 = SleConfig(dims=3, lam=0.0, max_outer_iters=5, inner_theta_steps=5,
-                     inner_embedding_steps=5, seed=0)
+                     inner_embedding_steps=5)
     model0 = fit_sle(numeric, prepared.similarity.values, labels, cfg0, lap=lap, xe0=xe0)
     assert np.abs(model0.embedding - xe0).max() < 1e-8
     _report(6, "joint objective non-increasing on 10 runs; lambda=0 embedding fixed to 1e-8")

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -70,24 +71,24 @@ class TestCrossValidate:
             cross_validate(ds, "pca", PipelineConfig())
 
 
-class TestRetrainRule:
-    def test_hopeless_data_exhausts_attempts(self):
-        rng = np.random.default_rng(3)
-        m = 400
-        ds = Dataset(ids=[str(i) for i in range(m)],
-                     labels=rng.integers(0, 2, m),
-                     numeric=rng.standard_normal((m, 2)),
-                     texts=[FILLER_TEXTS[i % len(FILLER_TEXTS)] for i in range(m)])
-        report = cross_validate(ds, "numeric", PipelineConfig(folds=2, seed=0))
-        assert all(f.attempts == PipelineConfig().max_retrains for f in report.folds)
-        assert all(f.train_auc < 0.65 for f in report.folds)
-
-    def test_easy_data_single_attempt(self):
-        rng = np.random.default_rng(4)
-        ds = numeric_dataset(rng)
-        report = cross_validate(ds, "numeric", PipelineConfig(seed=0))
-        assert all(f.attempts == 1 for f in report.folds)
-        assert all(f.train_auc >= 0.65 for f in report.folds)
+def test_hopeless_data_fits_each_fold_once(monkeypatch):
+    """A fold whose training AUC is near chance is fitted once, like any
+    other: a refit would start from the same zeros and reach the same
+    optimum."""
+    rng = np.random.default_rng(3)
+    m = 400
+    ds = Dataset(ids=[str(i) for i in range(m)],
+                 labels=rng.integers(0, 2, m),
+                 numeric=rng.standard_normal((m, 2)),
+                 texts=[FILLER_TEXTS[i % len(FILLER_TEXTS)] for i in range(m)])
+    calls = []
+    original = evaluation.train
+    monkeypatch.setattr(evaluation, "train",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    report = cross_validate(ds, "numeric", PipelineConfig(folds=2, seed=0))
+    assert len(calls) == 2
+    assert [(f.train_auc, f.auc) for f in report.folds] == [
+        (0.5722222222222222, 0.4752475247524752), (0.558910891089109, 0.5182828282828282)]
 
 
 @pytest.fixture(scope="module")
@@ -257,14 +258,34 @@ class TestFoldEqualsTrainPredict:
     the same split, bitwise."""
 
     @pytest.mark.parametrize("method", ["numeric", "le", "sle", "lsi"])
-    def test_fold0(self, fold_run, method, tmp_path):
+    def test_every_fold(self, fold_run, method, tmp_path):
         ds, cfg, reports = fold_run
+        for fold_no, test_idx in enumerate(stratified_folds(ds.labels, cfg.folds, cfg.seed)):
+            train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
+            cv = np.array([s for fold, _, _, s in reports[method].predictions if fold == fold_no])
+            model_dir = tmp_path / str(fold_no)
+            save_model(train_model(subset(ds, train_idx), method, cfg), model_dir)
+            got = predict_model(load_model(model_dir), subset(ds, test_idx))
+            assert got.tobytes() == cv.tobytes(), f"fold {fold_no}"
+
+    @pytest.mark.parametrize("method", ["numeric", "le", "sle", "lsi"])
+    def test_directory_with_retired_entries_predicts_alike(self, fold_run, method, tmp_path):
+        """A model directory in the older format, whose config.txt sets the
+        retired retrain-rule keys and whose model.json counts attempts,
+        loads and predicts bitwise as the in-memory model does."""
+        ds, cfg, _ = fold_run
         test_idx = stratified_folds(ds.labels, cfg.folds, cfg.seed)[0]
-        train_idx = np.setdiff1d(np.arange(ds.m), test_idx)
-        cv = np.array([s for fold, _, _, s in reports[method].predictions if fold == 0])
-        save_model(train_model(subset(ds, train_idx), method, cfg), tmp_path)
-        got = predict_model(load_model(tmp_path), subset(ds, test_idx))
-        assert got.tobytes() == cv.tobytes()
+        model = train_model(subset(ds, np.setdiff1d(np.arange(ds.m), test_idx)), method, cfg)
+        save_model(model, tmp_path)
+        with (tmp_path / "config.txt").open("a", encoding="utf-8") as fh:
+            fh.write("cv.retrain_auc = 0.65\ncv.max_retrains = 5\n")
+        meta_path = tmp_path / "model.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta_path.write_text(json.dumps({**meta, "attempts": 1}, indent=2, sort_keys=True) + "\n",
+                             encoding="utf-8")
+        request = subset(ds, test_idx)
+        got = predict_model(load_model(tmp_path), request)
+        assert got.tobytes() == predict_model(model, request).tobytes()
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
     def test_predict_reuses_training_corpus(self, fold_run, tmp_path, monkeypatch, loaded):

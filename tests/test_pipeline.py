@@ -29,8 +29,7 @@ class TestConfig:
             weights=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2), dictionary_dir="dicts",
             max_edit_distance=2, min_token_length=3, dims=7, lam=0.125, lambda_ratio=0.3,
             l2=0.01, max_outer_iters=9, inner_theta_steps=8, inner_embedding_steps=7,
-            sle_tol=1e-5, knn_k=4, knn_weighted=False, folds=3, seed=11, retrain_auc=0.6,
-            max_retrains=3, lsi_joint=True)
+            sle_tol=1e-5, knn_k=4, knn_weighted=False, folds=3, seed=11, lsi_joint=True)
         assert set(KEYS.values()) == {f.name for f in fields(PipelineConfig)}
         changed = set(cfg.echo().splitlines()) - set(PipelineConfig().echo().splitlines())
         # every key but weights.equal, which is fixed at 1, differs from the default
@@ -40,8 +39,8 @@ class TestConfig:
         assert PipelineConfig.load(p) == cfg
 
     @pytest.mark.parametrize("change", [
-        {"folds": 1}, {"dims": 0}, {"knn_k": 0}, {"max_retrains": 0}, {"seed": -1},
-        {"retrain_auc": 1.5}, {"max_tokens": 13}, {"l2": -1.0},
+        {"folds": 1}, {"dims": 0}, {"knn_k": 0}, {"seed": -1}, {"max_tokens": 13},
+        {"l2": -1.0},
         {"weights": (0.5,) + PipelineConfig().weights[1:]},
     ], ids=lambda change: next(iter(change)))
     def test_checked_on_construction(self, change):
@@ -65,6 +64,17 @@ class TestConfig:
         p.write_text("embedding.dimz = 7\n")
         with pytest.raises(ConfigError):
             PipelineConfig.load(p)
+
+    def test_retired_keys_load_and_are_not_echoed(self, tmp_path):
+        """The retired retrain-rule keys of older config files load, are
+        ignored, and are left out of the echo."""
+        p = tmp_path / "cfg.txt"
+        p.write_text("embedding.dims = 7\ncv.retrain_auc = 0.65\ncv.max_retrains = 5\n")
+        cfg = PipelineConfig.load(p)
+        assert cfg == PipelineConfig(dims=7)
+        assert "retrain" not in cfg.echo()
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_mapping({"cv.retrain": "1"})
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "cfg.txt"
