@@ -57,8 +57,13 @@ def _cmd_similarity(args) -> int:
     cfg = _resolved_config(args)
     dataset = _load(args)
     sim = similarity_computer(cfg).matrix(normalize_corpus(dataset.ids, dataset.texts, cfg))
-    write_csv(args.out, ["id"] + list(sim.ids),
-              ([row_id] + [repr(float(v)) for v in row] for row_id, row in zip(sim.ids, sim.values)))
+
+    def row(i: int) -> list[str]:
+        values = sim.block[sim.keys[i], sim.keys]
+        values[i] = 1.0     # the unit diagonal, blank records' too
+        return [sim.ids[i]] + [repr(float(v)) for v in values]
+
+    write_csv(args.out, ["id"] + list(sim.ids), map(row, range(sim.m)))
     print(f"wrote {args.out} ({sim.m}x{sim.m})")
     return 0
 
@@ -68,7 +73,7 @@ def _cmd_embed(args) -> int:
     dataset = _load(args)
     docs = normalize_corpus(dataset.ids, dataset.texts, cfg)
     if args.method == "le":
-        lap = build_laplacian(similarity_computer(cfg).matrix(docs).values)
+        lap = build_laplacian(similarity_computer(cfg).matrix(docs))
         vectors = solve_eigenmap(lap, cfg.dims)
     else:
         vectors = fit_lsi(build_tfidf(docs), cfg.dims).doc_embedding

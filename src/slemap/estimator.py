@@ -61,16 +61,14 @@ def estimate_batch(sim_rows: np.ndarray | tuple[np.ndarray, np.ndarray],
     the degenerate all-zero-similarity path (those rows are the zero vector).
     """
     top, near = sim_rows if isinstance(sim_rows, tuple) else select_neighbours(sim_rows, k)
-    out = np.empty((top.shape[0], embedding.shape[1]))
-    zero_rho = 0
-    for i, (idx, s) in enumerate(zip(top, near)):
-        rows = embedding[idx]
-        rho = float(s.sum())
-        if not weighted or (rho > 0.0 and s.min() == s.max()):
-            out[i] = rows.mean(axis=0)
-        elif rho <= 0.0:
-            zero_rho += 1
-            out[i] = 0.0
-        else:
-            out[i] = s @ rows / rho
-    return out, zero_rho
+    rows = embedding[top]
+    rho = near.sum(axis=1)
+    plain = np.full(rho.shape, True)
+    if weighted:
+        plain = (rho > 0.0) & (near.min(axis=1) == near.max(axis=1))
+    zero = ~plain & (rho <= 0.0)
+    mixed = ~plain & ~zero
+    out = np.zeros((top.shape[0], embedding.shape[1]))
+    out[plain] = rows[plain].mean(axis=1)
+    out[mixed] = np.matmul(near[mixed][:, None, :], rows[mixed])[:, 0] / rho[mixed, None]
+    return out, int(np.count_nonzero(zero))

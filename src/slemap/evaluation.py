@@ -136,17 +136,21 @@ def stratified_folds(labels: np.ndarray, n_folds: int, seed: int) -> list[np.nda
 class PreparedDataset:
     """Normalization and similarity work shared across methods and dims.
 
-    ``frames`` keeps each fold's training eigenmap between ``run_methods``
-    calls, so one eigensolve per fold serves the whole dims sweep of
-    ``compare_methods``: the sweep lists its ``widths``, the fold's first
-    solve runs at the widest of them and checks the degenerate-gap rule at
-    each, and every width slices that frame.  When the sweep lists more than
-    one width and sle is among the methods, each fold's entry also carries
-    the fold's Laplacian (its u x u block over distinct rows), so every fold
-    builds it once; otherwise the entry holds the m_train x max(widths)
-    frame alone.  The full eigendecomposition is never kept.  ``selections``
-    keeps each fold's kNN selection (``Split.selection``), so le and sle at
-    every width score the fold's test records from one selection.
+    ``similarity`` is the corpus matrix as ``SimilarityComputer.matrix``
+    returns it, over the distinct documents; each fold restricts it to its
+    training keys and gathers its test block from it, and no matrix over
+    every record is made.  ``frames`` keeps each fold's training eigenmap
+    between ``run_methods`` calls, so one eigensolve per fold serves the
+    whole dims sweep of ``compare_methods``: the sweep lists its
+    ``widths``, the fold's first solve runs at the widest of them and checks
+    the degenerate-gap rule at each, and every width slices that frame.
+    When the sweep lists more than one width and sle is among the methods,
+    each fold's entry also carries the fold's Laplacian (its u x u block
+    over distinct rows), so every fold builds it once; otherwise the entry
+    holds the m_train x max(widths) frame alone.  The full
+    eigendecomposition is never kept.  ``selections`` keeps each fold's kNN
+    selection (``Split.selection``), so le and sle at every width score the
+    fold's test records from one selection.
     """
 
     dataset: Dataset
@@ -226,24 +230,26 @@ class Split:
     Documents, similarities, the Laplacian, the training eigenmap and the
     test records' kNN selection are made on first use and kept, so every
     method fitted on a split shares them.  Cross-validation supplies the
-    documents, the corpus matrix (the fold's blocks are sliced from it on
-    first use), the sweep's ``widths`` and the fold's ``frame``, ``lap`` and
-    ``selection`` from an earlier width, so one eigensolve, one Laplacian
-    and one selection per fold serve the whole dims sweep.
+    documents, the corpus ``SimilarityMatrix`` (the fold's training matrix
+    is its restriction to the training records, still over distinct
+    documents, and the test block, the only block kNN scores, is gathered
+    from its keys), the sweep's ``widths`` and the fold's ``frame``, ``lap``
+    and ``selection`` from an earlier width, so one eigensolve, one
+    Laplacian and one selection per fold serve the whole dims sweep.
     A split without them builds the training matrix with one
     SimilarityComputer and scores test documents by ``rows`` against the
     model's training documents, with the model's computer
     (``TrainedModel.corpus``).  A split whose test rows are its training
-    rows reads that block from the training matrix instead: ``rows`` gives
-    the same floats, except that a blank (sentinel) record scores 0 against
-    itself.
+    rows gathers that block from the training matrix's keys instead: its
+    diagonal is the block's own entry of each key, which is what ``rows``
+    gives a record against itself (1, or 0 for a blank record).
     """
 
     dataset: Dataset
     train: np.ndarray
     test: np.ndarray
     docs: list[Document] | None = None
-    similarity: np.ndarray | None = None   # over every record of the dataset
+    similarity: SimilarityMatrix | None = None   # over every record of the dataset
     joint_lsi: bool = False           # LSI factorizes the test documents too
     widths: tuple[int, ...] = ()      # every dims the one eigensolve must serve
     # (widths checked, eigenmap at the widest of them, feature scale)
@@ -263,23 +269,22 @@ class Split:
             self._cache["computer"] = similarity_computer(config)
         return self._cache["computer"]
 
-    def train_similarity(self, config: PipelineConfig) -> np.ndarray:
+    def train_similarity(self, config: PipelineConfig) -> SimilarityMatrix:
         if "train" not in self._cache:
             self._cache["train"] = (
-                self.similarity[np.ix_(self.train, self.train)] if self.similarity is not None
-                else self.computer(config).matrix(self.documents(config, self.train)).values)
+                self.similarity.restrict(self.train) if self.similarity is not None
+                else self.computer(config).matrix(self.documents(config, self.train)))
         return self._cache["train"]
 
     def test_similarity(self, model: TrainedModel) -> np.ndarray:
         if "test" not in self._cache:
             if self.similarity is not None:
-                self._cache["test"] = self.similarity[np.ix_(self.test, self.train)]
+                s = self.similarity
+                self._cache["test"] = np.take(s.block[s.keys[self.test]], s.keys[self.train],
+                                              axis=1)
             elif self.train.size and np.array_equal(self.test, self.train):
-                block = self.train_similarity(model.config).copy()
-                blank = np.flatnonzero([d.is_sentinel
-                                        for d in self.documents(model.config, self.train)])
-                block[blank, blank] = 0.0
-                self._cache["test"] = block
+                s = self.train_similarity(model.config)
+                self._cache["test"] = np.take(s.block[s.keys], s.keys, axis=1)
             else:
                 corpus, computer = model.corpus()
                 self._cache["test"] = computer.rows(
@@ -446,7 +451,7 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
         key = (config.folds, config.seed, fold_no)
         frame, lap = prepared.frames.get(key, (None, None))
         split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
-                      similarity=prepared.similarity.values if needs_sim else None,
+                      similarity=prepared.similarity if needs_sim else None,
                       joint_lsi=config.lsi_joint, widths=prepared.widths,
                       frame=frame, lap=lap, selection=prepared.selections.get(key))
         for method in methods:

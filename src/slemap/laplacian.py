@@ -11,7 +11,10 @@ one, and the objective and its gradient take one.
 Short texts repeat, so many rows of S are bitwise equal.  Groups of equal
 rows partition the graph equitably, so a ``Laplacian`` is its u x u block
 over one row per group, and L X is computed over the groups at u^2 * dims
-cost rather than m^2 * dims.  The generalized problem splits exactly into a
+cost rather than m^2 * dims.  ``build_laplacian`` reads S in the form a
+``SimilarityMatrix`` keeps it, a block over distinct documents and each
+record's key into it, and finds the groups among the keys; S itself, m x m,
+is never made.  The generalized problem splits exactly into a
 quotient problem with one row per group and, for every row beyond a
 group's first, an eigenvector that lives inside its group with eigenvalue
 exactly 1.  ``solve_eigenmap`` solves the quotient and expands its vectors
@@ -32,11 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, NonSymmetricInput, RankDeficient
+from .similarity import SimilarityMatrix
 
 SYMMETRY_TOL = 1e-12
 DEGREE_EPSILON = 1e-8
 DEGENERATE_GAP = 1e-12
 COLLAPSE_TOL = 1e-6        # a frame column under this D-norm has collapsed
+# Bytes of expanded rows that one step of the row sums gathers
+_GATHER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,9 @@ class Laplacian:
     u x u ``block`` over ``firsts`` (raw degree minus s on the diagonal, -s
     elsewhere) and ``self_similarity``, each group's similarity to itself,
     which every entry of S inside the group equals.  No m x m matrix is
-    kept: :meth:`dot` computes L X over the groups and :meth:`dense` expands
-    the block to every row.
+    read or kept: :func:`build_laplacian` works over the keys of S,
+    :meth:`dot` computes L X over the groups and :meth:`dense` expands the
+    block to every row.
 
     ``raw_degrees`` are the row sums of S, from which L is built, so its rows
     sum to zero exactly.  ``degrees`` carries the regularized diagonal of D:
@@ -99,49 +106,84 @@ class Laplacian:
         return full
 
 
-def _equal_row_groups(s: np.ndarray, groupable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group of each row among the bitwise-equal rows of ``s``, and each group's first row.
-
-    Rows are bucketed by a hash of their bytes and a bucket's rows confirmed
-    equal with ``np.array_equal``, so rows one ulp apart stay apart.  Rows
-    where ``groupable`` is False are groups of their own.
-    """
-    groups = np.empty(s.shape[0], dtype=np.intp)
-    firsts: list[int] = []
-    buckets: dict[int, list[int]] = {}
-    for i, row in enumerate(s):
-        bucket = buckets.setdefault(hash(row.tobytes()), []) if groupable[i] else []
-        g = next((g for g in bucket if np.array_equal(s[firsts[g]], row)), None)
-        if g is None:
-            g = len(firsts)
-            firsts.append(i)
-            bucket.append(g)
-        groups[i] = g
-    return groups, np.array(firsts, dtype=np.intp)
-
-
-def build_laplacian(similarity: np.ndarray) -> Laplacian:
+def _key_form(similarity: SimilarityMatrix | np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The similarity block over keys, each record's key, and each record's
+    similarity to itself.  An ndarray is the form where every row is its own
+    key."""
+    if isinstance(similarity, SimilarityMatrix):
+        return similarity.block, similarity.keys, np.ones(similarity.m)
     s = np.asarray(similarity, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"similarity matrix must be square, got {s.shape}")
-    if not np.isfinite(s).all():
+    return s, np.arange(s.shape[0]), s.diagonal()
+
+
+def _row_sums(block: np.ndarray, keys: np.ndarray, own: np.ndarray,
+              records: np.ndarray, lone: np.ndarray) -> np.ndarray:
+    """Sums of the given records' rows of the m x m matrix.
+
+    Record i's row is ``block[keys[i], keys]``, and a ``lone`` record's
+    entry i is its ``own`` similarity instead.  Each step gathers whole rows
+    into a C-ordered array, so every sum runs over one contiguous row, as
+    the row sums of the m x m matrix do.
+    """
+    sums = np.empty(records.shape[0])
+    per = max(1, _GATHER_BYTES // (8 * max(1, keys.shape[0])))
+    for i in range(0, records.shape[0], per):
+        at = records[i:i + per]
+        rows = np.take(block[keys[at]], keys, axis=1)
+        patch = np.flatnonzero(lone[at])
+        rows[patch, at[patch]] = own[at[patch]]
+        sums[i:i + per] = rows.sum(axis=1)
+    return sums
+
+
+def build_laplacian(similarity: SimilarityMatrix | np.ndarray) -> Laplacian:
+    """The Laplacian of a similarity matrix, built over its distinct keys.
+
+    A record's row of S is its key's row of the block, unless the record
+    scores itself otherwise than the key's records score each other (a
+    blank record of a ``SimilarityMatrix``): such a ``lone`` record has a
+    row, a row sum and a group of its own.  Every other key's row is summed
+    once, and two keys share a group when their rows of the block are
+    bitwise equal, which is when their records' rows of S are.
+    """
+    block, keys, own = _key_form(similarity)
+    m, u = keys.shape[0], block.shape[0]
+    if not np.isfinite(block).all():
         raise NonFiniteValue("similarity matrix has a NaN or infinite entry")
-    exact = np.array_equal(s, s.T)
-    if not exact and np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
+    exact = np.array_equal(block, block.T)
+    if not exact and np.max(np.abs(block - block.T)) > SYMMETRY_TOL:
         raise NonSymmetricInput("similarity matrix is not symmetric")
-    raw_degrees = s.sum(axis=1)
+    lone = block.diagonal()[keys] != own
+    alone = u + np.arange(m)    # a label no other record has
+    # one record per distinct row of S: a key's first record, or a lone one
+    _, summed, rows_of = np.unique(np.where(lone, alone, keys), return_index=True,
+                                   return_inverse=True)
+    raw_degrees = _row_sums(block, keys, own, summed, lone)[rows_of]
     degrees = np.where(raw_degrees > 0.0, raw_degrees, DEGREE_EPSILON)
     # equal rows of an inexactly symmetric S need not have equal columns
-    groupable = raw_degrees > 0.0 if exact else np.zeros(s.shape[0], dtype=bool)
-    groups, firsts = _equal_row_groups(s, groupable)
-    block = s[np.ix_(firsts, firsts)]
-    self_similarity = block.diagonal().copy()
+    label = alone
+    if exact and m:
+        # each row as one opaque item, so that np.unique compares bytes
+        rows = np.ascontiguousarray(block).view(np.dtype((np.void, block.itemsize * u)))[:, 0]
+        classes = np.unique(rows, return_inverse=True)[1]
+        label = np.where(~lone & (raw_degrees > 0.0), classes[keys], alone)
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    # groups numbered in order of their first row
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(first.shape[0])
+    groups, firsts = number[inverse], np.sort(first)
+    lblock = np.take(block[keys[firsts]], keys[firsts], axis=1)
+    np.fill_diagonal(lblock, own[firsts])
+    self_similarity = lblock.diagonal().copy()
     # 0 - s, not -s: the entries of diag(r) - S off its diagonal, zeros included
-    np.subtract(0.0, block, out=block)
-    np.fill_diagonal(block, raw_degrees[firsts] - self_similarity)
+    np.subtract(0.0, lblock, out=lblock)
+    np.fill_diagonal(lblock, raw_degrees[firsts] - self_similarity)
     order = np.argsort(groups, kind="stable")
     counts = np.bincount(groups)
-    return Laplacian(block=block, self_similarity=self_similarity, raw_degrees=raw_degrees,
+    return Laplacian(block=lblock, self_similarity=self_similarity, raw_degrees=raw_degrees,
                      degrees=degrees, groups=groups, firsts=firsts, order=order,
                      starts=np.cumsum(counts) - counts)
 

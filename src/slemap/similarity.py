@@ -35,19 +35,53 @@ _KEPT_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric m x m document similarities in [0, 1] with unit diagonal."""
+    """Symmetric m x m document similarities in [0, 1] with unit diagonal,
+    held over the distinct documents.
 
-    values: np.ndarray
+    Documents with one key (the same statement multiset) have equal
+    similarities, so the matrix is the u x u ``block`` over the distinct
+    keys and ``keys``, each record's index into it: entry (i, j) is
+    ``block[keys[i], keys[j]]`` for i != j, and every record scores 1
+    against itself.  A key's own entry in ``block`` is what two of its
+    records score against each other: 1, or 0 for the blank document (no
+    statements), which scores 0 against every other record, its duplicates
+    included.  Every key is some record's.  ``values`` expands the matrix
+    to every record; ``restrict`` keeps a set of records without doing so.
+    """
+
+    block: np.ndarray
+    keys: np.ndarray
     ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != len(self.ids):
-            raise ValueError("similarity matrix must be square and match ids")
+        b, keys = self.block, self.keys
+        if (b.ndim != 2 or b.shape[0] != b.shape[1] or keys.ndim != 1
+                or keys.shape[0] != len(self.ids)):
+            raise ValueError("similarity block must be square and keys must match ids")
+        if keys.size and (keys.min() < 0 or keys.max() >= b.shape[0]
+                          or np.bincount(keys, minlength=b.shape[0]).min() == 0):
+            raise ValueError("every record needs a key of the block and every key a record")
 
     @property
     def m(self) -> int:
         return len(self.ids)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.m, self.m
+
+    @property
+    def values(self) -> np.ndarray:
+        """The m x m matrix over every record."""
+        values = self.block[np.ix_(self.keys, self.keys)]
+        np.fill_diagonal(values, 1.0)
+        return values
+
+    def restrict(self, rows: np.ndarray) -> "SimilarityMatrix":
+        """The similarities among ``rows``: the block over the keys they use."""
+        used, keys = np.unique(self.keys[rows], return_inverse=True)
+        return SimilarityMatrix(np.take(self.block[used], used, axis=1), keys,
+                                tuple(self.ids[i] for i in rows))
 
 
 def _doc_key(doc: Document) -> tuple:
@@ -546,16 +580,14 @@ class SimilarityComputer:
         return float(self.rows([d1], [d2])[0, 0])
 
     def matrix(self, corpus: list[Document]) -> SimilarityMatrix:
-        """Full similarity matrix, with unit diagonal.  Documents with one
-        key (the same statement multiset) are paired once, which leaves the
-        result identical but much cheaper on template-heavy corpora."""
+        """Similarity matrix of the corpus, with unit diagonal.  Documents
+        with one key (the same statement multiset) are paired once, and the
+        matrix is kept over the distinct keys."""
         if len(corpus) < 2:
             raise ValueError("need at least 2 documents")
         docs = _Corpus(corpus, self._relations)
         su = self._pairs(docs, docs, self._call(docs.statements, docs.statements))
-        values = su[np.ix_(docs.inverse, docs.inverse)]
-        np.fill_diagonal(values, 1.0)
-        return SimilarityMatrix(values, tuple(d.id for d in corpus))
+        return SimilarityMatrix(su, docs.inverse, tuple(d.id for d in corpus))
 
     def rows(self, new_docs: list[Document], corpus: list[Document]) -> np.ndarray:
         """Similarities of each new document against every corpus document."""

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from slemap.errors import KTooLarge, RankDeficient
-from slemap.laplacian import DEGENERATE_GAP
+from slemap.laplacian import DEGENERATE_GAP, DEGREE_EPSILON
 from slemap.metrics import ConfusionCounts, compute_mcc, confusion_at
 from slemap.transforms import N_KINDS, TransformKind
 
@@ -330,6 +330,35 @@ def oracle_best_mcc_threshold(scores, labels) -> tuple[float, ConfusionCounts]:
 def oracle_laplacian_product(s, x):
     """L X with L = diag(S 1) - S built over every row, as one dense product."""
     return (np.diag(s.sum(axis=1)) - s) @ x
+
+
+def oracle_laplacian(s) -> dict[str, np.ndarray]:
+    """The fields of ``build_laplacian`` made row by row over the m x m
+    matrix: every row's sum, and groups of rows with equal bytes among the
+    rows of positive sum of an exactly symmetric ``s``, numbered in order of
+    their first row."""
+    s = np.ascontiguousarray(s, dtype=float)
+    raw = s.sum(axis=1)
+    exact = np.array_equal(s, s.T)
+    number: dict = {}
+    firsts: list[int] = []
+    groups = np.empty(s.shape[0], dtype=np.intp)
+    for i, row in enumerate(s):
+        key = row.tobytes() if exact and raw[i] > 0.0 else i
+        if key not in number:
+            number[key] = len(firsts)
+            firsts.append(i)
+        groups[i] = number[key]
+    at = np.array(firsts, dtype=np.intp)
+    block = s[np.ix_(at, at)]
+    self_similarity = block.diagonal().copy()
+    block = 0.0 - block
+    np.fill_diagonal(block, raw[at] - self_similarity)
+    counts = np.bincount(groups)
+    return {"block": block, "self_similarity": self_similarity, "raw_degrees": raw,
+            "degrees": np.where(raw > 0.0, raw, DEGREE_EPSILON), "groups": groups,
+            "firsts": at, "order": np.argsort(groups, kind="stable"),
+            "starts": np.cumsum(counts) - counts}
 
 
 def oracle_solve_eigenmap(lap, dims):

@@ -12,7 +12,8 @@ import pytest
 import slemap
 from slemap.cli import main
 from slemap.config import PipelineConfig
-from slemap.dataset import load_dataset
+from slemap.dataset import load_dataset, write_dataset_csv
+from slemap.evaluation import normalize_corpus, similarity_computer
 from slemap.model_io import load_model, predict_model, save_model, train_model
 
 
@@ -61,6 +62,24 @@ class TestSimilarityCommand:
         vals = np.array([[float(v) for v in r[1:]] for r in body])
         assert np.array_equal(vals, vals.T)
         assert np.all(np.diag(vals) == 1.0)
+
+    def test_rows_are_the_expanded_matrix(self, small_dataset, tmp_path):
+        """The file, written row by row from the block over distinct
+        documents, is byte for byte the expanded matrix's rows, with blank
+        and duplicated texts among the records."""
+        ds, _ = load_dataset(small_dataset)
+        texts = list(ds.texts)
+        texts[3], texts[11], texts[40] = "", "   ", ", ."
+        texts[7] = texts[8] = texts[60]
+        data = tmp_path / "data.csv"
+        write_dataset_csv(data, ds.ids, ds.labels, ds.numeric, texts)
+        out = tmp_path / "S.csv"
+        assert main(["similarity", "--input", str(data), "--out", str(out)]) == 0
+        cfg = PipelineConfig()
+        values = similarity_computer(cfg).matrix(normalize_corpus(ds.ids, texts, cfg)).values
+        want = ["id," + ",".join(ds.ids)]
+        want += [",".join([i] + [repr(float(v)) for v in row]) for i, row in zip(ds.ids, values)]
+        assert out.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
 class TestEmbedCommand:

@@ -198,6 +198,29 @@ class TestBatch:
                 assert top.tobytes() == want.tobytes()
                 assert near.tobytes() == np.take_along_axis(sims, want, axis=1).tobytes()
 
+    def test_mixed_block_matches_per_row_oracle_bitwise(self):
+        """One block whose rows take each rule: equal weights (the plain
+        mean), all-zero weights (the zero vector, counted) and unequal
+        weights, at the widths of the benchmark sweep, given as a block or
+        as its selection."""
+        rng = np.random.default_rng(10)
+        n, k = 300, 5
+        sims = rng.random((90, n))
+        sims[0::3] = 0.0
+        sims[1::3] = 0.25    # ties across the k-th place
+        top, near = estimator.select_neighbours(sims, k)
+        rho, equal = near.sum(axis=1), near.min(axis=1) == near.max(axis=1)
+        assert (rho == 0.0).sum() == 30 and (equal & (rho > 0.0)).sum() == 30
+        assert (~equal).sum() == 30
+        for dims in (10, 40):
+            xe = rng.standard_normal((n, dims)) * 10.0 ** rng.uniform(-6, 3, size=(n, 1))
+            for weighted in (True, False):
+                want, want_zero = oracle_estimate(sims, xe, k, weighted)
+                for given in (sims, (top, near)):
+                    got, got_zero = estimate_batch(given, xe, k, weighted)
+                    assert got.tobytes() == want.tobytes()
+                    assert got_zero == want_zero == (30 if weighted else 0)
+
     def test_one_row_call_matches_block(self):
         rng = np.random.default_rng(7)
         xe = rng.standard_normal((9, 4))

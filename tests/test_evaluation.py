@@ -420,3 +420,22 @@ def test_train_scores_of_blank_and_duplicated_records(tmp_path, method):
     model = train_model(ds, method, cfg)
     save_model(model, tmp_path)
     assert model.train_scores.tobytes() == predict_model(load_model(tmp_path), ds).tobytes()
+
+
+def test_no_matrix_over_every_record(text_dataset, tmp_path, monkeypatch):
+    """Cross-validation, the dims sweep and train + save/load + predict read
+    the similarity block over distinct documents and never expand it to an
+    m x m matrix."""
+    def expanded(self):
+        raise AssertionError("the similarity matrix was expanded to every record")
+
+    monkeypatch.setattr(similarity.SimilarityMatrix, "values", property(expanded))
+    cfg = PipelineConfig(dims=3, folds=3, max_outer_iters=2, inner_theta_steps=4,
+                         inner_embedding_steps=2)
+    run_methods(text_dataset, ["numeric", "le", "sle", "lsi"], cfg)
+    compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], cfg)
+    for method in ("le", "sle"):
+        model = train_model(text_dataset, method, cfg)
+        save_model(model, tmp_path / method)
+        for trained in (model, load_model(tmp_path / method)):
+            predict_model(trained, text_dataset)

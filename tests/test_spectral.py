@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_laplacian_product, oracle_solve_eigenmap
+from oracles import oracle_laplacian, oracle_laplacian_product, oracle_solve_eigenmap
+from slemap import laplacian
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
 from slemap.errors import DimensionMismatch, NonFiniteValue, NonSymmetricInput, RankDeficient
-from slemap.evaluation import prepare_dataset
+from slemap.evaluation import normalize_corpus, prepare_dataset
 from slemap.laplacian import (
     build_laplacian,
     d_orthonormalize,
@@ -15,6 +16,7 @@ from slemap.laplacian import (
     phi_gradient,
     solve_eigenmap,
 )
+from slemap.similarity import SimilarityComputer, SimilarityMatrix
 from slemap.synth import GeneratorSpec, generate_arrays
 
 
@@ -133,6 +135,96 @@ class TestBuildLaplacian:
         s[1, 0] += 1e-14
         assert build_laplacian(s).firsts.tolist() == [0, 1, 2, 3]
 
+
+
+def assert_fields_equal(lap, want: dict) -> None:
+    for name, array in want.items():
+        got = getattr(lap, name)
+        assert got.dtype == array.dtype and got.shape == array.shape, name
+        assert got.tobytes() == array.tobytes(), name
+
+
+def key_matrix(block, keys) -> SimilarityMatrix:
+    keys = np.asarray(keys, dtype=np.intp)
+    return SimilarityMatrix(np.asarray(block, dtype=float), keys,
+                            tuple(str(i) for i in range(keys.size)))
+
+
+def text_matrix() -> SimilarityMatrix:
+    """A generated corpus with blank, whitespace-only and punctuation-only
+    texts (one blank key), duplicated texts and a text unrelated to all."""
+    spec = GeneratorSpec(m=60, numeric_dim=3, clusters=4, text_weight=0.7, noise=0.05)
+    ids, _, _, texts, _ = generate_arrays(spec, seed=3)
+    texts = list(texts)
+    texts[2], texts[9], texts[30] = "", "   ", ", ."
+    texts[5] = texts[6] = texts[21]
+    texts[44] = "qxqxqxqxq zzzzyyyyzzz"
+    cfg = PipelineConfig()
+    return SimilarityComputer().matrix(normalize_corpus(ids, texts, cfg))
+
+
+class TestKeyForm:
+    """build_laplacian over the block of distinct keys equals the
+    construction over every row of the expanded matrix, field by field."""
+
+    def test_text_corpus_and_its_folds(self):
+        sm = text_matrix()
+        s = sm.values
+        assert np.count_nonzero(sm.block.diagonal() == 0.0) == 1
+        assert sm.block.shape[0] < sm.m
+        lap = build_laplacian(sm)
+        assert_fields_equal(lap, oracle_laplacian(s))
+        assert_fields_equal(build_laplacian(s), oracle_laplacian(s))
+        # each blank record is a group of its own, and scores only itself
+        for i in (2, 9, 30):
+            assert np.count_nonzero(lap.groups == lap.groups[i]) == 1
+            assert lap.raw_degrees[i] == 1.0
+        assert lap.groups[5] == lap.groups[6] == lap.groups[21]
+        assert lap.raw_degrees[44] == 1.0
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            rows = np.sort(rng.choice(sm.m, size=45, replace=False))
+            sub = sm.restrict(rows)
+            assert sub.values.tobytes() == s[np.ix_(rows, rows)].tobytes()
+            assert_fields_equal(build_laplacian(sub), oracle_laplacian(sub.values))
+
+    def test_distinct_keys_with_equal_rows_share_a_group(self):
+        block = [[1.0, 1.0, 0.3, 0.2],
+                 [1.0, 1.0, 0.3, 0.2],
+                 [0.3, 0.3, 1.0, 0.5],
+                 [0.2, 0.2, 0.5, 1.0]]
+        sm = key_matrix(block, [1, 0, 2, 1, 3, 0, 2])
+        lap = build_laplacian(sm)
+        assert lap.groups.tolist() == [0, 0, 1, 0, 2, 0, 1]
+        assert_fields_equal(lap, oracle_laplacian(sm.values))
+
+    def test_inexactly_symmetric_block_groups_nothing(self):
+        block = np.array([[1.0, 0.4, 0.7], [0.4, 1.0, 0.1], [0.7, 0.1, 1.0]])
+        block[0, 2] += 1e-14
+        sm = key_matrix(block, [0, 1, 0, 2, 1, 2])
+        lap = build_laplacian(sm)
+        assert lap.firsts.tolist() == list(range(6))
+        assert_fields_equal(lap, oracle_laplacian(sm.values))
+
+    def test_row_sums_run_over_contiguous_rows(self, monkeypatch):
+        """The sums are those of C-ordered rows.  An F-ordered gather of
+        the same entries (``block[keys][:, keys]``) sums them in another
+        order and rounds differently, which this matrix shows."""
+        rng = np.random.default_rng(20)
+        a = rng.random((40, 40))
+        block = (a + a.T) / 2.0
+        np.fill_diagonal(block, 1.0)
+        keys = rng.integers(0, 40, size=300)
+        keys[:40] = np.arange(40)
+        sm = key_matrix(block, keys)
+        s = sm.values
+        strided = block[keys][:, keys]
+        assert not strided.flags.c_contiguous
+        assert (strided.sum(axis=1) != s.sum(axis=1)).any()
+        for budget in (laplacian._GATHER_BYTES, 8 * 300 * 7, 1):
+            monkeypatch.setattr(laplacian, "_GATHER_BYTES", budget)
+            assert build_laplacian(sm).raw_degrees.tobytes() == s.sum(axis=1).tobytes()
+        assert_fields_equal(build_laplacian(sm), oracle_laplacian(s))
 
 class TestObjective:
     def test_constant_rows(self):
