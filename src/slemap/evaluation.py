@@ -27,7 +27,7 @@ from .errors import FoldTooSmall, SchemaError
 from .estimator import estimate_batch, select_neighbours
 from .laplacian import Laplacian, build_laplacian, solve_eigenmap
 from .logistic import LabeledFeatures, LearnerParams, predict_proba, train
-from .lsi import build_tfidf, fit_lsi, vectorize
+from .lsi import LsiModel, build_tfidf, fit_lsi, vectorize
 from .metrics import (best_mcc_threshold, compute_auc, compute_mcc, confusion_at,
                       likelihood_ratios, sensitivity_specificity)
 from .similarity import SimilarityComputer, SimilarityMatrix
@@ -150,7 +150,11 @@ class PreparedDataset:
     holds the m_train x max(widths) frame alone.  The full
     eigendecomposition is never kept.  ``selections`` keeps each fold's kNN
     selection (``Split.selection``), so le and sle at every width score the
-    fold's test records from one selection.
+    fold's test records from one selection.  ``lsi`` keeps each fold's LSI
+    factorization (``Split.lsi``) by the eigenmap's rule: one TF-IDF + SVD
+    at the widest width, of which every width takes the leading factors.
+    An entry holds the vocabulary, the idf and the widest factors; the
+    TF-IDF matrix is not kept.
     """
 
     dataset: Dataset
@@ -161,6 +165,8 @@ class PreparedDataset:
     frames: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
     # (folds, seed, fold number) -> Split.selection of that fold
     selections: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
+    # (folds, seed, fold number) -> Split.lsi of that fold
+    lsi: dict[tuple[int, int, int], LsiModel] = field(default_factory=dict)
 
 
 def normalize_corpus(ids: list[str], texts: list[str],
@@ -227,22 +233,26 @@ class TrainedModel:
 class Split:
     """Records to fit on and records to score, as row indices into one dataset.
 
-    Documents, similarities, the Laplacian, the training eigenmap and the
-    test records' kNN selection are made on first use and kept, so every
-    method fitted on a split shares them.  Cross-validation supplies the
-    documents, the corpus ``SimilarityMatrix`` (the fold's training matrix
-    is its restriction to the training records, still over distinct
+    Documents, similarities, the Laplacian, the training eigenmap, the
+    test records' kNN selection, the LSI factorization and the classifier
+    that le fits and sle starts from are made on first use and kept, so
+    every method fitted on a split shares them.  Cross-validation supplies
+    the documents, the corpus ``SimilarityMatrix`` (the fold's training
+    matrix is its restriction to the training records, still over distinct
     documents, and the test block, the only block kNN scores, is gathered
-    from its keys), the sweep's ``widths`` and the fold's ``frame``, ``lap``
-    and ``selection`` from an earlier width, so one eigensolve, one
-    Laplacian and one selection per fold serve the whole dims sweep.
+    from its keys), the sweep's ``widths`` and the fold's ``frame``, ``lap``,
+    ``selection`` and ``lsi`` from an earlier width, so one eigensolve, one
+    Laplacian, one selection and one LSI factorization per fold serve the
+    whole dims sweep.
     A split without them builds the training matrix with one
     SimilarityComputer and scores test documents by ``rows`` against the
     model's training documents, with the model's computer
     (``TrainedModel.corpus``).  A split whose test rows are its training
     rows gathers that block from the training matrix's keys instead: its
     diagonal is the block's own entry of each key, which is what ``rows``
-    gives a record against itself (1, or 0 for a blank record).
+    gives a record against itself (1, or 0 for a blank record).  A block
+    gathered from keys has one row per distinct test key, since records with
+    one key have equal rows and so equal kNN selections.
     """
 
     dataset: Dataset
@@ -257,6 +267,9 @@ class Split:
     lap: Laplacian | None = None
     # (k, the test rows' select_neighbours at k)
     selection: tuple[int, tuple[np.ndarray, np.ndarray]] | None = None
+    # TF-IDF + SVD at the widest width of the training documents (every
+    # document with joint_lsi)
+    lsi: LsiModel | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def documents(self, config: PipelineConfig, rows) -> list[Document]:
@@ -276,27 +289,30 @@ class Split:
                 else self.computer(config).matrix(self.documents(config, self.train)))
         return self._cache["train"]
 
-    def test_similarity(self, model: TrainedModel) -> np.ndarray:
+    def test_similarity(self, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
+        """The test records' similarities to the training records: distinct
+        rows, and the row of each test record."""
         if "test" not in self._cache:
             if self.similarity is not None:
-                s = self.similarity
-                self._cache["test"] = np.take(s.block[s.keys[self.test]], s.keys[self.train],
-                                              axis=1)
+                self._cache["test"] = _key_rows(self.similarity, self.test, self.train)
             elif self.train.size and np.array_equal(self.test, self.train):
                 s = self.train_similarity(model.config)
-                self._cache["test"] = np.take(s.block[s.keys], s.keys, axis=1)
+                everyone = np.arange(s.m)
+                self._cache["test"] = _key_rows(s, everyone, everyone)
             else:
                 corpus, computer = model.corpus()
-                self._cache["test"] = computer.rows(
-                    self.documents(model.config, self.test), corpus)
+                self._cache["test"] = (computer.rows(self.documents(model.config, self.test),
+                                                     corpus), np.arange(self.test.size))
         return self._cache["test"]
 
     def neighbours(self, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
         """The test records' ``knn_k`` most similar training records and
-        their similarities, selected once per k."""
+        their similarities, selected once per k and distinct row."""
         k = model.config.knn_k
         if self.selection is None or self.selection[0] != k:
-            self.selection = (k, select_neighbours(self.test_similarity(model), k))
+            rows, row_of = self.test_similarity(model)
+            top, near = select_neighbours(rows, k)
+            self.selection = (k, (top[row_of], near[row_of]))
         return self.selection[1]
 
     def laplacian(self, config: PipelineConfig) -> Laplacian:
@@ -322,13 +338,37 @@ class Split:
         _, frame, scale = self.frame
         return frame[:, :config.dims].copy(), scale
 
-    def joint_lsi_rows(self, config: PipelineConfig) -> np.ndarray:
-        """LSI embedding of every document in the dataset, test records included."""
-        key = ("lsi", config.dims)
+    def lsi_model(self, config: PipelineConfig) -> LsiModel:
+        """TF-IDF + truncated SVD at ``config.dims`` of the training
+        documents, or with ``joint_lsi`` of every document in the dataset.
+
+        One fit at the widest of ``widths`` and ``config.dims`` serves every
+        width: each width gets the leading factors, bitwise what a fit at
+        that width returns (``LsiModel.leading``).
+        """
+        if self.lsi is None or self.lsi.dims < config.dims:
+            rows = range(self.dataset.m) if self.joint_lsi else self.train
+            self.lsi = fit_lsi(build_tfidf(self.documents(config, rows)),
+                               max((config.dims, *self.widths)))
+        return self.lsi.leading(config.dims)
+
+    def classifier(self, config: PipelineConfig, data: LabeledFeatures) -> LearnerParams:
+        """The classifier fitted from zero weights on ``data``, the numeric
+        features beside the eigenmap at ``config.dims``: le's classifier and
+        sle's start, fitted once for whichever method asks first."""
+        key = ("classifier", config.dims)
         if key not in self._cache:
-            docs = self.documents(config, range(self.dataset.m))
-            self._cache[key] = fit_lsi(build_tfidf(docs), config.dims).doc_embedding
+            self._cache[key] = train(data, config.l2)
         return self._cache[key]
+
+
+def _key_rows(s: SimilarityMatrix, records: np.ndarray,
+              columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``s`` at ``records`` and ``columns``, one per distinct key
+    of the records, and each record's row.  Every entry is off the diagonal
+    or a key's own entry, so a record's row is its key's."""
+    used, row_of = np.unique(s.keys[records], return_inverse=True)
+    return np.take(s.block[used], s.keys[columns], axis=1), row_of
 
 
 def fit(method: str, split: Split, config: PipelineConfig) -> TrainedModel:
@@ -336,6 +376,8 @@ def fit(method: str, split: Split, config: PipelineConfig) -> TrainedModel:
 
     The classifier starts from zero weights (sle: its first fit, before the
     alternation), so the model depends only on the split and ``config``.
+    That first fit of sle is le's classifier, and the split fits it once
+    for both (``Split.classifier``).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -355,24 +397,27 @@ def fit(method: str, split: Split, config: PipelineConfig) -> TrainedModel:
         text, model.feature_scale = split.eigenmap(config)
         model.xe_train = text
     elif method == "lsi" and split.joint_lsi:
-        text = split.joint_lsi_rows(config)[rows]
+        text = split.lsi_model(config).doc_embedding[rows]
     elif method == "lsi":
-        tdm = build_tfidf(split.documents(config, rows))
-        lsi = fit_lsi(tdm, config.dims)
+        lsi = split.lsi_model(config)
         text = lsi.doc_embedding
-        model.lsi_vocabulary, model.lsi_idf = tdm.vocabulary, tdm.idf
+        model.lsi_vocabulary, model.lsi_idf = lsi.vocabulary, lsi.idf
         model.lsi_components = lsi.components
     features = np.hstack([num, text * model.feature_scale])
+    data = LabeledFeatures(features, y, slice(num.shape[1], features.shape[1]))
 
     if method == "sle":
+        start = split.classifier(config, data)
+        del features, data      # not alive beside the alternation's own design matrix
         fitted = fit_sle(num, None, y, config.sle_config(), lap=split.laplacian(config),
-                         xe0=text, feature_scale=model.feature_scale)
+                         xe0=text, feature_scale=model.feature_scale, start=start)
         model.params, model.xe_train = fitted.params, fitted.embedding
         model.lam, model.degenerate = fitted.lam, fitted.degenerate
         model.objective_trace = list(fitted.objective_trace)
         features = np.hstack([num, model.xe_train * model.feature_scale])
+    elif method == "le":
+        model.params = split.classifier(config, data)
     else:
-        data = LabeledFeatures(features, y, slice(num.shape[1], features.shape[1]))
         model.params = train(data, config.l2)
     model.fit_scores = predict_proba(model.params, features)
     model.train_auc = compute_auc(model.fit_scores, y)
@@ -395,7 +440,7 @@ def score(model: TrainedModel, split: Split) -> tuple[np.ndarray, int]:
         text, zero_rho = estimate_batch(split.neighbours(model), model.xe_train,
                                         cfg.knn_k, cfg.knn_weighted)
     elif model.method == "lsi" and split.joint_lsi:
-        text = split.joint_lsi_rows(cfg)[rows]
+        text = split.lsi_model(cfg).doc_embedding[rows]
     elif model.method == "lsi":
         text = vectorize(split.documents(cfg, rows), model.lsi_vocabulary,
                          model.lsi_idf) @ model.lsi_components.T
@@ -425,10 +470,11 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     """Evaluate several methods over one shared fold split.
 
     Similarity matrices, normalized documents, and the per-fold unsupervised
-    eigenmap and kNN selection are computed once and shared wherever two
-    methods need them; a ``prepared`` dataset also keeps each fold's
-    eigenmap and selection for later calls at other dims, and with sle and
-    more than one width in its sweep, each fold's Laplacian too.
+    eigenmap, kNN selection and le classifier (sle's start) are computed
+    once and shared wherever two methods need them; a ``prepared`` dataset
+    also keeps each fold's eigenmap, selection and LSI factorization for
+    later calls at other dims, and with sle and more than one width in its
+    sweep, each fold's Laplacian too.
     """
     for method in methods:
         if method not in METHODS:
@@ -453,7 +499,8 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
         split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
                       similarity=prepared.similarity if needs_sim else None,
                       joint_lsi=config.lsi_joint, widths=prepared.widths,
-                      frame=frame, lap=lap, selection=prepared.selections.get(key))
+                      frame=frame, lap=lap, selection=prepared.selections.get(key),
+                      lsi=prepared.lsi.get(key))
         for method in methods:
             model = fit(method, split, config)
             te_scores, zero_rho = score(model, split)
@@ -468,6 +515,8 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
             prepared.frames[key] = (split.frame, split.lap if keep_lap else None)
         if split.selection is not None:
             prepared.selections[key] = split.selection
+        if split.lsi is not None:
+            prepared.lsi[key] = split.lsi
         del split   # frees the fold's matrices before the next fold slices its own
 
     return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
@@ -484,11 +533,13 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
     """The (method, dims) sweep behind the `compare` command.
 
     Every width runs ``run_methods`` on the same folds, and one eigensolve
-    per fold, at the widest width, serves them all (``PreparedDataset``).
-    Each fold's kNN selection is made once, and with sle, each fold's
-    Laplacian is built once as well.
+    per fold, at the widest width, serves them all (``PreparedDataset``);
+    so does one LSI factorization per fold.  Each fold's kNN selection is
+    made once, and with sle, each fold's Laplacian is built once as well.
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
-    training size minus one, raises ``RankDeficient`` at that solve.
+    training size minus one, raises ``RankDeficient`` at that solve; so
+    does a width beyond a fold's document or vocabulary count, at the fold's
+    one LSI fit.
     """
     needs_sim = any(m in ("le", "sle") for m in methods)
     prepared = prepare_dataset(dataset, config, needs_sim)

@@ -90,11 +90,15 @@ class Laplacian:
         r * (G^T X)[groups] where L X has r * X, and the second term puts
         that right.  With every row its own group, L_u is L, G^T X is X and
         the correction adds zeros, so the product keeps the plain one's
-        values (a -0.0 entry can turn into +0.0).
+        values (a -0.0 entry can turn into +0.0).  The correction is made
+        in one array, in place.
         """
         gx = np.add.reduceat(x[self.order], self.starts, axis=0)
         lx = (self.block @ gx)[self.groups]
-        lx += self.raw_degrees[:, None] * (x - gx[self.groups])
+        correction = gx[self.groups]
+        np.subtract(x, correction, out=correction)
+        correction *= self.raw_degrees[:, None]
+        lx += correction
         return lx
 
     def dense(self) -> np.ndarray:
@@ -211,9 +215,11 @@ def phi_gradient(x: np.ndarray, lap: Laplacian) -> np.ndarray:
     return 2.0 * lap.dot(x)
 
 
-def d_orthonormalize(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Closest basis of span(X) with X^T D X = I (symmetric Loewdin factor)."""
-    c = x.T @ (degrees[:, None] * x)
+def d_orthonormalize(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Closest basis of span(X) with X^T D X = I (symmetric Loewdin factor).
+
+    ``dx`` is D X, the rows of X times the degrees."""
+    c = x.T @ dx
     s, v = np.linalg.eigh((c + c.T) / 2.0)
     if s[0] <= 0.0 or s[0] <= 1e-14 * s[-1]:
         raise RankDeficient("embedding columns are dependent under the D metric")
@@ -390,13 +396,15 @@ def projected_descent(
         trial = state.step_scale * np.sqrt(x.shape[1]) / znorm_d
         for halvings in range(60):
             moved = x - trial * z
-            col_norms = np.sqrt(np.einsum("ij,ij->j", moved, degrees[:, None] * moved))
+            d_moved = degrees[:, None] * moved
+            col_norms = np.sqrt(np.einsum("ij,ij->j", moved, d_moved))
             if np.any(col_norms < COLLAPSE_TOL):
                 return state, "column collapsed"
             try:
-                cand = d_orthonormalize(moved, degrees)
+                cand = d_orthonormalize(moved, d_moved)
             except RankDeficient:
                 return state, "columns became dependent"
+            del d_moved     # not alive beside the candidate's objective
             phi, lx = _phi_and_product(cand, lap)
             value = phi if extra_value is None else phi + extra_value(cand)
             if not np.isfinite(value):
@@ -424,6 +432,7 @@ def descend_eigenmap(lap: Laplacian, dims: int, init: np.ndarray, steps: int = 2
     """
     if init.shape != (lap.m, dims):
         raise DimensionMismatch(f"init must be {(lap.m, dims)}, got {init.shape}")
-    x = d_orthonormalize(_deflate_constant(init, lap.degrees), lap.degrees)
+    x = _deflate_constant(init, lap.degrees)
+    x = d_orthonormalize(x, lap.degrees[:, None] * x)
     state, _ = projected_descent(lap, DescentState.at(lap, x), steps)
     return state.x

@@ -73,11 +73,11 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _logits(params: LearnerParams, x: np.ndarray) -> np.ndarray:
+def logits(params: LearnerParams, x: np.ndarray) -> np.ndarray:
     return x @ params.weights + params.bias
 
 
-def _loss_at(z: np.ndarray, params: LearnerParams, data: LabeledFeatures) -> float:
+def loss_at(z: np.ndarray, params: LearnerParams, data: LabeledFeatures) -> float:
     """The loss of ``params`` whose logits on ``data`` are ``z``."""
     # log(1 + e^z) - y z, evaluated stably
     nll = np.logaddexp(0.0, z) - data.y * z
@@ -99,16 +99,21 @@ def _grad_at(z: np.ndarray, params: LearnerParams,
 
 
 def loss(params: LearnerParams, data: LabeledFeatures) -> float:
-    return _loss_at(_logits(params, data.X), params, data)
+    return loss_at(logits(params, data.X), params, data)
 
 
 def grad_theta(params: LearnerParams, data: LabeledFeatures) -> tuple[np.ndarray, float]:
-    return _grad_at(_logits(params, data.X), params, data)
+    return _grad_at(logits(params, data.X), params, data)
 
 
 def grad_embedding(params: LearnerParams, data: LabeledFeatures) -> np.ndarray:
     """d loss / d Xe: per-row residual times the embedding weight slice."""
-    z = _logits(params, data.X)
+    return grad_embedding_at(logits(params, data.X), params, data)
+
+
+def grad_embedding_at(z: np.ndarray, params: LearnerParams,
+                      data: LabeledFeatures) -> np.ndarray:
+    """The embedding gradient of ``params`` whose logits on ``data`` are ``z``."""
     residual = (sigmoid(z) - data.y) / data.m
     ge = np.outer(residual, params.weights[data.embedding_cols])
     if not np.all(np.isfinite(ge)):
@@ -117,17 +122,19 @@ def grad_embedding(params: LearnerParams, data: LabeledFeatures) -> np.ndarray:
 
 
 def predict_proba(params: LearnerParams, x: np.ndarray) -> np.ndarray:
-    return sigmoid(_logits(params, np.asarray(x, dtype=float)))
+    return sigmoid(logits(params, np.asarray(x, dtype=float)))
 
 
-def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int) -> LearnerParams:
+def descend_theta(params: LearnerParams, data: LabeledFeatures,
+                  steps: int) -> tuple[LearnerParams, float]:
     """Plain gradient descent with Armijo backtracking on the training loss:
     the classifier's step in the SLE alternation.
 
-    It stops early only at a zero gradient.  A step's gradient is taken at the logits that the loss of the step
-    before computed for the candidate it accepted."""
-    z = _logits(params, data.X)
-    cur = _loss_at(z, params, data)
+    Returns the last parameters and their loss.  It stops early only at a
+    zero gradient.  A step's gradient is taken at the logits that the loss
+    of the step before computed for the candidate it accepted."""
+    z = logits(params, data.X)
+    cur = loss_at(z, params, data)
     eta = 1.0
     for _ in range(steps):
         gw, gb = _grad_at(z, params, data)
@@ -138,8 +145,8 @@ def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int) -> L
         accepted = False
         for _ in range(60):
             cand = LearnerParams(params.weights - eta * gw, params.bias - eta * gb, params.l2)
-            cand_z = _logits(cand, data.X)
-            new = _loss_at(cand_z, cand, data)
+            cand_z = logits(cand, data.X)
+            new = loss_at(cand_z, cand, data)
             if new <= cur - ARMIJO_C * eta * gnorm2:
                 accepted = True
                 break
@@ -147,7 +154,7 @@ def descend_theta(params: LearnerParams, data: LabeledFeatures, steps: int) -> L
         if not accepted:
             break
         params, cur, z = cand, new, cand_z
-    return params
+    return params, cur
 
 
 def train(data: LabeledFeatures, l2: float, init: LearnerParams | None = None,
@@ -170,8 +177,8 @@ def train(data: LabeledFeatures, l2: float, init: LearnerParams | None = None,
     penalty = np.full(n + 1, l2 + NEWTON_RIDGE)
     penalty[n] = NEWTON_RIDGE
     hessian = np.empty((n + 1, n + 1))
-    z = _logits(params, data.X)
-    cur = _loss_at(z, params, data)
+    z = logits(params, data.X)
+    cur = loss_at(z, params, data)
     for _ in range(max_iters):
         gw, gb = _grad_at(z, params, data)
         g = np.append(gw, gb)
@@ -197,8 +204,8 @@ def train(data: LabeledFeatures, l2: float, init: LearnerParams | None = None,
         for _ in range(60):
             cand = LearnerParams(params.weights + eta * step[:-1],
                                  params.bias + eta * float(step[-1]), l2)
-            cand_z = _logits(cand, data.X)
-            new = _loss_at(cand_z, cand, data)
+            cand_z = logits(cand, data.X)
+            new = loss_at(cand_z, cand, data)
             if new <= cur + ARMIJO_C * eta * slope:
                 accepted = True
                 break

@@ -16,6 +16,7 @@ trivial solution.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +30,8 @@ from .laplacian import (
     projected_descent,
     solve_eigenmap,
 )
-from .logistic import LabeledFeatures, LearnerParams, descend_theta, grad_embedding, loss, train
+from .logistic import (LabeledFeatures, LearnerParams, descend_theta, grad_embedding_at, logits,
+                       loss, loss_at, train)
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def resolve_lambda(config: SleConfig, phi0: float, loss0: float) -> float:
 
 def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
             lap: Laplacian | None = None, xe0: np.ndarray | None = None,
-            feature_scale: float = 1.0) -> SleModel:
+            feature_scale: float = 1.0, start: LearnerParams | None = None) -> SleModel:
     """Alternating optimization from the unsupervised eigenmap and the
     classifier trained on it from zero weights.
 
@@ -91,10 +93,18 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     unsupervised problem (the evaluation harness shares them between the
     supervised and unsupervised runs); they must match ``similarity``, which
     is read only to build a missing ``lap`` and may be None when it is given.
+    ``start`` may likewise be the classifier that ``train`` fits from zero
+    weights on ``[numeric, xe0 * feature_scale]`` (the harness's le
+    classifier), which is then not fitted again.
     ``feature_scale`` multiplies the embedding columns as the classifier sees
     them (the D-orthonormal eigenvectors are orders of magnitude smaller than
     typical numeric features); the trace objective and the constraint always
     operate on the raw embedding.
+
+    One design matrix serves the whole fit: each embedding the descent
+    tries is written into its embedding columns in place, and the logits
+    of a trial's loss serve the embedding gradient at that trial when the
+    descent accepts it.
     """
     numeric = np.asarray(numeric, dtype=float)
     if lap is None:
@@ -107,11 +117,22 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
 
     data = LabeledFeatures(np.hstack([numeric, xe0 * feature_scale]), y,
                            slice(n_numeric, n_numeric + config.dims))
-    params = train(data, config.l2)
+    params = start if start is not None else train(data, config.l2)
+    columns = data.embedding    # a view: writing it writes the design matrix
+    # (embedding, parameters, their logits); the embedding by weak reference,
+    # so that a rejected trial is freed as soon as the descent drops it
+    last: list = [lambda: None, None, None]
 
-    def seen(x):
-        """The design matrix with embedding X, as the classifier sees it."""
-        return data.with_embedding(x * feature_scale)
+    def logits_at(x):
+        """The classifier's logits with embedding X, which is written into
+        the design matrix unless the last logits were taken at it."""
+        if last[0]() is not x or last[1] is not params:
+            np.multiply(x, feature_scale, out=columns)
+            last[:] = weakref.ref(x), params, logits(params, data.X)
+        return last[2]
+
+    extra = (lambda x: lam * loss_at(logits_at(x), params, data),
+             lambda x: lam * feature_scale * grad_embedding_at(logits_at(x), params, data))
 
     state = DescentState.at(lap, xe0.copy())
     cur_loss = loss(params, data)
@@ -119,12 +140,10 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     trace = [state.phi + lam * cur_loss]
     degenerate = False
     for _ in range(config.max_outer_iters):
-        params = descend_theta(params, data, config.inner_theta_steps)
-        state = replace(state, value=state.phi + lam * loss(params, data))
-        state, collapse = projected_descent(lap, state, config.inner_embedding_steps, extra=(
-            lambda x: lam * loss(params, seen(x)),
-            lambda x: lam * feature_scale * grad_embedding(params, seen(x))))
-        data = seen(state.x)
+        params, cur_loss = descend_theta(params, data, config.inner_theta_steps)
+        state = replace(state, value=state.phi + lam * cur_loss)
+        state, collapse = projected_descent(lap, state, config.inner_embedding_steps, extra)
+        np.multiply(state.x, feature_scale, out=columns)   # undo a rejected trial
         trace.append(state.value)
         if collapse is not None:
             warnings.warn(f"embedding {collapse} under the D metric; lambda is too large",

@@ -392,3 +392,18 @@ def oracle_solve_eigenmap(lap, dims):
         if x[i, j] < 0.0:
             x[:, j] = -x[:, j]
     return x
+
+
+def oracle_vectorize(docs, vocabulary, idf=None) -> np.ndarray:
+    """Token counts over the vocabulary, one token at a time, times idf if given."""
+    index = {tok: j for j, tok in enumerate(vocabulary)}
+    out = np.zeros((len(docs), len(vocabulary)))
+    for i, doc in enumerate(docs):
+        for st in doc.statements:
+            for tok in st.tokens:
+                j = index.get(tok)
+                if j is not None:
+                    out[i, j] += 1.0
+    if idf is not None:
+        out *= idf[None, :]
+    return out

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slemap import evaluation, similarity
+from slemap import evaluation, similarity, sle
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
 from slemap.errors import RankDeficient
@@ -219,6 +219,58 @@ class TestDimsSweep:
         compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
         assert reads == [2] * self.CFG.folds
 
+    @pytest.mark.parametrize("joint", [False, True], ids=["plain", "joint"])
+    def test_lsi_rows_equal_per_dims_runs_with_one_factorization_per_fold(
+            self, text_dataset, monkeypatch, joint):
+        """One TF-IDF + SVD per fold, at the widest width, serves every
+        width of the sweep, bitwise as a fit at each width would."""
+        cfg = replace(self.CFG, lsi_joint=joint)
+        tfidfs, fits = [], []
+        real_tfidf, real_fit = evaluation.build_tfidf, evaluation.fit_lsi
+        monkeypatch.setattr(evaluation, "build_tfidf",
+                            lambda docs: tfidfs.append(len(docs)) or real_tfidf(docs))
+        monkeypatch.setattr(evaluation, "fit_lsi",
+                            lambda tdm, dims: fits.append(dims) or real_fit(tdm, dims))
+        rows = compare_methods(text_dataset, ["le", "lsi"], [2, 3, 5], cfg)
+        folds = stratified_folds(text_dataset.labels, cfg.folds, cfg.seed)
+        assert tfidfs == [text_dataset.m if joint else text_dataset.m - f.size for f in folds]
+        assert fits == [5] * cfg.folds
+        fits.clear()
+        for dims in (2, 3, 5):
+            reports = run_methods(text_dataset, ["le", "lsi"], replace(cfg, dims=dims))
+            for method in ("le", "lsi"):
+                row = next(r for r in rows if (r["method"], r["dims"]) == (method, dims))
+                assert repr(row["auc"]) == repr(reports[method].mean_auc)
+                assert repr(row["mcc"]) == repr(reports[method].mean_mcc)
+        assert fits == [2] * 3 + [3] * 3 + [5] * 3
+
+    @pytest.mark.parametrize("methods", [["le", "sle"], ["sle", "le"]])
+    def test_one_classifier_per_fold_and_width(self, text_dataset, monkeypatch, methods):
+        """le's classifier is sle's start: a fold fits it once per width for
+        whichever of the two comes first, and fit_sle fits no start of its
+        own."""
+        fits = []
+        real = evaluation.train
+
+        def counted(data, l2):
+            fits.append(data.X.shape)
+            return real(data, l2)
+
+        def refit(*args, **kwargs):
+            raise AssertionError("fit_sle fitted the start it was given")
+
+        monkeypatch.setattr(evaluation, "train", counted)
+        monkeypatch.setattr(sle, "train", refit)
+        rows = compare_methods(text_dataset, methods, [2, 3], self.CFG)
+        widths = [n_cols - text_dataset.n_numeric for _, n_cols in fits]
+        assert widths == [2] * self.CFG.folds + [3] * self.CFG.folds
+        monkeypatch.undo()
+        alone = [row for method in ("le", "sle")
+                 for row in compare_methods(text_dataset, [method], [2, 3], self.CFG)]
+        key = lambda r: (r["method"], r["dims"])  # noqa: E731
+        assert [repr(r) for r in sorted(rows, key=key)] == [
+            repr(r) for r in sorted(alone, key=key)]
+
     @pytest.mark.parametrize("dims_list", [[2, 1], [2, 200]], ids=["degenerate", "too-wide"])
     def test_bad_width_is_rank_deficient(self, dims_list):
         # three mutually unrelated texts: the training graph has three
@@ -420,6 +472,34 @@ def test_train_scores_of_blank_and_duplicated_records(tmp_path, method):
     model = train_model(ds, method, cfg)
     save_model(model, tmp_path)
     assert model.train_scores.tobytes() == predict_model(load_model(tmp_path), ds).tobytes()
+
+
+def test_selection_once_per_distinct_test_key(monkeypatch):
+    """Test records with one document key have equal similarity rows, so
+    kNN selects once per distinct key, in a CV fold and in train_model;
+    the selections are bitwise those made record by record."""
+    spec = GeneratorSpec(m=90, numeric_dim=3, clusters=4, text_weight=0.7, noise=0.05)
+    ids, labels, numeric, texts, _ = generate_arrays(spec, seed=5)
+    ds = Dataset(ids=ids, labels=labels, numeric=numeric, texts=texts)
+    cfg = PipelineConfig(dims=3, folds=3)
+    seen = []
+    real = evaluation.select_neighbours
+    monkeypatch.setattr(evaluation, "select_neighbours",
+                        lambda sims, k: seen.append(sims.shape[0]) or real(sims, k))
+    prepared = prepare_dataset(ds, cfg, True)
+    run_methods(ds, ["le"], cfg, prepared=prepared)
+    s = prepared.similarity
+    folds = stratified_folds(ds.labels, cfg.folds, cfg.seed)
+    assert seen == [np.unique(s.keys[f]).size for f in folds]
+    assert sum(seen) < ds.m     # the corpus repeats documents
+    for fold_no, test in enumerate(folds):
+        train = np.setdiff1d(np.arange(ds.m), test)
+        want = real(np.take(s.block[s.keys[test]], s.keys[train], axis=1), cfg.knn_k)
+        got = prepared.selections[(cfg.folds, cfg.seed, fold_no)][1]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    seen.clear()
+    train_model(ds, "le", cfg)
+    assert seen == [np.unique(s.keys).size]
 
 
 def test_no_matrix_over_every_record(text_dataset, tmp_path, monkeypatch):

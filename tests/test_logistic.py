@@ -172,8 +172,8 @@ class TestTraining:
         params = random_start(rng, 5, 0.01)
         prev = loss(params, data)
         for _ in range(10):
-            params = descend_theta(params, data, steps=1)
-            cur = loss(params, data)
+            params, cur = descend_theta(params, data, steps=1)
+            assert cur == loss(params, data)
             assert cur <= prev
             prev = cur
 

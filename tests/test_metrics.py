@@ -16,7 +16,7 @@ from slemap.metrics import (
 )
 from slemap.text import normalize
 
-from oracles import oracle_auc, oracle_best_mcc_threshold
+from oracles import oracle_auc, oracle_best_mcc_threshold, oracle_vectorize
 
 
 def labeled(rng, scores):
@@ -246,6 +246,20 @@ class TestTfidf:
         out = vectorize([normalize("unseen words only", doc_id="x")], tdm.vocabulary, tdm.idf)
         assert np.all(out == 0.0)
 
+    def test_vectorize_matches_token_loop_bitwise(self):
+        """Counts go into the matrix at once; they are integers, so the
+        matrix is bitwise the token-at-a-time loop's, unknown tokens dropped."""
+        docs = [normalize(t, doc_id=str(i)) for i, t in enumerate(
+            ["chest pain pain / chest", "racing heart; heart racing heart", "",
+             "unseen words only", "pain / dizzy spells / chest pain"])]
+        vocab = ("racing", "chest", "pain", "dizzy", "heart", "absent")
+        idf = np.array([0.3, 1.7, 0.1, 2.2, 0.9, 1.1])
+        for weights in (None, idf):
+            got = vectorize(docs, vocab, weights)
+            want = oracle_vectorize(docs, vocab, weights)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert vectorize([], vocab).shape == (0, len(vocab))
+
 
 class TestLsi:
     def test_rank_one_exact(self):
@@ -286,6 +300,20 @@ class TestLsi:
         # the product evaluation.score makes for new documents
         projected = vectorize(docs, tdm.vocabulary, tdm.idf) @ model.components.T
         assert np.allclose(projected, model.doc_embedding, atol=1e-10)
+
+    def test_leading_factors_are_a_narrower_fit_bitwise(self):
+        rng = np.random.default_rng(9)
+        from slemap.lsi import TermDocumentMatrix
+        tdm = TermDocumentMatrix(tuple(f"t{i}" for i in range(7)), rng.random((9, 7)),
+                                 rng.random(7))
+        wide = fit_lsi(tdm, 6)
+        for dims in range(1, 7):
+            narrow, cut = fit_lsi(tdm, dims), wide.leading(dims)
+            for name in ("doc_embedding", "components", "singular_values"):
+                a, b = getattr(narrow, name), getattr(cut, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert b.flags.c_contiguous
+            assert cut.vocabulary == tdm.vocabulary and cut.idf is tdm.idf
 
     def test_dims_out_of_range(self):
         from slemap.lsi import TermDocumentMatrix

@@ -6,7 +6,7 @@ import pytest
 
 from slemap.errors import DegenerateLambda
 from slemap.laplacian import build_laplacian, objective_phi, solve_eigenmap
-from slemap.logistic import LabeledFeatures, LearnerParams, loss
+from slemap.logistic import LabeledFeatures, LearnerParams, loss, train
 from slemap.sle import SleConfig, fit_sle, joint_objective, resolve_lambda
 
 
@@ -154,6 +154,23 @@ class TestFit:
             lap = build_laplacian(s)
             gram = model.embedding.T @ (lap.degrees[:, None] * model.embedding)
             assert np.linalg.norm(gram - np.eye(2)) <= 1e-6
+
+
+def test_given_start_fits_like_its_own():
+    """A start that the caller fitted as fit_sle would is not fitted again,
+    and the fit is bitwise the one that fits its own."""
+    rng = np.random.default_rng(16)
+    numeric, s, y = clustered_dataset(rng, m=30, n_numeric=3, dims=2)
+    cfg = SleConfig(dims=2, max_outer_iters=3, inner_theta_steps=5, inner_embedding_steps=4)
+    lap = build_laplacian(s)
+    xe0 = solve_eigenmap(lap, 2)
+    start = train(LabeledFeatures(np.hstack([numeric, xe0 * 2.5]), y, slice(3, 5)), cfg.l2)
+    own = fit_sle(numeric, s, y, cfg, feature_scale=2.5)
+    given = fit_sle(numeric, s, y, cfg, lap=lap, xe0=xe0, feature_scale=2.5, start=start)
+    assert given.embedding.tobytes() == own.embedding.tobytes()
+    assert given.params.weights.tobytes() == own.params.weights.tobytes()
+    assert (given.params.bias, given.objective_trace, given.lam) == (
+        own.params.bias, own.objective_trace, own.lam)
 
 
 class TestGolden:
