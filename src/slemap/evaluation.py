@@ -12,6 +12,9 @@ alone.
 
 ``fit`` and ``score`` are the one implementation of the four methods: a CV
 fold and ``model_io.train_model``/``predict_model`` both go through them.
+``run_methods`` fits and scores fold k on one worker thread while the
+calling thread builds fold k+1's corpus-sized arrays; every fold computes
+what it would alone, so the reports do not depend on the threads.
 """
 
 from __future__ import annotations
@@ -154,7 +157,10 @@ class PreparedDataset:
     factorization (``Split.lsi``) by the eigenmap's rule: one TF-IDF + SVD
     at the widest width, of which every width takes the leading factors.
     An entry holds the vocabulary, the idf and the widest factors; the
-    TF-IDF matrix is not kept.
+    TF-IDF matrix is not kept.  With ``lsi.joint_embed``, ``joint_lsi``
+    holds the one factorization of every document that serves every fold
+    and width.  ``run_methods`` writes all of these on the calling thread,
+    which builds them (``Split.prepare``).
     """
 
     dataset: Dataset
@@ -167,6 +173,8 @@ class PreparedDataset:
     selections: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
     # (folds, seed, fold number) -> Split.lsi of that fold
     lsi: dict[tuple[int, int, int], LsiModel] = field(default_factory=dict)
+    # Split.lsi with lsi.joint_embed: one factorization of every document
+    joint_lsi: LsiModel | None = None
 
 
 def normalize_corpus(ids: list[str], texts: list[str],
@@ -253,6 +261,12 @@ class Split:
     gives a record against itself (1, or 0 for a blank record).  A block
     gathered from keys has one row per distinct test key, since records with
     one key have equal rows and so equal kNN selections.
+
+    ``prepare`` builds everything sized by the corpus up front, so that
+    ``fit`` and ``score`` afterwards only read it; cross-validation
+    prepares a fold on the calling thread and may fit and score it on a
+    worker thread.  Once a cross-validation fold has its Laplacian, its
+    training block is dropped.
     """
 
     dataset: Dataset
@@ -289,13 +303,14 @@ class Split:
                 else self.computer(config).matrix(self.documents(config, self.train)))
         return self._cache["train"]
 
-    def test_similarity(self, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
+    def test_similarity(self, model: TrainedModel | None) -> tuple[np.ndarray, np.ndarray]:
         """The test records' similarities to the training records: distinct
-        rows, and the row of each test record."""
+        rows, and the row of each test record.  Gathered afresh from the
+        corpus similarities, which need no ``model``, and kept otherwise."""
+        if self.similarity is not None:
+            return _key_rows(self.similarity, self.test, self.train)
         if "test" not in self._cache:
-            if self.similarity is not None:
-                self._cache["test"] = _key_rows(self.similarity, self.test, self.train)
-            elif self.train.size and np.array_equal(self.test, self.train):
+            if self.train.size and np.array_equal(self.test, self.train):
                 s = self.train_similarity(model.config)
                 everyone = np.arange(s.m)
                 self._cache["test"] = _key_rows(s, everyone, everyone)
@@ -305,10 +320,10 @@ class Split:
                                                      corpus), np.arange(self.test.size))
         return self._cache["test"]
 
-    def neighbours(self, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
-        """The test records' ``knn_k`` most similar training records and
-        their similarities, selected once per k and distinct row."""
-        k = model.config.knn_k
+    def neighbours(self, k: int, model: TrainedModel | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The test records' ``k`` most similar training records and their
+        similarities, selected once per k and distinct row."""
         if self.selection is None or self.selection[0] != k:
             rows, row_of = self.test_similarity(model)
             top, near = select_neighbours(rows, k)
@@ -318,7 +333,14 @@ class Split:
     def laplacian(self, config: PipelineConfig) -> Laplacian:
         if self.lap is None:
             self.lap = build_laplacian(self.train_similarity(config))
+            if self.similarity is not None:
+                # nothing else reads a fold's training block
+                del self._cache["train"]
         return self.lap
+
+    def eigenmap_pending(self, config: PipelineConfig) -> bool:
+        """Whether the eigenmap at ``config.dims`` still needs a solve."""
+        return self.frame is None or config.dims not in self.frame[0]
 
     def eigenmap(self, config: PipelineConfig) -> tuple[np.ndarray, float]:
         """Eigenmap at ``config.dims`` and feature scale of the training similarities.
@@ -328,7 +350,7 @@ class Split:
         C-contiguous copy of the frame's leading columns, bitwise the array a
         solve at that width returns.
         """
-        if self.frame is None or config.dims not in self.frame[0]:
+        if self.eigenmap_pending(config):
             lap = self.laplacian(config)
             widths = tuple(sorted({config.dims, *self.widths}))
             # the scale puts the D-orthonormal eigenvector columns on the same
@@ -346,11 +368,28 @@ class Split:
         width: each width gets the leading factors, bitwise what a fit at
         that width returns (``LsiModel.leading``).
         """
+        self._fit_lsi(config)
+        return self.lsi.leading(config.dims)
+
+    def _fit_lsi(self, config: PipelineConfig) -> None:
         if self.lsi is None or self.lsi.dims < config.dims:
             rows = range(self.dataset.m) if self.joint_lsi else self.train
             self.lsi = fit_lsi(build_tfidf(self.documents(config, rows)),
                                max((config.dims, *self.widths)))
-        return self.lsi.leading(config.dims)
+
+    def prepare(self, config: PipelineConfig, methods) -> None:
+        """Build what ``fit`` and ``score`` of ``methods`` read that is sized
+        by the corpus: the training block, the Laplacian and the eigenmap,
+        the kNN selection, and the LSI factorization.  What is left to them
+        is sized by the split's records times the features (lsi: times the
+        vocabulary)."""
+        if "le" in methods or "sle" in methods:
+            self.eigenmap(config)
+            if "sle" in methods:
+                self.laplacian(config)
+            self.neighbours(config.knn_k)
+        if "lsi" in methods:
+            self._fit_lsi(config)
 
     def classifier(self, config: PipelineConfig, data: LabeledFeatures) -> LearnerParams:
         """The classifier fitted from zero weights on ``data``, the numeric
@@ -437,7 +476,7 @@ def score(model: TrainedModel, split: Split) -> tuple[np.ndarray, int]:
     num = (ds.numeric[rows] - model.numeric_mean) / model.numeric_std
     text, zero_rho = np.zeros((len(rows), 0)), 0
     if model.method in ("le", "sle"):
-        text, zero_rho = estimate_batch(split.neighbours(model), model.xe_train,
+        text, zero_rho = estimate_batch(split.neighbours(cfg.knn_k, model), model.xe_train,
                                         cfg.knn_k, cfg.knn_weighted)
     elif model.method == "lsi" and split.joint_lsi:
         text = split.lsi_model(cfg).doc_embedding[rows]
@@ -464,6 +503,25 @@ def _fold_metrics(fold: int, scores_train, y_train, scores_test, y_test,
                        train_auc=train_auc, zero_rho=zero_rho)
 
 
+def _fold_tail(fold_no: int, split: Split, methods: list[str], config: PipelineConfig,
+               collect_predictions: bool) -> list[tuple[str, FoldMetrics, list]]:
+    """Fit, score and measure every method on a prepared fold
+    (``Split.prepare``): the metrics and, if collected, the test
+    predictions of each method."""
+    ds = split.dataset
+    labels = ds.labels
+    out = []
+    for method in methods:
+        model = fit(method, split, config)
+        te_scores, zero_rho = score(model, split)
+        metrics = _fold_metrics(fold_no, model.fit_scores, labels[split.train], te_scores,
+                                labels[split.test], model.train_auc, zero_rho)
+        preds = ([(fold_no, ds.ids[i], int(labels[i]), float(s))
+                  for i, s in zip(split.test, te_scores)] if collect_predictions else [])
+        out.append((method, metrics, preds))
+    return out
+
+
 def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                 prepared: PreparedDataset | None = None,
                 collect_predictions: bool = False) -> dict[str, EvalReport]:
@@ -475,7 +533,29 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     also keeps each fold's eigenmap, selection and LSI factorization for
     later calls at other dims, and with sle and more than one width in its
     sweep, each fold's Laplacian too.
+
+    The folds run as a two-stage pipeline.  The calling thread prepares
+    each fold in turn (``Split.prepare``), which builds every array sized
+    by the corpus: the fold's training block, Laplacian and eigenmap, its
+    kNN selection and its LSI factorization.  While it prepares fold k+1,
+    one worker thread runs fold k's tail: ``fit``, ``score`` and the
+    metrics of every method, whose arrays are sized by the fold's records
+    times the features (lsi: times the vocabulary, for the test documents'
+    TF-IDF rows).  A fold's tail runs on the calling thread when the
+    next fold has no eigensolve pending: the last fold, and every fold whose
+    eigenmap an earlier width of the sweep solved.  The eigensolve and the
+    BLAS products release the GIL, so on two cores the stages overlap; each
+    fold computes what it would alone, so the reports are bitwise those of
+    one thread.  Results are collected in fold order, and so are errors:
+    fold k's tail raises before fold k+1's preparation does.  Corpus-sized
+    arrays stay on the calling thread because memory that a worker thread
+    frees stays in its own allocator arena, out of reach of the caller's
+    later allocations.
     """
+    # imported here: it imports logging, start-up time that commands which
+    # run no cross-validation would pay for nothing
+    from concurrent.futures import ThreadPoolExecutor
+
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -485,39 +565,50 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     if needs_sim and prepared.similarity is None:
         raise ValueError("prepared dataset lacks the similarity matrix")
     keep_lap = "sle" in methods and len(prepared.widths) > 1
-    labels = dataset.labels
-    folds = stratified_folds(labels, config.folds, config.seed)
+    folds = stratified_folds(dataset.labels, config.folds, config.seed)
     all_idx = np.arange(dataset.m)
     echo = config.echo()
     per_method: dict[str, list[FoldMetrics]] = {m: [] for m in methods}
     per_method_preds: dict[str, list[tuple[int, str, int, float]]] = {m: [] for m in methods}
 
-    for fold_no, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        key = (config.folds, config.seed, fold_no)
-        frame, lap = prepared.frames.get(key, (None, None))
-        split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
-                      similarity=prepared.similarity if needs_sim else None,
-                      joint_lsi=config.lsi_joint, widths=prepared.widths,
-                      frame=frame, lap=lap, selection=prepared.selections.get(key),
-                      lsi=prepared.lsi.get(key))
-        for method in methods:
-            model = fit(method, split, config)
-            te_scores, zero_rho = score(model, split)
-            per_method[method].append(
-                _fold_metrics(fold_no, model.fit_scores, labels[train_idx], te_scores,
-                              labels[test_idx], model.train_auc, zero_rho))
-            if collect_predictions:
-                per_method_preds[method].extend(
-                    (fold_no, dataset.ids[i], int(labels[i]), float(s))
-                    for i, s in zip(test_idx, te_scores))
-        if split.frame is not None:
-            prepared.frames[key] = (split.frame, split.lap if keep_lap else None)
-        if split.selection is not None:
-            prepared.selections[key] = split.selection
-        if split.lsi is not None:
-            prepared.lsi[key] = split.lsi
-        del split   # frees the fold's matrices before the next fold slices its own
+    def collect(tail: list[tuple[str, FoldMetrics, list]]) -> None:
+        for method, metrics, preds in tail:
+            per_method[method].append(metrics)
+            per_method_preds[method].extend(preds)
+
+    with ThreadPoolExecutor(1, thread_name_prefix="slemap-fold") as worker:
+        ready = None    # (fold number, split): prepared, its tail not yet run
+        for fold_no, test_idx in enumerate(folds):
+            train_idx = np.setdiff1d(all_idx, test_idx)
+            key = (config.folds, config.seed, fold_no)
+            frame, lap = prepared.frames.get(key, (None, None))
+            split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
+                          similarity=prepared.similarity if needs_sim else None,
+                          joint_lsi=config.lsi_joint, widths=prepared.widths,
+                          frame=frame, lap=lap, selection=prepared.selections.get(key),
+                          lsi=prepared.joint_lsi if config.lsi_joint else prepared.lsi.get(key))
+            if ready is not None and needs_sim and split.eigenmap_pending(config):
+                tail = worker.submit(_fold_tail, *ready, methods, config, collect_predictions)
+                try:
+                    split.prepare(config, methods)
+                finally:
+                    # the earlier fold's error, if any, is the one raised
+                    collect(tail.result())
+            else:
+                if ready is not None:
+                    collect(_fold_tail(*ready, methods, config, collect_predictions))
+                    ready = None    # frees its matrices before this fold builds its own
+                split.prepare(config, methods)
+            if split.frame is not None:
+                prepared.frames[key] = (split.frame, split.lap if keep_lap else None)
+            if split.selection is not None:
+                prepared.selections[key] = split.selection
+            if config.lsi_joint:
+                prepared.joint_lsi = split.lsi
+            elif split.lsi is not None:
+                prepared.lsi[key] = split.lsi
+            ready = (fold_no, split)
+        collect(_fold_tail(*ready, methods, config, collect_predictions))
 
     return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
                           predictions=per_method_preds[m] if collect_predictions else None)
@@ -534,7 +625,9 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
 
     Every width runs ``run_methods`` on the same folds, and one eigensolve
     per fold, at the widest width, serves them all (``PreparedDataset``);
-    so does one LSI factorization per fold.  Each fold's kNN selection is
+    so does one LSI factorization per fold (one in all with
+    ``lsi.joint_embed``).  Widths after the first solve nothing, so their
+    folds run on the calling thread alone.  Each fold's kNN selection is
     made once, and with sle, each fold's Laplacian is built once as well.
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
     training size minus one, raises ``RankDeficient`` at that solve; so

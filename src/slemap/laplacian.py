@@ -143,6 +143,29 @@ def _row_sums(block: np.ndarray, keys: np.ndarray, own: np.ndarray,
     return sums
 
 
+def _row_classes(block: np.ndarray) -> np.ndarray:
+    """A class below u for each row of a C-ordered u x u block, equal
+    exactly when two rows are bitwise equal.
+
+    The rows are sorted as opaque items of bytes, which copies none of
+    them, and each sorted row is compared with the one before it as
+    unsigned words, a chunk of rows at a time, so no copy of the whole
+    block is made.
+    """
+    u = block.shape[0]
+    order = np.argsort(block.view(np.dtype((np.void, block.itemsize * u)))[:, 0],
+                       kind="stable")
+    words = block.view(np.dtype(f"u{block.itemsize}"))
+    same = np.zeros(u, dtype=bool)     # sorted row equals the one before it
+    per = max(2, _GATHER_BYTES // (block.itemsize * u))
+    for i in range(0, u - 1, per - 1):
+        rows = words[order[i:i + per]]
+        same[i + 1:i + rows.shape[0]] = (rows[1:] == rows[:-1]).all(axis=1)
+    classes = np.empty(u, dtype=np.intp)
+    classes[order] = np.cumsum(~same) - 1
+    return classes
+
+
 def build_laplacian(similarity: SimilarityMatrix | np.ndarray) -> Laplacian:
     """The Laplacian of a similarity matrix, built over its distinct keys.
 
@@ -170,9 +193,7 @@ def build_laplacian(similarity: SimilarityMatrix | np.ndarray) -> Laplacian:
     # equal rows of an inexactly symmetric S need not have equal columns
     label = alone
     if exact and m:
-        # each row as one opaque item, so that np.unique compares bytes
-        rows = np.ascontiguousarray(block).view(np.dtype((np.void, block.itemsize * u)))[:, 0]
-        classes = np.unique(rows, return_inverse=True)[1]
+        classes = _row_classes(np.ascontiguousarray(block))
         label = np.where(~lone & (raw_degrees > 0.0), classes[keys], alone)
     _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
     # groups numbered in order of their first row
@@ -233,6 +254,22 @@ def _deflate_constant(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return x - comp[None, :]
 
 
+def _add_transpose(a: np.ndarray) -> None:
+    """A + A^T into the square A, a strip of rows at a time.
+
+    Strip i holds rows and columns from its first row on, which earlier
+    strips left as they were; a_ij + a_ji is written to both (i, j) and
+    (j, i), and is bitwise a_ji + a_ij, so A is bitwise ``A + A.T``.
+    """
+    n = a.shape[0]
+    per = max(1, _GATHER_BYTES // (a.itemsize * max(1, n)))
+    for i in range(0, n, per):
+        j = min(i + per, n)
+        strip = a[i:j, i:] + a[i:, i:j].T
+        a[i:j, i:] = strip
+        a[i:, i:j] = strip.T
+
+
 def _grouped_eigh(lap: Laplacian, grouped: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of the quotient problem over the groups, constant direction shifted last.
 
@@ -264,12 +301,15 @@ def _grouped_eigh(lap: Laplacian, grouped: bool) -> tuple[np.ndarray, np.ndarray
     dsqrt = np.sqrt(degrees / counts)
     reduced /= dsqrt[:, None]
     reduced /= dsqrt[None, :]
-    reduced = reduced + reduced.T
+    _add_transpose(reduced)
     reduced /= 2.0
     root = np.sqrt(counts * degrees)
     v0 = root / np.linalg.norm(root)
     shift = float(np.max(np.sum(np.abs(reduced), axis=1))) + 1.0
-    reduced += shift * np.outer(v0, v0)
+    bump = np.outer(v0, v0)
+    bump *= shift
+    reduced += bump
+    del bump
     eigvals, eigvecs = np.linalg.eigh(reduced)
     return eigvals, eigvecs, root
 

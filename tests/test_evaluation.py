@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from slemap import evaluation, similarity, sle
 from slemap.config import PipelineConfig
 from slemap.dataset import Dataset
-from slemap.errors import RankDeficient
+from slemap.errors import DegenerateLambda, RankDeficient
 from slemap.evaluation import (compare_methods, cross_validate, prepare_dataset, run_methods,
                                stratified_folds)
 from slemap.model_io import load_model, predict_model, save_model, train_model
@@ -223,8 +226,11 @@ class TestDimsSweep:
     def test_lsi_rows_equal_per_dims_runs_with_one_factorization_per_fold(
             self, text_dataset, monkeypatch, joint):
         """One TF-IDF + SVD per fold, at the widest width, serves every
-        width of the sweep, bitwise as a fit at each width would."""
+        width of the sweep, bitwise as a fit at each width would; with
+        joint embedding, one factorization of every document serves every
+        fold as well."""
         cfg = replace(self.CFG, lsi_joint=joint)
+        per_run = 1 if joint else cfg.folds
         tfidfs, fits = [], []
         real_tfidf, real_fit = evaluation.build_tfidf, evaluation.fit_lsi
         monkeypatch.setattr(evaluation, "build_tfidf",
@@ -233,8 +239,9 @@ class TestDimsSweep:
                             lambda tdm, dims: fits.append(dims) or real_fit(tdm, dims))
         rows = compare_methods(text_dataset, ["le", "lsi"], [2, 3, 5], cfg)
         folds = stratified_folds(text_dataset.labels, cfg.folds, cfg.seed)
-        assert tfidfs == [text_dataset.m if joint else text_dataset.m - f.size for f in folds]
-        assert fits == [5] * cfg.folds
+        assert tfidfs == ([text_dataset.m] if joint
+                          else [text_dataset.m - f.size for f in folds])
+        assert fits == [5] * per_run
         fits.clear()
         for dims in (2, 3, 5):
             reports = run_methods(text_dataset, ["le", "lsi"], replace(cfg, dims=dims))
@@ -242,7 +249,7 @@ class TestDimsSweep:
                 row = next(r for r in rows if (r["method"], r["dims"]) == (method, dims))
                 assert repr(row["auc"]) == repr(reports[method].mean_auc)
                 assert repr(row["mcc"]) == repr(reports[method].mean_mcc)
-        assert fits == [2] * 3 + [3] * 3 + [5] * 3
+        assert fits == [2] * per_run + [3] * per_run + [5] * per_run
 
     @pytest.mark.parametrize("methods", [["le", "sle"], ["sle", "le"]])
     def test_one_classifier_per_fold_and_width(self, text_dataset, monkeypatch, methods):
@@ -282,6 +289,109 @@ class TestDimsSweep:
                      texts=[texts[i % 3] for i in range(m)])
         with pytest.raises(RankDeficient):
             compare_methods(ds, ["le", "sle"], dims_list, self.CFG)
+
+
+class TestFoldPipeline:
+    """run_methods prepares fold k+1 on the calling thread while one worker
+    thread fits, scores and measures fold k."""
+
+    CFG = PipelineConfig(dims=3, folds=3, max_outer_iters=2, inner_theta_steps=4,
+                         inner_embedding_steps=2)
+
+    def fits_by_thread(self, monkeypatch):
+        """Patch fit to record (dims, thread) per call."""
+        calls = []
+        real = evaluation.fit
+
+        def recorded(method, split, config):
+            calls.append((config.dims, threading.get_ident()))
+            return real(method, split, config)
+
+        monkeypatch.setattr(evaluation, "fit", recorded)
+        return calls
+
+    def test_one_worker_thread_fits_every_fold_but_the_last(self, text_dataset, monkeypatch):
+        calls = self.fits_by_thread(monkeypatch)
+        methods = ["numeric", "le", "sle"]
+        run_methods(text_dataset, methods, self.CFG)
+        caller = threading.get_ident()
+        threads = [thread for _, thread in calls]
+        workers = set(threads) - {caller}
+        assert len(workers) == 1
+        n = len(methods)
+        assert threads == [*workers] * n * (self.CFG.folds - 1) + [caller] * n
+
+    def test_cached_width_fits_on_the_calling_thread(self, text_dataset, monkeypatch):
+        """The sweep's second width solves nothing, so its folds run on the
+        calling thread one after another."""
+        calls = self.fits_by_thread(monkeypatch)
+        compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], self.CFG)
+        caller = threading.get_ident()
+        assert {thread for dims, thread in calls if dims == 3} == {caller}
+        assert {thread for dims, thread in calls if dims == 2} - {caller}
+
+    def test_earlier_fold_error_wins(self, text_dataset, monkeypatch):
+        """Fold 0's tail and fold 1's eigensolve both fail, at the same
+        time on two threads; fold 0's error is raised."""
+        first_fold = stratified_folds(text_dataset.labels, self.CFG.folds, self.CFG.seed)[0]
+        real_fit, real_solve = evaluation.fit, evaluation.solve_eigenmap
+        solves = []
+
+        class TailFailed(RuntimeError):
+            pass
+
+        def failing_fit(method, split, config):
+            if np.array_equal(split.test, first_fold):
+                raise TailFailed("fold 0")
+            return real_fit(method, split, config)
+
+        def failing_solve(lap, dims):
+            solves.append(dims)
+            if len(solves) == 2:
+                raise RankDeficient("fold 1")
+            return real_solve(lap, dims)
+
+        monkeypatch.setattr(evaluation, "solve_eigenmap", failing_solve)
+        with pytest.raises(RankDeficient, match="fold 1"):
+            run_methods(text_dataset, ["le", "sle"], self.CFG)
+        solves.clear()
+        monkeypatch.setattr(evaluation, "fit", failing_fit)
+        with pytest.raises(TailFailed, match="fold 0"):
+            run_methods(text_dataset, ["le", "sle"], self.CFG)
+        assert len(solves) == 2
+
+    def test_reports_do_not_depend_on_thread_switching(self, text_dataset):
+        """With the interpreter switching threads every microsecond, every
+        method reports what it reports under the default switching."""
+        methods = ["numeric", "le", "sle", "lsi"]
+        want = run_methods(text_dataset, methods, self.CFG, collect_predictions=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_methods(text_dataset, methods, self.CFG, collect_predictions=True)
+        finally:
+            sys.setswitchinterval(interval)
+        for method in methods:
+            assert got[method].to_csv_rows() == want[method].to_csv_rows()
+            assert repr(got[method].predictions) == repr(want[method].predictions)
+
+    def test_worker_warning_reaches_the_caller(self, text_dataset, monkeypatch):
+        """A DegenerateLambda that fit_sle warns on the worker thread is
+        recorded by catch_warnings around run_methods."""
+        threads = []
+        real = evaluation.fit_sle
+
+        def degenerate(*args, **kwargs):
+            threads.append(threading.get_ident())
+            warnings.warn("embedding column collapsed", DegenerateLambda)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_sle", degenerate)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_methods(text_dataset, ["sle"], self.CFG)
+        assert set(threads) - {threading.get_ident()}
+        assert sum(issubclass(w.category, DegenerateLambda) for w in caught) == self.CFG.folds
 
 
 # the smallest generated corpus found whose fold 0 pairs documents in both

@@ -226,6 +226,25 @@ class TestKeyForm:
             assert build_laplacian(sm).raw_degrees.tobytes() == s.sum(axis=1).tobytes()
         assert_fields_equal(build_laplacian(sm), oracle_laplacian(s))
 
+    def test_rows_grouped_in_chunks(self, monkeypatch):
+        """Equal rows are found a chunk of sorted rows at a time, whatever
+        the chunk size, with -0.0 and 0.0 told apart as bytes."""
+        rng = np.random.default_rng(21)
+        block = random_similarity(rng, 30)
+        block[:, :5] = block[:5, :] = 0.0
+        block[:5, :5] = 1.0
+        block = repeated_rows(block, np.repeat(np.arange(30), 2))
+        # rows 0 and 1 are copies; a -0.0 in row 0 and column 0 parts them
+        block[0, 20] = block[20, 0] = -0.0
+        want = oracle_laplacian(block)
+        assert want["groups"][0] != want["groups"][1]
+        for budget in (laplacian._GATHER_BYTES, 8 * 60 * 3, 1):
+            monkeypatch.setattr(laplacian, "_GATHER_BYTES", budget)
+            lap = build_laplacian(block)
+            assert lap.firsts.size < lap.m
+            assert_fields_equal(lap, want)
+
+
 class TestObjective:
     def test_constant_rows(self):
         rng = np.random.default_rng(2)
@@ -374,6 +393,15 @@ class TestQuotientSolve:
         lap = build_laplacian(random_similarity(np.random.default_rng(seed), 16))
         assert lap.firsts.size == lap.m
         for dims in (1, 4, [2, 7, 5], lap.m - 1):
+            assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
+
+    @pytest.mark.parametrize("budget", [8 * 16 * 3, 1])
+    def test_symmetrized_in_strips_bitwise(self, monkeypatch, budget):
+        """The reduced matrix is symmetrized in place a strip of rows at a
+        time, bitwise as ``A + A.T``."""
+        lap = build_laplacian(random_similarity(np.random.default_rng(5), 16))
+        monkeypatch.setattr(laplacian, "_GATHER_BYTES", budget)
+        for dims in (1, 4, lap.m - 1):
             assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
 
     @duplicate_heavy
