@@ -1,4 +1,6 @@
+import gc
 import json
+import platform
 import sys
 import threading
 import warnings
@@ -392,6 +394,41 @@ class TestFoldPipeline:
             run_methods(text_dataset, ["sle"], self.CFG)
         assert set(threads) - {threading.get_ident()}
         assert sum(issubclass(w.category, DegenerateLambda) for w in caught) == self.CFG.folds
+
+    def trims(self, monkeypatch):
+        """Patch the heap trim to record how many folds were alive at each call."""
+        calls = []
+
+        def trim(pad):
+            assert pad == 0
+            calls.append(sum(isinstance(o, evaluation.Split) for o in gc.get_objects()))
+
+        monkeypatch.setattr(evaluation, "_malloc_trim", lambda: trim)
+        return calls
+
+    def test_heap_trimmed_once_the_folds_are_freed(self, text_dataset, monkeypatch):
+        calls = self.trims(monkeypatch)
+        run_methods(text_dataset, ["numeric", "le", "sle"], self.CFG)
+        assert calls == [0]
+        calls.clear()
+        compare_methods(text_dataset, ["le", "lsi"], [2, 3], self.CFG)
+        assert calls == [0, 0, 0]   # one per width, one after the sweep
+
+    def test_heap_trimmed_when_a_fold_fails(self, text_dataset, monkeypatch):
+        calls = self.trims(monkeypatch)
+
+        def failing_solve(lap, dims):
+            raise RankDeficient("fold 0")
+
+        monkeypatch.setattr(evaluation, "solve_eigenmap", failing_solve)
+        with pytest.raises(RankDeficient):
+            run_methods(text_dataset, ["le"], self.CFG)
+        assert len(calls) == 1
+
+    def test_malloc_trim_found_with_glibc(self):
+        if not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc":
+            pytest.skip("malloc_trim is a glibc function")
+        assert callable(evaluation._malloc_trim())
 
 
 # the smallest generated corpus found whose fold 0 pairs documents in both
