@@ -125,9 +125,10 @@ def _cmd_evaluate(args) -> int:
 def _methods_list(text: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     unknown = [m for m in methods if m not in METHODS]
-    if not methods or unknown:
+    if not methods or unknown or len(set(methods)) != len(methods):
         raise argparse.ArgumentTypeError(
-            f"expected a comma-separated subset of {','.join(METHODS)}, got {text!r}")
+            f"expected a comma-separated subset of {','.join(METHODS)}, each listed once, "
+            f"got {text!r}")
     return methods
 
 
@@ -138,10 +139,13 @@ def _parse_dims_list(text: str) -> list[int]:
             part = part.strip()
             if ".." in part:
                 lo, hi = part.split("..", 1)
-                dims.extend(range(int(lo), int(hi) + 1))
+                span = range(int(lo), int(hi) + 1)
+                if not span:
+                    raise ValueError(f"empty range {part!r}")
+                dims.extend(span)
             elif part:
                 dims.append(int(part))
-    except ValueError:   # a part that is not an integer
+    except ValueError:   # a part that is not an integer, or an empty range
         dims = []
     if not dims or any(d < 1 for d in dims):
         raise errors.ConfigError(f"bad dims list {text!r}")

@@ -144,39 +144,20 @@ class PreparedDataset:
     ``similarity`` is the corpus matrix as ``SimilarityComputer.matrix``
     returns it, over the distinct documents; each fold restricts it to its
     training keys and gathers its test block from it, and no matrix over
-    every record is made.  ``frames`` keeps each fold's training eigenmap
-    between ``run_methods`` calls, so one eigensolve per fold serves the
-    whole dims sweep of ``compare_methods``: the sweep lists its
-    ``widths``, the fold's first solve runs at the widest of them and checks
-    the degenerate-gap rule at each, and every width slices that frame.
-    When the sweep lists more than one width and sle is among the methods,
-    each fold's entry also carries the fold's Laplacian (its u x u block
-    over distinct rows), so every fold builds it once; otherwise the entry
-    holds the m_train x max(widths) frame alone.  The full
-    eigendecomposition is never kept.  ``selections`` keeps each fold's kNN
-    selection (``Split.selection``), so le and sle at every width score the
-    fold's test records from one selection.  ``lsi`` keeps each fold's LSI
-    factorization (``Split.lsi``) by the eigenmap's rule: one TF-IDF + SVD
-    at the widest width, of which every width takes the leading factors.
-    An entry holds the vocabulary, the idf and the widest factors; the
-    TF-IDF matrix is not kept.  With ``lsi.joint_embed``, ``joint_lsi``
-    holds the one factorization of every document that serves every fold
-    and width.  ``run_methods`` writes all of these on the calling thread,
-    which builds them (``Split.prepare``).
+    every record is made.  When the dims sweep of ``compare_methods`` lists
+    more than one of its ``widths``, ``splits`` keeps each fold's ``Split``
+    between ``run_methods`` calls, and with it all of the fold's state: one
+    eigensolve per fold at the widest width serves every width, and so do
+    one kNN selection, one LSI factorization and, with sle, one Laplacian
+    (``Split``).  A single width keeps no fold.
     """
 
     dataset: Dataset
     docs: list[Document]
     similarity: SimilarityMatrix | None
     widths: tuple[int, ...] = ()
-    # (folds, seed, fold number) -> (Split.frame, Split.lap or None) of that fold
-    frames: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
-    # (folds, seed, fold number) -> Split.selection of that fold
-    selections: dict[tuple[int, int, int], tuple] = field(default_factory=dict)
-    # (folds, seed, fold number) -> Split.lsi of that fold
-    lsi: dict[tuple[int, int, int], LsiModel] = field(default_factory=dict)
-    # Split.lsi with lsi.joint_embed: one factorization of every document
-    joint_lsi: LsiModel | None = None
+    # (folds, seed, fold number) -> that fold's Split, kept for the sweep's later widths
+    splits: dict[tuple[int, int, int], Split] = field(default_factory=dict)
 
 
 def normalize_corpus(ids: list[str], texts: list[str],
@@ -243,32 +224,35 @@ class TrainedModel:
 class Split:
     """Records to fit on and records to score, as row indices into one dataset.
 
-    Documents, similarities, the Laplacian, the training eigenmap, the
-    test records' kNN selection, the LSI factorization and the classifier
-    that le fits and sle starts from are made on first use and kept, so
-    every method fitted on a split shares them.  Cross-validation supplies
-    the documents, the corpus ``SimilarityMatrix`` (the fold's training
-    matrix is its restriction to the training records, still over distinct
-    documents, and the test block, the only block kNN scores, is gathered
-    from its keys), the sweep's ``widths`` and the fold's ``frame``, ``lap``,
-    ``selection`` and ``lsi`` from an earlier width, so one eigensolve, one
-    Laplacian, one selection and one LSI factorization per fold serve the
-    whole dims sweep.
-    A split without them builds the training matrix with one
-    SimilarityComputer and scores test documents by ``rows`` against the
-    model's training documents, with the model's computer
-    (``TrainedModel.corpus``).  A split whose test rows are its training
-    rows gathers that block from the training matrix's keys instead: its
-    diagonal is the block's own entry of each key, which is what ``rows``
-    gives a record against itself (1, or 0 for a blank record).  A block
-    gathered from keys has one row per distinct test key, since records with
-    one key have equal rows and so equal kNN selections.
+    All per-fold state lives here.  Documents, the training similarities,
+    the Laplacian, the training eigenmap, the test records' kNN selection,
+    the LSI factorization and the classifier that le fits and sle starts
+    from are made on first use and kept, so every method fitted on a split
+    shares them, and a split that the dims sweep keeps
+    (``PreparedDataset.splits``) shares them with the sweep's later widths:
+    its first eigensolve runs at the widest of ``widths``, checks the
+    degenerate-gap rule at each, and every width slices that frame; its LSI
+    factorization is fitted the same way.  The full eigendecomposition and
+    the TF-IDF matrix are never kept.
+
+    Cross-validation and ``model_io.train_model`` supply the documents and
+    the corpus ``SimilarityMatrix``: the training matrix is its restriction
+    to the training records, still over distinct documents (the matrix
+    itself when they are every record, in order), and the test block, the
+    only block kNN scores, is gathered from its keys.  Its diagonal is the
+    block's own entry of each key, which is what ``rows`` gives a record
+    against itself (1, or 0 for a blank record).  A block gathered from keys
+    has one row per distinct test key, since records with one key have equal
+    rows and so equal kNN selections.  A split without the corpus matrix
+    (``model_io.predict_model``) scores test documents by ``rows`` against
+    the model's training documents, with the model's computer
+    (``TrainedModel.corpus``).
 
     ``prepare`` builds everything sized by the corpus up front, so that
     ``fit`` and ``score`` afterwards only read it; cross-validation
     prepares a fold on the calling thread and may fit and score it on a
-    worker thread.  Once a cross-validation fold has its Laplacian, its
-    training block is dropped.
+    worker thread.  Once a split has its Laplacian, its training block is
+    dropped.
     """
 
     dataset: Dataset
@@ -278,14 +262,15 @@ class Split:
     similarity: SimilarityMatrix | None = None   # over every record of the dataset
     joint_lsi: bool = False           # LSI factorizes the test documents too
     widths: tuple[int, ...] = ()      # every dims the one eigensolve must serve
-    # (widths checked, eigenmap at the widest of them, feature scale)
-    frame: tuple[tuple[int, ...], np.ndarray, float] | None = None
-    lap: Laplacian | None = None
-    # (k, the test rows' select_neighbours at k)
-    selection: tuple[int, tuple[np.ndarray, np.ndarray]] | None = None
     # TF-IDF + SVD at the widest width of the training documents (every
-    # document with joint_lsi)
+    # document with joint_lsi, where a later fold gets the first fold's)
     lsi: LsiModel | None = None
+    # (widths checked, eigenmap at the widest of them, feature scale)
+    frame: tuple[tuple[int, ...], np.ndarray, float] | None = field(default=None, init=False)
+    lap: Laplacian | None = field(default=None, init=False)
+    # (k, the test rows' select_neighbours at k)
+    selection: tuple[int, tuple[np.ndarray, np.ndarray]] | None = field(default=None,
+                                                                        init=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def documents(self, config: PipelineConfig, rows) -> list[Document]:
@@ -293,34 +278,21 @@ class Split:
             self.docs = normalize_corpus(self.dataset.ids, self.dataset.texts, config)
         return [self.docs[i] for i in rows]
 
-    def computer(self, config: PipelineConfig) -> SimilarityComputer:
-        if "computer" not in self._cache:
-            self._cache["computer"] = similarity_computer(config)
-        return self._cache["computer"]
-
-    def train_similarity(self, config: PipelineConfig) -> SimilarityMatrix:
+    def train_similarity(self) -> SimilarityMatrix:
         if "train" not in self._cache:
-            self._cache["train"] = (
-                self.similarity.restrict(self.train) if self.similarity is not None
-                else self.computer(config).matrix(self.documents(config, self.train)))
+            self._cache["train"] = self.similarity.restrict(self.train)
         return self._cache["train"]
 
     def test_similarity(self, model: TrainedModel | None) -> tuple[np.ndarray, np.ndarray]:
         """The test records' similarities to the training records: distinct
-        rows, and the row of each test record.  Gathered afresh from the
-        corpus similarities, which need no ``model``, and kept otherwise."""
+        rows, and the row of each test record.  Gathered from the corpus
+        similarities, which need no ``model``, or scored by the model's
+        computer against its training documents."""
         if self.similarity is not None:
             return _key_rows(self.similarity, self.test, self.train)
-        if "test" not in self._cache:
-            if self.train.size and np.array_equal(self.test, self.train):
-                s = self.train_similarity(model.config)
-                everyone = np.arange(s.m)
-                self._cache["test"] = _key_rows(s, everyone, everyone)
-            else:
-                corpus, computer = model.corpus()
-                self._cache["test"] = (computer.rows(self.documents(model.config, self.test),
-                                                     corpus), np.arange(self.test.size))
-        return self._cache["test"]
+        corpus, computer = model.corpus()
+        return (computer.rows(self.documents(model.config, self.test), corpus),
+                np.arange(self.test.size))
 
     def neighbours(self, k: int, model: TrainedModel | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -332,12 +304,10 @@ class Split:
             self.selection = (k, (top[row_of], near[row_of]))
         return self.selection[1]
 
-    def laplacian(self, config: PipelineConfig) -> Laplacian:
+    def laplacian(self) -> Laplacian:
         if self.lap is None:
-            self.lap = build_laplacian(self.train_similarity(config))
-            if self.similarity is not None:
-                # nothing else reads a fold's training block
-                del self._cache["train"]
+            self.lap = build_laplacian(self.train_similarity())
+            del self._cache["train"]    # nothing else reads the training block
         return self.lap
 
     def eigenmap_pending(self, config: PipelineConfig) -> bool:
@@ -353,7 +323,7 @@ class Split:
         solve at that width returns.
         """
         if self.eigenmap_pending(config):
-            lap = self.laplacian(config)
+            lap = self.laplacian()
             widths = tuple(sorted({config.dims, *self.widths}))
             # the scale puts the D-orthonormal eigenvector columns on the same
             # element scale as standardized numeric features
@@ -382,13 +352,16 @@ class Split:
     def prepare(self, config: PipelineConfig, methods) -> None:
         """Build what ``fit`` and ``score`` of ``methods`` read that is sized
         by the corpus: the training block, the Laplacian and the eigenmap,
-        the kNN selection, and the LSI factorization.  What is left to them
-        is sized by the split's records times the features (lsi: times the
+        the kNN selection, and the LSI factorization.  The Laplacian is kept
+        for sle's fit and dropped otherwise.  What is left to them is sized
+        by the split's records times the features (lsi: times the
         vocabulary)."""
         if "le" in methods or "sle" in methods:
             self.eigenmap(config)
             if "sle" in methods:
-                self.laplacian(config)
+                self.laplacian()
+            else:
+                self.lap = None
             self.neighbours(config.knn_k)
         if "lsi" in methods:
             self._fit_lsi(config)
@@ -450,7 +423,7 @@ def fit(method: str, split: Split, config: PipelineConfig) -> TrainedModel:
     if method == "sle":
         start = split.classifier(config, data)
         del features, data      # not alive beside the alternation's own design matrix
-        fitted = fit_sle(num, None, y, config.sle_config(), lap=split.laplacian(config),
+        fitted = fit_sle(num, None, y, config.sle_config(), lap=split.laplacian(),
                          xe0=text, feature_scale=model.feature_scale, start=start)
         model.params, model.xe_train = fitted.params, fitted.embedding
         model.lam, model.degenerate = fitted.lam, fitted.degenerate
@@ -565,10 +538,11 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
 
     Similarity matrices, normalized documents, and the per-fold unsupervised
     eigenmap, kNN selection and le classifier (sle's start) are computed
-    once and shared wherever two methods need them; a ``prepared`` dataset
-    also keeps each fold's eigenmap, selection and LSI factorization for
-    later calls at other dims, and with sle and more than one width in its
-    sweep, each fold's Laplacian too.
+    once and shared wherever two methods need them: each fold's state lives
+    on its ``Split``.  A ``prepared`` dataset whose sweep lists more than
+    one width keeps the folds' Splits (``PreparedDataset.splits``), which
+    this call makes at the sweep's first width and reuses at its later ones.
+    Each method may be listed once.
 
     The folds run as a two-stage pipeline.  The calling thread prepares
     each fold in turn (``Split.prepare``), which builds every array sized
@@ -596,12 +570,13 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods {methods} list a method more than once")
     needs_sim = any(m in ("le", "sle") for m in methods)
     if prepared is None:
         prepared = prepare_dataset(dataset, config, needs_sim)
     if needs_sim and prepared.similarity is None:
         raise ValueError("prepared dataset lacks the similarity matrix")
-    keep_lap = "sle" in methods and len(prepared.widths) > 1
     folds = stratified_folds(dataset.labels, config.folds, config.seed)
     all_idx = np.arange(dataset.m)
     echo = config.echo()
@@ -615,15 +590,17 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
 
     with ThreadPoolExecutor(1, thread_name_prefix="slemap-fold") as worker:
         ready = None    # (fold number, split): prepared, its tail not yet run
+        joint_lsi = None    # with lsi.joint_embed, the first fold's factorization
         for fold_no, test_idx in enumerate(folds):
-            train_idx = np.setdiff1d(all_idx, test_idx)
             key = (config.folds, config.seed, fold_no)
-            frame, lap = prepared.frames.get(key, (None, None))
-            split = Split(dataset, train_idx, test_idx, docs=prepared.docs,
-                          similarity=prepared.similarity if needs_sim else None,
-                          joint_lsi=config.lsi_joint, widths=prepared.widths,
-                          frame=frame, lap=lap, selection=prepared.selections.get(key),
-                          lsi=prepared.joint_lsi if config.lsi_joint else prepared.lsi.get(key))
+            split = prepared.splits.get(key)
+            if split is None:
+                split = Split(dataset, np.setdiff1d(all_idx, test_idx), test_idx,
+                              docs=prepared.docs,
+                              similarity=prepared.similarity if needs_sim else None,
+                              joint_lsi=config.lsi_joint, widths=prepared.widths, lsi=joint_lsi)
+                if len(prepared.widths) > 1:
+                    prepared.splits[key] = split
             if ready is not None and needs_sim and split.eigenmap_pending(config):
                 tail = worker.submit(_fold_tail, *ready, methods, config, collect_predictions)
                 try:
@@ -636,14 +613,8 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                     collect(_fold_tail(*ready, methods, config, collect_predictions))
                     ready = None    # frees its matrices before this fold builds its own
                 split.prepare(config, methods)
-            if split.frame is not None:
-                prepared.frames[key] = (split.frame, split.lap if keep_lap else None)
-            if split.selection is not None:
-                prepared.selections[key] = split.selection
             if config.lsi_joint:
-                prepared.joint_lsi = split.lsi
-            elif split.lsi is not None:
-                prepared.lsi[key] = split.lsi
+                joint_lsi = split.lsi
             ready = (fold_no, split)
         collect(_fold_tail(*ready, methods, config, collect_predictions))
 
@@ -661,9 +632,10 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
                     config: PipelineConfig) -> list[dict]:
     """The (method, dims) sweep behind the `compare` command.
 
-    Every width runs ``run_methods`` on the same folds, and one eigensolve
-    per fold, at the widest width, serves them all (``PreparedDataset``);
-    so does one LSI factorization per fold (one in all with
+    Every width runs ``run_methods`` on the same folds, whose Splits the
+    first width makes and the later ones reuse (``PreparedDataset.splits``):
+    one eigensolve per fold, at the widest width, serves them all, and so
+    does one LSI factorization per fold (one in all with
     ``lsi.joint_embed``).  Widths after the first solve nothing, so their
     folds run on the calling thread alone.  Each fold's kNN selection is
     made once, and with sle, each fold's Laplacian is built once as well.

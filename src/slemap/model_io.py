@@ -20,7 +20,8 @@ import numpy as np
 from .config import PipelineConfig
 from .dataset import Dataset, write_csv
 from .errors import ParseError
-from .evaluation import METHODS, Split, TrainedModel, fit, score
+from .evaluation import (METHODS, Split, TrainedModel, fit, normalize_corpus, score,
+                         similarity_computer)
 from .logistic import LearnerParams
 
 # perfbench/tracing.py wraps these names here; evaluation.fit/score make the calls
@@ -35,17 +36,23 @@ from .text import normalize  # noqa: F401
 def train_model(dataset: Dataset, method: str, config: PipelineConfig) -> TrainedModel:
     """Fit one method on a full dataset, as a CV fold fits it on its training records.
 
+    le and sle hand the split the normalized documents and the corpus
+    matrix of one ``similarity_computer``, as cross-validation does; the
+    training matrix is that matrix itself, and the model keeps the documents
+    and the computer to score new records against (``TrainedModel.corpus``).
     ``train_scores`` are then the training records' prediction-path scores,
-    read from the training matrix (``Split.test_similarity``): the floats
+    gathered from the corpus matrix (``Split.test_similarity``): the floats
     that ``predict_model`` gives for the same records after a save and load.
     """
     everything = np.arange(dataset.m)
     split = Split(dataset, train=everything, test=everything)
+    if method in ("le", "sle"):
+        computer = similarity_computer(config)
+        split.docs = normalize_corpus(dataset.ids, dataset.texts, config)
+        split.similarity = computer.matrix(split.docs)
     model = fit(method, split, config)
     if method in ("le", "sle"):
-        # score new records against the training documents, with the
-        # computer whose token relations the training matrix built
-        model.keep_corpus(split.documents(config, everything), split.computer(config))
+        model.keep_corpus(split.docs, computer)
     model.train_scores = score(model, split)[0]
     return model
 
@@ -148,8 +155,10 @@ def load_model(model_dir: str | Path) -> TrainedModel:
             model.xe_train = np.array([[float(v) for v in r[1:]] for r in rows])
             width = model.xe_train.shape[1]
             path = d / "train_corpus.csv"
-            corpus = {r[0]: r[1] for r in _read_csv(path)}
-            model.train_texts = [corpus[i] for i in model.train_ids]
+            corpus = _read_csv(path)
+            if [r[0] for r in corpus] != model.train_ids:
+                raise ParseError(f"{path}: its ids are not those of xe_train.csv, in order")
+            model.train_texts = [r[1] for r in corpus]
         path = d / "objective_trace.csv"
         if model.method == "sle" and path.exists():
             model.objective_trace = [float(r[1]) for r in _read_csv(path)]
@@ -170,9 +179,8 @@ def load_model(model_dir: str | Path) -> TrainedModel:
             model.train_scores = np.array([float(r[1]) for r in rows])
             if not model.train_ids:
                 model.train_ids = [r[0] for r in rows]
-    except (IndexError, KeyError, ValueError) as exc:
-        # a short row, a training id without text, an unparsable number or
-        # rows of unequal length
+    except (IndexError, ValueError) as exc:
+        # a short row, an unparsable number or rows of unequal length
         raise ParseError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
     if model.params.weights.shape != (model.n_numeric + width,):
         raise ParseError(

@@ -78,7 +78,10 @@ class SimilarityMatrix:
         return values
 
     def restrict(self, rows: np.ndarray) -> "SimilarityMatrix":
-        """The similarities among ``rows``: the block over the keys they use."""
+        """The similarities among ``rows``: the block over the keys they use,
+        or the matrix itself when ``rows`` are every record in order."""
+        if np.array_equal(rows, np.arange(self.m)):
+            return self
         used, keys = np.unique(self.keys[rows], return_inverse=True)
         return SimilarityMatrix(np.take(self.block[used], used, axis=1), keys,
                                 tuple(self.ids[i] for i in rows))

@@ -237,6 +237,23 @@ class TestDamagedModelDir:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and name in err
 
+    def test_corpus_out_of_order_is_data_error(self, trained_models, small_dataset, tmp_path,
+                                               capsys):
+        """The training texts are read in row order, so train_corpus.csv must
+        list xe_train.csv's ids in their order."""
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_models / "sle", model_dir)
+
+        def swap(rows):
+            rows[1], rows[2] = rows[2], rows[1]
+
+        _edit_csv(model_dir / "train_corpus.csv", swap)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_dir), "--input", str(small_dataset),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "train_corpus.csv" in err
+
 class TestEvaluateCommand:
     def test_report_files_and_determinism(self, small_dataset, small_config, tmp_path):
         r1, r2 = tmp_path / "rep1", tmp_path / "rep2"
@@ -317,14 +334,14 @@ class TestCompareCommand:
         assert [r[1] for r in rows[1:]] == ["2", "3", "4"]
 
 
-    @pytest.mark.parametrize("dims", ["2..x", "x", "2,3.5", "..3"])
+    @pytest.mark.parametrize("dims", ["2..x", "x", "2,3.5", "..3", "5,3..1"])
     def test_bad_dims_is_config_error(self, small_dataset, tmp_path, capsys, dims):
         assert main(["compare", "--methods", "numeric", "--dims", dims,
                      "--input", str(small_dataset), "--report", str(tmp_path / "cmp")]) == 2
         err = capsys.readouterr().err
         assert "bad dims list" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("methods", ["foo", ",", "numeric,foo"])
+    @pytest.mark.parametrize("methods", ["foo", ",", "numeric,foo", "le,le"])
     def test_bad_methods_is_usage_error(self, small_dataset, tmp_path, capsys, methods):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--methods", methods, "--dims", "2",

@@ -4,6 +4,7 @@ import platform
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -180,16 +181,15 @@ class TestDimsSweep:
         # a sweep with sle keeps each fold's Laplacian; one without keeps none
         compare_methods(text_dataset, ["le"], [2, 3, 5], self.CFG)
         for prepared, kept in zip(sweeps, (True, False)):
-            assert len(prepared.frames) == self.CFG.folds
-            assert all((lap is not None) == kept for _, lap in prepared.frames.values())
-        # a single width keeps no Laplacian beyond its fold
+            assert len(prepared.splits) == self.CFG.folds
+            assert all((split.lap is not None) == kept for split in prepared.splits.values())
+        # a single width keeps no fold, so no Laplacian beyond its fold
         builds.clear()
         prepared = real_prepare(text_dataset, self.CFG, True)
         prepared.widths = (3,)
         run_methods(text_dataset, ["le", "sle"], replace(self.CFG, dims=3), prepared=prepared)
         assert len(builds) == self.CFG.folds
-        assert len(prepared.frames) == self.CFG.folds
-        assert all(lap is None for _, lap in prepared.frames.values())
+        assert prepared.splits == {}
 
     def test_one_selection_per_fold(self, text_dataset, monkeypatch):
         """le and sle at every width score a fold's test records from one kNN
@@ -213,16 +213,44 @@ class TestDimsSweep:
     def test_training_block_read_at_first_width_only(self, text_dataset, monkeypatch):
         """Each fold slices its training similarities once, at the first
         width; later widths reuse the fold's eigenmap and Laplacian."""
-        reads = []
-        real = evaluation.Split.train_similarity
+        events = []     # each width's run_methods call, and each read within it
+        real_read, real_run = evaluation.Split.train_similarity, evaluation.run_methods
 
-        def counted(split, config):
-            reads.append(config.dims)
-            return real(split, config)
+        def read(split):
+            events.append("read")
+            return real_read(split)
 
-        monkeypatch.setattr(evaluation.Split, "train_similarity", counted)
+        def run(dataset, methods, config, **kwargs):
+            events.append(config.dims)
+            return real_run(dataset, methods, config, **kwargs)
+
+        monkeypatch.setattr(evaluation.Split, "train_similarity", read)
+        monkeypatch.setattr(evaluation, "run_methods", run)
         compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
-        assert reads == [2] * self.CFG.folds
+        assert events == [2] + ["read"] * self.CFG.folds + [3, 5]
+
+    @pytest.mark.parametrize("methods,kept", [(["le"], False), (["le", "sle"], True)],
+                             ids=["le", "le+sle"])
+    def test_laplacian_kept_for_sle_only(self, text_dataset, monkeypatch, methods, kept):
+        """A kept fold drops its Laplacian once its eigenmap is solved, unless
+        sle fits from it: at the per-width heap trims no Laplacian of a
+        le-only sweep is alive, and a sweep with sle keeps each fold's."""
+        built, alive = [], []
+        real = evaluation.build_laplacian
+
+        def build(s):
+            lap = real(s)
+            built.append(weakref.ref(lap))
+            return lap
+
+        def trim(pad):
+            alive.append(sum(ref() is not None for ref in built))
+
+        monkeypatch.setattr(evaluation, "build_laplacian", build)
+        monkeypatch.setattr(evaluation, "_malloc_trim", lambda: trim)
+        compare_methods(text_dataset, methods, [2, 3], self.CFG)
+        n = self.CFG.folds if kept else 0
+        assert len(built) == self.CFG.folds and alive == [n, n, 0]
 
     @pytest.mark.parametrize("joint", [False, True], ids=["plain", "joint"])
     def test_lsi_rows_equal_per_dims_runs_with_one_factorization_per_fold(
@@ -412,7 +440,8 @@ class TestFoldPipeline:
         assert calls == [0]
         calls.clear()
         compare_methods(text_dataset, ["le", "lsi"], [2, 3], self.CFG)
-        assert calls == [0, 0, 0]   # one per width, one after the sweep
+        # one per width, with the sweep's kept folds alive, and one after the sweep
+        assert calls == [self.CFG.folds, self.CFG.folds, 0]
 
     def test_heap_trimmed_when_a_fold_fails(self, text_dataset, monkeypatch):
         calls = self.trims(monkeypatch)
@@ -621,6 +650,49 @@ def test_train_scores_of_blank_and_duplicated_records(tmp_path, method):
     assert model.train_scores.tobytes() == predict_model(load_model(tmp_path), ds).tobytes()
 
 
+def test_repeated_method_is_rejected(text_dataset):
+    with pytest.raises(ValueError, match="more than once"):
+        run_methods(text_dataset, ["le", "le"], PipelineConfig(dims=3, folds=3))
+
+
+@pytest.mark.parametrize("method", ["le", "sle"])
+def test_train_model_builds_one_matrix(text_dataset, monkeypatch, method):
+    """train_model hands its split the corpus matrix of one computer, as
+    cross-validation does: one matrix, the Laplacian built from that very
+    object, and the model scoring new records with that computer."""
+    made, built = [], []
+    real_matrix, real_build = similarity.SimilarityComputer.matrix, evaluation.build_laplacian
+
+    def matrix(computer, docs):
+        made.append((computer, real_matrix(computer, docs)))
+        return made[-1][1]
+
+    monkeypatch.setattr(similarity.SimilarityComputer, "matrix", matrix)
+    monkeypatch.setattr(evaluation, "build_laplacian", lambda s: built.append(s) or real_build(s))
+    cfg = PipelineConfig(dims=3, max_outer_iters=2, inner_theta_steps=4, inner_embedding_steps=2)
+    model = train_model(text_dataset, method, cfg)
+    assert len(made) == 1 and len(built) == 1
+    assert built[0] is made[0][1]
+    assert model.corpus()[1] is made[0][0]
+
+
+def test_repeated_training_id_round_trips(tmp_path):
+    """A training set that repeats a record id keeps every record's text
+    through save and load, so the loaded model predicts bitwise as the
+    in-memory one."""
+    spec = GeneratorSpec(m=60, numeric_dim=3, clusters=4, text_weight=0.7, noise=0.05)
+    ids, labels, numeric, texts, _ = generate_arrays(spec, seed=3)
+    ids = list(ids)
+    ids[7] = ids[3]
+    assert texts[7] != texts[3]
+    ds = Dataset(ids=ids, labels=labels, numeric=numeric, texts=texts)
+    model = train_model(ds, "le", PipelineConfig(dims=4))
+    save_model(model, tmp_path)
+    loaded = load_model(tmp_path)
+    assert loaded.train_texts == list(texts)
+    assert predict_model(loaded, ds).tobytes() == model.train_scores.tobytes()
+
+
 def test_selection_once_per_distinct_test_key(monkeypatch):
     """Test records with one document key have equal similarity rows, so
     kNN selects once per distinct key, in a CV fold and in train_model;
@@ -629,24 +701,24 @@ def test_selection_once_per_distinct_test_key(monkeypatch):
     ids, labels, numeric, texts, _ = generate_arrays(spec, seed=5)
     ds = Dataset(ids=ids, labels=labels, numeric=numeric, texts=texts)
     cfg = PipelineConfig(dims=3, folds=3)
-    seen = []
+    seen = []   # (distinct rows, selection) of each call
     real = evaluation.select_neighbours
     monkeypatch.setattr(evaluation, "select_neighbours",
-                        lambda sims, k: seen.append(sims.shape[0]) or real(sims, k))
+                        lambda sims, k: seen.append((sims.shape[0], real(sims, k))) or seen[-1][1])
     prepared = prepare_dataset(ds, cfg, True)
     run_methods(ds, ["le"], cfg, prepared=prepared)
     s = prepared.similarity
     folds = stratified_folds(ds.labels, cfg.folds, cfg.seed)
-    assert seen == [np.unique(s.keys[f]).size for f in folds]
-    assert sum(seen) < ds.m     # the corpus repeats documents
-    for fold_no, test in enumerate(folds):
+    assert [n for n, _ in seen] == [np.unique(s.keys[f]).size for f in folds]
+    assert sum(n for n, _ in seen) < ds.m     # the corpus repeats documents
+    for (_, selection), test in zip(seen, folds):
         train = np.setdiff1d(np.arange(ds.m), test)
         want = real(np.take(s.block[s.keys[test]], s.keys[train], axis=1), cfg.knn_k)
-        got = prepared.selections[(cfg.folds, cfg.seed, fold_no)][1]
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        row_of = np.unique(s.keys[test], return_inverse=True)[1]
+        assert [a[row_of].tobytes() for a in selection] == [a.tobytes() for a in want]
     seen.clear()
     train_model(ds, "le", cfg)
-    assert seen == [np.unique(s.keys).size]
+    assert [n for n, _ in seen] == [np.unique(s.keys).size]
 
 
 def test_no_matrix_over_every_record(text_dataset, tmp_path, monkeypatch):

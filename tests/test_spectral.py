@@ -188,6 +188,14 @@ class TestKeyForm:
             assert sub.values.tobytes() == s[np.ix_(rows, rows)].tobytes()
             assert_fields_equal(build_laplacian(sub), oracle_laplacian(sub.values))
 
+    def test_restrict_to_every_record_in_order_is_the_matrix(self):
+        sm = text_matrix()
+        assert sm.restrict(np.arange(sm.m)) is sm
+        for rows in (np.arange(sm.m - 1), np.arange(sm.m)[::-1]):
+            sub = sm.restrict(rows)
+            assert sub is not sm and not np.shares_memory(sub.block, sm.block)
+            assert sub.values.tobytes() == sm.values[np.ix_(rows, rows)].tobytes()
+
     def test_distinct_keys_with_equal_rows_share_a_group(self):
         block = [[1.0, 1.0, 0.3, 0.2],
                  [1.0, 1.0, 0.3, 0.2],
