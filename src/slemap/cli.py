@@ -11,13 +11,12 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import errors
 from .config import PipelineConfig
 from .dataset import load_dataset, write_csv
-from .evaluation import (METHODS, compare_methods, normalize_corpus, run_methods,
-                         similarity_computer)
-from .laplacian import build_laplacian, solve_eigenmap
-from .lsi import build_tfidf, fit_lsi
+from .evaluation import METHODS, Split, compare_methods, prepare_dataset, run_methods
 from .model_io import load_model, predict_model, save_model, train_model
 from .synth import GeneratorSpec, generate_synthetic, parse_generator_spec
 
@@ -56,7 +55,7 @@ def _load(args):
 def _cmd_similarity(args) -> int:
     cfg = _resolved_config(args)
     dataset = _load(args)
-    sim = similarity_computer(cfg).matrix(normalize_corpus(dataset.ids, dataset.texts, cfg))
+    sim = prepare_dataset(dataset, cfg, need_similarity=True).similarity
 
     def row(i: int) -> list[str]:
         values = sim.block[sim.keys[i], sim.keys]
@@ -71,12 +70,14 @@ def _cmd_similarity(args) -> int:
 def _cmd_embed(args) -> int:
     cfg = _resolved_config(args)
     dataset = _load(args)
-    docs = normalize_corpus(dataset.ids, dataset.texts, cfg)
+    prepared = prepare_dataset(dataset, cfg, need_similarity=args.method == "le")
+    everything = np.arange(dataset.m)
+    split = Split(dataset, everything, everything, docs=prepared.docs,
+                  similarity=prepared.similarity)
     if args.method == "le":
-        lap = build_laplacian(similarity_computer(cfg).matrix(docs))
-        vectors = solve_eigenmap(lap, cfg.dims)
+        vectors, _ = split.eigenmap(cfg)
     else:
-        vectors = fit_lsi(build_tfidf(docs), cfg.dims).doc_embedding
+        vectors = split.lsi_model(cfg).doc_embedding
     write_csv(args.out, ["id"] + [f"e{j + 1}" for j in range(vectors.shape[1])],
               ([row_id] + [repr(float(v)) for v in row] for row_id, row in zip(dataset.ids, vectors)))
     print(f"wrote {args.out} ({vectors.shape[0]}x{vectors.shape[1]})")
@@ -147,7 +148,7 @@ def _parse_dims_list(text: str) -> list[int]:
                 dims.append(int(part))
     except ValueError:   # a part that is not an integer, or an empty range
         dims = []
-    if not dims or any(d < 1 for d in dims):
+    if not dims or any(d < 1 for d in dims) or len(set(dims)) != len(dims):
         raise errors.ConfigError(f"bad dims list {text!r}")
     return dims
 
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("train", help="train a model and save it to a directory")
-    p.add_argument("--method", choices=("numeric", "le", "sle", "lsi"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="cross-validated evaluation of one method")
-    p.add_argument("--method", choices=("numeric", "le", "sle", "lsi"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)

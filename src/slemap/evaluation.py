@@ -224,10 +224,10 @@ class TrainedModel:
 class Split:
     """Records to fit on and records to score, as row indices into one dataset.
 
-    All per-fold state lives here.  Documents, the training similarities,
-    the Laplacian, the training eigenmap, the test records' kNN selection,
-    the LSI factorization and the classifier that le fits and sle starts
-    from are made on first use and kept, so every method fitted on a split
+    All per-fold state lives here.  Documents, the Laplacian, the training
+    eigenmap, the test records' kNN selection, the LSI factorization and
+    the classifier that le fits and sle starts from (one per width) are
+    made on first use and kept, so every method fitted on a split
     shares them, and a split that the dims sweep keeps
     (``PreparedDataset.splits``) shares them with the sweep's later widths:
     its first eigensolve runs at the widest of ``widths``, checks the
@@ -235,11 +235,12 @@ class Split:
     factorization is fitted the same way.  The full eigendecomposition and
     the TF-IDF matrix are never kept.
 
-    Cross-validation and ``model_io.train_model`` supply the documents and
-    the corpus ``SimilarityMatrix``: the training matrix is its restriction
-    to the training records, still over distinct documents (the matrix
-    itself when they are every record, in order), and the test block, the
-    only block kNN scores, is gathered from its keys.  Its diagonal is the
+    Cross-validation, ``model_io.train_model`` and the ``embed`` command
+    supply the documents and the corpus ``SimilarityMatrix``: the Laplacian
+    is built from its restriction to the training records, still over
+    distinct documents (the matrix itself when they are every record, in
+    order), which lives only for that build, and the test block, the only block
+    kNN scores, is gathered from its keys.  Its diagonal is the
     block's own entry of each key, which is what ``rows`` gives a record
     against itself (1, or 0 for a blank record).  A block gathered from keys
     has one row per distinct test key, since records with one key have equal
@@ -251,8 +252,7 @@ class Split:
     ``prepare`` builds everything sized by the corpus up front, so that
     ``fit`` and ``score`` afterwards only read it; cross-validation
     prepares a fold on the calling thread and may fit and score it on a
-    worker thread.  Once a split has its Laplacian, its training block is
-    dropped.
+    worker thread.
     """
 
     dataset: Dataset
@@ -268,46 +268,37 @@ class Split:
     # (widths checked, eigenmap at the widest of them, feature scale)
     frame: tuple[tuple[int, ...], np.ndarray, float] | None = field(default=None, init=False)
     lap: Laplacian | None = field(default=None, init=False)
-    # (k, the test rows' select_neighbours at k)
-    selection: tuple[int, tuple[np.ndarray, np.ndarray]] | None = field(default=None,
-                                                                        init=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    # the test rows' select_neighbours at knn.k, which the sweep does not vary
+    selection: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
+    # dims -> the classifier that le fits and sle starts from (``classifier``)
+    classifiers: dict[int, LearnerParams] = field(default_factory=dict, init=False)
 
     def documents(self, config: PipelineConfig, rows) -> list[Document]:
         if self.docs is None:
             self.docs = normalize_corpus(self.dataset.ids, self.dataset.texts, config)
         return [self.docs[i] for i in rows]
 
-    def train_similarity(self) -> SimilarityMatrix:
-        if "train" not in self._cache:
-            self._cache["train"] = self.similarity.restrict(self.train)
-        return self._cache["train"]
-
-    def test_similarity(self, model: TrainedModel | None) -> tuple[np.ndarray, np.ndarray]:
-        """The test records' similarities to the training records: distinct
-        rows, and the row of each test record.  Gathered from the corpus
-        similarities, which need no ``model``, or scored by the model's
-        computer against its training documents."""
-        if self.similarity is not None:
-            return _key_rows(self.similarity, self.test, self.train)
-        corpus, computer = model.corpus()
-        return (computer.rows(self.documents(model.config, self.test), corpus),
-                np.arange(self.test.size))
-
     def neighbours(self, k: int, model: TrainedModel | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The test records' ``k`` most similar training records and their
-        similarities, selected once per k and distinct row."""
-        if self.selection is None or self.selection[0] != k:
-            rows, row_of = self.test_similarity(model)
+        similarities, selected once per distinct row, at the first call's
+        ``k``, and kept.  The rows are gathered from the corpus similarities,
+        which need no ``model``, or scored by the model's computer against
+        its training documents."""
+        if self.selection is None:
+            if self.similarity is not None:
+                rows, row_of = _key_rows(self.similarity, self.test, self.train)
+            else:
+                corpus, computer = model.corpus()
+                rows = computer.rows(self.documents(model.config, self.test), corpus)
+                row_of = np.arange(self.test.size)
             top, near = select_neighbours(rows, k)
-            self.selection = (k, (top[row_of], near[row_of]))
-        return self.selection[1]
+            self.selection = (top[row_of], near[row_of])
+        return self.selection
 
     def laplacian(self) -> Laplacian:
         if self.lap is None:
-            self.lap = build_laplacian(self.train_similarity())
-            del self._cache["train"]    # nothing else reads the training block
+            self.lap = build_laplacian(self.similarity.restrict(self.train))
         return self.lap
 
     def eigenmap_pending(self, config: PipelineConfig) -> bool:
@@ -351,7 +342,7 @@ class Split:
 
     def prepare(self, config: PipelineConfig, methods) -> None:
         """Build what ``fit`` and ``score`` of ``methods`` read that is sized
-        by the corpus: the training block, the Laplacian and the eigenmap,
+        by the corpus: the Laplacian and the eigenmap,
         the kNN selection, and the LSI factorization.  The Laplacian is kept
         for sle's fit and dropped otherwise.  What is left to them is sized
         by the split's records times the features (lsi: times the
@@ -370,10 +361,9 @@ class Split:
         """The classifier fitted from zero weights on ``data``, the numeric
         features beside the eigenmap at ``config.dims``: le's classifier and
         sle's start, fitted once for whichever method asks first."""
-        key = ("classifier", config.dims)
-        if key not in self._cache:
-            self._cache[key] = train(data, config.l2)
-        return self._cache[key]
+        if config.dims not in self.classifiers:
+            self.classifiers[config.dims] = train(data, config.l2)
+        return self.classifiers[config.dims]
 
 
 def _key_rows(s: SimilarityMatrix, records: np.ndarray,
@@ -642,8 +632,10 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
     training size minus one, raises ``RankDeficient`` at that solve; so
     does a width beyond a fold's document or vocabulary count, at the fold's
-    one LSI fit.
+    one LSI fit.  Each width may be listed once.
     """
+    if len(set(dims_list)) != len(dims_list):
+        raise ValueError(f"dims {dims_list} list a width more than once")
     needs_sim = any(m in ("le", "sle") for m in methods)
     prepared = prepare_dataset(dataset, config, needs_sim)
     prepared.widths = tuple(dims_list)

@@ -41,7 +41,7 @@ def train_model(dataset: Dataset, method: str, config: PipelineConfig) -> Traine
     training matrix is that matrix itself, and the model keeps the documents
     and the computer to score new records against (``TrainedModel.corpus``).
     ``train_scores`` are then the training records' prediction-path scores,
-    gathered from the corpus matrix (``Split.test_similarity``): the floats
+    gathered from the corpus matrix (``Split.neighbours``): the floats
     that ``predict_model`` gives for the same records after a save and load.
     """
     everything = np.arange(dataset.m)

@@ -16,7 +16,6 @@ trivial solution.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,9 +101,8 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     operate on the raw embedding.
 
     One design matrix serves the whole fit: each embedding the descent
-    tries is written into its embedding columns in place, and the logits
-    of a trial's loss serve the embedding gradient at that trial when the
-    descent accepts it.
+    tries or steps from is written into its embedding columns in place, and
+    the logits are computed at that embedding.
     """
     numeric = np.asarray(numeric, dtype=float)
     if lap is None:
@@ -119,17 +117,11 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
                            slice(n_numeric, n_numeric + config.dims))
     params = start if start is not None else train(data, config.l2)
     columns = data.embedding    # a view: writing it writes the design matrix
-    # (embedding, parameters, their logits); the embedding by weak reference,
-    # so that a rejected trial is freed as soon as the descent drops it
-    last: list = [lambda: None, None, None]
 
     def logits_at(x):
-        """The classifier's logits with embedding X, which is written into
-        the design matrix unless the last logits were taken at it."""
-        if last[0]() is not x or last[1] is not params:
-            np.multiply(x, feature_scale, out=columns)
-            last[:] = weakref.ref(x), params, logits(params, data.X)
-        return last[2]
+        """The classifier's logits with embedding X written into the design matrix."""
+        np.multiply(x, feature_scale, out=columns)
+        return logits(params, data.X)
 
     extra = (lambda x: lam * loss_at(logits_at(x), params, data),
              lambda x: lam * feature_scale * grad_embedding_at(logits_at(x), params, data))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -71,16 +72,10 @@ class Document:
         return len(self.statements)
 
 
-_PUNCT_RE_CACHE: dict[str, re.Pattern] = {}
-
-
+@functools.cache
 def _punct_pattern(delimiters: str) -> re.Pattern:
     # Strip anything that is not a word character, whitespace, or a delimiter.
-    pat = _PUNCT_RE_CACHE.get(delimiters)
-    if pat is None:
-        pat = re.compile(r"[^\w\s" + re.escape(delimiters) + "]")
-        _PUNCT_RE_CACHE[delimiters] = pat
-    return pat
+    return re.compile(r"[^\w\s" + re.escape(delimiters) + "]")
 
 
 def normalize(raw: str, config: NormalizationConfig | None = None, doc_id: str = "") -> Document:

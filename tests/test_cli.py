@@ -14,6 +14,8 @@ from slemap.cli import main
 from slemap.config import PipelineConfig
 from slemap.dataset import load_dataset, write_dataset_csv
 from slemap.evaluation import normalize_corpus, similarity_computer
+from slemap.laplacian import build_laplacian, solve_eigenmap
+from slemap.lsi import build_tfidf, fit_lsi
 from slemap.model_io import load_model, predict_model, save_model, train_model
 
 
@@ -92,6 +94,24 @@ class TestEmbedCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "e1", "e2", "e3"]
         assert len(rows) == 81
+
+    @pytest.mark.parametrize("method", ["le", "lsi"])
+    def test_values_are_the_library_embedding(self, small_dataset, tmp_path, method):
+        """Each value, as its repr, is the unsupervised eigenmap or the LSI
+        document embedding over every record at that width."""
+        out = tmp_path / f"{method}.csv"
+        assert main(["embed", "--method", method, "--dims", "3",
+                     "--input", str(small_dataset), "--out", str(out)]) == 0
+        ds, _ = load_dataset(small_dataset)
+        cfg = PipelineConfig()
+        docs = normalize_corpus(ds.ids, ds.texts, cfg)
+        if method == "le":
+            vectors = solve_eigenmap(build_laplacian(similarity_computer(cfg).matrix(docs)), 3)
+        else:
+            vectors = fit_lsi(build_tfidf(docs), 3).doc_embedding
+        want = ["id,e1,e2,e3"] + [",".join([i] + [repr(float(v)) for v in row])
+                                  for i, row in zip(ds.ids, vectors)]
+        assert out.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
 class TestTrainPredict:
@@ -334,7 +354,7 @@ class TestCompareCommand:
         assert [r[1] for r in rows[1:]] == ["2", "3", "4"]
 
 
-    @pytest.mark.parametrize("dims", ["2..x", "x", "2,3.5", "..3", "5,3..1"])
+    @pytest.mark.parametrize("dims", ["2..x", "x", "2,3.5", "..3", "5,3..1", "3,3", "2..4,3"])
     def test_bad_dims_is_config_error(self, small_dataset, tmp_path, capsys, dims):
         assert main(["compare", "--methods", "numeric", "--dims", dims,
                      "--input", str(small_dataset), "--report", str(tmp_path / "cmp")]) == 2

@@ -211,23 +211,29 @@ class TestDimsSweep:
         assert len(selections) == self.CFG.folds
 
     def test_training_block_read_at_first_width_only(self, text_dataset, monkeypatch):
-        """Each fold slices its training similarities once, at the first
-        width; later widths reuse the fold's eigenmap and Laplacian."""
-        events = []     # each width's run_methods call, and each read within it
-        real_read, real_run = evaluation.Split.train_similarity, evaluation.run_methods
+        """Each fold restricts the corpus similarities to its training
+        records once, at the first width; later widths reuse the fold's
+        eigenmap and Laplacian."""
+        events = []     # each width's run_methods call, and each restrict within it
+        real_read, real_run = similarity.SimilarityMatrix.restrict, evaluation.run_methods
 
-        def read(split):
+        def read(matrix, rows):
             events.append("read")
-            return real_read(split)
+            return real_read(matrix, rows)
 
         def run(dataset, methods, config, **kwargs):
             events.append(config.dims)
             return real_run(dataset, methods, config, **kwargs)
 
-        monkeypatch.setattr(evaluation.Split, "train_similarity", read)
+        monkeypatch.setattr(similarity.SimilarityMatrix, "restrict", read)
         monkeypatch.setattr(evaluation, "run_methods", run)
         compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
         assert events == [2] + ["read"] * self.CFG.folds + [3, 5]
+
+    def test_repeated_width_is_rejected(self, text_dataset):
+        """A width listed twice would run twice and write two equal rows."""
+        with pytest.raises(ValueError, match="more than once"):
+            compare_methods(text_dataset, ["le"], [2, 3, 2], self.CFG)
 
     @pytest.mark.parametrize("methods,kept", [(["le"], False), (["le", "sle"], True)],
                              ids=["le", "le+sle"])
