@@ -22,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -520,6 +521,15 @@ def _returns_free_heap(entry):
     return trimmed
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the
+    machine's count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @_returns_free_heap
 def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                 prepared: PreparedDataset | None = None,
@@ -544,14 +554,16 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     TF-IDF rows).  A fold's tail runs on the calling thread when the
     next fold has no eigensolve pending: the last fold, and every fold whose
     eigenmap an earlier width of the sweep solved.  The eigensolve and the
-    BLAS products release the GIL, so on two cores the stages overlap; each
-    fold computes what it would alone, so the reports are bitwise those of
-    one thread.  Results are collected in fold order, and so are errors:
-    fold k's tail raises before fold k+1's preparation does.  Corpus-sized
-    arrays stay on the calling thread because memory that a worker thread
-    frees stays in its own allocator arena, out of reach of the caller's
-    later allocations.  Once the folds' arrays are freed, the heap's free
-    pages go back to the operating system (``_returns_free_heap``).
+    BLAS products release the GIL, so on two cores the stages overlap; on a
+    process that may run on one CPU they cannot, and every tail runs on the
+    calling thread.  Each fold computes what it would alone, so the reports
+    are bitwise those of one thread.  Results are collected in fold order,
+    and so are errors: fold k's tail raises before fold k+1's preparation
+    does.  Corpus-sized arrays stay on the calling thread because memory
+    that a worker thread frees stays in its own allocator arena, out of
+    reach of the caller's later allocations.  Once the folds' arrays are
+    freed, the heap's free pages go back to the operating system
+    (``_returns_free_heap``).
     """
     # imported here: it imports logging, start-up time that commands which
     # run no cross-validation would pay for nothing
@@ -572,6 +584,7 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     echo = config.echo()
     per_method: dict[str, list[FoldMetrics]] = {m: [] for m in methods}
     per_method_preds: dict[str, list[tuple[int, str, int, float]]] = {m: [] for m in methods}
+    overlap = _usable_cpus() > 1
 
     def collect(tail: list[tuple[str, FoldMetrics, list]]) -> None:
         for method, metrics, preds in tail:
@@ -591,7 +604,7 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                               joint_lsi=config.lsi_joint, widths=prepared.widths, lsi=joint_lsi)
                 if len(prepared.widths) > 1:
                     prepared.splits[key] = split
-            if ready is not None and needs_sim and split.eigenmap_pending(config):
+            if ready is not None and overlap and needs_sim and split.eigenmap_pending(config):
                 tail = worker.submit(_fold_tail, *ready, methods, config, collect_predictions)
                 try:
                     split.prepare(config, methods)

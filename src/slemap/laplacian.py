@@ -24,7 +24,14 @@ frame would reach that eigenvalue-1 block or no row repeats.
 One projected-descent step on the constraint manifold serves two callers:
 the unsupervised eigenmap descent (an alternative route to the same optimum)
 and the SLE alternation, which adds the weighted classifier loss as an extra
-objective term.
+objective term that reads the embedding through one combination of its
+columns (``LinearTerm``).  The step's line search is a retraction line
+search with the polar (Loewdin) retraction that ``d_orthonormalize`` uses
+(Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
+Manifolds*, 2008): the trial's D-Gram matrix and its tr(X^T L X) are
+quadratics in the step with dims x dims coefficients, so a step makes one
+product with L however many trials it takes, and only the accepted trial is
+made as an m x dims array.
 """
 
 from __future__ import annotations
@@ -236,16 +243,22 @@ def phi_gradient(x: np.ndarray, lap: Laplacian) -> np.ndarray:
     return 2.0 * lap.dot(x)
 
 
+def _inverse_sqrt(gram: np.ndarray) -> np.ndarray:
+    """G^(-1/2) of the D-Gram matrix G = X^T D X, symmetrized first.
+
+    Raises RankDeficient when X's columns are dependent under the D metric:
+    G's smallest eigenvalue is not positive, or under 1e-14 of its largest."""
+    s, v = np.linalg.eigh((gram + gram.T) / 2.0)
+    if s[0] <= 0.0 or s[0] <= 1e-14 * s[-1]:
+        raise RankDeficient("embedding columns are dependent under the D metric")
+    return (v * (1.0 / np.sqrt(s))) @ v.T
+
+
 def d_orthonormalize(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Closest basis of span(X) with X^T D X = I (symmetric Loewdin factor).
 
     ``dx`` is D X, the rows of X times the degrees."""
-    c = x.T @ dx
-    s, v = np.linalg.eigh((c + c.T) / 2.0)
-    if s[0] <= 0.0 or s[0] <= 1e-14 * s[-1]:
-        raise RankDeficient("embedding columns are dependent under the D metric")
-    inv_sqrt = (v * (1.0 / np.sqrt(s))) @ v.T
-    return x @ inv_sqrt
+    return x @ _inverse_sqrt(x.T @ dx)
 
 
 def _deflate_constant(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -367,35 +380,63 @@ def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
     return x
 
 
-def _descent_direction(x: np.ndarray, grad: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class LinearTerm:
+    """An extra objective term f(X) = h(X w), which reads the embedding X
+    only through one combination w of its columns.
+
+    ``value`` is h and ``slope`` its gradient h'(p), each at the m-vector
+    p = X w, so f's gradient in X is the rank-one h'(p) w^T.  At a line
+    search trial X(t) = (X - t Z) W, p is X (W w) - t Z (W w): two products
+    with a vector, and no m x dims array.
+    """
+
+    weights: np.ndarray
+    value: Callable[[np.ndarray], float]
+    slope: Callable[[np.ndarray], np.ndarray]
+
+
+def _descent_direction(x: np.ndarray, lx: np.ndarray, xlx: np.ndarray, degrees: np.ndarray,
+                       extra: LinearTerm | None) -> np.ndarray:
     """Gradient projected onto the constraint manifold's tangent space.
 
+    The gradient is 2 L X plus the extra term's rank-one h'(p) w^T, and is
+    not made: X^T times it is 2 X^T L X (``xlx``) plus (X^T h'(p)) w^T.
     Uses the D-metric gradient D^(-1) G and the D-metric tangent projection,
     which vanishes exactly at eigenvector frames: a converged embedding is a
     true fixed point of the iteration.
     """
-    w = grad / degrees[:, None]
-    a = x.T @ grad
-    z = w - x @ ((a + a.T) / 2.0)
+    a = 2.0 * xlx
+    if extra is not None:
+        slope = extra.slope(x @ extra.weights)
+        a += np.outer(x.T @ slope, extra.weights)
+    z = x @ ((a + a.T) / -2.0)
+    z += lx * (2.0 / degrees)[:, None]
+    if extra is not None:
+        z += np.outer(slope / degrees, extra.weights)
     return _deflate_constant(z, degrees)
 
 
-def _constraint_violation(x: np.ndarray, degrees: np.ndarray) -> float:
-    gram = x.T @ (degrees[:, None] * x)
-    return float(np.linalg.norm(gram - np.eye(x.shape[1])))
+def _constraint_violation(gram: np.ndarray) -> float:
+    """||X^T D X - I|| from the Gram matrix X^T D X."""
+    return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
 
 @dataclass(frozen=True)
 class DescentState:
     """An iterate of :func:`projected_descent` and what its next step reuses.
 
-    ``value`` is phi plus the caller's extra term at ``x``.  ``step_scale``
-    is the dimensionless multiplier on the D-normalized direction, adapted
-    from how far backtracking had to shrink the last accepted step.
+    ``lx`` is L X, carried from step to step as (L X - t L Z) W, and
+    ``gram`` is X^T D X, measured on ``x``; the next step's direction and
+    line search start from them.  ``value`` is phi plus the caller's extra
+    term at ``x``.  ``step_scale`` is the dimensionless multiplier on the
+    D-normalized direction, adapted from how far backtracking had to shrink
+    the last accepted step.
     """
 
     x: np.ndarray
-    lx: np.ndarray              # L X, which the next gradient reuses
+    lx: np.ndarray
+    gram: np.ndarray
     phi: float
     value: float
     step_scale: float = 0.5
@@ -404,49 +445,61 @@ class DescentState:
     @classmethod
     def at(cls, lap: Laplacian, x: np.ndarray) -> "DescentState":
         phi, lx = _phi_and_product(x, lap)
-        return cls(x, lx, phi, phi, max_violation=_constraint_violation(x, lap.degrees))
+        gram = x.T @ (lap.degrees[:, None] * x)
+        return cls(x, lx, gram, phi, phi, max_violation=_constraint_violation(gram))
 
 
-def projected_descent(
-        lap: Laplacian, state: DescentState, steps: int,
-        extra: tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]] | None = None,
-) -> tuple[DescentState, str | None]:
+def projected_descent(lap: Laplacian, state: DescentState, steps: int,
+                      extra: LinearTerm | None = None) -> tuple[DescentState, str | None]:
     """Up to ``steps`` projected gradient steps on phi(X) + extra(X) over X^T D X = I.
 
-    ``extra`` is an optional added objective term, given as the pair
-    (value at a candidate X, gradient at X).  Each step moves against the
-    projected gradient by ``step_scale * sqrt(dims)`` in D-norm, re-imposes
-    the constraint by D-weighted orthonormalization, and halves the step
-    until the value does not increase.  The descent stops early when the
-    direction vanishes or 60 halvings find no descent.  Returns the last
-    state and, when a trial step collapsed the frame (a column under
-    COLLAPSE_TOL in D-norm, or dependent columns), what collapsed.
+    Each step moves against the projected gradient Z by ``step_scale *
+    sqrt(dims)`` in D-norm, re-imposes the constraint with the symmetric
+    (Loewdin) factor, and halves the step t until the value does not
+    increase: a trial is X(t) = (X - t Z) W with W = G(t)^(-1/2) and
+    G(t) = (X - t Z)^T D (X - t Z).  G(t) and M(t) = (X - t Z)^T L (X - t Z)
+    are quadratics in t whose dims x dims coefficients the step computes
+    once, with one product L Z; G(t)'s constant coefficient is the state's
+    ``gram``.  A trial's phi is then tr(W M(t) W) and its extra term is read
+    at (X - t Z) W w (``LinearTerm``): no trial makes an m x dims array or a
+    product with L.  The accepted trial is made, with its
+    L X(t) = (L X - t L Z) W, and its ``gram`` and constraint violation are
+    measured on it; its X^T L X, W M(t) W, is carried to the next step.  The
+    descent stops early when the direction vanishes or 60 halvings find no
+    descent.  Returns the last state and, when a trial step collapsed the
+    frame (a column under COLLAPSE_TOL in D-norm, from G(t)'s diagonal, or
+    dependent columns), what collapsed.
     """
     degrees = lap.degrees
-    extra_value, extra_grad = extra if extra is not None else (None, None)
+    dims = state.x.shape[1]
+    xlx = state.x.T @ state.lx
     for _ in range(steps):
-        x = state.x
-        grad = 2.0 * state.lx
-        if extra_grad is not None:
-            grad = grad + extra_grad(x)
-        z = _descent_direction(x, grad, degrees)
-        znorm_d = float(np.sqrt(np.einsum("ij,ij->", z, degrees[:, None] * z)))
+        x, lx = state.x, state.lx
+        z = _descent_direction(x, lx, xlx, degrees, extra)
+        dz = degrees[:, None] * z
+        xdz, zdz = x.T @ dz, z.T @ dz
+        znorm_d = float(np.sqrt(np.trace(zdz)))
         if znorm_d <= 1e-15 * max(1.0, float(np.abs(x).max())):
             break
-        trial = state.step_scale * np.sqrt(x.shape[1]) / znorm_d
+        lz = lap.dot(z)
+        xlz, zlz = x.T @ lz, z.T @ lz
+        # G(t) = X^T D X - t * gd + t^2 * Z^T D Z, and M(t) likewise with L
+        gd, gl = xdz + xdz.T, xlz + xlz.T
+        trial = state.step_scale * np.sqrt(dims) / znorm_d
         for halvings in range(60):
-            moved = x - trial * z
-            d_moved = degrees[:, None] * moved
-            col_norms = np.sqrt(np.einsum("ij,ij->j", moved, d_moved))
-            if np.any(col_norms < COLLAPSE_TOL):
+            gram = state.gram - trial * gd + trial * trial * zdz
+            if np.any(gram.diagonal() < COLLAPSE_TOL * COLLAPSE_TOL):
                 return state, "column collapsed"
             try:
-                cand = d_orthonormalize(moved, d_moved)
+                root = _inverse_sqrt(gram)
             except RankDeficient:
                 return state, "columns became dependent"
-            del d_moved     # not alive beside the candidate's objective
-            phi, lx = _phi_and_product(cand, lap)
-            value = phi if extra_value is None else phi + extra_value(cand)
+            half = root @ (xlx - trial * gl + trial * trial * zlz)
+            phi = float(np.einsum("ij,ji->", half, root))
+            value = phi
+            if extra is not None:
+                v = root @ extra.weights
+                value = phi + extra.value(x @ v - trial * (z @ v))
             if not np.isfinite(value):
                 raise NonFiniteValue("objective became non-finite during descent")
             if value <= state.value:
@@ -454,10 +507,14 @@ def projected_descent(
             trial *= 0.5
         else:
             break
+        cand = (x - trial * z) @ root
+        cand_lx = (lx - trial * lz) @ root
+        cand_gram = cand.T @ (degrees[:, None] * cand)
+        xlx = half @ root
         state = DescentState(
-            cand, lx, phi, value,
+            cand, cand_lx, cand_gram, phi, value,
             min(max(state.step_scale * 2.0 ** (1 - halvings), 1e-9), 8.0),
-            max(state.max_violation, _constraint_violation(cand, degrees)))
+            max(state.max_violation, _constraint_violation(cand_gram)))
     return state, None
 
 

@@ -108,17 +108,16 @@ def grad_theta(params: LearnerParams, data: LabeledFeatures) -> tuple[np.ndarray
 
 def grad_embedding(params: LearnerParams, data: LabeledFeatures) -> np.ndarray:
     """d loss / d Xe: per-row residual times the embedding weight slice."""
-    return grad_embedding_at(logits(params, data.X), params, data)
-
-
-def grad_embedding_at(z: np.ndarray, params: LearnerParams,
-                      data: LabeledFeatures) -> np.ndarray:
-    """The embedding gradient of ``params`` whose logits on ``data`` are ``z``."""
-    residual = (sigmoid(z) - data.y) / data.m
-    ge = np.outer(residual, params.weights[data.embedding_cols])
+    ge = np.outer(logit_gradient(logits(params, data.X), data),
+                  params.weights[data.embedding_cols])
     if not np.all(np.isfinite(ge)):
         raise NonFiniteValue("embedding gradient is not finite")
     return ge
+
+
+def logit_gradient(z: np.ndarray, data: LabeledFeatures) -> np.ndarray:
+    """d loss / d z: the loss's gradient in the logits ``z`` on ``data``."""
+    return (sigmoid(z) - data.y) / data.m
 
 
 def predict_proba(params: LearnerParams, x: np.ndarray) -> np.ndarray:

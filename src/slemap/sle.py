@@ -6,7 +6,8 @@ alternating gradient descent: descend the classifier loss in theta with Xe
 fixed, then descend the joint objective in Xe with theta fixed, keeping
 Xe^T D Xe = I by projection.  The Xe half is the projected-descent step of
 the unsupervised eigenmap descent (``laplacian.projected_descent``) with
-lambda * loss as its extra objective term.  The embedding starts at the
+lambda * loss as its extra objective term, which reads Xe only through its
+share of the logits (a ``laplacian.LinearTerm``).  The embedding starts at the
 unsupervised eigenmap and moves for a limited number of iterations with a
 deliberately small lambda; a lambda large enough to collapse the embedding
 is surfaced as a DegenerateLambda warning rather than silently producing a
@@ -24,13 +25,14 @@ from .errors import DegenerateLambda, NonFiniteValue
 from .laplacian import (
     DescentState,
     Laplacian,
+    LinearTerm,
     build_laplacian,
     objective_phi,
     projected_descent,
     solve_eigenmap,
 )
-from .logistic import (LabeledFeatures, LearnerParams, descend_theta, grad_embedding_at, logits,
-                       loss, loss_at, train)
+from .logistic import (LabeledFeatures, LearnerParams, descend_theta, logit_gradient, loss,
+                       loss_at, train)
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,11 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     typical numeric features); the trace objective and the constraint always
     operate on the raw embedding.
 
-    One design matrix serves the whole fit: each embedding the descent
-    tries or steps from is written into its embedding columns in place, and
-    the logits are computed at that embedding.
+    One design matrix serves the whole fit, and ``descend_theta`` reads
+    it: the embedding each descent accepts is written into its embedding
+    columns in place.  The descent reads the loss as a ``LinearTerm`` of
+    the embedding, whose logits are the numeric part numeric @ w + b,
+    computed once per descent, plus X @ (feature_scale * w_e).
     """
     numeric = np.asarray(numeric, dtype=float)
     if lap is None:
@@ -118,13 +122,12 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     params = start if start is not None else train(data, config.l2)
     columns = data.embedding    # a view: writing it writes the design matrix
 
-    def logits_at(x):
-        """The classifier's logits with embedding X written into the design matrix."""
-        np.multiply(x, feature_scale, out=columns)
-        return logits(params, data.X)
-
-    extra = (lambda x: lam * loss_at(logits_at(x), params, data),
-             lambda x: lam * feature_scale * grad_embedding_at(logits_at(x), params, data))
+    def loss_term(params: LearnerParams) -> LinearTerm:
+        """lam * loss as a term of the embedding, at fixed parameters."""
+        base = numeric @ params.weights[:n_numeric] + params.bias
+        return LinearTerm(feature_scale * params.weights[data.embedding_cols],
+                          lambda p: lam * loss_at(base + p, params, data),
+                          lambda p: lam * logit_gradient(base + p, data))
 
     state = DescentState.at(lap, xe0.copy())
     cur_loss = loss(params, data)
@@ -134,8 +137,9 @@ def fit_sle(numeric: np.ndarray, similarity, y, config: SleConfig,
     for _ in range(config.max_outer_iters):
         params, cur_loss = descend_theta(params, data, config.inner_theta_steps)
         state = replace(state, value=state.phi + lam * cur_loss)
-        state, collapse = projected_descent(lap, state, config.inner_embedding_steps, extra)
-        np.multiply(state.x, feature_scale, out=columns)   # undo a rejected trial
+        state, collapse = projected_descent(lap, state, config.inner_embedding_steps,
+                                            loss_term(params))
+        np.multiply(state.x, feature_scale, out=columns)   # the accepted embedding
         trace.append(state.value)
         if collapse is not None:
             warnings.warn(f"embedding {collapse} under the D metric; lambda is too large",

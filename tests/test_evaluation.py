@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import platform
 import sys
 import threading
@@ -334,6 +335,11 @@ class TestFoldPipeline:
     CFG = PipelineConfig(dims=3, folds=3, max_outer_iters=2, inner_theta_steps=4,
                          inner_embedding_steps=2)
 
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """The stages overlap only where the process may run on two CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     def fits_by_thread(self, monkeypatch):
         """Patch fit to record (dims, thread) per call."""
         calls = []
@@ -356,6 +362,34 @@ class TestFoldPipeline:
         assert len(workers) == 1
         n = len(methods)
         assert threads == [*workers] * n * (self.CFG.folds - 1) + [caller] * n
+
+    @pytest.mark.parametrize("one_cpu", ["affinity", "no affinity call"])
+    def test_one_cpu_runs_every_tail_inline(self, text_dataset, monkeypatch, one_cpu):
+        """A process that may run on one CPU runs every fold's tail on the
+        calling thread, and reports bitwise what two CPUs report."""
+        tails = []
+        real = evaluation._fold_tail
+
+        def recorded(*args):
+            tails.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_fold_tail", recorded)
+        methods = ["numeric", "le", "sle", "lsi"]
+        two = run_methods(text_dataset, methods, self.CFG, collect_predictions=True)
+        caller = threading.get_ident()
+        assert set(tails) - {caller}
+        tails.clear()
+        if one_cpu == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        one = run_methods(text_dataset, methods, self.CFG, collect_predictions=True)
+        assert tails == [caller] * self.CFG.folds
+        for method in methods:
+            assert one[method].to_csv_rows() == two[method].to_csv_rows()
+            assert repr(one[method].predictions) == repr(two[method].predictions)
 
     def test_cached_width_fits_on_the_calling_thread(self, text_dataset, monkeypatch):
         """The sweep's second width solves nothing, so its folds run on the

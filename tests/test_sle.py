@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from slemap import laplacian
 from slemap.errors import DegenerateLambda
-from slemap.laplacian import build_laplacian, objective_phi, solve_eigenmap
+from slemap.laplacian import (DescentState, _deflate_constant, build_laplacian, d_orthonormalize,
+                              objective_phi, projected_descent, solve_eigenmap)
 from slemap.logistic import LabeledFeatures, LearnerParams, loss, train
 from slemap.sle import SleConfig, fit_sle, joint_objective, resolve_lambda
 
@@ -173,10 +175,77 @@ def test_given_start_fits_like_its_own():
         own.params.bias, own.objective_trace, own.lam)
 
 
+class TestLineSearch:
+    """The descent's line search reads its trials from dims x dims algebra."""
+
+    def test_one_laplacian_product_per_step(self, monkeypatch):
+        """One L X product for the fit's start and one per descent step,
+        however many trials the step's line search takes."""
+        counts = {"dot": 0, "step": 0, "trial": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(laplacian.Laplacian, "dot",
+                            counted("dot", laplacian.Laplacian.dot))
+        monkeypatch.setattr(laplacian, "_descent_direction",
+                            counted("step", laplacian._descent_direction))
+        monkeypatch.setattr(laplacian, "_inverse_sqrt",
+                            counted("trial", laplacian._inverse_sqrt))
+        numeric, s, y = clustered_dataset(np.random.default_rng(17), m=30)
+        lap = build_laplacian(s)
+        xe0 = solve_eigenmap(lap, 2)
+        cfg = SleConfig(dims=2, max_outer_iters=4, inner_theta_steps=5,
+                        inner_embedding_steps=6, tol=0.0)
+        fit_sle(numeric, None, y, cfg, lap=lap, xe0=xe0, feature_scale=2.5)
+        assert counts["step"] == 4 * 6
+        assert counts["trial"] > counts["step"]    # steps backtracked
+        assert counts["dot"] == 1 + counts["step"]
+
+    def test_algebra_tracks_recomputation(self, monkeypatch):
+        """After 500 steps, the L X and phi that the descent carried equal
+        their recomputation from the iterate, and so does the joint
+        objective that a fit records last."""
+        rng = np.random.default_rng(1)
+        base = random_similarity(rng, 30)
+        keys = np.concatenate([np.arange(30), rng.integers(0, 30, 90)])
+        lap = build_laplacian(base[np.ix_(keys, keys)])
+        assert lap.firsts.size < lap.m      # grouped
+        x = _deflate_constant(rng.standard_normal((120, 8)), lap.degrees)
+        start = DescentState.at(lap, d_orthonormalize(x, lap.degrees[:, None] * x))
+        dots = []
+        real = laplacian.Laplacian.dot
+
+        def counted(self, x):
+            dots.append(x.shape)
+            return real(self, x)
+
+        monkeypatch.setattr(laplacian.Laplacian, "dot", counted)
+        state, collapse = projected_descent(lap, start, 500)
+        assert collapse is None and len(dots) == 500    # no step stopped the descent
+        want = real(lap, state.x)
+        assert np.abs(state.lx - want).max() <= 1e-11 * np.abs(want).max()
+        phi = objective_phi(state.x, lap)
+        assert abs(state.phi - phi) <= 1e-11 * abs(phi)
+
+        numeric, s, y = clustered_dataset(rng, m=40)
+        cfg = SleConfig(dims=3, max_outer_iters=20, inner_theta_steps=5,
+                        inner_embedding_steps=25, tol=0.0)
+        model = fit_sle(numeric, s, y, cfg)
+        data = LabeledFeatures(np.hstack([numeric, model.embedding]), y, slice(3, 6))
+        joint = joint_objective(model.embedding, model.params, build_laplacian(s), data,
+                                model.lam)
+        assert abs(model.objective_trace[-1] - joint) <= 1e-11 * abs(joint)
+
+
 class TestGolden:
     def test_fit_sle_pinned(self):
-        # recorded from the alternation started from the classifier that
-        # Newton steps trained from zero weights; any change to the step rule,
+        # recorded from the alternation, its line search in dims x dims
+        # algebra, started from the classifier that Newton steps trained
+        # from zero weights; any change to the step rule,
         # the backtracking, the classifier's start or the operand order of
         # the products shows here
         rng = np.random.default_rng(15)
@@ -185,10 +254,10 @@ class TestGolden:
                         inner_embedding_steps=4, tol=0.0)
         model = fit_sle(numeric, s, y, cfg, feature_scale=2.5)
         assert [repr(v) for v in model.objective_trace] == [
-            "1.258240694469423", "1.2581215191879886",
-            "1.2581105612560197", "1.2581100649590198"]
+            "1.258240694469423", "1.2581215191879889",
+            "1.2581105612560206", "1.2581100649590202"]
         assert repr(model.lam) == "0.4485952949044341"
         assert model.degenerate is False
-        assert repr(model.max_constraint_violation) == "1.111504079007786e-15"
+        assert repr(model.max_constraint_violation) == "1.1429225560222539e-15"
         assert hashlib.sha256(model.embedding.tobytes()).hexdigest() == (
-            "7923aee2d23abbb57603299a2c23da65617bc0dbd56bdd8f1b932dfa8149fae5")
+            "0053af1d5629bb827173edaa326c7b79cd2b186ef8a1b29b4b75496f132a6657")
