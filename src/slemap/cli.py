@@ -72,7 +72,7 @@ def _cmd_embed(args) -> int:
     dataset = _load(args)
     prepared = prepare_dataset(dataset, cfg, need_similarity=args.method == "le")
     everything = np.arange(dataset.m)
-    split = Split(dataset, everything, everything, docs=prepared.docs,
+    split = Split(dataset, everything, everything, prepared.docs, (cfg.dims,),
                   similarity=prepared.similarity)
     if args.method == "le":
         vectors, _ = split.eigenmap(cfg)

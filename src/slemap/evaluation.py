@@ -23,7 +23,7 @@ import ctypes
 import functools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -86,22 +86,14 @@ class EvalReport:
     def mean_specificity(self) -> float:
         return self._mean("specificity")
 
-    CSV_HEADER = ("fold,auc,mcc,sensitivity,specificity,lr_plus,lr_minus,"
-                  "threshold,train_auc,zero_rho")
+    CSV_HEADER = ",".join(f.name for f in fields(FoldMetrics))
 
     def to_csv_rows(self) -> list[str]:
-        rows = [self.CSV_HEADER]
-        for f in self.folds:
-            rows.append(",".join([
-                str(f.fold), repr(f.auc), repr(f.mcc), repr(f.sensitivity),
-                repr(f.specificity), repr(f.lr_plus), repr(f.lr_minus),
-                repr(f.threshold), repr(f.train_auc), str(f.zero_rho)]))
-        rows.append(",".join([
-            "mean", repr(self.mean_auc), repr(self.mean_mcc),
-            repr(self.mean_sensitivity), repr(self.mean_specificity),
-            repr(self._mean("lr_plus")), repr(self._mean("lr_minus")),
-            "", "", ""]))
-        return rows
+        # repr of the int fields (fold, zero_rho) is their str; the mean row
+        # averages auc through lr_minus and leaves the last three fields blank
+        rows = [self.CSV_HEADER, *(",".join(map(repr, astuple(f))) for f in self.folds)]
+        means = [repr(self._mean(f.name)) for f in fields(FoldMetrics)[1:-3]]
+        return rows + [",".join(["mean", *means, "", "", ""])]
 
     def to_text(self) -> str:
         lines = [f"method: {self.method}", f"seed: {self.seed}", ""]
@@ -142,20 +134,22 @@ def stratified_folds(labels: np.ndarray, n_folds: int, seed: int) -> list[np.nda
 class PreparedDataset:
     """Normalization and similarity work shared across methods and dims.
 
-    ``similarity`` is the corpus matrix as ``SimilarityComputer.matrix``
-    returns it, over the distinct documents; each fold restricts it to its
-    training keys and gathers its test block from it, and no matrix over
-    every record is made.  When the dims sweep of ``compare_methods`` lists
-    more than one of its ``widths``, ``splits`` keeps each fold's ``Split``
-    between ``run_methods`` calls, and with it all of the fold's state: one
-    eigensolve per fold at the widest width serves every width, and so do
-    one kNN selection, one LSI factorization and, with sle, one Laplacian
-    (``Split``).  A single width keeps no fold.
+    ``prepare_dataset`` is the one corpus builder: CV, ``model_io`` and the
+    CLI take their documents from it.  ``similarity`` is the corpus matrix
+    as ``computer.matrix`` returns it, over the distinct documents; each
+    fold restricts it to its training keys and gathers its test block from
+    it, and no matrix over every record is made.  When the dims sweep of
+    ``compare_methods`` lists more than one of its ``widths``, ``splits``
+    keeps each fold's ``Split`` between ``run_methods`` calls, and with it
+    all of the fold's state: one eigensolve per fold at the widest width
+    serves every width, and so do one kNN selection, one LSI factorization
+    and, with sle, one Laplacian (``Split``).  A single width keeps no fold.
     """
 
     dataset: Dataset
     docs: list[Document]
     similarity: SimilarityMatrix | None
+    computer: SimilarityComputer | None
     widths: tuple[int, ...] = ()
     # (folds, seed, fold number) -> that fold's Split, kept for the sweep's later widths
     splits: dict[tuple[int, int, int], Split] = field(default_factory=dict)
@@ -175,12 +169,17 @@ def similarity_computer(config: PipelineConfig) -> SimilarityComputer:
 def prepare_dataset(dataset: Dataset, config: PipelineConfig,
                     need_similarity: bool) -> PreparedDataset:
     docs = normalize_corpus(dataset.ids, dataset.texts, config)
-    sim = similarity_computer(config).matrix(docs) if need_similarity else None
-    return PreparedDataset(dataset=dataset, docs=docs, similarity=sim)
+    computer = similarity_computer(config) if need_similarity else None
+    sim = computer.matrix(docs) if need_similarity else None
+    return PreparedDataset(dataset=dataset, docs=docs, similarity=sim, computer=computer)
 
 
 @dataclass
 class TrainedModel:
+    """One method fitted by ``fit``.  A le or sle model from ``train_model``
+    scores new records with the computer of the ``prepare_dataset`` that
+    built its corpus; a loaded one makes its own (``corpus``)."""
+
     method: str
     config: PipelineConfig
     params: LearnerParams
@@ -225,19 +224,20 @@ class TrainedModel:
 class Split:
     """Records to fit on and records to score, as row indices into one dataset.
 
-    All per-fold state lives here.  Documents, the Laplacian, the training
-    eigenmap, the test records' kNN selection, the LSI factorization and
-    the classifier that le fits and sle starts from (one per width) are
-    made on first use and kept, so every method fitted on a split
-    shares them, and a split that the dims sweep keeps
-    (``PreparedDataset.splits``) shares them with the sweep's later widths:
-    its first eigensolve runs at the widest of ``widths``, checks the
-    degenerate-gap rule at each, and every width slices that frame; its LSI
-    factorization is fitted the same way.  The full eigendecomposition and
-    the TF-IDF matrix are never kept.
+    All per-fold state lives here.  A split is made with every record's
+    documents and the fixed ``widths`` it serves (the sweep's, else
+    ``config.dims``); another width is a ``ValueError``.  The Laplacian, the
+    training eigenmap, the test records' kNN selection, the LSI
+    factorization and the classifier that le fits and sle starts from (one
+    per width) are made on first use and kept, so every method fitted on a
+    split shares them, and so do the later widths of a split that the dims
+    sweep keeps (``PreparedDataset.splits``): its one eigensolve runs at
+    the widest width, checks the degenerate-gap rule at each, and every
+    width slices that frame; its one LSI factorization is fitted the same
+    way.  The full eigendecomposition and the TF-IDF matrix are never kept.
 
     Cross-validation, ``model_io.train_model`` and the ``embed`` command
-    supply the documents and the corpus ``SimilarityMatrix``: the Laplacian
+    supply the corpus ``SimilarityMatrix``: the Laplacian
     is built from its restriction to the training records, still over
     distinct documents (the matrix itself when they are every record, in
     order), which lives only for that build, and the test block, the only block
@@ -259,25 +259,20 @@ class Split:
     dataset: Dataset
     train: np.ndarray
     test: np.ndarray
-    docs: list[Document] | None = None
+    docs: list[Document]              # of every record of the dataset
+    widths: tuple[int, ...] = ()      # every dims the one eigensolve must serve
     similarity: SimilarityMatrix | None = None   # over every record of the dataset
     joint_lsi: bool = False           # LSI factorizes the test documents too
-    widths: tuple[int, ...] = ()      # every dims the one eigensolve must serve
     # TF-IDF + SVD at the widest width of the training documents (every
     # document with joint_lsi, where a later fold gets the first fold's)
     lsi: LsiModel | None = None
-    # (widths checked, eigenmap at the widest of them, feature scale)
-    frame: tuple[tuple[int, ...], np.ndarray, float] | None = field(default=None, init=False)
+    # (eigenmap at the widest width, feature scale)
+    frame: tuple[np.ndarray, float] | None = field(default=None, init=False)
     lap: Laplacian | None = field(default=None, init=False)
     # the test rows' select_neighbours at knn.k, which the sweep does not vary
     selection: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
     # dims -> the classifier that le fits and sle starts from (``classifier``)
     classifiers: dict[int, LearnerParams] = field(default_factory=dict, init=False)
-
-    def documents(self, config: PipelineConfig, rows) -> list[Document]:
-        if self.docs is None:
-            self.docs = normalize_corpus(self.dataset.ids, self.dataset.texts, config)
-        return [self.docs[i] for i in rows]
 
     def neighbours(self, k: int, model: TrainedModel | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +286,7 @@ class Split:
                 rows, row_of = _key_rows(self.similarity, self.test, self.train)
             else:
                 corpus, computer = model.corpus()
-                rows = computer.rows(self.documents(model.config, self.test), corpus)
+                rows = computer.rows([self.docs[i] for i in self.test], corpus)
                 row_of = np.arange(self.test.size)
             top, near = select_neighbours(rows, k)
             self.selection = (top[row_of], near[row_of])
@@ -302,44 +297,42 @@ class Split:
             self.lap = build_laplacian(self.similarity.restrict(self.train))
         return self.lap
 
-    def eigenmap_pending(self, config: PipelineConfig) -> bool:
-        """Whether the eigenmap at ``config.dims`` still needs a solve."""
-        return self.frame is None or config.dims not in self.frame[0]
+    def _served(self, config: PipelineConfig) -> int:
+        if config.dims not in self.widths:
+            raise ValueError(f"dims={config.dims} is not among the split's widths {self.widths}")
+        return config.dims
 
     def eigenmap(self, config: PipelineConfig) -> tuple[np.ndarray, float]:
         """Eigenmap at ``config.dims`` and feature scale of the training similarities.
 
-        One solve at the widest of ``widths`` and ``config.dims`` serves every
-        width whose degenerate-gap rule it checked.  Each width gets a
-        C-contiguous copy of the frame's leading columns, bitwise the array a
-        solve at that width returns.
+        One solve at the widest of ``widths`` serves every width, whose
+        degenerate-gap rule it checks.  Each width gets a C-contiguous copy
+        of the frame's leading columns, bitwise the array a solve at that
+        width returns.
         """
-        if self.eigenmap_pending(config):
+        dims = self._served(config)
+        if self.frame is None:
             lap = self.laplacian()
-            widths = tuple(sorted({config.dims, *self.widths}))
             # the scale puts the D-orthonormal eigenvector columns on the same
             # element scale as standardized numeric features
-            self.frame = (widths, solve_eigenmap(lap, widths),
+            self.frame = (solve_eigenmap(lap, tuple(sorted(self.widths))),
                           math.sqrt(float(lap.degrees.sum())))
-        _, frame, scale = self.frame
-        return frame[:, :config.dims].copy(), scale
+        frame, scale = self.frame
+        return frame[:, :dims].copy(), scale
 
     def lsi_model(self, config: PipelineConfig) -> LsiModel:
         """TF-IDF + truncated SVD at ``config.dims`` of the training
         documents, or with ``joint_lsi`` of every document in the dataset.
 
-        One fit at the widest of ``widths`` and ``config.dims`` serves every
-        width: each width gets the leading factors, bitwise what a fit at
-        that width returns (``LsiModel.leading``).
+        One fit at the widest of ``widths`` serves every width: each width
+        gets the leading factors, bitwise what a fit at that width returns
+        (``LsiModel.leading``).
         """
-        self._fit_lsi(config)
-        return self.lsi.leading(config.dims)
-
-    def _fit_lsi(self, config: PipelineConfig) -> None:
-        if self.lsi is None or self.lsi.dims < config.dims:
+        dims = self._served(config)
+        if self.lsi is None:
             rows = range(self.dataset.m) if self.joint_lsi else self.train
-            self.lsi = fit_lsi(build_tfidf(self.documents(config, rows)),
-                               max((config.dims, *self.widths)))
+            self.lsi = fit_lsi(build_tfidf([self.docs[i] for i in rows]), max(self.widths))
+        return self.lsi.leading(dims)
 
     def prepare(self, config: PipelineConfig, methods) -> None:
         """Build what ``fit`` and ``score`` of ``methods`` read that is sized
@@ -356,7 +349,7 @@ class Split:
                 self.lap = None
             self.neighbours(config.knn_k)
         if "lsi" in methods:
-            self._fit_lsi(config)
+            self.lsi_model(config)
 
     def classifier(self, config: PipelineConfig, data: LabeledFeatures) -> LearnerParams:
         """The classifier fitted from zero weights on ``data``, the numeric
@@ -447,7 +440,7 @@ def score(model: TrainedModel, split: Split) -> tuple[np.ndarray, int]:
     elif model.method == "lsi" and split.joint_lsi:
         text = split.lsi_model(cfg).doc_embedding[rows]
     elif model.method == "lsi":
-        text = vectorize(split.documents(cfg, rows), model.lsi_vocabulary,
+        text = vectorize([split.docs[i] for i in rows], model.lsi_vocabulary,
                          model.lsi_idf) @ model.lsi_components.T
     x = np.hstack([num, text * model.feature_scale])
     return predict_proba(model.params, x), zero_rho
@@ -521,6 +514,14 @@ def _returns_free_heap(entry):
     return trimmed
 
 
+def _needs_similarity(methods: list[str]) -> bool:
+    """Whether ``methods`` need the corpus matrix; an unknown or repeated one is refused."""
+    for method in methods:
+        if method not in METHODS or methods.count(method) > 1:
+            raise ValueError(f"method {method!r} is not in {METHODS} or listed more than once")
+    return any(m in ("le", "sle") for m in methods)
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask, or the
     machine's count where the platform has no affinity call."""
@@ -569,12 +570,7 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     # run no cross-validation would pay for nothing
     from concurrent.futures import ThreadPoolExecutor
 
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if len(set(methods)) != len(methods):
-        raise ValueError(f"methods {methods} list a method more than once")
-    needs_sim = any(m in ("le", "sle") for m in methods)
+    needs_sim = _needs_similarity(methods)
     if prepared is None:
         prepared = prepare_dataset(dataset, config, needs_sim)
     if needs_sim and prepared.similarity is None:
@@ -599,12 +595,12 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
             split = prepared.splits.get(key)
             if split is None:
                 split = Split(dataset, np.setdiff1d(all_idx, test_idx), test_idx,
-                              docs=prepared.docs,
+                              prepared.docs, prepared.widths or (config.dims,),
                               similarity=prepared.similarity if needs_sim else None,
-                              joint_lsi=config.lsi_joint, widths=prepared.widths, lsi=joint_lsi)
+                              joint_lsi=config.lsi_joint, lsi=joint_lsi)
                 if len(prepared.widths) > 1:
                     prepared.splits[key] = split
-            if ready is not None and overlap and needs_sim and split.eigenmap_pending(config):
+            if ready is not None and overlap and needs_sim and split.frame is None:
                 tail = worker.submit(_fold_tail, *ready, methods, config, collect_predictions)
                 try:
                     split.prepare(config, methods)
@@ -645,11 +641,11 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
     training size minus one, raises ``RankDeficient`` at that solve; so
     does a width beyond a fold's document or vocabulary count, at the fold's
-    one LSI fit.  Each width may be listed once.
+    one LSI fit.  Each width may be listed once, and must be at least 1.
     """
-    if len(set(dims_list)) != len(dims_list):
-        raise ValueError(f"dims {dims_list} list a width more than once")
-    needs_sim = any(m in ("le", "sle") for m in methods)
+    needs_sim = _needs_similarity(methods)
+    if len(set(dims_list)) != len(dims_list) or any(dims < 1 for dims in dims_list):
+        raise ValueError(f"dims {dims_list} list a width more than once, or one below 1")
     prepared = prepare_dataset(dataset, config, needs_sim)
     prepared.widths = tuple(dims_list)
     rows = []

@@ -124,6 +124,20 @@ def predict_proba(params: LearnerParams, x: np.ndarray) -> np.ndarray:
     return sigmoid(logits(params, np.asarray(x, dtype=float)))
 
 
+def _armijo(params: LearnerParams, data: LabeledFeatures, dw: np.ndarray, db: float,
+            slope: float, cur: float, eta: float):
+    """The first of ``eta`` and its halvings (60 tries) whose step along (``dw``,
+    ``db``) meets the Armijo condition: (step, parameters, logits, loss), or None."""
+    for _ in range(60):
+        cand = LearnerParams(params.weights + eta * dw, params.bias + eta * db, params.l2)
+        cand_z = logits(cand, data.X)
+        new = loss_at(cand_z, cand, data)
+        if new <= cur + ARMIJO_C * eta * slope:
+            return eta, cand, cand_z, new
+        eta *= 0.5
+    return None
+
+
 def descend_theta(params: LearnerParams, data: LabeledFeatures,
                   steps: int) -> tuple[LearnerParams, float]:
     """Plain gradient descent with Armijo backtracking on the training loss:
@@ -140,19 +154,11 @@ def descend_theta(params: LearnerParams, data: LabeledFeatures,
         gnorm2 = float(gw @ gw + gb * gb)
         if gnorm2 == 0.0:
             break
-        eta = min(eta * 2.0, 1e4)
-        accepted = False
-        for _ in range(60):
-            cand = LearnerParams(params.weights - eta * gw, params.bias - eta * gb, params.l2)
-            cand_z = logits(cand, data.X)
-            new = loss_at(cand_z, cand, data)
-            if new <= cur - ARMIJO_C * eta * gnorm2:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
+        # x - eta g is bitwise x + eta (-g)
+        accepted = _armijo(params, data, -gw, -gb, -gnorm2, cur, min(eta * 2.0, 1e4))
+        if accepted is None:
             break
-        params, cur, z = cand, new, cand_z
+        eta, params, z, cur = accepted
     return params, cur
 
 
@@ -199,17 +205,8 @@ def train(data: LabeledFeatures, l2: float, init: LearnerParams | None = None,
             # optimum the full Newton step is accurate to rounding, and
             # training ends with it
             return LearnerParams(params.weights + step[:-1], params.bias + float(step[-1]), l2)
-        eta, accepted = 1.0, False
-        for _ in range(60):
-            cand = LearnerParams(params.weights + eta * step[:-1],
-                                 params.bias + eta * float(step[-1]), l2)
-            cand_z = logits(cand, data.X)
-            new = loss_at(cand_z, cand, data)
-            if new <= cur + ARMIJO_C * eta * slope:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
+        accepted = _armijo(params, data, step[:-1], float(step[-1]), slope, cur, 1.0)
+        if accepted is None:
             break
-        params, cur, z = cand, new, cand_z
+        _, params, z, cur = accepted
     return params

@@ -20,8 +20,7 @@ import numpy as np
 from .config import PipelineConfig
 from .dataset import Dataset, write_csv
 from .errors import ParseError
-from .evaluation import (METHODS, Split, TrainedModel, fit, normalize_corpus, score,
-                         similarity_computer)
+from .evaluation import METHODS, Split, TrainedModel, fit, prepare_dataset, score
 from .logistic import LearnerParams
 
 # perfbench/tracing.py wraps these names here; evaluation.fit/score make the calls
@@ -36,30 +35,29 @@ from .text import normalize  # noqa: F401
 def train_model(dataset: Dataset, method: str, config: PipelineConfig) -> TrainedModel:
     """Fit one method on a full dataset, as a CV fold fits it on its training records.
 
-    le and sle hand the split the normalized documents and the corpus
-    matrix of one ``similarity_computer``, as cross-validation does; the
-    training matrix is that matrix itself, and the model keeps the documents
-    and the computer to score new records against (``TrainedModel.corpus``).
-    ``train_scores`` are then the training records' prediction-path scores,
-    gathered from the corpus matrix (``Split.neighbours``): the floats
-    that ``predict_model`` gives for the same records after a save and load.
+    ``prepare_dataset`` builds the corpus, as for cross-validation, and the
+    split serves the one width ``config.dims``.  le and sle train on the
+    corpus matrix itself and keep its documents and computer to score new
+    records against (``TrainedModel.corpus``).  ``train_scores`` are the
+    training records' prediction-path scores, gathered from the corpus
+    matrix (``Split.neighbours``): the floats that ``predict_model`` gives
+    for the same records after a save and load.
     """
+    prepared = prepare_dataset(dataset, config, method in ("le", "sle"))
     everything = np.arange(dataset.m)
-    split = Split(dataset, train=everything, test=everything)
-    if method in ("le", "sle"):
-        computer = similarity_computer(config)
-        split.docs = normalize_corpus(dataset.ids, dataset.texts, config)
-        split.similarity = computer.matrix(split.docs)
+    split = Split(dataset, everything, everything, prepared.docs, (config.dims,),
+                  similarity=prepared.similarity)
     model = fit(method, split, config)
-    if method in ("le", "sle"):
-        model.keep_corpus(split.docs, computer)
+    if prepared.computer is not None:
+        model.keep_corpus(prepared.docs, prepared.computer)
     model.train_scores = score(model, split)[0]
     return model
 
 
 def predict_model(model: TrainedModel, dataset: Dataset) -> np.ndarray:
     """Scores for new records through the out-of-sample path."""
-    return score(model, Split(dataset, train=np.arange(0), test=np.arange(dataset.m)))[0]
+    docs = prepare_dataset(dataset, model.config, False).docs
+    return score(model, Split(dataset, np.arange(0), np.arange(dataset.m), docs))[0]
 
 
 # ---- persistence -------------------------------------------------------

@@ -51,10 +51,10 @@ class SleConfig:
             raise ValueError("dims and max_outer_iters must be positive")
         if self.inner_theta_steps < 0 or self.inner_embedding_steps < 0:
             raise ValueError("inner step counts must be non-negative")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-        if self.tol < 0 or self.l2 < 0:
-            raise ValueError("tol and l2 must be non-negative")
+        # a NaN fails every comparison, so it fails this range check too
+        if not all(0 <= v < np.inf for v in (self.lambda_ratio, self.l2, self.tol,
+                                              0.0 if self.lam is None else self.lam)):
+            raise ValueError("lambda, lambda_ratio, l2 and tol must be finite and non-negative")
 
 
 @dataclass

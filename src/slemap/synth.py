@@ -191,8 +191,8 @@ class GeneratorSpec:
             raise InvalidSpec("text_weight must lie in [0, 1]")
         if not 0.0 <= self.noise <= 0.5:
             raise InvalidSpec("noise must lie in [0, 0.5]")
-        if self.alpha <= 0 or self.variants_per_template < 1:
-            raise InvalidSpec("alpha and variants_per_template must be positive")
+        if not 0 < self.alpha < np.inf or self.variants_per_template < 1:
+            raise InvalidSpec("alpha (finite) and variants_per_template must be positive")
 
 
 def parse_generator_spec(path: str | Path) -> GeneratorSpec:

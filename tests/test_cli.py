@@ -386,6 +386,9 @@ class TestConfigErrors:
         "normalize.max_tokens = 0", "normalize.max_statements = 0",
         "sle.max_outer_iters = 0", "sle.l2 = -1", "sle.inner_theta_steps = -1",
         "sle.tol = -1", "sle.lambda = -1",
+        # a NaN or infinite setting is no more legal than a negative one
+        "sle.lambda_ratio = nan", "sle.lambda = inf", "sle.l2 = nan", "sle.tol = inf",
+        "sle.lambda_ratio = -0.5",
         "misspelling.max_edit_distance = -1", "misspelling.max_edit_distance = 4",
         "misspelling.min_token_length = -1",
     ])

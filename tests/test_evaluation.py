@@ -695,6 +695,43 @@ def test_repeated_method_is_rejected(text_dataset):
         run_methods(text_dataset, ["le", "le"], PipelineConfig(dims=3, folds=3))
 
 
+@pytest.mark.parametrize("methods,dims_list", [
+    (["le", "bogus"], [2, 3]), (["le", "sle", "le"], [2, 3]), (["le"], [2, 0]),
+], ids=["unknown-method", "repeated-method", "width-0"])
+def test_bad_arguments_rejected_before_the_matrix(text_dataset, monkeypatch, methods,
+                                                  dims_list):
+    """A bad method list or width is refused before any similarity work."""
+    def matrix(computer, docs):
+        raise AssertionError("the similarity matrix was built before the error")
+
+    monkeypatch.setattr(similarity.SimilarityComputer, "matrix", matrix)
+    cfg = PipelineConfig(dims=3, folds=3)
+    with pytest.raises(ValueError):
+        compare_methods(text_dataset, methods, dims_list, cfg)
+    if dims_list[-1] > 0:
+        with pytest.raises(ValueError):
+            run_methods(text_dataset, methods, cfg)
+
+
+def test_split_serves_only_its_widths(text_dataset):
+    """A Split made for widths (2, 3) solves and factorizes once for both,
+    and refuses any other width rather than solving or fitting again."""
+    prepared = prepare_dataset(text_dataset, PipelineConfig(), True)
+    everything = np.arange(text_dataset.m)
+    split = evaluation.Split(text_dataset, everything, everything, docs=prepared.docs,
+                             widths=(2, 3), similarity=prepared.similarity)
+    for dims in (2, 3):
+        cfg = PipelineConfig(dims=dims)
+        assert split.eigenmap(cfg)[0].shape == (text_dataset.m, dims)
+        assert split.lsi_model(cfg).dims == dims
+    frame, lsi = split.frame, split.lsi
+    with pytest.raises(ValueError, match="widths"):
+        split.eigenmap(PipelineConfig(dims=4))
+    with pytest.raises(ValueError, match="widths"):
+        split.lsi_model(PipelineConfig(dims=4))
+    assert split.frame is frame and split.lsi is lsi
+
+
 @pytest.mark.parametrize("method", ["le", "sle"])
 def test_train_model_builds_one_matrix(text_dataset, monkeypatch, method):
     """train_model hands its split the corpus matrix of one computer, as

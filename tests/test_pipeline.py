@@ -217,6 +217,9 @@ class TestGenerator:
             GeneratorSpec(text_weight=1.5)
         with pytest.raises(InvalidSpec):
             GeneratorSpec(clusters=100)
+        for alpha in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(InvalidSpec):
+                GeneratorSpec(alpha=alpha)
 
     def test_spec_file_parsing(self, tmp_path):
         p = tmp_path / "spec.txt"
