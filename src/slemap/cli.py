@@ -16,7 +16,8 @@ import numpy as np
 from . import errors
 from .config import PipelineConfig
 from .dataset import load_dataset, write_csv
-from .evaluation import METHODS, Split, compare_methods, prepare_dataset, run_methods
+from .evaluation import (METHODS, Split, check_methods, check_widths, compare_methods,
+                         prepare_dataset, run_methods)
 from .model_io import load_model, predict_model, save_model, train_model
 from .synth import GeneratorSpec, generate_synthetic, parse_generator_spec
 
@@ -125,11 +126,10 @@ def _cmd_evaluate(args) -> int:
 
 def _methods_list(text: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in METHODS]
-    if not methods or unknown or len(set(methods)) != len(methods):
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated subset of {','.join(METHODS)}, each listed once, "
-            f"got {text!r}")
+    try:
+        check_methods(methods)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad methods list {text!r}: {exc}") from None
     return methods
 
 
@@ -146,10 +146,9 @@ def _parse_dims_list(text: str) -> list[int]:
                 dims.extend(span)
             elif part:
                 dims.append(int(part))
-    except ValueError:   # a part that is not an integer, or an empty range
-        dims = []
-    if not dims or any(d < 1 for d in dims) or len(set(dims)) != len(dims):
-        raise errors.ConfigError(f"bad dims list {text!r}")
+        check_widths(dims)
+    except ValueError as exc:   # not an integer, an empty range, or a width compare refuses
+        raise errors.ConfigError(f"bad dims list {text!r}: {exc}") from None
     return dims
 
 

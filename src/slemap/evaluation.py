@@ -13,8 +13,10 @@ alone.
 ``fit`` and ``score`` are the one implementation of the four methods: a CV
 fold and ``model_io.train_model``/``predict_model`` both go through them.
 ``run_methods`` fits and scores fold k on one worker thread while the
-calling thread builds fold k+1's corpus-sized arrays; every fold computes
-what it would alone, so the reports do not depend on the threads.
+calling thread builds fold k+1's corpus-sized arrays, or, at a later width
+of the dims sweep, where those arrays exist already, fits and scores fold
+k+1 itself; every fold computes what it would alone, so the reports do not
+depend on the threads.
 """
 
 from __future__ import annotations
@@ -144,6 +146,11 @@ class PreparedDataset:
     all of the fold's state: one eigensolve per fold at the widest width
     serves every width, and so do one kNN selection, one LSI factorization
     and, with sle, one Laplacian (``Split``).  A single width keeps no fold.
+    At the later widths, where every fold's arrays exist, ``run_methods``
+    fits two folds at a time, one on its worker thread and one on the
+    calling thread; the worker's fit keeps a second working set of the
+    width in its own allocator arena, about 4% more peak memory on the
+    m = 2000 sweep of dims 10 and 40.
     """
 
     dataset: Dataset
@@ -377,8 +384,7 @@ def fit(method: str, split: Split, config: PipelineConfig) -> TrainedModel:
     That first fit of sle is le's classifier, and the split fits it once
     for both (``Split.classifier``).
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_methods([method])
     ds, rows = split.dataset, split.train
     x = ds.numeric[rows]
     mean = x.mean(axis=0) if x.size else np.zeros(ds.n_numeric)
@@ -514,11 +520,27 @@ def _returns_free_heap(entry):
     return trimmed
 
 
-def _needs_similarity(methods: list[str]) -> bool:
-    """Whether ``methods`` need the corpus matrix; an unknown or repeated one is refused."""
+def check_methods(methods: list[str]) -> None:
+    """Refuse an empty method list, or one with an unknown or repeated
+    method, with a ``ValueError``."""
+    if not methods:
+        raise ValueError(f"no method given; expected some of {METHODS}")
     for method in methods:
         if method not in METHODS or methods.count(method) > 1:
             raise ValueError(f"method {method!r} is not in {METHODS} or listed more than once")
+
+
+def check_widths(dims_list: list[int]) -> None:
+    """Refuse an empty list of sweep widths, a repeated width, or one below
+    1, with a ``ValueError``."""
+    if not dims_list or len(set(dims_list)) != len(dims_list) or min(dims_list) < 1:
+        raise ValueError(f"dims {dims_list} list no width, a width more than once, "
+                         "or one below 1")
+
+
+def _needs_similarity(methods: list[str]) -> bool:
+    """Whether ``methods`` need the corpus matrix (``check_methods`` first)."""
+    check_methods(methods)
     return any(m in ("le", "sle") for m in methods)
 
 
@@ -552,18 +574,23 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
     one worker thread runs fold k's tail: ``fit``, ``score`` and the
     metrics of every method, whose arrays are sized by the fold's records
     times the features (lsi: times the vocabulary, for the test documents'
-    TF-IDF rows).  A fold's tail runs on the calling thread when the
-    next fold has no eigensolve pending: the last fold, and every fold whose
-    eigenmap an earlier width of the sweep solved.  The eigensolve and the
-    BLAS products release the GIL, so on two cores the stages overlap; on a
-    process that may run on one CPU they cannot, and every tail runs on the
-    calling thread.  Each fold computes what it would alone, so the reports
-    are bitwise those of one thread.  Results are collected in fold order,
-    and so are errors: fold k's tail raises before fold k+1's preparation
-    does.  Corpus-sized arrays stay on the calling thread because memory
-    that a worker thread frees stays in its own allocator arena, out of
-    reach of the caller's later allocations.  Once the folds' arrays are
-    freed, the heap's free pages go back to the operating system
+    TF-IDF rows).  At a later width of the sweep a fold's arrays exist
+    already (``Split.frame`` is set), so the caller, with nothing to
+    build, runs that fold's tail while the worker runs fold k's: the later
+    widths' tails alternate between the two threads, and a last unpaired
+    tail runs on the caller.  The eigensolve and the BLAS products release
+    the GIL, so on two cores the stages overlap; on a process that may run
+    on one CPU they cannot, and every tail runs on the calling thread.
+    Each fold computes what it would alone, so the reports are bitwise
+    those of one thread.  Results are collected in fold order, and so are
+    errors: fold k's error wins over fold k+1's, and fold k+1's is raised
+    once fold k's tail is collected.  Corpus-sized arrays stay on the
+    calling thread because memory that a worker thread frees stays in its
+    own allocator arena, out of reach of the caller's later allocations; a
+    tail's smaller arrays may stay there, which at the later widths costs
+    a second working set of the width (about 4% more peak memory on the
+    m = 2000 sweep of dims 10 and 40).  Once the folds' arrays are freed,
+    the heap's free pages go back to the operating system
     (``_returns_free_heap``).
     """
     # imported here: it imports logging, start-up time that commands which
@@ -600,10 +627,14 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                               joint_lsi=config.lsi_joint, lsi=joint_lsi)
                 if len(prepared.widths) > 1:
                     prepared.splits[key] = split
-            if ready is not None and overlap and needs_sim and split.frame is None:
+            own = None      # this fold's tail, when the caller runs it beside the worker's
+            if ready is not None and overlap and needs_sim:
+                solved = split.frame is not None    # an earlier width built its arrays
                 tail = worker.submit(_fold_tail, *ready, methods, config, collect_predictions)
                 try:
                     split.prepare(config, methods)
+                    if solved:
+                        own = _fold_tail(fold_no, split, methods, config, collect_predictions)
                 finally:
                     # the earlier fold's error, if any, is the one raised
                     collect(tail.result())
@@ -614,8 +645,13 @@ def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                 split.prepare(config, methods)
             if config.lsi_joint:
                 joint_lsi = split.lsi
-            ready = (fold_no, split)
-        collect(_fold_tail(*ready, methods, config, collect_predictions))
+            if own is None:
+                ready = (fold_no, split)
+            else:
+                collect(own)
+                ready = None
+        if ready is not None:
+            collect(_fold_tail(*ready, methods, config, collect_predictions))
 
     return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
                           predictions=per_method_preds[m] if collect_predictions else None)
@@ -635,17 +671,19 @@ def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
     first width makes and the later ones reuse (``PreparedDataset.splits``):
     one eigensolve per fold, at the widest width, serves them all, and so
     does one LSI factorization per fold (one in all with
-    ``lsi.joint_embed``).  Widths after the first solve nothing, so their
-    folds run on the calling thread alone.  Each fold's kNN selection is
+    ``lsi.joint_embed``).  Widths after the first build nothing, so their
+    folds are fitted two at a time, on ``run_methods``' worker thread and
+    on the calling thread, at the cost of a second working set of the
+    width in the worker's allocator arena.  Each fold's kNN selection is
     made once, and with sle, each fold's Laplacian is built once as well.
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
     training size minus one, raises ``RankDeficient`` at that solve; so
     does a width beyond a fold's document or vocabulary count, at the fold's
-    one LSI fit.  Each width may be listed once, and must be at least 1.
+    one LSI fit.  The methods and widths are checked before any corpus
+    work (``check_methods``, ``check_widths``).
     """
     needs_sim = _needs_similarity(methods)
-    if len(set(dims_list)) != len(dims_list) or any(dims < 1 for dims in dims_list):
-        raise ValueError(f"dims {dims_list} list a width more than once, or one below 1")
+    check_widths(dims_list)
     prepared = prepare_dataset(dataset, config, needs_sim)
     prepared.widths = tuple(dims_list)
     rows = []

@@ -20,7 +20,8 @@ import numpy as np
 from .config import PipelineConfig
 from .dataset import Dataset, write_csv
 from .errors import ParseError
-from .evaluation import METHODS, Split, TrainedModel, fit, prepare_dataset, score
+from .evaluation import (METHODS, Split, TrainedModel, check_methods, fit, prepare_dataset,
+                         score)
 from .logistic import LearnerParams
 
 # perfbench/tracing.py wraps these names here; evaluation.fit/score make the calls
@@ -43,6 +44,7 @@ def train_model(dataset: Dataset, method: str, config: PipelineConfig) -> Traine
     matrix (``Split.neighbours``): the floats that ``predict_model`` gives
     for the same records after a save and load.
     """
+    check_methods([method])     # before the corpus is normalized
     prepared = prepare_dataset(dataset, config, method in ("le", "sle"))
     everything = np.arange(dataset.m)
     split = Split(dataset, everything, everything, prepared.docs, (config.dims,),

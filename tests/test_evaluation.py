@@ -20,6 +20,11 @@ from slemap.evaluation import (compare_methods, cross_validate, prepare_dataset,
 from slemap.model_io import load_model, predict_model, save_model, train_model
 from slemap.synth import GeneratorSpec, generate_arrays
 
+
+class TailFailed(RuntimeError):
+    """A fold tail's failure, injected by a test."""
+
+
 FILLER_TEXTS = ["chest pain", "dizzy spells", "heart racing", "short breath",
                 "sharp pain", "sports checkup"]
 
@@ -330,7 +335,9 @@ class TestDimsSweep:
 
 class TestFoldPipeline:
     """run_methods prepares fold k+1 on the calling thread while one worker
-    thread fits, scores and measures fold k."""
+    thread fits, scores and measures fold k; at a later width of the dims
+    sweep, where fold k+1 has nothing left to build, the calling thread
+    fits, scores and measures fold k+1 meanwhile."""
 
     CFG = PipelineConfig(dims=3, folds=3, max_outer_iters=2, inner_theta_steps=4,
                          inner_embedding_steps=2)
@@ -391,14 +398,86 @@ class TestFoldPipeline:
             assert one[method].to_csv_rows() == two[method].to_csv_rows()
             assert repr(one[method].predictions) == repr(two[method].predictions)
 
-    def test_cached_width_fits_on_the_calling_thread(self, text_dataset, monkeypatch):
-        """The sweep's second width solves nothing, so its folds run on the
-        calling thread one after another."""
-        calls = self.fits_by_thread(monkeypatch)
-        compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], self.CFG)
+    def test_later_width_tails_alternate_worker_and_caller(self, text_dataset, monkeypatch):
+        """The sweep's second width builds nothing, so its folds' tails run
+        two at a time: fold 0 on the worker beside fold 1 on the caller,
+        then fold 2 beside fold 3, and the last fold alone on the caller."""
+        cfg = replace(self.CFG, folds=5)
+        tails = []
+        paired = threading.Barrier(2, timeout=20)
+        real = evaluation._fold_tail
+
+        def recorded(fold_no, split, methods, config, collect_predictions):
+            tails.append((config.dims, fold_no, threading.get_ident()))
+            if config.dims == 3 and fold_no < 2:
+                paired.wait()   # breaks unless folds 0 and 1 run at once
+            return real(fold_no, split, methods, config, collect_predictions)
+
+        monkeypatch.setattr(evaluation, "_fold_tail", recorded)
+        compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], cfg)
         caller = threading.get_ident()
-        assert {thread for dims, thread in calls if dims == 3} == {caller}
-        assert {thread for dims, thread in calls if dims == 2} - {caller}
+        first = [thread for dims, _, thread in tails if dims == 2]
+        assert first[-1] == caller and caller not in first[:-1]
+        later = sorted((fold, thread) for dims, fold, thread in tails if dims == 3)
+        workers = {thread for _, thread in later} - {caller}
+        assert len(workers) == 1
+        assert [thread for _, thread in later] == [*workers, caller] * 2 + [caller]
+
+    def later_width_failures(self, monkeypatch, text_dataset, failing):
+        """Patch fit so that at the sweep's second width the folds in
+        ``failing`` raise, once folds 0 and 1 are both in their tails; return
+        the folds whose tails at that width finished."""
+        first_two = stratified_folds(text_dataset.labels, self.CFG.folds, self.CFG.seed)[:2]
+        both_running = threading.Barrier(2, timeout=20)
+        finished = []
+        real = evaluation.fit
+
+        def fit(method, split, config):
+            fold = next((k for k, test in enumerate(first_two)
+                         if np.array_equal(split.test, test)), None)
+            if config.dims == 3 and fold is not None and method == "le":
+                both_running.wait()
+                if fold in failing:
+                    raise TailFailed(f"fold {fold}")
+            model = real(method, split, config)
+            if config.dims == 3 and fold is not None and method == "lsi":
+                finished.append(fold)
+            return model
+
+        monkeypatch.setattr(evaluation, "fit", fit)
+        return finished
+
+    def test_later_width_earlier_fold_error_wins(self, text_dataset, monkeypatch):
+        """At the sweep's second width, fold 0's tail on the worker and fold
+        1's on the caller both fail, at the same time; fold 0's error is
+        raised."""
+        self.later_width_failures(monkeypatch, text_dataset, failing={0, 1})
+        with pytest.raises(TailFailed, match="fold 0"):
+            compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], self.CFG)
+
+    def test_later_width_error_raised_after_the_earlier_fold(self, text_dataset, monkeypatch):
+        """At the sweep's second width only fold 1's tail, on the caller,
+        fails; its error is raised once fold 0's tail on the worker has
+        finished and been collected."""
+        finished = self.later_width_failures(monkeypatch, text_dataset, failing={1})
+        with pytest.raises(TailFailed, match="fold 1"):
+            compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], self.CFG)
+        assert finished == [0]
+
+    def test_sweep_rows_equal_on_one_cpu_and_two(self, text_dataset, monkeypatch):
+        """compare_methods reports the same rows whether its later widths'
+        tails run two at a time, with the interpreter switching threads
+        every microsecond, or all on the calling thread."""
+        methods = ["numeric", "le", "sle", "lsi"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            two = compare_methods(text_dataset, methods, [2, 3], self.CFG)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = compare_methods(text_dataset, methods, [2, 3], self.CFG)
+        assert one == two
 
     def test_earlier_fold_error_wins(self, text_dataset, monkeypatch):
         """Fold 0's tail and fold 1's eigensolve both fail, at the same
@@ -406,9 +485,6 @@ class TestFoldPipeline:
         first_fold = stratified_folds(text_dataset.labels, self.CFG.folds, self.CFG.seed)[0]
         real_fit, real_solve = evaluation.fit, evaluation.solve_eigenmap
         solves = []
-
-        class TailFailed(RuntimeError):
-            pass
 
         def failing_fit(method, split, config):
             if np.array_equal(split.test, first_fold):
@@ -711,6 +787,25 @@ def test_bad_arguments_rejected_before_the_matrix(text_dataset, monkeypatch, met
     if dims_list[-1] > 0:
         with pytest.raises(ValueError):
             run_methods(text_dataset, methods, cfg)
+
+
+@pytest.mark.parametrize("methods,dims_list", [([], [2, 3]), (["le"], [])],
+                         ids=["no-method", "no-width"])
+def test_empty_lists_rejected(text_dataset, methods, dims_list):
+    with pytest.raises(ValueError, match="no "):
+        compare_methods(text_dataset, methods, dims_list, PipelineConfig(dims=3, folds=3))
+
+
+def test_train_model_checks_the_method_before_normalizing(text_dataset, monkeypatch):
+    """An unknown method is refused before any corpus work."""
+    calls = []
+    real = evaluation.normalize
+    monkeypatch.setattr(evaluation, "normalize", lambda *a, **k: calls.append(1) or real(*a, **k))
+    with pytest.raises(ValueError, match="'pca'"):
+        train_model(text_dataset, "pca", PipelineConfig(dims=3))
+    assert calls == []
+    train_model(text_dataset, "numeric", PipelineConfig(dims=3))
+    assert len(calls) == text_dataset.m
 
 
 def test_split_serves_only_its_widths(text_dataset):
