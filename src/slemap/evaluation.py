@@ -241,7 +241,8 @@ class Split:
     sweep keeps (``PreparedDataset.splits``): its one eigensolve runs at
     the widest width, checks the degenerate-gap rule at each, and every
     width slices that frame; its one LSI factorization is fitted the same
-    way.  The full eigendecomposition and the TF-IDF matrix are never kept.
+    way.  The eigenvectors beyond the widest width are never computed, and
+    the TF-IDF matrix is never kept.
 
     Cross-validation, ``model_io.train_model`` and the ``embed`` command
     supply the corpus ``SimilarityMatrix``: the Laplacian

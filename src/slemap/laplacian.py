@@ -19,7 +19,13 @@ quotient problem with one row per group and, for every row beyond a
 group's first, an eigenvector that lives inside its group with eigenvalue
 exactly 1.  ``solve_eigenmap`` solves the quotient and expands its vectors
 to rows; it expands the block to every row and solves there only when the
-frame would reach that eigenvalue-1 block or no row repeats.
+frame would reach that eigenvalue-1 block or no row repeats.  Either solve
+computes every eigenvalue but only the eigenvectors the frame uses, through
+the LAPACK routines of the OpenBLAS that ``numpy.linalg`` already loaded
+(tridiagonal reduction, eigenvalues without vectors, inverse iteration,
+back-transformation in fixed blocks of vectors), and falls back to
+``np.linalg.eigh`` where that library lacks them.  A frame's leading columns
+are bitwise the same whatever width is asked for.
 
 One projected-descent step on the constraint manifold serves two callers:
 the unsupervised eigenmap descent (an alternative route to the same optimum)
@@ -36,8 +42,11 @@ made as an m x dims array.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +59,8 @@ DEGENERATE_GAP = 1e-12
 COLLAPSE_TOL = 1e-6        # a frame column under this D-norm has collapsed
 # Bytes of expanded rows that one step of the row sums gathers
 _GATHER_BYTES = 1 << 20
+_COLUMN_MAJOR = 102        # LAPACKE's layout flag for Fortran-ordered arrays
+_BACK_BLOCK = 8            # eigenvectors back-transformed by one LAPACK call
 
 
 @dataclass(frozen=True)
@@ -283,21 +294,130 @@ def _add_transpose(a: np.ndarray) -> None:
         a[i:, i:j] = strip.T
 
 
-def _grouped_eigh(lap: Laplacian, grouped: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of the quotient problem over the groups, constant direction shifted last.
+class _Lapack(NamedTuple):
+    """The LAPACKE routines of a partial symmetric eigensolve."""
+
+    dsytrd: Callable[..., int]
+    dsterf: Callable[..., int]
+    dstein: Callable[..., int]
+    dormtr: Callable[..., int]
+
+
+@functools.cache
+def _lapack() -> _Lapack | None:
+    """The LAPACKE routines of the OpenBLAS that ``numpy.linalg`` loaded, or None.
+
+    numpy 2.x wheels link scipy-openblas built with 64-bit integers, whose
+    C entry points are named ``scipy_LAPACKE_<routine>_work64_``.  Only
+    those names are bound, since nothing tells the integer width of any
+    other; without them (another BLAS, or no shared library) the solve is
+    ``np.linalg.eigh``'s.  The ``_work`` forms take their workspace from
+    the caller, so a call allocates nothing and scans no input for NaN.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        found = [getattr(lib, f"scipy_LAPACKE_{name}_work64_") for name in _Lapack._fields]
+    except (AttributeError, OSError, TypeError):
+        return None
+    flag, char, size = ctypes.c_int, ctypes.c_char, ctypes.c_int64
+    real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    argtypes = (
+        [flag, char, size, real, size, real, real, real, real, size],
+        [size, real, real],
+        [flag, size, real, real, size, real, index, index, real, size, real, index, index],
+        [flag, char, char, char, size, size, real, size, real, real, size, real, size],
+    )
+    for routine, types in zip(found, argtypes):
+        routine.argtypes, routine.restype = types, size
+    return _Lapack(*found)
+
+
+def _succeeded(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned INFO={info}")
+
+
+def _workspace(routine: Callable[..., int], name: str, *args) -> np.ndarray:
+    """The workspace that a ``_work`` routine asks for, given the arguments
+    before its workspace."""
+    query = np.empty(1)
+    _succeeded(routine(*args, query, -1), name)
+    return np.empty(max(1, int(query[0])))
+
+
+def _partial_eigh(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of the symmetric C-ordered ``a``, ascending, and the
+    eigenvectors of the lowest ``count`` as columns; ``a`` is overwritten.
+
+    ``a`` is reduced in place to a tridiagonal T = Q^T A Q (xSYTRD), T's
+    eigenvalues are computed without vectors (xSTERF), inverse iteration on
+    T gives the lowest vectors (xSTEIN), and Q is applied to them (xORMTR)
+    (Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999); the u x u
+    matrix of every eigenvector is never made.  The leading columns are
+    bitwise the same whatever ``count`` is: inverse iteration computes the
+    vectors in order, each from the eigenvalues and the vectors before it,
+    and Q is applied to fixed blocks of ``_BACK_BLOCK`` vectors counted from
+    the first, every block in one call with the same workspace, so a vector
+    is rounded with the same neighbours for every ``count`` (a product over
+    all ``count`` vectors at once rounds differently as ``count`` changes).
+    Inverse iteration runs on to the end of the last block.  When it does
+    not converge for a vector (INFO > 0), every vector is taken from
+    ``np.linalg.eigh`` of T instead and back-transformed the same way; only
+    then can a narrower ``count``, whose blocks end before the failing
+    vector, differ from the leading columns in the last bits.  Without
+    numpy's LAPACK (``_lapack`` gives None) this is ``np.linalg.eigh``,
+    which is prefix-stable too.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        eigvals, eigvecs = np.linalg.eigh(a)
+        return eigvals, eigvecs[:, :count]
+    n = a.shape[0]
+    # a symmetric a is its own transpose, so its C order serves as Fortran order
+    diag, off, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
+    reduce = (_COLUMN_MAJOR, b"L", n, a, n, diag, off, tau)
+    work = _workspace(lapack.dsytrd, "dsytrd", *reduce)
+    _succeeded(lapack.dsytrd(*reduce, work, work.shape[0]), "dsytrd")
+    eigvals, scratch = diag.copy(), off.copy()
+    _succeeded(lapack.dsterf(n, eigvals, scratch), "dsterf")
+    solved = min(n, -(-count // _BACK_BLOCK) * _BACK_BLOCK)
+    vectors = np.empty((solved, n))        # column-major, one vector a row
+    info = lapack.dstein(_COLUMN_MAJOR, n, diag, off, solved, eigvals,
+                         np.ones(solved, dtype=np.int64), np.array([n], dtype=np.int64),
+                         vectors, n, np.empty(5 * n), np.empty(n, dtype=np.int64),
+                         np.empty(solved, dtype=np.int64))
+    if info > 0:
+        tridiagonal = np.diag(diag) + np.diag(off[:n - 1], 1) + np.diag(off[:n - 1], -1)
+        vectors = np.linalg.eigh(tridiagonal)[1][:, :solved].T.copy()
+    else:
+        _succeeded(info, "dstein")
+    work = _workspace(lapack.dormtr, "dormtr", _COLUMN_MAJOR, b"L", b"L", b"N", n, _BACK_BLOCK,
+                      a, n, tau, vectors, n)
+    for i in range(0, solved, _BACK_BLOCK):
+        block = vectors[i:i + _BACK_BLOCK]
+        _succeeded(lapack.dormtr(_COLUMN_MAJOR, b"L", b"L", b"N", n, block.shape[0], a, n, tau,
+                                 block, n, work, work.shape[0]), "dormtr")
+    return eigvals, vectors[:count].T
+
+
+def _grouped_eigh(lap: Laplacian, grouped: bool, count: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and the lowest ``count`` eigenvectors of the quotient
+    problem over the groups, constant direction shifted last.
 
     With c the group sizes, the quotient pencil is (Q, diag(d/c)) where Q
     holds the mean of L over each block of two groups: -S between groups, and
-    r/c - s_gg on the diagonal.  Its symmetric reduction is solved densely
-    after a rank-one shift pushes the constant direction, proportional to
-    sqrt(c*d), above the spectrum.  Returns the eigenvalues, the eigenvectors
-    and sqrt(c*d), which maps an eigenvector to the group values of a
-    D-orthonormal frame.  Not ``grouped``, every row is its own group and
-    the operations are those of a plain solve of D^(-1/2) L D^(-1/2) over
-    ``lap.dense()``.
+    r/c - s_gg on the diagonal.  Its symmetric reduction is solved by
+    :func:`_partial_eigh` after a rank-one shift pushes the constant
+    direction, proportional to sqrt(c*d), above the spectrum.  Returns every
+    eigenvalue, the lowest ``count`` eigenvectors and sqrt(c*d), which maps
+    an eigenvector to the group values of a D-orthonormal frame.  Not
+    ``grouped``, every row is its own group and the operations are those of
+    a plain solve of D^(-1/2) L D^(-1/2) over ``lap.dense()``.
     """
-    # in place where the arithmetic allows, so that the solve's input is the
-    # only full-size array of ours alive while eigh allocates its own
+    # in place where the arithmetic allows: the solve's input is the only
+    # full-size array of ours alive, and the solve overwrites it
     if grouped:
         counts = np.diff(lap.starts, append=lap.m).astype(float)
         degrees = lap.degrees[lap.firsts]
@@ -323,7 +443,7 @@ def _grouped_eigh(lap: Laplacian, grouped: bool) -> tuple[np.ndarray, np.ndarray
     bump *= shift
     reduced += bump
     del bump
-    eigvals, eigvecs = np.linalg.eigh(reduced)
+    eigvals, eigvecs = _partial_eigh(reduced, count)
     return eigvals, eigvecs, root
 
 
@@ -335,20 +455,24 @@ def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
     is copied to its rows.  The rows beyond each group's first add
     eigenvectors inside their group with eigenvalue exactly 1, which the
     quotient does not see; when the frame would need one of them (``dims``
-    past the quotient's non-trivial count, or its eigenvalue ``dims`` - 1 not
-    below 1), or when no row repeats, the same solve runs with every row its
-    own group, which is the plain dense solve of D^(-1/2) L D^(-1/2).  The
-    constant direction (always a null vector) is pushed above the spectrum
-    by a rank-one shift before the solve, so the lowest dims eigenvectors of
-    the shifted matrix are exactly the non-trivial ones; this stays correct
-    on disconnected graphs where several eigenvalues vanish.  The
+    past the quotient's non-trivial count, which needs no solve to see, or
+    its eigenvalue ``dims`` - 1 not below 1), or when no row repeats, the
+    same solve runs with every row its own group, which is the plain dense
+    solve of D^(-1/2) L D^(-1/2).  The constant direction (always a null
+    vector) is pushed above the spectrum by a rank-one shift before the
+    solve, so the lowest dims eigenvectors of the shifted matrix are exactly
+    the non-trivial ones; this stays correct on disconnected graphs where
+    several eigenvalues vanish.  A solve (:func:`_partial_eigh`) computes
+    every eigenvalue but only the lowest dims eigenvectors.  The
     degenerate-gap rule reads the quotient's spectrum merged with the exact
-    ones.  Column signs are fixed so each column's largest-magnitude entry
-    is positive.
+    ones; a width that cuts a cluster raises ``RankDeficient``, naming the
+    widest narrower width that cuts none.  Column signs are fixed so each
+    column's largest-magnitude entry is positive.
 
     ``dims`` may list several widths: one solve checks each of them and
-    returns the frame of the widest.  Every column depends on the solve
-    alone, so its leading w columns are bitwise the frame ``dims=w`` returns.
+    returns the frame of the widest.  The solve's leading eigenvectors do
+    not depend on how many it computes, so the frame's leading w columns are
+    bitwise the frame ``dims=w`` returns.
     """
     m = lap.m
     widths = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
@@ -356,23 +480,30 @@ def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
         if w < 1 or w > m - 1:
             raise RankDeficient(f"need 1 <= dims <= m-1, got dims={w}, m={m}")
     dims = max(widths)
-    groups = lap.groups
-    eigvals, eigvecs, root = _grouped_eigh(lap, grouped=True)
-    u = eigvals.shape[0]
-    if u < m and (dims > u - 1 or not eigvals[dims - 1] < 1.0):
-        del eigvecs     # not alive beside the full solve's arrays
-        groups = np.arange(m)
-        eigvals, eigvecs, root = _grouped_eigh(lap, grouped=False)
-        u = m
+    groups, u = lap.groups, lap.firsts.shape[0]
+    solved = None
+    if dims < u:
+        solved = _grouped_eigh(lap, grouped=True, count=dims)
+        if u < m and not solved[0][dims - 1] < 1.0:
+            solved = None   # not alive beside the full solve's arrays
+    if solved is None:
+        groups, u = np.arange(m), m
+        solved = _grouped_eigh(lap, grouped=False, count=dims)
+    eigvals, eigvecs, root = solved
     # indices 0..u-2 are the quotient's non-trivial pairs; its shifted
     # constant sits last
     spectrum = np.sort(np.concatenate([eigvals[:u - 1], np.ones(m - u)]))
+    # cuts[w - 1]: width w, below m - 1, splits a degenerate cluster
+    cuts = np.diff(spectrum) < DEGENERATE_GAP
     for w in widths:
-        if w <= m - 2 and spectrum[w] - spectrum[w - 1] < DEGENERATE_GAP:
+        if w <= m - 2 and cuts[w - 1]:
+            narrower = np.flatnonzero(~cuts[:w - 1])
             raise RankDeficient(
                 f"dims={w} cuts a numerically degenerate eigenvalue cluster: non-trivial "
-                f"eigenvalues {w} and {w + 1} are {spectrum[w - 1]:.3g} and {spectrum[w]:.3g}")
-    x = (eigvecs[:, :dims] / root[:, None])[groups]
+                f"eigenvalues {w} and {w + 1} are {spectrum[w - 1]:.3g} and {spectrum[w]:.3g}; "
+                + (f"dims={narrower[-1] + 1} is the widest width below it that cuts none"
+                   if narrower.size else "no narrower width avoids cutting one"))
+    x = (eigvecs / root[:, None])[groups]
     for j in range(dims):
         i = int(np.argmax(np.abs(x[:, j])))
         if x[i, j] < 0.0:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from slemap.errors import KTooLarge, RankDeficient
-from slemap.laplacian import DEGENERATE_GAP, DEGREE_EPSILON
+from slemap.laplacian import DEGENERATE_GAP, DEGREE_EPSILON, _partial_eigh
 from slemap.metrics import ConfusionCounts, compute_mcc, confusion_at
 from slemap.transforms import N_KINDS, TransformKind
 
@@ -361,17 +361,20 @@ def oracle_laplacian(s) -> dict[str, np.ndarray]:
             "starts": np.cumsum(counts) - counts}
 
 
-def oracle_solve_eigenmap(lap, dims):
+def oracle_solve_eigenmap(lap, dims, reference=False):
     """Bottom non-trivial eigenvectors of L x = lambda D x from one dense
-    solve over every row of L, with no grouping of equal rows."""
+    solve over every row of L, with no grouping of equal rows.
+
+    The solve is the package's partial one, so that a comparison checks the
+    grouping; ``reference`` solves with ``np.linalg.eigh`` instead, an
+    independent check of the partial solve."""
     m = lap.m
     widths = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
     for w in widths:
         if w < 1 or w > m - 1:
             raise RankDeficient(f"need 1 <= dims <= m-1, got dims={w}, m={m}")
+    dims = max(widths)
     dsqrt = np.sqrt(lap.degrees)
-    # in place where the arithmetic allows, so that the solve's input is the
-    # only m x m array of ours alive while eigh allocates its own
     reduced = lap.dense() / dsqrt[:, None]
     reduced /= dsqrt[None, :]
     reduced = reduced + reduced.T
@@ -379,13 +382,15 @@ def oracle_solve_eigenmap(lap, dims):
     v0 = dsqrt / np.linalg.norm(dsqrt)
     shift = float(np.max(np.sum(np.abs(reduced), axis=1))) + 1.0
     reduced += shift * np.outer(v0, v0)
-    eigvals, eigvecs = np.linalg.eigh(reduced)
+    if reference:
+        eigvals, eigvecs = np.linalg.eigh(reduced)
+    else:
+        eigvals, eigvecs = _partial_eigh(reduced, dims)
     # indices 0..m-2 are the non-trivial pairs; the shifted constant sits last
     for w in widths:
         if w <= m - 2 and eigvals[w] - eigvals[w - 1] < DEGENERATE_GAP:
             raise RankDeficient(
                 "requested dimension cuts a numerically degenerate eigenvalue cluster")
-    dims = max(widths)
     x = eigvecs[:, :dims] / dsqrt[:, None]
     for j in range(dims):
         i = int(np.argmax(np.abs(x[:, j])))

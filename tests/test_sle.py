@@ -245,19 +245,20 @@ class TestGolden:
     def test_fit_sle_pinned(self):
         # recorded from the alternation, its line search in dims x dims
         # algebra, started from the classifier that Newton steps trained
-        # from zero weights; any change to the step rule,
-        # the backtracking, the classifier's start or the operand order of
-        # the products shows here
+        # from zero weights and from the eigenmap of the partial LAPACK
+        # solve; any change to the step rule, the backtracking, the
+        # classifier's start, the eigensolve or the operand order of the
+        # products shows here
         rng = np.random.default_rng(15)
         numeric, s, y = clustered_dataset(rng, m=30, n_numeric=3, dims=2)
         cfg = SleConfig(dims=2, max_outer_iters=3, inner_theta_steps=5,
                         inner_embedding_steps=4, tol=0.0)
         model = fit_sle(numeric, s, y, cfg, feature_scale=2.5)
         assert [repr(v) for v in model.objective_trace] == [
-            "1.258240694469423", "1.2581215191879889",
-            "1.2581105612560206", "1.2581100649590202"]
-        assert repr(model.lam) == "0.4485952949044341"
+            "1.2582406944694224", "1.2581215191879882",
+            "1.25811056125602", "1.2581100649590196"]
+        assert repr(model.lam) == "0.44859529490443373"
         assert model.degenerate is False
-        assert repr(model.max_constraint_violation) == "1.1429225560222539e-15"
+        assert repr(model.max_constraint_violation) == "1.1593376652227128e-15"
         assert hashlib.sha256(model.embedding.tobytes()).hexdigest() == (
-            "0053af1d5629bb827173edaa326c7b79cd2b186ef8a1b29b4b75496f132a6657")
+            "71fda578f867a3c8f9db63ff0de64f04612f32c242fe9e51744ed95ca9264303")

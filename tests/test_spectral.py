@@ -385,6 +385,16 @@ class TestSolveEigenmap:
         with pytest.raises(RankDeficient):
             solve_eigenmap(lap, (2, 6))
 
+    def test_degenerate_cut_names_the_widest_narrower_width(self):
+        # three identical components: non-trivial eigenvalues 0, 0, 1, 1, 1
+        lap = build_laplacian(block_similarity(2, 2, 2))
+        with pytest.raises(RankDeficient, match="no narrower width avoids cutting one"):
+            solve_eigenmap(lap, 1)
+        for dims in (3, 4, [2, 4]):
+            with pytest.raises(RankDeficient, match="dims=2 is the widest width below it"):
+                solve_eigenmap(lap, dims)
+        assert solve_eigenmap(lap, 2).shape == (6, 2)
+
     def test_deterministic_sign(self):
         rng = np.random.default_rng(10)
         s = random_similarity(rng, 10)
@@ -452,6 +462,135 @@ class TestQuotientSolve:
             assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
         with pytest.raises(RankDeficient):
             solve_eigenmap(lap, 9)
+
+
+class TestAgainstEigh:
+    """solve_eigenmap against the oracle solved by ``np.linalg.eigh``, an
+    independent check of the partial LAPACK solve."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_free(self, seed):
+        lap = build_laplacian(random_similarity(np.random.default_rng(seed), 16))
+        for dims in (1, 4, [2, 7, 5], lap.m - 1):
+            want = oracle_solve_eigenmap(lap, dims, reference=True)
+            assert np.max(np.abs(solve_eigenmap(lap, dims) - want)) <= 1e-12
+
+    @duplicate_heavy
+    def test_duplicate_heavy_inside_the_quotient(self, make):
+        lap = build_laplacian(make())
+        for w in range(1, lap.firsts.size):
+            try:
+                want = oracle_solve_eigenmap(lap, w, reference=True)
+            except RankDeficient:
+                continue
+            assert np.max(np.abs(solve_eigenmap(lap, w) - want)) <= 1e-12, w
+
+
+# symmetric matrices for the partial solve: (id, maker, dims)
+SYMMETRIC = [
+    ("random", lambda: random_similarity(np.random.default_rng(30), 24) - 0.5, 4),
+    ("repeated-rows", lambda: repeated_rows(random_similarity(np.random.default_rng(31), 8),
+                                            np.random.default_rng(32).integers(0, 8, size=20)), 3),
+    # eigenvalue 4 four times and 0 twelve times
+    ("degenerate", lambda: block_similarity(4, 4, 4, 4), 3),
+]
+
+
+class TestPartialEigh:
+    """``_partial_eigh``: every eigenvalue, the lowest eigenvectors."""
+
+    @pytest.mark.parametrize("make,dims", [(make, dims) for _, make, dims in SYMMETRIC],
+                             ids=[name for name, _, _ in SYMMETRIC])
+    def test_eigenpairs_and_prefixes(self, make, dims):
+        a = make()
+        scale = np.linalg.norm(a, 2)
+        count = dims + 9
+        w, v = laplacian._partial_eigh(a.copy(), count)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * scale
+        assert v.shape == (a.shape[0], count)
+        assert np.max(np.abs(a @ v - v * w[:count])) <= 1e-13 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(count))) <= 1e-13
+        # back-transformed in blocks of 8 vectors: counts inside one block,
+        # across blocks and up to the last, shorter block of every vector
+        widest = laplacian._partial_eigh(a.copy(), a.shape[0] - 1)[1]
+        for k in (1, dims, count):
+            w_k, v_k = laplacian._partial_eigh(a.copy(), k)
+            assert w_k.tobytes() == w.tobytes()
+            assert (np.ascontiguousarray(v_k).tobytes()
+                    == np.ascontiguousarray(widest[:, :k]).tobytes())
+
+    @pytest.mark.parametrize("similarity,widths", [
+        (lambda: random_similarity(np.random.default_rng(33), 14), (1, 4, 13)),
+        (DUPLICATE_HEAVY[0][1], (3, 6, 28)),     # 10 groups: width 28 solves every row
+        (lambda: block_similarity(2, 2, 2), (2, 5)),
+    ], ids=["random", "repeated-rows", "degenerate"])
+    def test_frames_solve_the_pencil(self, similarity, widths):
+        lap = build_laplacian(similarity())
+        dense = lap.dense()
+        for dims in widths:
+            x = solve_eigenmap(lap, dims)
+            dx = lap.degrees[:, None] * x
+            assert np.max(np.abs(x.T @ dx - np.eye(dims))) <= 1e-12
+            lx = dense @ x
+            residual = lx - dx * np.einsum("ij,ij->j", x, lx)
+            assert np.max(np.abs(residual)) <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices ``np.linalg.eigh`` is asked to solve."""
+    calls, real = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestEighFallback:
+    def test_without_lapack_frames_are_eighs(self, monkeypatch, eigh_calls):
+        laps = [build_laplacian(random_similarity(np.random.default_rng(34), 14)),
+                build_laplacian(DUPLICATE_HEAVY[0][1]())]
+        # widths whose frames hold no degenerate cluster, so that they are unique
+        widths = [(1, 4, 13), (3, 6)]
+        want = [[solve_eigenmap(lap, w) for w in ws] for lap, ws in zip(laps, widths)]
+        assert eigh_calls == []
+        monkeypatch.setattr(laplacian, "_lapack", lambda: None)
+        for lap, ws, frames in zip(laps, widths, want):
+            for w, frame in zip(ws, frames):
+                assert np.max(np.abs(solve_eigenmap(lap, w) - frame)) <= 1e-12
+        assert len(eigh_calls) == 5
+
+    def test_without_lapack_widths_stay_bitwise(self, monkeypatch, eigh_calls):
+        monkeypatch.setattr(laplacian, "_lapack", lambda: None)
+        TestSolveEigenmap().test_widths_one_solve_is_each_width_bitwise()
+        assert eigh_calls
+
+    @pytest.mark.skipif(laplacian._lapack() is None, reason="numpy's LAPACK is not bound")
+    def test_inverse_iteration_failure_solves_the_tridiagonal(self, monkeypatch, eigh_calls):
+        lap = build_laplacian(random_similarity(np.random.default_rng(35), 14))
+        want = oracle_solve_eigenmap(lap, 4, reference=True)
+        real = laplacian._lapack()
+
+        def failing(*args):
+            assert real.dstein(*args) == 0
+            return 1    # INFO > 0: one vector did not converge
+        monkeypatch.setattr(laplacian, "_lapack", lambda: real._replace(dstein=failing))
+        eigh_calls.clear()
+        got = solve_eigenmap(lap, 4)
+        assert eigh_calls == [(14, 14)]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_binds_numpys_lapack():
+    """Where numpy links the ILP64 scipy-openblas, as its 2.x wheels do, the
+    partial solve must bind it and not fall back to ``np.linalg.eigh``."""
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if (lapack.get("name") != "scipy-openblas"
+            or "USE64BITINT" not in lapack.get("openblas configuration", "")):
+        pytest.skip("numpy does not link the ILP64 scipy-openblas")
+    assert laplacian._lapack() is not None
 
 
 class TestQuotientProduct:
