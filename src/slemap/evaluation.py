@@ -12,10 +12,10 @@ alone.
 
 ``fit`` and ``score`` are the one implementation of the four methods: a CV
 fold and ``model_io.train_model``/``predict_model`` both go through them.
-``run_methods`` fits and scores fold k on one worker thread while the
-calling thread builds fold k+1's corpus-sized arrays, or, at a later width
-of the dims sweep, where those arrays exist already, fits and scores fold
-k+1 itself; every fold computes what it would alone, so the reports do not
+``run_methods`` makes one pass over the folds for every width of a dims
+sweep: the calling thread builds each fold in turn and queues its fits, one
+per width, widest first, for a worker thread that it joins once every fold
+is built.  Every fit computes what it would alone, so the reports do not
 depend on the threads.
 """
 
@@ -25,13 +25,14 @@ import ctypes
 import functools
 import math
 import os
+from collections import deque
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from .config import PipelineConfig
 from .dataset import Dataset
-from .errors import FoldTooSmall, SchemaError
+from .errors import FoldTooSmall, RankDeficient, SchemaError
 from .estimator import estimate_batch, select_neighbours
 from .laplacian import Laplacian, build_laplacian, solve_eigenmap
 from .logistic import LabeledFeatures, LearnerParams, predict_proba, train
@@ -140,26 +141,14 @@ class PreparedDataset:
     CLI take their documents from it.  ``similarity`` is the corpus matrix
     as ``computer.matrix`` returns it, over the distinct documents; each
     fold restricts it to its training keys and gathers its test block from
-    it, and no matrix over every record is made.  When the dims sweep of
-    ``compare_methods`` lists more than one of its ``widths``, ``splits``
-    keeps each fold's ``Split`` between ``run_methods`` calls, and with it
-    all of the fold's state: one eigensolve per fold at the widest width
-    serves every width, and so do one kNN selection, one LSI factorization
-    and, with sle, one Laplacian (``Split``).  A single width keeps no fold.
-    At the later widths, where every fold's arrays exist, ``run_methods``
-    fits two folds at a time, one on its worker thread and one on the
-    calling thread; the worker's fit keeps a second working set of the
-    width in its own allocator arena, about 4% more peak memory on the
-    m = 2000 sweep of dims 10 and 40.
+    it, and no matrix over every record is made.  No fold is kept: a dims
+    sweep is one ``run_methods`` pass, each of whose folds serves every width.
     """
 
     dataset: Dataset
     docs: list[Document]
     similarity: SimilarityMatrix | None
     computer: SimilarityComputer | None
-    widths: tuple[int, ...] = ()
-    # (folds, seed, fold number) -> that fold's Split, kept for the sweep's later widths
-    splits: dict[tuple[int, int, int], Split] = field(default_factory=dict)
 
 
 def normalize_corpus(ids: list[str], texts: list[str],
@@ -236,13 +225,12 @@ class Split:
     ``config.dims``); another width is a ``ValueError``.  The Laplacian, the
     training eigenmap, the test records' kNN selection, the LSI
     factorization and the classifier that le fits and sle starts from (one
-    per width) are made on first use and kept, so every method fitted on a
-    split shares them, and so do the later widths of a split that the dims
-    sweep keeps (``PreparedDataset.splits``): its one eigensolve runs at
-    the widest width, checks the degenerate-gap rule at each, and every
-    width slices that frame; its one LSI factorization is fitted the same
-    way.  The eigenvectors beyond the widest width are never computed, and
-    the TF-IDF matrix is never kept.
+    per width) are made on first use and kept, so every method and every
+    width fitted on a split shares them: its one eigensolve runs at the
+    widest width, checks the degenerate-gap rule at each, and every width
+    slices that frame; its one LSI factorization is fitted the same way.
+    The eigenvectors beyond the widest width are never computed, and the
+    TF-IDF matrix is never kept.
 
     Cross-validation, ``model_io.train_model`` and the ``embed`` command
     supply the corpus ``SimilarityMatrix``: the Laplacian
@@ -260,8 +248,8 @@ class Split:
 
     ``prepare`` builds everything sized by the corpus up front, so that
     ``fit`` and ``score`` afterwards only read it; cross-validation
-    prepares a fold on the calling thread and may fit and score it on a
-    worker thread.
+    prepares a fold on the calling thread and may fit and score its widths
+    on two threads at once.
     """
 
     dataset: Dataset
@@ -554,145 +542,155 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _prepare(fold_no: int, split: Split, config: PipelineConfig, methods) -> None:
+    """``split.prepare``, whose ``RankDeficient`` names the fold, its count u
+    of distinct training documents (the Laplacian's groups, if it has one)
+    and its blank training records, each an isolated node of the graph."""
+    try:
+        split.prepare(config, methods)
+    except RankDeficient as exc:
+        blank = [split.dataset.ids[i] for i in split.train if split.docs[i].is_sentinel]
+        listed = f" ({', '.join(blank[:5])}{', ...' * (len(blank) > 5)})" if blank else ""
+        u = ("" if split.lap is None
+             else f"u = {split.lap.firsts.size} distinct training documents; ")
+        raise RankDeficient(f"fold {fold_no}; {u}{len(blank)} blank training records{listed}: "
+                            f"{exc}") from None
+
+
 @_returns_free_heap
 def run_methods(dataset: Dataset, methods: list[str], config: PipelineConfig,
                 prepared: PreparedDataset | None = None,
-                collect_predictions: bool = False) -> dict[str, EvalReport]:
-    """Evaluate several methods over one shared fold split.
+                collect_predictions: bool = False,
+                widths: list[int] | None = None
+                ) -> dict[str | tuple[str, int], EvalReport]:
+    """Evaluate several methods over one shared fold split, at ``config.dims``
+    or, keyed (method, dims), at every width of a sweep's ``widths``.
 
-    Similarity matrices, normalized documents, and the per-fold unsupervised
-    eigenmap, kNN selection and le classifier (sle's start) are computed
-    once and shared wherever two methods need them: each fold's state lives
-    on its ``Split``.  A ``prepared`` dataset whose sweep lists more than
-    one width keeps the folds' Splits (``PreparedDataset.splits``), which
-    this call makes at the sweep's first width and reuses at its later ones.
-    Each method may be listed once.
+    Similarity matrices, normalized documents, and each fold's eigenmap, kNN
+    selection and le classifier (sle's start) are computed once for every
+    method and width: a fold's state lives on its ``Split``.
 
-    The folds run as a two-stage pipeline.  The calling thread prepares
-    each fold in turn (``Split.prepare``), which builds every array sized
-    by the corpus: the fold's training block, Laplacian and eigenmap, its
-    kNN selection and its LSI factorization.  While it prepares fold k+1,
-    one worker thread runs fold k's tail: ``fit``, ``score`` and the
-    metrics of every method, whose arrays are sized by the fold's records
-    times the features (lsi: times the vocabulary, for the test documents'
-    TF-IDF rows).  At a later width of the sweep a fold's arrays exist
-    already (``Split.frame`` is set), so the caller, with nothing to
-    build, runs that fold's tail while the worker runs fold k's: the later
-    widths' tails alternate between the two threads, and a last unpaired
-    tail runs on the caller.  The eigensolve and the BLAS products release
-    the GIL, so on two cores the stages overlap; on a process that may run
-    on one CPU they cannot, and every tail runs on the calling thread.
-    Each fold computes what it would alone, so the reports are bitwise
-    those of one thread.  Results are collected in fold order, and so are
-    errors: fold k's error wins over fold k+1's, and fold k+1's is raised
-    once fold k's tail is collected.  Corpus-sized arrays stay on the
-    calling thread because memory that a worker thread frees stays in its
-    own allocator arena, out of reach of the caller's later allocations; a
-    tail's smaller arrays may stay there, which at the later widths costs
-    a second working set of the width (about 4% more peak memory on the
-    m = 2000 sweep of dims 10 and 40).  Once the folds' arrays are freed,
-    the heap's free pages go back to the operating system
-    (``_returns_free_heap``).
+    All widths run in one pass.  The calling thread prepares each fold in
+    turn (``Split.prepare``), building every array sized by the corpus, and
+    queues the fold's tails, one per width, widest first: ``fit``, ``score``
+    and the metrics of every method, whose arrays are sized by the fold's
+    records times the features.  One worker thread runs queued tails from
+    the start, and the calling thread joins it once every fold is prepared;
+    longest first, the two finish close together (Graham's list scheduling).
+    A fold's ``Split`` is freed after its last tail.  The eigensolve and the
+    BLAS products release the GIL, so on two cores the stages overlap; on a
+    process that may run on one CPU the calling thread runs each fold's
+    tails right after preparing it.  Every tail computes what it would
+    alone, so the reports are bitwise those of one thread.  Errors are
+    raised in the order of a pass per width: by width as listed, then by
+    fold, a fold's preparation counting at the first width.  Corpus-sized
+    arrays stay on the calling thread because memory that a worker thread
+    frees stays in its own allocator arena, out of reach of the caller's
+    later allocations.  Once the folds' arrays are freed, the heap's free
+    pages go back to the operating system (``_returns_free_heap``).
     """
     # imported here: it imports logging, start-up time that commands which
     # run no cross-validation would pay for nothing
     from concurrent.futures import ThreadPoolExecutor
 
     needs_sim = _needs_similarity(methods)
+    if widths is not None:
+        check_widths(widths)
+    configs = [config] if widths is None else [replace(config, dims=d) for d in widths]
     if prepared is None:
         prepared = prepare_dataset(dataset, config, needs_sim)
     if needs_sim and prepared.similarity is None:
         raise ValueError("prepared dataset lacks the similarity matrix")
     folds = stratified_folds(dataset.labels, config.folds, config.seed)
     all_idx = np.arange(dataset.m)
-    echo = config.echo()
-    per_method: dict[str, list[FoldMetrics]] = {m: [] for m in methods}
-    per_method_preds: dict[str, list[tuple[int, str, int, float]]] = {m: [] for m in methods}
+    served = tuple(c.dims for c in configs)
+    widest_first = sorted(range(len(configs)), key=lambda i: -served[i])
+    pending = deque()   # (width index, fold number, split): queued tails
+    tails = {}          # (width index, fold number) -> that tail's output
+    failures = []       # ((width index, fold number, 0 prepare or 1 tail), error)
+
+    def run_tail() -> bool:
+        """Run the first queued tail, unless a step before it failed;
+        False when the queue is empty."""
+        try:
+            i, fold_no, split = pending.popleft()
+        except IndexError:
+            return False
+        order = (i, fold_no, 1)
+        if not any(failed < order for failed, _ in failures):
+            try:
+                tails[i, fold_no] = _fold_tail(fold_no, split, methods, configs[i],
+                                               collect_predictions)
+            except Exception as exc:
+                failures.append((order, exc))
+        return True
+
     overlap = _usable_cpus() > 1
-
-    def collect(tail: list[tuple[str, FoldMetrics, list]]) -> None:
-        for method, metrics, preds in tail:
-            per_method[method].append(metrics)
-            per_method_preds[method].extend(preds)
-
     with ThreadPoolExecutor(1, thread_name_prefix="slemap-fold") as worker:
-        ready = None    # (fold number, split): prepared, its tail not yet run
         joint_lsi = None    # with lsi.joint_embed, the first fold's factorization
-        for fold_no, test_idx in enumerate(folds):
-            key = (config.folds, config.seed, fold_no)
-            split = prepared.splits.get(key)
-            if split is None:
+        try:
+            for fold_no, test_idx in enumerate(folds):
                 split = Split(dataset, np.setdiff1d(all_idx, test_idx), test_idx,
-                              prepared.docs, prepared.widths or (config.dims,),
+                              prepared.docs, served,
                               similarity=prepared.similarity if needs_sim else None,
                               joint_lsi=config.lsi_joint, lsi=joint_lsi)
-                if len(prepared.widths) > 1:
-                    prepared.splits[key] = split
-            own = None      # this fold's tail, when the caller runs it beside the worker's
-            if ready is not None and overlap and needs_sim:
-                solved = split.frame is not None    # an earlier width built its arrays
-                tail = worker.submit(_fold_tail, *ready, methods, config, collect_predictions)
                 try:
-                    split.prepare(config, methods)
-                    if solved:
-                        own = _fold_tail(fold_no, split, methods, config, collect_predictions)
-                finally:
-                    # the earlier fold's error, if any, is the one raised
-                    collect(tail.result())
-            else:
-                if ready is not None:
-                    collect(_fold_tail(*ready, methods, config, collect_predictions))
-                    ready = None    # frees its matrices before this fold builds its own
-                split.prepare(config, methods)
-            if config.lsi_joint:
-                joint_lsi = split.lsi
-            if own is None:
-                ready = (fold_no, split)
-            else:
-                collect(own)
-                ready = None
-        if ready is not None:
-            collect(_fold_tail(*ready, methods, config, collect_predictions))
+                    _prepare(fold_no, split, configs[0], methods)
+                except Exception as exc:
+                    failures.append(((0, fold_no, 0), exc))
+                    break
+                if config.lsi_joint:
+                    joint_lsi = split.lsi
+                for i in widest_first:
+                    pending.append((i, fold_no, split))
+                    if overlap:
+                        worker.submit(run_tail)
+                del split   # the queue holds the fold until its last tail
+                while not overlap and run_tail():
+                    pass
+            while run_tail():
+                pass
+        finally:
+            pending.clear()     # an interrupted pass leaves the worker nothing to run
+    if failures:
+        error = min(failures, key=lambda f: f[0])[1]
+        failures.clear()    # tracebacks hold the frames that hold the errors
+        try:
+            raise error
+        finally:
+            del error
 
-    return {m: EvalReport(method=m, folds=per_method[m], config_echo=echo, seed=config.seed,
-                          predictions=per_method_preds[m] if collect_predictions else None)
-            for m in methods}
+    reports = {}
+    for i, cfg in enumerate(configs):
+        for j, method in enumerate(methods):
+            done = [tails[i, fold_no][j] for fold_no in range(len(folds))]
+            reports[method if widths is None else (method, cfg.dims)] = EvalReport(
+                method=method, folds=[metrics for _, metrics, _ in done],
+                config_echo=cfg.echo(), seed=config.seed,
+                predictions=[p for *_, preds in done for p in preds]
+                if collect_predictions else None)
+    return reports
 
 
 def cross_validate(dataset: Dataset, method: str, config: PipelineConfig) -> EvalReport:
     return run_methods(dataset, [method], config)[method]
 
 
-@_returns_free_heap
 def compare_methods(dataset: Dataset, methods: list[str], dims_list: list[int],
                     config: PipelineConfig) -> list[dict]:
-    """The (method, dims) sweep behind the `compare` command.
+    """The (method, dims) sweep behind the `compare` command, as rows in
+    the order of ``dims_list`` and then of ``methods``.
 
-    Every width runs ``run_methods`` on the same folds, whose Splits the
-    first width makes and the later ones reuse (``PreparedDataset.splits``):
-    one eigensolve per fold, at the widest width, serves them all, and so
-    does one LSI factorization per fold (one in all with
-    ``lsi.joint_embed``).  Widths after the first build nothing, so their
-    folds are fitted two at a time, on ``run_methods``' worker thread and
-    on the calling thread, at the cost of a second working set of the
-    width in the worker's allocator arena.  Each fold's kNN selection is
-    made once, and with sle, each fold's Laplacian is built once as well.
+    The sweep is one ``run_methods`` pass over the folds, whose tails queue
+    widest first: one eigensolve per fold, at the widest width, serves every
+    width, and so do one LSI factorization per fold (one in all with
+    ``lsi.joint_embed``), one kNN selection and, with sle, one Laplacian.
     A width that cuts a degenerate eigenvalue cluster, or exceeds a fold's
-    training size minus one, raises ``RankDeficient`` at that solve; so
-    does a width beyond a fold's document or vocabulary count, at the fold's
-    one LSI fit.  The methods and widths are checked before any corpus
-    work (``check_methods``, ``check_widths``).
+    training size minus one, raises ``RankDeficient`` at that solve; so does
+    a width beyond a fold's document or vocabulary count, at its LSI fit.
+    The methods and widths are checked before any corpus work.
     """
-    needs_sim = _needs_similarity(methods)
-    check_widths(dims_list)
-    prepared = prepare_dataset(dataset, config, needs_sim)
-    prepared.widths = tuple(dims_list)
-    rows = []
-    for dims in dims_list:
-        cfg = replace(config, dims=dims)
-        reports = run_methods(dataset, methods, cfg, prepared=prepared)
-        for method in methods:
-            rep = reports[method]
-            rows.append({"method": method, "dims": dims,
-                         "auc": rep.mean_auc, "mcc": rep.mean_mcc})
-    return rows
+    reports = run_methods(dataset, methods, config, widths=dims_list)
+    return [{"method": method, "dims": dims,
+             "auc": reports[method, dims].mean_auc, "mcc": reports[method, dims].mean_mcc}
+            for dims in dims_list for method in methods]

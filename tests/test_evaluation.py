@@ -141,6 +141,17 @@ class TestTextMethods:
         assert sum(f.zero_rho for f in report.folds) >= 1
 
 
+def three_texts(blank=()) -> Dataset:
+    """Thirty records of three mutually unrelated texts, the records in
+    ``blank`` blank: the training graph has a component per text and per
+    blank record, so width 1 cuts its non-trivial null vectors."""
+    texts = ["chest pain", "dizzy spells", "heart racing"]
+    m = 30
+    return Dataset(ids=[str(i) for i in range(m)], labels=np.arange(m) % 2,
+                   numeric=np.random.default_rng(0).standard_normal((m, 2)),
+                   texts=["" if i in blank else texts[i % 3] for i in range(m)])
+
+
 class TestDimsSweep:
     """compare_methods solves each fold's eigenproblem once for all widths."""
 
@@ -169,33 +180,18 @@ class TestDimsSweep:
         assert solves == [(2,)] * 3 + [(3,)] * 3 + [(5,)] * 3
 
     def test_one_laplacian_per_fold(self, text_dataset, monkeypatch):
-        builds, sweeps = [], []
-        real_build, real_prepare = evaluation.build_laplacian, evaluation.prepare_dataset
-
-        def counted(s):
-            builds.append(s.shape)
-            return real_build(s)
-
-        def captured(*args):
-            sweeps.append(real_prepare(*args))
-            return sweeps[-1]
-
-        monkeypatch.setattr(evaluation, "build_laplacian", counted)
-        monkeypatch.setattr(evaluation, "prepare_dataset", captured)
-        compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
+        """Each fold builds one Laplacian, for every width of the sweep, with
+        sle among the methods or without it, and so does a single width."""
+        builds = []
+        real_build = evaluation.build_laplacian
+        monkeypatch.setattr(evaluation, "build_laplacian",
+                            lambda s: builds.append(s.shape) or real_build(s))
+        for methods in (["le", "sle"], ["le"]):
+            compare_methods(text_dataset, methods, [2, 3, 5], self.CFG)
+            assert len(builds) == self.CFG.folds
+            builds.clear()
+        run_methods(text_dataset, ["le", "sle"], replace(self.CFG, dims=3))
         assert len(builds) == self.CFG.folds
-        # a sweep with sle keeps each fold's Laplacian; one without keeps none
-        compare_methods(text_dataset, ["le"], [2, 3, 5], self.CFG)
-        for prepared, kept in zip(sweeps, (True, False)):
-            assert len(prepared.splits) == self.CFG.folds
-            assert all((split.lap is not None) == kept for split in prepared.splits.values())
-        # a single width keeps no fold, so no Laplacian beyond its fold
-        builds.clear()
-        prepared = real_prepare(text_dataset, self.CFG, True)
-        prepared.widths = (3,)
-        run_methods(text_dataset, ["le", "sle"], replace(self.CFG, dims=3), prepared=prepared)
-        assert len(builds) == self.CFG.folds
-        assert prepared.splits == {}
 
     def test_one_selection_per_fold(self, text_dataset, monkeypatch):
         """le and sle at every width score a fold's test records from one kNN
@@ -216,11 +212,11 @@ class TestDimsSweep:
         run_methods(text_dataset, ["le", "sle"], replace(self.CFG, dims=3))
         assert len(selections) == self.CFG.folds
 
-    def test_training_block_read_at_first_width_only(self, text_dataset, monkeypatch):
-        """Each fold restricts the corpus similarities to its training
-        records once, at the first width; later widths reuse the fold's
-        eigenmap and Laplacian."""
-        events = []     # each width's run_methods call, and each restrict within it
+    def test_training_block_read_once_per_fold(self, text_dataset, monkeypatch):
+        """The sweep is one run_methods pass, in which each fold restricts
+        the corpus similarities to its training records once for every
+        width."""
+        events = []     # each run_methods call's widths, and each restrict within it
         real_read, real_run = similarity.SimilarityMatrix.restrict, evaluation.run_methods
 
         def read(matrix, rows):
@@ -228,13 +224,13 @@ class TestDimsSweep:
             return real_read(matrix, rows)
 
         def run(dataset, methods, config, **kwargs):
-            events.append(config.dims)
+            events.append(kwargs["widths"])
             return real_run(dataset, methods, config, **kwargs)
 
         monkeypatch.setattr(similarity.SimilarityMatrix, "restrict", read)
         monkeypatch.setattr(evaluation, "run_methods", run)
         compare_methods(text_dataset, ["le", "sle"], [2, 3, 5], self.CFG)
-        assert events == [2] + ["read"] * self.CFG.folds + [3, 5]
+        assert events == [[2, 3, 5]] + ["read"] * self.CFG.folds
 
     def test_repeated_width_is_rejected(self, text_dataset):
         """A width listed twice would run twice and write two equal rows."""
@@ -244,25 +240,26 @@ class TestDimsSweep:
     @pytest.mark.parametrize("methods,kept", [(["le"], False), (["le", "sle"], True)],
                              ids=["le", "le+sle"])
     def test_laplacian_kept_for_sle_only(self, text_dataset, monkeypatch, methods, kept):
-        """A kept fold drops its Laplacian once its eigenmap is solved, unless
-        sle fits from it: at the per-width heap trims no Laplacian of a
-        le-only sweep is alive, and a sweep with sle keeps each fold's."""
-        built, alive = [], []
-        real = evaluation.build_laplacian
+        """A fold drops its Laplacian once its eigenmap is solved, unless sle
+        fits from it: no tail of a le-only sweep sees one, every tail of a
+        sweep with sle does, and each is freed with its fold."""
+        built, seen = [], []
+        real_build, real_tail = evaluation.build_laplacian, evaluation._fold_tail
 
         def build(s):
-            lap = real(s)
+            lap = real_build(s)
             built.append(weakref.ref(lap))
             return lap
 
-        def trim(pad):
-            alive.append(sum(ref() is not None for ref in built))
+        def tail(fold_no, split, *args):
+            seen.append(split.lap is not None)
+            return real_tail(fold_no, split, *args)
 
         monkeypatch.setattr(evaluation, "build_laplacian", build)
-        monkeypatch.setattr(evaluation, "_malloc_trim", lambda: trim)
+        monkeypatch.setattr(evaluation, "_fold_tail", tail)
         compare_methods(text_dataset, methods, [2, 3], self.CFG)
-        n = self.CFG.folds if kept else 0
-        assert len(built) == self.CFG.folds and alive == [n, n, 0]
+        assert len(built) == self.CFG.folds and seen == [kept] * (2 * self.CFG.folds)
+        assert all(ref() is None for ref in built)
 
     @pytest.mark.parametrize("joint", [False, True], ids=["plain", "joint"])
     def test_lsi_rows_equal_per_dims_runs_with_one_factorization_per_fold(
@@ -312,7 +309,7 @@ class TestDimsSweep:
         monkeypatch.setattr(sle, "train", refit)
         rows = compare_methods(text_dataset, methods, [2, 3], self.CFG)
         widths = [n_cols - text_dataset.n_numeric for _, n_cols in fits]
-        assert widths == [2] * self.CFG.folds + [3] * self.CFG.folds
+        assert sorted(widths) == [2] * self.CFG.folds + [3] * self.CFG.folds
         monkeypatch.undo()
         alone = [row for method in ("le", "sle")
                  for row in compare_methods(text_dataset, [method], [2, 3], self.CFG)]
@@ -322,22 +319,34 @@ class TestDimsSweep:
 
     @pytest.mark.parametrize("dims_list", [[2, 1], [2, 200]], ids=["degenerate", "too-wide"])
     def test_bad_width_is_rank_deficient(self, dims_list):
-        # three mutually unrelated texts: the training graph has three
-        # components, so width 1 cuts the two non-trivial null vectors
-        texts = ["chest pain", "dizzy spells", "heart racing"]
-        m = 30
-        ds = Dataset(ids=[str(i) for i in range(m)], labels=np.arange(m) % 2,
-                     numeric=np.random.default_rng(0).standard_normal((m, 2)),
-                     texts=[texts[i % 3] for i in range(m)])
         with pytest.raises(RankDeficient):
-            compare_methods(ds, ["le", "sle"], dims_list, self.CFG)
+            compare_methods(three_texts(), ["le", "sle"], dims_list, self.CFG)
+
+    @pytest.mark.parametrize("blank", [(), tuple(range(12))],
+                             ids=["no-blank", "blank"])
+    def test_rank_deficiency_names_fold_documents_and_blanks(self, blank):
+        """A fold whose solve fails names itself, its count u of distinct
+        training documents and its blank training records (each an isolated
+        node, so a component of its own) before the solve's own message."""
+        ds = three_texts(blank)
+        with pytest.raises(RankDeficient) as caught:
+            compare_methods(ds, ["le", "sle"], [2, 1], self.CFG)
+        test = stratified_folds(ds.labels, self.CFG.folds, self.CFG.seed)[0]
+        named = [str(i) for i in blank if i not in test]
+        listed = ", ".join(named[:5]) + (", ..." if len(named) > 5 else "")
+        message = str(caught.value)
+        assert message.startswith(
+            f"fold 0; u = {3 + len(named)} distinct training documents; "
+            f"{len(named)} blank training records" + (f" ({listed})" if named else "")
+            + ": dims=1 cuts a numerically degenerate eigenvalue cluster")
+        assert message.endswith("no narrower width avoids cutting one")
 
 
 class TestFoldPipeline:
-    """run_methods prepares fold k+1 on the calling thread while one worker
-    thread fits, scores and measures fold k; at a later width of the dims
-    sweep, where fold k+1 has nothing left to build, the calling thread
-    fits, scores and measures fold k+1 meanwhile."""
+    """run_methods prepares the folds in turn on the calling thread and
+    queues each fold's tails, one per width, widest first; one worker thread
+    fits, scores and measures the queued tails from the start, and the
+    calling thread joins it once every fold is prepared."""
 
     CFG = PipelineConfig(dims=3, folds=3, max_outer_iters=2, inner_theta_steps=4,
                          inner_embedding_steps=2)
@@ -359,16 +368,41 @@ class TestFoldPipeline:
         monkeypatch.setattr(evaluation, "fit", recorded)
         return calls
 
-    def test_one_worker_thread_fits_every_fold_but_the_last(self, text_dataset, monkeypatch):
-        calls = self.fits_by_thread(monkeypatch)
-        methods = ["numeric", "le", "sle"]
-        run_methods(text_dataset, methods, self.CFG)
+    def test_worker_takes_tails_while_the_caller_prepares(self, text_dataset, monkeypatch):
+        """The worker takes fold 0's widest tail while the caller prepares
+        fold 1; the caller takes tails only once every fold is prepared, and
+        each thread takes them in queue order: by fold, widest first."""
+        cfg = replace(self.CFG, folds=4)
+        events = []     # ("tail", fold, dims, thread) and ("prepared", thread), as they happen
+        taken = threading.Event()
+        real_tail, real_prepare = evaluation._fold_tail, evaluation.Split.prepare
+
+        def tail(fold_no, split, methods, config, collect_predictions):
+            events.append(("tail", fold_no, config.dims, threading.get_ident()))
+            taken.set()
+            return real_tail(fold_no, split, methods, config, collect_predictions)
+
+        def prepare(split, config, methods):
+            if any(event[0] == "prepared" for event in events):
+                assert taken.wait(20), "no tail taken while the caller prepared"
+            real_prepare(split, config, methods)
+            events.append(("prepared", threading.get_ident()))
+
+        monkeypatch.setattr(evaluation, "_fold_tail", tail)
+        monkeypatch.setattr(evaluation.Split, "prepare", prepare)
+        compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], cfg)
         caller = threading.get_ident()
-        threads = [thread for _, thread in calls]
-        workers = set(threads) - {caller}
+        tails = [event[1:] for event in events if event[0] == "tail"]
+        assert sorted(fold_dims for *fold_dims, _ in tails) == [
+            [fold, dims] for fold in range(cfg.folds) for dims in (2, 3)]
+        workers = {thread for *_, thread in tails} - {caller}
         assert len(workers) == 1
-        n = len(methods)
-        assert threads == [*workers] * n * (self.CFG.folds - 1) + [caller] * n
+        assert tails[0] == (0, 3, *workers)
+        last_prepared = max(i for i, event in enumerate(events) if event[0] == "prepared")
+        assert all(event[-1] != caller for event in events[:last_prepared] if event[0] == "tail")
+        for thread in (caller, *workers):
+            own = [(fold, -dims) for fold, dims, t in tails if t == thread]
+            assert own == sorted(own)
 
     @pytest.mark.parametrize("one_cpu", ["affinity", "no affinity call"])
     def test_one_cpu_runs_every_tail_inline(self, text_dataset, monkeypatch, one_cpu):
@@ -398,47 +432,19 @@ class TestFoldPipeline:
             assert one[method].to_csv_rows() == two[method].to_csv_rows()
             assert repr(one[method].predictions) == repr(two[method].predictions)
 
-    def test_later_width_tails_alternate_worker_and_caller(self, text_dataset, monkeypatch):
-        """The sweep's second width builds nothing, so its folds' tails run
-        two at a time: fold 0 on the worker beside fold 1 on the caller,
-        then fold 2 beside fold 3, and the last fold alone on the caller."""
-        cfg = replace(self.CFG, folds=5)
-        tails = []
-        paired = threading.Barrier(2, timeout=20)
-        real = evaluation._fold_tail
-
-        def recorded(fold_no, split, methods, config, collect_predictions):
-            tails.append((config.dims, fold_no, threading.get_ident()))
-            if config.dims == 3 and fold_no < 2:
-                paired.wait()   # breaks unless folds 0 and 1 run at once
-            return real(fold_no, split, methods, config, collect_predictions)
-
-        monkeypatch.setattr(evaluation, "_fold_tail", recorded)
-        compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], cfg)
-        caller = threading.get_ident()
-        first = [thread for dims, _, thread in tails if dims == 2]
-        assert first[-1] == caller and caller not in first[:-1]
-        later = sorted((fold, thread) for dims, fold, thread in tails if dims == 3)
-        workers = {thread for _, thread in later} - {caller}
-        assert len(workers) == 1
-        assert [thread for _, thread in later] == [*workers, caller] * 2 + [caller]
-
     def later_width_failures(self, monkeypatch, text_dataset, failing):
-        """Patch fit so that at the sweep's second width the folds in
-        ``failing`` raise, once folds 0 and 1 are both in their tails; return
-        the folds whose tails at that width finished."""
+        """Patch fit so that at the sweep's second width the tails of the
+        folds in ``failing`` raise; return the folds among the first two
+        whose tails at that width finished."""
         first_two = stratified_folds(text_dataset.labels, self.CFG.folds, self.CFG.seed)[:2]
-        both_running = threading.Barrier(2, timeout=20)
         finished = []
         real = evaluation.fit
 
         def fit(method, split, config):
             fold = next((k for k, test in enumerate(first_two)
                          if np.array_equal(split.test, test)), None)
-            if config.dims == 3 and fold is not None and method == "le":
-                both_running.wait()
-                if fold in failing:
-                    raise TailFailed(f"fold {fold}")
+            if config.dims == 3 and fold in failing and method == "le":
+                raise TailFailed(f"fold {fold}")
             model = real(method, split, config)
             if config.dims == 3 and fold is not None and method == "lsi":
                 finished.append(fold)
@@ -448,26 +454,106 @@ class TestFoldPipeline:
         return finished
 
     def test_later_width_earlier_fold_error_wins(self, text_dataset, monkeypatch):
-        """At the sweep's second width, fold 0's tail on the worker and fold
-        1's on the caller both fail, at the same time; fold 0's error is
-        raised."""
+        """At the sweep's second width, fold 0's and fold 1's tails both
+        fail; fold 0's error is raised."""
         self.later_width_failures(monkeypatch, text_dataset, failing={0, 1})
         with pytest.raises(TailFailed, match="fold 0"):
             compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], self.CFG)
 
     def test_later_width_error_raised_after_the_earlier_fold(self, text_dataset, monkeypatch):
-        """At the sweep's second width only fold 1's tail, on the caller,
-        fails; its error is raised once fold 0's tail on the worker has
-        finished and been collected."""
+        """At the sweep's second width only fold 1's tail fails; its error
+        is raised once fold 0's tail at that width, which comes before it,
+        has finished."""
         finished = self.later_width_failures(monkeypatch, text_dataset, failing={1})
         with pytest.raises(TailFailed, match="fold 1"):
             compare_methods(text_dataset, ["le", "sle", "lsi"], [2, 3], self.CFG)
         assert finished == [0]
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    @pytest.mark.parametrize("first", ["tail", "prepare"])
+    def test_sweep_errors_raised_width_major(self, text_dataset, monkeypatch, cpus, first):
+        """Errors are raised as a pass per width would meet them: fold 2's
+        failure at the first listed width, 3, in its tail or in its
+        preparation (which counts at the first width), wins over fold 0's
+        tail failure at width 2, although the queue runs fold 0's tails
+        first."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        last_fold = stratified_folds(text_dataset.labels, self.CFG.folds, self.CFG.seed)[2]
+        real_fit, real_solve = evaluation.fit, evaluation.solve_eigenmap
+        solves = []
+
+        def fit(method, split, config):
+            fold = 2 if np.array_equal(split.test, last_fold) else None
+            if (config.dims, fold) == (2, None) and method == "le":
+                raise TailFailed("fold 0 or 1 at width 2")
+            if (config.dims, fold, first) == (3, 2, "tail"):
+                raise TailFailed("fold 2 at width 3")
+            return real_fit(method, split, config)
+
+        def solve(lap, dims):
+            solves.append(dims)
+            if len(solves) == 3 and first == "prepare":
+                raise RankDeficient("the solve failed")
+            return real_solve(lap, dims)
+
+        monkeypatch.setattr(evaluation, "fit", fit)
+        monkeypatch.setattr(evaluation, "solve_eigenmap", solve)
+        want = (TailFailed, "fold 2 at width 3") if first == "tail" else (RankDeficient, "^fold 2")
+        with pytest.raises(want[0], match=want[1]):
+            compare_methods(text_dataset, ["le", "sle"], [3, 2], self.CFG)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_unsorted_widths_equal_lone_runs(self, text_dataset, monkeypatch, cpus):
+        """A sweep over [5, 2, 3] reports its widths in that order, and each
+        width's reports, predictions included, are those of a lone
+        run_methods at that width."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        methods, widths = ["numeric", "le", "sle", "lsi"], [5, 2, 3]
+        swept = run_methods(text_dataset, methods, self.CFG, collect_predictions=True,
+                            widths=widths)
+        assert list(swept) == [(m, dims) for dims in widths for m in methods]
+        rows = compare_methods(text_dataset, methods, widths, self.CFG)
+        assert [(r["method"], r["dims"]) for r in rows] == list(swept)
+        for dims in widths:
+            alone = run_methods(text_dataset, methods, replace(self.CFG, dims=dims),
+                                collect_predictions=True)
+            for method in methods:
+                got = swept[method, dims]
+                assert got.to_csv_rows() == alone[method].to_csv_rows()
+                assert got.to_text() == alone[method].to_text()
+                assert repr(got.predictions) == repr(alone[method].predictions)
+                row = rows[list(swept).index((method, dims))]
+                assert (row["auc"], row["mcc"]) == (got.mean_auc, got.mean_mcc)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_split_freed_after_its_last_tail(self, text_dataset, monkeypatch, cpus):
+        """No fold outlives its last tail, with the cyclic collector off: on
+        one CPU a fold's Split is freed before the next fold is prepared,
+        and on two every Split is freed when the pass returns."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        made, alive = [], []
+        real = evaluation.Split.prepare
+
+        def prepare(split, config, methods):
+            alive.append(sum(ref() is not None for ref in made))
+            made.append(weakref.ref(split))
+            real(split, config, methods)
+
+        monkeypatch.setattr(evaluation.Split, "prepare", prepare)
+        gc.disable()
+        try:
+            run_methods(text_dataset, ["le", "sle", "lsi"], self.CFG, widths=[2, 3])
+            assert len(made) == self.CFG.folds
+            assert all(ref() is None for ref in made)
+        finally:
+            gc.enable()
+        if len(cpus) == 1:
+            assert alive == [0] * self.CFG.folds
+
     def test_sweep_rows_equal_on_one_cpu_and_two(self, text_dataset, monkeypatch):
-        """compare_methods reports the same rows whether its later widths'
-        tails run two at a time, with the interpreter switching threads
-        every microsecond, or all on the calling thread."""
+        """compare_methods reports the same rows whether its tails run on
+        two threads, with the interpreter switching threads every
+        microsecond, or all on the calling thread."""
         methods = ["numeric", "le", "sle", "lsi"]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -556,8 +642,8 @@ class TestFoldPipeline:
         assert calls == [0]
         calls.clear()
         compare_methods(text_dataset, ["le", "lsi"], [2, 3], self.CFG)
-        # one per width, with the sweep's kept folds alive, and one after the sweep
-        assert calls == [self.CFG.folds, self.CFG.folds, 0]
+        # one pass for the whole sweep, trimmed once its folds are freed
+        assert calls == [0]
 
     def test_heap_trimmed_when_a_fold_fails(self, text_dataset, monkeypatch):
         calls = self.trims(monkeypatch)
