@@ -14,18 +14,13 @@ over one row per group, and L X is computed over the groups at u^2 * dims
 cost rather than m^2 * dims.  ``build_laplacian`` reads S in the form a
 ``SimilarityMatrix`` keeps it, a block over distinct documents and each
 record's key into it, and finds the groups among the keys; S itself, m x m,
-is never made.  The generalized problem splits exactly into a
-quotient problem with one row per group and, for every row beyond a
-group's first, an eigenvector that lives inside its group with eigenvalue
-exactly 1.  ``solve_eigenmap`` solves the quotient and expands its vectors
-to rows; it expands the block to every row and solves there only when the
-frame would reach that eigenvalue-1 block or no row repeats.  Either solve
-computes every eigenvalue but only the eigenvectors the frame uses, through
-the LAPACK routines of the OpenBLAS that ``numpy.linalg`` already loaded
-(tridiagonal reduction, eigenvalues without vectors, inverse iteration,
-back-transformation in fixed blocks of vectors), and falls back to
-``np.linalg.eigh`` where that library lacks them.  A frame's leading columns
-are bitwise the same whatever width is asked for.
+is never made.  The generalized problem splits exactly into a quotient
+problem with one row per group and, for every row beyond a group's first,
+an eigenvector of eigenvalue exactly 1 inside its group, in closed form.
+``solve_eigenmap`` solves the quotient once for every eigenvalue and only
+the eigenvectors the frame uses, through the LAPACK of the OpenBLAS that
+``numpy.linalg`` loaded (``np.linalg.eigh`` where it lacks the routines).
+A frame's leading columns are bitwise the same whatever width is asked for.
 
 One projected-descent step on the constraint manifold serves two callers:
 the unsupervised eigenmap descent (an alternative route to the same optimum)
@@ -120,7 +115,7 @@ class Laplacian:
         return lx
 
     def dense(self) -> np.ndarray:
-        """L over every row, bitwise diag(raw_degrees) - S."""
+        """L over every row, bitwise diag(raw_degrees) - S, for checks."""
         within = self.block.copy()
         np.fill_diagonal(within, 0.0 - self.self_similarity)
         full = within[np.ix_(self.groups, self.groups)]
@@ -401,8 +396,7 @@ def _partial_eigh(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return eigvals, vectors[:count].T
 
 
-def _grouped_eigh(lap: Laplacian, grouped: bool, count: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grouped_eigh(lap: Laplacian, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues and the lowest ``count`` eigenvectors of the quotient
     problem over the groups, constant direction shifted last.
 
@@ -412,25 +406,19 @@ def _grouped_eigh(lap: Laplacian, grouped: bool, count: int
     :func:`_partial_eigh` after a rank-one shift pushes the constant
     direction, proportional to sqrt(c*d), above the spectrum.  Returns every
     eigenvalue, the lowest ``count`` eigenvectors and sqrt(c*d), which maps
-    an eigenvector to the group values of a D-orthonormal frame.  Not
-    ``grouped``, every row is its own group and the operations are those of
-    a plain solve of D^(-1/2) L D^(-1/2) over ``lap.dense()``.
+    an eigenvector to the group values of a D-orthonormal frame; with every
+    row its own group this is the plain solve of D^(-1/2) L D^(-1/2).
     """
     # in place where the arithmetic allows: the solve's input is the only
     # full-size array of ours alive, and the solve overwrites it
-    if grouped:
-        counts = np.diff(lap.starts, append=lap.m).astype(float)
-        degrees = lap.degrees[lap.firsts]
-        reduced = lap.block.copy()
-        multi = np.flatnonzero(counts > 1.0)
-        c = counts[multi]
-        # a diagonal block holds c entries r - s and c(c-1) entries -s
-        reduced[multi, multi] = (lap.block[multi, multi]
-                                 + (c - 1.0) * (0.0 - lap.self_similarity[multi])) / c
-    else:
-        counts = np.ones(lap.m)
-        degrees = lap.degrees
-        reduced = lap.dense()
+    counts = np.diff(lap.starts, append=lap.m).astype(float)
+    degrees = lap.degrees[lap.firsts]
+    reduced = lap.block.copy()
+    multi = np.flatnonzero(counts > 1.0)
+    c = counts[multi]
+    # a diagonal block holds c entries r - s and c(c-1) entries -s
+    reduced[multi, multi] = (lap.block[multi, multi]
+                             + (c - 1.0) * (0.0 - lap.self_similarity[multi])) / c
     dsqrt = np.sqrt(degrees / counts)
     reduced /= dsqrt[:, None]
     reduced /= dsqrt[None, :]
@@ -447,27 +435,38 @@ def _grouped_eigh(lap: Laplacian, grouped: bool, count: int
     return eigvals, eigvecs, root
 
 
+def _inside_groups(lap: Laplacian) -> np.ndarray:
+    """The m - u D-orthonormal eigenvectors of eigenvalue 1 inside the groups:
+    for the k-th row past its group's first, 1 on the group's first k rows
+    and -k on that row, over sqrt(k (k+1) d) (a Helmert basis).  Each sums
+    to zero within its group, whose rows and columns of S are equal, so
+    S x = 0 and L x = D x."""
+    rank = np.empty(lap.m, dtype=np.intp)     # each row's place in its group
+    rank[lap.order] = np.arange(lap.m) - lap.starts[lap.groups[lap.order]]
+    rows = np.flatnonzero(rank)
+    k = rank[rows].astype(float)
+    x = ((lap.groups[:, None] == lap.groups[rows]) & (rank[:, None] < k)).astype(float)
+    x[rows, np.arange(rows.size)] = -k
+    x /= np.sqrt(k * (k + 1.0) * lap.degrees[rows])
+    return x
+
+
 def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
     """Bottom non-trivial eigenvectors of L x = lambda D x, D-orthonormalized.
 
-    The problem is solved over the Laplacian's groups of equal rows: the
-    quotient's symmetric reduction is solved densely and each group's value
-    is copied to its rows.  The rows beyond each group's first add
-    eigenvectors inside their group with eigenvalue exactly 1, which the
-    quotient does not see; when the frame would need one of them (``dims``
-    past the quotient's non-trivial count, which needs no solve to see, or
-    its eigenvalue ``dims`` - 1 not below 1), or when no row repeats, the
-    same solve runs with every row its own group, which is the plain dense
-    solve of D^(-1/2) L D^(-1/2).  The constant direction (always a null
-    vector) is pushed above the spectrum by a rank-one shift before the
-    solve, so the lowest dims eigenvectors of the shifted matrix are exactly
-    the non-trivial ones; this stays correct on disconnected graphs where
-    several eigenvalues vanish.  A solve (:func:`_partial_eigh`) computes
-    every eigenvalue but only the lowest dims eigenvectors.  The
+    One solve (:func:`_grouped_eigh`) of the quotient over the groups of
+    equal rows gives every eigenvalue and the lowest min(dims, u - 1)
+    eigenvectors, whose group values are copied to the rows.  The m - u
+    eigenvectors of eigenvalue exactly 1 inside the groups are written in
+    closed form (:func:`_inside_groups`): a frame that reaches eigenvalue 1
+    takes the quotient's vectors below 1, then those, then the rest.  The
     degenerate-gap rule reads the quotient's spectrum merged with the exact
-    ones; a width that cuts a cluster raises ``RankDeficient``, naming the
-    widest narrower width that cuts none.  Column signs are fixed so each
-    column's largest-magnitude entry is positive.
+    ones, so a frame takes all of the vectors inside groups or none; a
+    width that cuts a cluster raises ``RankDeficient``, naming how many of
+    the cluster's vectors live inside groups and the widest narrower width
+    that cuts none.  The constant direction is shifted above the spectrum,
+    which stays correct on disconnected graphs.  Column signs are fixed so
+    each column's largest-magnitude entry is positive.
 
     ``dims`` may list several widths: one solve checks each of them and
     returns the frame of the widest.  The solve's leading eigenvectors do
@@ -480,30 +479,30 @@ def solve_eigenmap(lap: Laplacian, dims: int | Sequence[int]) -> np.ndarray:
         if w < 1 or w > m - 1:
             raise RankDeficient(f"need 1 <= dims <= m-1, got dims={w}, m={m}")
     dims = max(widths)
-    groups, u = lap.groups, lap.firsts.shape[0]
-    solved = None
-    if dims < u:
-        solved = _grouped_eigh(lap, grouped=True, count=dims)
-        if u < m and not solved[0][dims - 1] < 1.0:
-            solved = None   # not alive beside the full solve's arrays
-    if solved is None:
-        groups, u = np.arange(m), m
-        solved = _grouped_eigh(lap, grouped=False, count=dims)
-    eigvals, eigvecs, root = solved
+    u = lap.firsts.shape[0]
+    eigvals, eigvecs, root = _grouped_eigh(lap, min(dims, u - 1))
     # indices 0..u-2 are the quotient's non-trivial pairs; its shifted
     # constant sits last
     spectrum = np.sort(np.concatenate([eigvals[:u - 1], np.ones(m - u)]))
     # cuts[w - 1]: width w, below m - 1, splits a degenerate cluster
     cuts = np.diff(spectrum) < DEGENERATE_GAP
+    one = np.searchsorted(spectrum, 1.0)
     for w in widths:
         if w <= m - 2 and cuts[w - 1]:
             narrower = np.flatnonzero(~cuts[:w - 1])
+            inside = m > u and cuts[min(w - 1, one):max(w - 1, one)].all()
             raise RankDeficient(
                 f"dims={w} cuts a numerically degenerate eigenvalue cluster: non-trivial "
                 f"eigenvalues {w} and {w + 1} are {spectrum[w - 1]:.3g} and {spectrum[w]:.3g}; "
+                + (f"{m - u} of its eigenvectors only separate records with identical "
+                   "similarity rows (repeated texts); " if inside else "")
                 + (f"dims={narrower[-1] + 1} is the widest width below it that cuts none"
                    if narrower.size else "no narrower width avoids cutting one"))
-    x = (eigvecs / root[:, None])[groups]
+    x = (eigvecs / root[:, None])[lap.groups]
+    below = int(np.count_nonzero(eigvals[:u - 1] < 1.0))
+    if dims > below:
+        # the gap rule leaves a frame every vector inside groups, or none
+        x = np.hstack([x[:, :below], _inside_groups(lap), x[:, below:dims - (m - u)]])
     for j in range(dims):
         i = int(np.argmax(np.abs(x[:, j])))
         if x[i, j] < 0.0:

@@ -341,6 +341,22 @@ class TestDimsSweep:
             + ": dims=1 cuts a numerically degenerate eigenvalue cluster")
         assert message.endswith("no narrower width avoids cutting one")
 
+    def test_rank_deficiency_names_the_vectors_inside_groups(self):
+        """A width into the eigenvalue-1 cluster of a fold of repeated texts
+        says how many of the cluster's eigenvectors, one per training record
+        past its text's first, only separate records with identical text."""
+        ds = three_texts()
+        with pytest.raises(RankDeficient) as caught:
+            run_methods(ds, ["le", "sle"], replace(self.CFG, dims=5))
+        test = stratified_folds(ds.labels, self.CFG.folds, self.CFG.seed)[0]
+        inside = len(ds.ids) - test.size - 3
+        message = str(caught.value)
+        assert message.startswith("fold 0; u = 3 distinct training documents; 0 blank "
+                                  "training records: dims=5 cuts")
+        assert message.endswith(
+            f"; {inside} of its eigenvectors only separate records with identical similarity "
+            "rows (repeated texts); dims=2 is the widest width below it that cuts none")
+
 
 class TestFoldPipeline:
     """run_methods prepares the folds in turn on the calling thread and

@@ -64,6 +64,60 @@ duplicate_heavy = pytest.mark.parametrize(
     "make", [make for _, make in DUPLICATE_HEAVY], ids=[name for name, _ in DUPLICATE_HEAVY])
 
 
+def reaches_inside_groups(lap, x) -> bool:
+    """Whether a frame holds a column that varies inside a group of equal
+    rows: an eigenvector of eigenvalue 1 that the quotient does not see."""
+    return not np.array_equal(x, x[lap.firsts][lap.groups])
+
+
+def projector(lap, x) -> np.ndarray:
+    """X X^T D, the D-orthogonal projector onto a D-orthonormal frame's span."""
+    return (x @ x.T) * lap.degrees[None, :]
+
+
+def assert_solves_pencil(lap, x, dense=None) -> None:
+    """X^T D X = I within 1e-12, and each column solves L x = lambda D x."""
+    dense = lap.dense() if dense is None else dense
+    dx = lap.degrees[:, None] * x
+    assert np.max(np.abs(x.T @ dx - np.eye(x.shape[1]))) <= 1e-12
+    lx = dense @ x
+    residual = lx - dx * np.einsum("ij,ij->j", x, lx)
+    assert np.max(np.abs(residual)) <= 1e-12 * np.abs(dense).max()
+
+
+def assert_matches_oracle(lap, got, want, dense=None) -> None:
+    """A frame inside the quotient is the every-row solve's within 1e-12.
+    One that reaches the eigenvalue-1 vectors inside groups, a degenerate
+    eigenspace whose basis each solve picks its own way, spans the same
+    space, solves the pencil and has the same eigenvalue column by column."""
+    if reaches_inside_groups(lap, got):
+        dense = lap.dense() if dense is None else dense
+        assert_solves_pencil(lap, got, dense)
+        assert np.max(np.abs(projector(lap, got) - projector(lap, want))) <= 1e-10
+        eigenvalues = [np.einsum("ij,ij->j", x, dense @ x) for x in (got, want)]
+        assert np.max(np.abs(eigenvalues[0] - eigenvalues[1])) <= 1e-12
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12
+        gram = got.T @ (lap.degrees[:, None] * got)
+        assert np.max(np.abs(gram - np.eye(got.shape[1]))) <= 1e-8
+
+
+@pytest.fixture(params=["lapack", "eigh"])
+def solver(request, monkeypatch):
+    """Each solve through numpy's LAPACK and, with ``_lapack`` patched to
+    None, through ``np.linalg.eigh``; returns the list of (size, count)
+    of each ``_partial_eigh`` call."""
+    if request.param == "eigh":
+        monkeypatch.setattr(laplacian, "_lapack", lambda: None)
+    calls, real = [], laplacian._partial_eigh
+
+    def counted(a, count):
+        calls.append((a.shape[0], count))
+        return real(a, count)
+    monkeypatch.setattr(laplacian, "_partial_eigh", counted)
+    return calls
+
+
 class TestBuildLaplacian:
     def test_two_node(self):
         lap = build_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -395,6 +449,22 @@ class TestSolveEigenmap:
                 solve_eigenmap(lap, dims)
         assert solve_eigenmap(lap, 2).shape == (6, 2)
 
+    def test_cut_into_the_ones_names_the_vectors_inside_groups(self):
+        """A cut cluster that holds the eigenvalues inside groups says how
+        many of its eigenvectors only separate records with equal rows; a
+        cut elsewhere does not."""
+        inside = "{} of its eigenvectors only separate records with identical similarity rows"
+        lap = build_laplacian(DUPLICATE_HEAVY[0][1]())
+        with pytest.raises(RankDeficient, match=inside.format(20)):
+            solve_eigenmap(lap, 15)
+        lap = build_laplacian(block_similarity(2, 2, 2))
+        for dims in (3, 4):
+            with pytest.raises(RankDeficient, match=inside.format(3)):
+                solve_eigenmap(lap, dims)
+        with pytest.raises(RankDeficient) as caught:
+            solve_eigenmap(lap, 1)
+        assert "only separate" not in str(caught.value)
+
     def test_deterministic_sign(self):
         rng = np.random.default_rng(10)
         s = random_similarity(rng, 10)
@@ -424,9 +494,12 @@ class TestQuotientSolve:
 
     @duplicate_heavy
     def test_duplicate_heavy_matches_oracle(self, make):
+        """Every width raises exactly where the solve over every row raises,
+        and every other frame matches that solve's (``assert_matches_oracle``)."""
         lap = build_laplacian(make())
         m, u = lap.m, lap.firsts.size
         assert u < m
+        dense, reached = lap.dense(), 0
         for w in range(1, m):
             try:
                 want = oracle_solve_eigenmap(lap, w)
@@ -435,33 +508,99 @@ class TestQuotientSolve:
                     solve_eigenmap(lap, w)
                 continue
             got = solve_eigenmap(lap, w)
-            if w > u - 1:
-                # past the quotient's non-trivial pairs only the fallback solves
-                assert got.tobytes() == want.tobytes()
-            assert np.max(np.abs(got - want)) <= 1e-12, w
-            gram = got.T @ (lap.degrees[:, None] * got)
-            assert np.max(np.abs(gram - np.eye(w))) <= 1e-8, w
+            reached += reaches_inside_groups(lap, got)
+            assert_matches_oracle(lap, got, want, dense)
+        # width m - 1 takes every eigenvector
+        assert reached
 
-    def test_width_into_the_ones_block_falls_back(self):
-        # 10 distinct rows among 30: a frame of 28 columns reaches the 20
-        # eigenvectors inside groups, which only the solve over every row has
+    def test_width_into_the_ones_block_takes_the_vectors_inside_groups(self):
+        # 10 distinct rows among 30: a frame of 28 columns holds the 20
+        # eigenvectors inside groups, whose entries sum to 0 over each group
         lap = build_laplacian(repeated_rows(random_similarity(np.random.default_rng(12), 12),
                                             np.random.default_rng(13).integers(0, 12, size=30)))
         assert lap.firsts.size == 10
         for dims in (28, 29, [3, 28]):
-            assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
+            got = solve_eigenmap(lap, dims)
+            assert_matches_oracle(lap, got, oracle_solve_eigenmap(lap, dims))
+            inside = [j for j in range(got.shape[1])
+                      if not np.array_equal(got[:, j], got[lap.firsts, j][lap.groups])]
+            assert len(inside) == 20 and inside == list(range(inside[0], inside[0] + 20))
+            sums = np.add.reduceat((lap.degrees[:, None] * got)[lap.order][:, inside],
+                                   lap.starts)
+            assert np.max(np.abs(sums)) <= 1e-12
+        assert solve_eigenmap(lap, [3, 28])[:, :3].tobytes() == solve_eigenmap(lap, 3).tobytes()
         with pytest.raises(RankDeficient):
             solve_eigenmap(lap, 15)
         # two repeated rows among 16: eight quotient eigenvalues lie below 1,
-        # so widths 10 and 12, inside the quotient's count, need the two
+        # so widths 10 and 12, inside the quotient's count, take the two
         # eigenvalue-1 vectors, and width 9 cuts between them
         lap = build_laplacian(repeated_rows(random_similarity(np.random.default_rng(0), 14),
                                             [*range(14), 0, 1]))
         assert lap.firsts.size == 14
         for dims in (10, 12):
-            assert solve_eigenmap(lap, dims).tobytes() == oracle_solve_eigenmap(lap, dims).tobytes()
+            got = solve_eigenmap(lap, dims)
+            assert reaches_inside_groups(lap, got)
+            assert_matches_oracle(lap, got, oracle_solve_eigenmap(lap, dims))
         with pytest.raises(RankDeficient):
             solve_eigenmap(lap, 9)
+
+    @duplicate_heavy
+    def test_one_quotient_solve_never_expands_l(self, monkeypatch, solver, make):
+        """Every width makes one partial solve over the u groups, and none
+        expands L to every row."""
+        lap = build_laplacian(make())
+        u = lap.firsts.size
+
+        def expanded(self):
+            raise AssertionError("L expanded to m x m")
+        monkeypatch.setattr(laplacian.Laplacian, "dense", expanded)
+        for w in range(1, lap.m):
+            solver.clear()
+            try:
+                assert solve_eigenmap(lap, w).shape == (lap.m, w)
+            except RankDeficient:
+                pass
+            assert solver == [(u, min(w, u - 1))]
+
+    def test_every_row_identical(self, solver):
+        """u = 1: no quotient pair, so the solve is asked for no vector; every
+        narrower width cuts the m - 1 eigenvalues 1, and width m - 1 is the
+        closed-form vectors inside the one group."""
+        lap = build_laplacian(np.full((6, 6), 0.5))
+        assert lap.firsts.size == 1
+        for w in range(1, 5):
+            with pytest.raises(RankDeficient, match="5 of its eigenvectors only separate"):
+                solve_eigenmap(lap, w)
+        x = solve_eigenmap(lap, 5)
+        assert_solves_pencil(lap, x)
+        assert np.max(np.abs(projector(lap, x) - projector(lap, oracle_solve_eigenmap(lap, 5)))
+                      ) <= 1e-10
+        assert solver and set(solver) == {(1, 0)}
+
+    def test_one_repeated_row(self, solver):
+        """m - u = 1: the one vector inside a group, e_4 - e_9 over
+        sqrt(2 d_4), sits where eigenvalue 1 falls among the quotient's."""
+        lap = build_laplacian(repeated_rows(random_similarity(np.random.default_rng(0), 9),
+                                            [*range(9), 4]))
+        assert lap.firsts.size == 9
+        helmert = np.zeros(10)
+        helmert[4], helmert[9] = 1.0, -1.0
+        helmert /= np.sqrt(2.0 * lap.degrees[4])
+        reached = 0
+        for w in range(1, 10):
+            try:
+                want = oracle_solve_eigenmap(lap, w)
+            except RankDeficient:
+                with pytest.raises(RankDeficient):
+                    solve_eigenmap(lap, w)
+                continue
+            got = solve_eigenmap(lap, w)
+            assert_matches_oracle(lap, got, want)
+            if reaches_inside_groups(lap, got):
+                reached += 1
+                assert sum(np.array_equal(got[:, j], helmert) for j in range(w)) == 1
+        assert reached
+        assert set(solver) == {(9, 8)} | {(9, w) for w in range(1, 9)}
 
 
 class TestAgainstEigh:
@@ -521,7 +660,7 @@ class TestPartialEigh:
 
     @pytest.mark.parametrize("similarity,widths", [
         (lambda: random_similarity(np.random.default_rng(33), 14), (1, 4, 13)),
-        (DUPLICATE_HEAVY[0][1], (3, 6, 28)),     # 10 groups: width 28 solves every row
+        (DUPLICATE_HEAVY[0][1], (3, 6, 28)),     # 10 groups: width 28 reaches inside them
         (lambda: block_similarity(2, 2, 2), (2, 5)),
     ], ids=["random", "repeated-rows", "degenerate"])
     def test_frames_solve_the_pencil(self, similarity, widths):
@@ -622,7 +761,7 @@ class TestQuotientProduct:
         lambda: np.eye(4),
     ], ids=[*(name for name, _ in DUPLICATE_HEAVY), "duplicate-free", "identity"])
     def test_dense_expansion_is_full_laplacian(self, make):
-        # the matrix the full-solve fallback reads
+        # the matrix the every-row oracle solves
         s = make()
         assert np.array_equal(build_laplacian(s).dense(), np.diag(s.sum(1)) - s)
 
